@@ -58,35 +58,29 @@ def test_columnar_engine_3x_and_byte_identical():
 
 
 def test_columnar_alarm_path_2x_and_byte_identical():
-    """Steps 2-4 over the columnar ``AlarmTable`` run at least 2x the
-    object path on the same precomputed alarm set (the PR 5 acceptance
-    bar), with byte-identical labels."""
-    from repro.core.alarm_table import AlarmTable
-
+    """Steps 2-4 on the numpy kernels run at least 2x the python
+    kernels over the same precomputed alarm table, with byte-identical
+    labels."""
     trace = _fresh_trace()
     columnar = MAWILabPipeline(engine="numpy")
     reference = MAWILabPipeline(engine="python")
-    table = columnar.detect_table(trace)
-    alarms = table.to_alarms()
+    table = columnar.detect(trace)
 
-    def run_once(pipeline, payload):
+    def run_once(pipeline):
         started = time.perf_counter()
-        result = pipeline.run_with_alarms(
-            trace,
-            payload if isinstance(payload, AlarmTable) else list(payload),
-        )
+        result = pipeline.run_with_alarms(trace, table)
         return labels_to_csv(result.labels), time.perf_counter() - started
 
-    run_once(columnar, table)  # warm flow-code caches for both paths
-    columnar_best = min(run_once(columnar, table)[1] for _ in range(3))
-    object_runs = [run_once(reference, alarms) for _ in range(3)]
+    run_once(columnar)  # warm flow-code caches for both engines
+    columnar_best = min(run_once(columnar)[1] for _ in range(3))
+    object_runs = [run_once(reference) for _ in range(3)]
     object_best = min(elapsed for _csv, elapsed in object_runs)
 
-    csv_columnar = run_once(columnar, table)[0]
+    csv_columnar = run_once(columnar)[0]
     assert all(csv == csv_columnar for csv, _elapsed in object_runs)
     assert object_best >= 2.0 * columnar_best, (
         f"alarm-path speedup {object_best / columnar_best:.2f}x below 2x "
-        f"(columnar {columnar_best:.3f}s, object {object_best:.3f}s)"
+        f"(numpy {columnar_best:.3f}s, python {object_best:.3f}s)"
     )
 
 

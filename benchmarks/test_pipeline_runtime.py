@@ -49,7 +49,7 @@ def test_similarity_graph_build_runtime(archive, benchmark):
     alarms = run_ensemble(day.trace)
     traffic_sets = TrafficExtractor(
         day.trace, Granularity.UNIFLOW
-    ).extract_all(alarms)
+    ).extract_all(alarms).traffic_sets
 
     graph = benchmark(
         build_similarity_graph,

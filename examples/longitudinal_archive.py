@@ -2,9 +2,9 @@
 """Longitudinal study: labeling nine years of archive in parallel.
 
 Reproduces the flavour of the paper's Figs. 7-8 interactively: shards
-one day per half-year from 2001 to 2009 across a process pool with the
-:class:`BatchRunner`, then prints the attack-ratio time series along
-with the era (Blaster/Sasser outbreaks, link upgrades, post-2007 P2P
+one day per half-year from 2001 to 2009 across a process pool with a
+:class:`LabelingSession`, then prints the attack-ratio time series
+along with the era (Blaster/Sasser outbreaks, link upgrades, post-2007 P2P
 growth).  The per-day label counts come straight from the aggregated
 batch report; the attack-ratio columns re-run the combiner per day
 from the runner's alarm cache, so Step 1 executes exactly once per
@@ -19,7 +19,8 @@ import tempfile
 from repro.eval.metrics import attack_ratio_by_class
 from repro.labeling.heuristics import label_community
 from repro.mawi import SyntheticArchive, era_for_date
-from repro.runner import AlarmCache, BatchRunner, PipelineConfig
+from repro.runner import AlarmCache, PipelineConfig
+from repro.session import LabelingSession
 
 
 def main() -> None:
@@ -33,15 +34,17 @@ def main() -> None:
     ]
 
     with tempfile.TemporaryDirectory() as cache_dir:
-        runner = BatchRunner(config=config, workers=4, cache_dir=cache_dir)
-        batch = runner.run(
-            archive,
-            dates,
-            progress=lambda done, total, report: print(
-                f"[{done}/{total}] {report.date} {report.status}",
-                file=sys.stderr,
-            ),
-        )
+        with LabelingSession(
+            config=config, workers=4, cache_dir=cache_dir
+        ) as session:
+            batch = session.label_archive(
+                archive,
+                dates,
+                progress=lambda done, total, report: print(
+                    f"[{done}/{total}] {report.date} {report.status}",
+                    file=sys.stderr,
+                ),
+            )
 
         print(
             f"{'date':12s} {'era':14s} {'comms':>5s} {'anom':>4s} "

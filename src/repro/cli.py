@@ -387,39 +387,34 @@ def _bench_detect(trace, engine: str, profile: bool, reps: int = 3) -> dict:
 
 
 def _bench_alarm_path(trace, reps: int = 3) -> dict:
-    """Alarm-path leg: Steps 2-4 throughput, object vs columnar.
+    """Alarm-path leg: Steps 2-4 throughput, python vs numpy kernels.
 
-    The same Step 1 alarm set is pushed through similarity estimation,
+    One Step 1 alarm table is pushed through similarity estimation,
     community detection, acceptance and labeling ``reps`` times on both
-    data paths — the reference engine over a plain ``Alarm`` object
-    list, and the columnar engine over the
-    :class:`~repro.core.alarm_table.AlarmTable` — reporting alarms/sec
-    per path.  Both paths must render byte-identical CSV (asserted
-    here), so the speedup is a pure data-path effect.
+    engines — the same table path, differing only in the kernels
+    (``object`` = the pure-Python reference kernels, ``columnar`` =
+    the NumPy kernels) — reporting alarms/sec per engine.  Both must
+    render byte-identical CSV (asserted here), so the speedup is a pure
+    kernel effect.
     """
     import time
 
-    from repro.core.alarm_table import AlarmTable
     from repro.labeling.mawilab import MAWILabPipeline, labels_to_csv
 
     columnar_pipeline = MAWILabPipeline(engine="numpy")
     object_pipeline = MAWILabPipeline(engine="python")
-    table = columnar_pipeline.detect_table(trace)
-    alarm_list = table.to_alarms()
+    table = columnar_pipeline.detect(trace)
     n_alarms = len(table)
     leg: dict = {"n_alarms": n_alarms, "reps": reps}
     outputs = {}
 
-    for name, pipeline, alarms in (
-        ("object", object_pipeline, alarm_list),
-        ("columnar", columnar_pipeline, table),
+    for name, pipeline in (
+        ("object", object_pipeline),
+        ("columnar", columnar_pipeline),
     ):
         started = time.perf_counter()
         for _ in range(reps):
-            result = pipeline.run_with_alarms(
-                trace,
-                alarms if isinstance(alarms, AlarmTable) else list(alarms),
-            )
+            result = pipeline.run_with_alarms(trace, table)
         elapsed = time.perf_counter() - started
         outputs[name] = labels_to_csv(result.labels)
         leg[name] = {
@@ -1374,7 +1369,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--alarm-path-reps",
         type=int,
         default=3,
-        help="alarm-path-leg repetitions of Steps 2-4 per data path "
+        help="alarm-path-leg repetitions of Steps 2-4 per engine "
         "(0 skips the alarm-path leg)",
     )
     bench.add_argument(
@@ -1749,30 +1744,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-class _EngineOption(argparse.Action):
-    """Store an engine spec, warning when the legacy alias is used."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        if option_string == "--backend":
-            import warnings
-
-            # DeprecationWarning is hidden by default filters outside
-            # __main__, so the human typing the old flag also gets a
-            # plain stderr notice.
-            print(
-                f"{parser.prog}: warning: --backend is deprecated; "
-                "use --engine",
-                file=sys.stderr,
-            )
-            warnings.warn(
-                "--backend is deprecated; use --engine "
-                "(same accepted values)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        setattr(namespace, self.dest, values)
-
-
 def _add_fanout_option(parser: argparse.ArgumentParser) -> None:
     """The pooled parallelism axis (see ``repro.session.FANOUTS``)."""
     parser.add_argument(
@@ -1787,13 +1758,9 @@ def _add_fanout_option(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_engine_option(parser: argparse.ArgumentParser) -> None:
-    """The execution-engine choice (``--backend`` kept as a
-    deprecated alias that warns)."""
+    """The execution-engine choice."""
     parser.add_argument(
         "--engine",
-        "--backend",  # pre-engine-layer alias, resolves identically
-        dest="engine",
-        action=_EngineOption,
         choices=("auto", "numpy", "python"),
         default="auto",
         help="execution engine: numpy = columnar fast paths (default), "

@@ -4,11 +4,18 @@ An :class:`AlarmTable` is to alarms what
 :class:`~repro.net.table.PacketTable` is to packets: one NumPy array
 per alarm field, with :class:`~repro.detectors.base.Alarm` objects
 materialized lazily (and cached) only where object-level code still
-needs them.  Everything downstream of Step 1 — similarity estimation,
-community detection, the acceptance heuristics — can read the columns
-directly: time spans for window eviction and community envelopes,
-dense detector/configuration codes for vote tables, encoded
-filter/flow-key rows for traffic extraction.
+needs them.  It is the one carrier of Steps 2-4 on every engine —
+similarity estimation, community detection, the acceptance heuristics
+— which read the columns directly: time spans for window eviction and
+community envelopes, dense detector/configuration codes for vote
+tables, encoded filter/flow-key rows for traffic extraction.
+
+A table encoded from alarm objects (:meth:`AlarmTable.from_alarms`)
+seeds its view caches with those very objects, and :meth:`~AlarmTable.take`
+and :meth:`~AlarmTable.concatenate` carry the caches along, so the
+filters and flow keys a detector built are never rebuilt from columns
+downstream.  Only a cold table (unpickled from the cache or a pool
+pipe) materializes views from its columns.
 
 Layout
 ------
@@ -40,7 +47,7 @@ kernels.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -88,6 +95,9 @@ FLOW_COLUMNS = tuple(FLOW_COLUMN_DTYPES)
 #: Every array the table carries, in constructor order.
 ALL_ARRAYS = ALARM_COLUMNS + BOUND_COLUMNS + FILTER_COLUMNS + FLOW_COLUMNS
 
+#: Lazy view caches, one slot per alarm / filter row / flow-key row.
+_VIEW_CACHES = ("_alarm_cache", "_filter_cache", "_flow_key_cache")
+
 
 def _encode_optional_int(value: Optional[int]) -> int:
     return -1 if value is None else int(value)
@@ -123,13 +133,7 @@ def _ragged_take(bounds: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.n
 class AlarmTable:
     """Struct-of-arrays alarm storage with lazy :class:`Alarm` views."""
 
-    __slots__ = ALL_ARRAYS + (
-        "detectors",
-        "configs",
-        "_alarm_cache",
-        "_filter_cache",
-        "_flow_key_cache",
-    )
+    __slots__ = ALL_ARRAYS + ("detectors", "configs") + _VIEW_CACHES
 
     def __init__(
         self,
@@ -339,7 +343,7 @@ class AlarmTable:
                 offset += int(bounds[-1])
             return np.concatenate(parts)
 
-        return cls(
+        table = cls(
             det_code=det_code,
             config_code=config_code,
             t0=cat("t0"),
@@ -352,6 +356,13 @@ class AlarmTable:
             detectors=detectors,
             configs=configs,
         )
+        for cache in _VIEW_CACHES:
+            object.__setattr__(
+                table,
+                cache,
+                [view for t in tables for view in getattr(t, cache)],
+            )
+        return table
 
     # -- container protocol --------------------------------------------
 
@@ -452,10 +463,6 @@ class AlarmTable:
             )
         return cached
 
-    def to_alarms(self) -> list[Alarm]:
-        """Materialize every row (cached; order = row order)."""
-        return [self.alarm(i) for i in range(len(self))]
-
     # -- slicing --------------------------------------------------------
 
     def take(self, rows) -> "AlarmTable":
@@ -463,6 +470,9 @@ class AlarmTable:
 
         Name pools are carried over unchanged — codes stay valid — so
         window eviction in the streaming engine is a pure column slice.
+        The view caches are gathered along with the rows: views already
+        materialized (or seeded by :meth:`from_alarms`) stay the same
+        objects in the subset.
         """
         rows = np.asarray(rows)
         if rows.dtype == bool:
@@ -470,7 +480,7 @@ class AlarmTable:
         rows = rows.astype(np.int64)
         filter_bounds, filter_idx = _ragged_take(self.filter_bounds, rows)
         flow_bounds, flow_idx = _ragged_take(self.flow_bounds, rows)
-        return AlarmTable(
+        table = AlarmTable(
             **{name: getattr(self, name)[rows] for name in ALARM_COLUMNS},
             filter_bounds=filter_bounds,
             flow_bounds=flow_bounds,
@@ -479,6 +489,12 @@ class AlarmTable:
             detectors=self.detectors,
             configs=self.configs,
         )
+        for cache, index in zip(_VIEW_CACHES, (rows, filter_idx, flow_idx)):
+            views = getattr(self, cache)
+            object.__setattr__(
+                table, cache, [views[i] for i in index.tolist()]
+            )
+        return table
 
     def config_names_at(self, rows) -> set[str]:
         """Distinct configuration names of a row subset (no views)."""
@@ -495,3 +511,16 @@ class AlarmTable:
             f"AlarmTable(n={len(self)}, configs={len(self.configs)}, "
             f"filters={len(self.f_src)}, flow_keys={len(self.w_src)})"
         )
+
+
+def as_alarm_table(
+    alarms: Union[AlarmTable, Sequence[Alarm]], engine="auto"
+) -> AlarmTable:
+    """``alarms`` as a table: returned as-is, or a list encoded once.
+
+    The entry points of Steps 2-4 accept a plain alarm list for
+    convenience; this is where such a list joins the table path.
+    """
+    if isinstance(alarms, AlarmTable):
+        return alarms
+    return AlarmTable.from_alarms(alarms, engine=engine)

@@ -5,22 +5,21 @@ similarity graph (paper Section 2.1.3).  Isolated alarms form *single
 communities* — the estimator's failure mode the evaluation counts
 (Fig. 3a).
 
-Since the columnar alarm path, a community is primarily an *index
-vector* over the run's :class:`~repro.core.alarm_table.AlarmTable`:
-member ids plus the table reference.  :class:`Alarm` objects are
-materialized lazily through the table only when object-level code
-asks for :attr:`Community.alarms`; the hot consumers —
+A community is an *index vector* over the run's
+:class:`~repro.core.alarm_table.AlarmTable`: member ids plus the table
+reference, on every engine.  :class:`Alarm` objects are materialized
+lazily through the table only when object-level code asks for
+:attr:`Community.alarms`; the hot consumers —
 :meth:`Community.detectors` / :meth:`Community.configs` feeding the
 combiner vote tables — read the table's dense code columns directly.
-Object-backed construction (``alarms=...``) remains supported for the
-reference engine and hand-built test fixtures.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import FrozenSet, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import FrozenSet, Optional
 
+from repro.core.alarm_table import AlarmTable
 from repro.detectors.base import Alarm
 
 
@@ -32,10 +31,7 @@ class Community:
     id:
         Community label (contiguous ints within one estimator run).
     alarm_ids:
-        Indices of member alarms into the run's alarm list / table.
-    alarms:
-        The member alarms as objects; optional when ``table`` is given
-        (they are then materialized lazily from the table rows).
+        Indices of member alarms into the run's alarm table.
     table:
         The run's :class:`~repro.core.alarm_table.AlarmTable`;
         ``alarm_ids`` index its rows.
@@ -46,36 +42,28 @@ class Community:
         Envelope of the member alarms' time windows.
     """
 
-    __slots__ = ("id", "alarm_ids", "traffic", "t0", "t1", "_alarms", "_table")
+    __slots__ = ("id", "alarm_ids", "table", "traffic", "t0", "t1")
 
     def __init__(
         self,
         id: int,
         alarm_ids: tuple[int, ...],
-        alarms: Optional[Sequence[Alarm]] = None,
+        table: AlarmTable,
         traffic: FrozenSet = frozenset(),
         t0: float = 0.0,
         t1: float = 0.0,
-        table=None,
     ) -> None:
-        if alarms is None and table is None:
-            raise ValueError("community needs alarms or a backing table")
         self.id = id
         self.alarm_ids = tuple(alarm_ids)
+        self.table = table
         self.traffic = traffic
         self.t0 = t0
         self.t1 = t1
-        self._alarms = tuple(alarms) if alarms is not None else None
-        self._table = table
 
     @property
     def alarms(self) -> tuple[Alarm, ...]:
-        """Member alarms as objects (lazy when table-backed)."""
-        if self._alarms is None:
-            self._alarms = tuple(
-                self._table.alarm(i) for i in self.alarm_ids
-            )
-        return self._alarms
+        """Member alarms as objects (lazy table views)."""
+        return tuple(self.table.alarm(i) for i in self.alarm_ids)
 
     @property
     def size(self) -> int:
@@ -89,15 +77,11 @@ class Community:
 
     def detectors(self) -> set[str]:
         """Detector families with at least one alarm in the community."""
-        if self._alarms is None:
-            return self._table.detector_names_at(list(self.alarm_ids))
-        return {alarm.detector for alarm in self._alarms}
+        return self.table.detector_names_at(list(self.alarm_ids))
 
     def configs(self) -> set[str]:
         """Configurations with at least one alarm in the community."""
-        if self._alarms is None:
-            return self._table.config_names_at(list(self.alarm_ids))
-        return {alarm.config for alarm in self._alarms}
+        return self.table.config_names_at(list(self.alarm_ids))
 
     def describe(self) -> str:
         detectors = ",".join(sorted(self.detectors()))
@@ -117,21 +101,16 @@ class Community:
 class CommunitySet:
     """Output of one similarity-estimator run on one trace.
 
-    ``alarms`` is the run's alarm population — a plain list on the
-    reference path, or an :class:`~repro.core.alarm_table.AlarmTable`
-    on the columnar path (both support ``len`` / iteration / integer
-    indexing, yielding :class:`Alarm` objects).  ``alarm_table`` names
-    the columnar backing explicitly when one exists.
+    ``alarms`` is the run's alarm population; every community's
+    ``alarm_ids`` index its rows.
     """
 
     communities: list[Community]
-    alarms: Union[list[Alarm], object]
+    alarms: AlarmTable
     traffic_sets: list[FrozenSet]
     granularity: object = None  # repro.net.flow.Granularity
     graph: Optional[object] = None  # repro.core.graph.SimilarityGraph
     extractor: Optional[object] = None  # repro.core.extractor.TrafficExtractor
-    #: Columnar backing of ``alarms`` (None on the object path).
-    alarm_table: Optional[object] = field(default=None, repr=False)
 
     @property
     def n_single(self) -> int:

@@ -9,6 +9,11 @@ Orchestrates Step 2 of the paper's method:
    (Simpson by default);
 3. :func:`~repro.core.louvain.louvain` clusters the graph into
    communities; alarms left alone become *single communities*.
+
+The alarms travel as one :class:`~repro.core.alarm_table.AlarmTable`
+on every engine, and communities are index vectors over it.  The
+engine only picks the kernels: the extraction strategy (and with it
+the graph input it hands over) and the similarity-graph kernel.
 """
 
 from __future__ import annotations
@@ -18,13 +23,13 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from repro.core.alarm_table import AlarmTable
+from repro.core.alarm_table import AlarmTable, as_alarm_table
 from repro.core.community import Community, CommunitySet
 from repro.core.extractor import TrafficExtractor
 from repro.core.graph import build_similarity_graph
 from repro.core.louvain import louvain
 from repro.detectors.base import Alarm
-from repro.engine import EngineSpec, resolve_engine, resolve_legacy_backend
+from repro.engine import EngineSpec, resolve_engine
 from repro.net.flow import Granularity
 from repro.net.trace import Trace
 
@@ -47,15 +52,10 @@ class SimilarityEstimator:
     resolution:
         Louvain modularity resolution.
     engine:
-        Traffic-extraction engine spec (resolved through
-        :func:`repro.engine.resolve_engine`).  On a vectorized engine,
-        per-alarm traffic flows from the columnar extractor into the
-        graph kernel as dense code arrays, and the public ``FrozenSet``
-        traffic sets are materialized afterwards for the community
-        records.
-    graph_engine:
-        Similarity-graph construction engine; defaults to ``engine``.
-        All graph kernels build identical graphs.
+        Execution-engine spec (resolved through
+        :func:`repro.engine.resolve_engine`) for traffic extraction and
+        similarity-graph construction.  All engines build identical
+        graphs and communities.
     """
 
     def __init__(
@@ -66,64 +66,36 @@ class SimilarityEstimator:
         seed: int = 0,
         resolution: float = 1.0,
         engine: EngineSpec = "auto",
-        graph_engine: EngineSpec = None,
-        backend: EngineSpec = None,
     ) -> None:
-        engine = resolve_legacy_backend(engine, backend, what="estimator")
         self.granularity = granularity
         self.measure = measure
         self.edge_threshold = edge_threshold
         self.seed = seed
         self.resolution = resolution
         self.engine = resolve_engine(engine, what="estimator")
-        self.graph_engine = (
-            self.engine
-            if graph_engine is None
-            else resolve_engine(graph_engine, what="graph")
-        )
 
     def build(
         self,
         trace: Trace,
-        alarms: Union[Sequence[Alarm], AlarmTable],
+        alarms: Union[AlarmTable, Sequence[Alarm]],
         timings: Optional[dict] = None,
     ) -> CommunitySet:
         """Run the estimator on one trace's alarms.
 
-        ``alarms`` may be a plain list or an
-        :class:`~repro.core.alarm_table.AlarmTable`; on a vectorized
-        engine the table's encoded designation columns feed extraction
-        directly (no :class:`Alarm` views), and the resulting
+        ``alarms`` is an :class:`~repro.core.alarm_table.AlarmTable`;
+        a plain alarm list is encoded into one first.  The resulting
         communities are index vectors over the table.  ``timings``,
         when given, accumulates per-stage wall seconds under the keys
         ``"extract"``, ``"graph"`` and ``"combine"`` (Louvain
         clustering) — the ``repro bench`` instrumentation.
         """
         clock = time.perf_counter
-        table: Optional[AlarmTable] = None
-        if isinstance(alarms, AlarmTable):
-            if self.engine.vectorized:
-                table = alarms
-            else:
-                alarms = alarms.to_alarms()
-        else:
-            alarms = list(alarms)
+        table = as_alarm_table(alarms, engine=self.engine)
         started = clock()
         extractor = TrafficExtractor(
             trace, self.granularity, engine=self.engine
         )
-        if extractor.engine.vectorized:
-            if table is not None:
-                code_sets = extractor.extract_table_codes(table)
-            else:
-                code_sets = extractor.extract_all_codes(alarms)
-            graph_input: Sequence = code_sets
-            traffic_sets = [
-                extractor.codes_to_traffic(codes) for codes in code_sets
-            ]
-        else:
-            traffic_sets = extractor.extract_all(alarms)
-            graph_input = traffic_sets
+        graph_input, traffic_sets = extractor.extract_all(table)
         if timings is not None:
             timings["extract"] = timings.get("extract", 0.0) + clock() - started
         started = clock()
@@ -131,7 +103,7 @@ class SimilarityEstimator:
             graph_input,
             measure=self.measure,
             edge_threshold=self.edge_threshold,
-            engine=self.graph_engine,
+            engine=self.engine,
         )
         if timings is not None:
             timings["graph"] = timings.get("graph", 0.0) + clock() - started
@@ -139,67 +111,48 @@ class SimilarityEstimator:
         partition = louvain(
             graph, resolution=self.resolution, seed=self.seed
         )
-        communities = self._materialize(
-            table if table is not None else alarms, traffic_sets, partition
-        )
+        communities = self._materialize(table, traffic_sets, partition)
         if timings is not None:
             timings["combine"] = timings.get("combine", 0.0) + clock() - started
         return CommunitySet(
             communities=communities,
-            alarms=table if table is not None else alarms,
+            alarms=table,
             traffic_sets=traffic_sets,
             granularity=self.granularity,
             graph=graph,
             extractor=extractor,
-            alarm_table=table,
         )
 
     @staticmethod
     def _materialize(
-        alarms: Union[list[Alarm], AlarmTable],
+        table: AlarmTable,
         traffic_sets: list,
         partition: dict[int, int],
     ) -> list[Community]:
         """Build Community objects from the Louvain partition.
 
-        With an :class:`AlarmTable`, communities stay index vectors:
-        their time envelopes come from vectorized column reductions
-        and their member alarms are lazy table views.
+        Communities stay index vectors over the table: their time
+        envelopes come from vectorized column reductions and their
+        member alarms are lazy table views.
         """
         members: dict[int, list[int]] = {}
         for alarm_id, label in partition.items():
             members.setdefault(label, []).append(alarm_id)
-        table = alarms if isinstance(alarms, AlarmTable) else None
         communities: list[Community] = []
         for new_id, label in enumerate(sorted(members)):
             alarm_ids = tuple(sorted(members[label]))
             traffic = frozenset().union(
                 *(traffic_sets[i] for i in alarm_ids)
             )
-            if table is not None:
-                ids = np.fromiter(alarm_ids, np.int64, count=len(alarm_ids))
-                communities.append(
-                    Community(
-                        id=new_id,
-                        alarm_ids=alarm_ids,
-                        table=table,
-                        traffic=traffic,
-                        t0=float(table.t0[ids].min()),
-                        t1=float(table.t1[ids].max()),
-                    )
-                )
-                continue
-            member_alarms = tuple(alarms[i] for i in alarm_ids)
-            t0 = min(a.t0 for a in member_alarms)
-            t1 = max(a.t1 for a in member_alarms)
+            ids = np.fromiter(alarm_ids, np.int64, count=len(alarm_ids))
             communities.append(
                 Community(
                     id=new_id,
                     alarm_ids=alarm_ids,
-                    alarms=member_alarms,
+                    table=table,
                     traffic=traffic,
-                    t0=t0,
-                    t1=t1,
+                    t0=float(table.t0[ids].min()),
+                    t1=float(table.t1[ids].max()),
                 )
             )
         return communities

@@ -11,35 +11,35 @@ Fig. 3): packets give precise but fragmented associations, flows relate
 alarms that touch different packets of the same conversation.
 
 Two interchangeable strategies implement the retrieval, registered as
-the per-engine ``"traffic_extractor"`` kernels:
+the per-engine ``"traffic_extractor"`` kernels.  Each implements one
+method, ``extract_table``, which reads an
+:class:`~repro.core.alarm_table.AlarmTable` and returns the engine's
+similarity-graph input together with the public traffic sets — the
+strategies are the only place the engines differ:
 
 * :class:`ColumnarTrafficExtraction` — alarm filters become boolean
   masks over the trace's :class:`~repro.net.table.PacketTable` (via
   the ``"filter_mask"`` kernel), flows are dense integer codes
-  (``"flow_codes"``), and :meth:`TrafficExtractor.extract_all_codes`
-  hands the per-alarm code arrays straight to the vectorized
-  similarity-graph kernel without ever constructing Python sets.  The
-  per-alarm mask accumulator comes from the engine's scratch allocator
-  instead of a fresh allocation per alarm.
+  (``"flow_codes"``), and the per-alarm code arrays feed the
+  vectorized similarity-graph kernel directly.  The per-alarm mask
+  accumulator comes from the engine's scratch allocator instead of a
+  fresh allocation per alarm.
 * :class:`ReferenceTrafficExtraction` — the original per-packet
-  predicate loop, kept as the readable reference; the engine parity
-  suite asserts both strategies extract identical traffic sets.
+  predicate loop, kept as the readable reference; its traffic sets are
+  also its graph input.  The engine parity suite asserts both
+  strategies extract identical traffic sets.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, Sequence
+from typing import FrozenSet, NamedTuple, Sequence, Union
 
 import numpy as np
 
+from repro.core.alarm_table import AlarmTable, as_alarm_table
 from repro.detectors.base import Alarm
-from repro.engine import (
-    Engine,
-    EngineSpec,
-    resolve_engine,
-    resolve_legacy_backend,
-)
-from repro.errors import EngineError, TraceError
+from repro.engine import Engine, EngineSpec, resolve_engine
+from repro.errors import TraceError
 from repro.net.flow import FlowKey, Granularity, biflow_key, uniflow_key
 from repro.net.trace import Trace
 
@@ -83,7 +83,7 @@ class ReferenceTrafficExtraction:
                         indices.add(i)
         return indices
 
-    def extract(self, alarm: Alarm) -> FrozenSet:
+    def _traffic(self, alarm: Alarm) -> FrozenSet:
         indices = self._packet_indices(alarm)
         if self.granularity is Granularity.PACKET:
             return frozenset(indices)
@@ -91,8 +91,10 @@ class ReferenceTrafficExtraction:
             return frozenset(self._uniflow_of[i] for i in indices)
         return frozenset(self._biflow_of[i] for i in indices)
 
-    def extract_all(self, alarms: Sequence[Alarm]) -> list[FrozenSet]:
-        return [self.extract(alarm) for alarm in alarms]
+    def extract_table(self, table: AlarmTable) -> tuple[list, list[FrozenSet]]:
+        """Traffic sets of every row; they double as the graph input."""
+        traffic_sets = [self._traffic(table.alarm(i)) for i in range(len(table))]
+        return traffic_sets, traffic_sets
 
     def packets_of(self, traffic: FrozenSet) -> list[int]:
         if self.granularity is Granularity.PACKET:
@@ -107,6 +109,9 @@ class ReferenceTrafficExtraction:
         return sorted(
             i for i, key in enumerate(self._biflow_of) if key in wanted
         )
+
+    def packet_index_array(self, traffic: FrozenSet) -> np.ndarray:
+        return np.array(self.packets_of(traffic), dtype=np.int64)
 
 
 class ColumnarTrafficExtraction:
@@ -134,21 +139,15 @@ class ColumnarTrafficExtraction:
             self._bikeys = []
             self._bikey_to_code = {}
 
-    def _alarm_mask(self, alarm: Alarm) -> np.ndarray:
-        """Boolean packet mask designated by the alarm.
-
-        The accumulator is a scratch buffer — valid only until the next
-        mask-building call, which every caller respects by consuming
-        the mask (into codes or indices) before extracting again.
-        """
-        return self._mask_for(
-            alarm.filters, alarm.flow_keys, alarm.t0, alarm.t1
-        )
-
     def _mask_for(
         self, filters, flow_keys, alarm_t0: float, alarm_t1: float
     ) -> np.ndarray:
-        """Mask from an alarm's designation fields (object or table row)."""
+        """Boolean packet mask designated by one alarm row's fields.
+
+        The accumulator is a scratch buffer — valid only until the next
+        call, which :meth:`extract_table` respects by consuming each
+        mask into codes before building the next.
+        """
         table = self.trace.table
         mask = self._scratch.zeros(len(table), dtype=bool)
         for feature_filter in filters:
@@ -181,7 +180,7 @@ class ColumnarTrafficExtraction:
             return np.unique(self._codes[mask])
         return np.unique(self._bicodes[mask])
 
-    def codes_to_traffic(self, codes: np.ndarray) -> FrozenSet:
+    def _codes_to_traffic(self, codes: np.ndarray) -> FrozenSet:
         """Materialize a code array as the public traffic set."""
         if self.granularity is Granularity.PACKET:
             return frozenset(int(i) for i in codes)
@@ -192,34 +191,23 @@ class ColumnarTrafficExtraction:
         )
         return frozenset(keys[int(c)] for c in codes)
 
-    def extract(self, alarm: Alarm) -> FrozenSet:
-        return self.codes_to_traffic(
-            self._codes_for_mask(self._alarm_mask(alarm))
-        )
+    def extract_table(
+        self, table: AlarmTable
+    ) -> tuple[list[np.ndarray], list[FrozenSet]]:
+        """Per-row code arrays (the graph input) and their traffic sets.
 
-    def extract_all(self, alarms: Sequence[Alarm]) -> list[FrozenSet]:
-        return [
-            self.codes_to_traffic(codes)
-            for codes in self.extract_all_codes(alarms)
-        ]
-
-    def extract_all_codes(self, alarms: Sequence[Alarm]) -> list[np.ndarray]:
-        return [
-            self._codes_for_mask(self._alarm_mask(alarm)) for alarm in alarms
-        ]
-
-    def extract_table_codes(self, table) -> list[np.ndarray]:
-        """Batched extraction straight off an alarm table's columns.
-
-        Designations are read from the table's pooled filter objects
-        and flow-key rows — no :class:`Alarm` views are materialized —
-        producing exactly the per-alarm code arrays of
-        :meth:`extract_all_codes` on the same rows.
+        Designations are read from the table's pooled filter and
+        flow-key views — the detectors' own objects when the table
+        was encoded from them — and no :class:`Alarm` view is built.
+        Element ``i`` of the codes holds the sorted unique traffic
+        codes (flow ids, or packet indices at packet granularity) of
+        row ``i``: the integer alphabet the ``"similarity_graph"``
+        kernel consumes without per-element Python work.
         """
         filter_bounds = table.filter_bounds
         flow_bounds = table.flow_bounds
         t0s, t1s = table.t0, table.t1
-        results = []
+        codes = []
         for i in range(len(table)):
             filters = [
                 table.filter_at(j)
@@ -234,8 +222,8 @@ class ColumnarTrafficExtraction:
             mask = self._mask_for(
                 filters, flow_keys, float(t0s[i]), float(t1s[i])
             )
-            results.append(self._codes_for_mask(mask))
-        return results
+            codes.append(self._codes_for_mask(mask))
+        return codes, [self._codes_to_traffic(c) for c in codes]
 
     def packets_of(self, traffic: FrozenSet) -> list[int]:
         return [int(i) for i in self.packet_index_array(traffic)]
@@ -254,6 +242,17 @@ class ColumnarTrafficExtraction:
             return np.empty(0, dtype=np.int64)
         mask = np.isin(codes, np.array(wanted, dtype=np.int64))
         return np.nonzero(mask)[0].astype(np.int64)
+
+
+class Extraction(NamedTuple):
+    """One batch extraction: per-alarm graph input and traffic sets."""
+
+    #: What the engine's ``"similarity_graph"`` kernel ingests, one
+    #: element per alarm (code arrays on the columnar engine, the
+    #: traffic sets themselves on the reference engine).
+    graph_input: list
+    #: The public per-alarm traffic sets (packet indices or flow keys).
+    traffic_sets: list[FrozenSet]
 
 
 class TrafficExtractor:
@@ -280,9 +279,7 @@ class TrafficExtractor:
         trace: Trace,
         granularity: Granularity = Granularity.UNIFLOW,
         engine: EngineSpec = "auto",
-        backend: EngineSpec = None,
     ) -> None:
-        engine = resolve_legacy_backend(engine, backend, what="extractor")
         self.trace = trace
         self.granularity = granularity
         self.engine = resolve_engine(engine, what="extractor")
@@ -292,35 +289,20 @@ class TrafficExtractor:
 
     # -- public API ----------------------------------------------------
 
+    def extract_all(
+        self, alarms: Union[AlarmTable, Sequence[Alarm]]
+    ) -> Extraction:
+        """Extract every alarm's traffic (index-aligned with the rows).
+
+        ``alarms`` is an :class:`~repro.core.alarm_table.AlarmTable`; a
+        plain alarm list is encoded into one first.
+        """
+        table = as_alarm_table(alarms, engine=self.engine)
+        return Extraction(*self._impl.extract_table(table))
+
     def extract(self, alarm: Alarm) -> FrozenSet:
         """Traffic set of one alarm at this extractor's granularity."""
-        return self._impl.extract(alarm)
-
-    def extract_all(self, alarms: Sequence[Alarm]) -> list[FrozenSet]:
-        """Traffic sets for a list of alarms (index-aligned)."""
-        return self._impl.extract_all(alarms)
-
-    def extract_all_codes(self, alarms: Sequence[Alarm]) -> list[np.ndarray]:
-        """Batched extraction as dense int arrays (vectorized engines).
-
-        Element ``i`` holds the sorted unique traffic codes (flow ids,
-        or packet indices at packet granularity) of alarm ``i`` — the
-        exact integer alphabet the ``"similarity_graph"`` kernel
-        consumes directly, skipping Python set construction entirely.
-        """
-        return self._vectorized("extract_all_codes")(alarms)
-
-    def extract_table_codes(self, table) -> list[np.ndarray]:
-        """Batched :meth:`extract_all_codes` over an alarm table.
-
-        Reads designations straight from the table's encoded columns —
-        the columnar estimator's fast path, no alarm views involved.
-        """
-        return self._vectorized("extract_table_codes")(table)
-
-    def codes_to_traffic(self, codes: np.ndarray) -> FrozenSet:
-        """Materialize a code array as the public traffic set."""
-        return self._vectorized("codes_to_traffic")(codes)
+        return self.extract_all([alarm]).traffic_sets[0]
 
     def packets_of(self, traffic: FrozenSet) -> list[int]:
         """Expand a traffic set back to packet indices.
@@ -332,18 +314,9 @@ class TrafficExtractor:
         return self._impl.packets_of(traffic)
 
     def packet_index_array(self, traffic: FrozenSet) -> np.ndarray:
-        """Vectorized :meth:`packets_of` (sorted int64 array).
+        """:meth:`packets_of` as a sorted int64 array.
 
-        Only available on vectorized engines; the heuristics use it to
-        label community traffic without materializing packet objects.
+        The heuristics use it to label community traffic without
+        materializing packet objects.
         """
-        return self._vectorized("packet_index_array")(traffic)
-
-    def _vectorized(self, method: str):
-        fn = getattr(self._impl, method, None)
-        if fn is None:
-            raise EngineError(
-                f"{method} requires a vectorized extraction engine "
-                f"(got {self.engine.name!r})"
-            )
-        return fn
+        return self._impl.packet_index_array(traffic)

@@ -101,10 +101,11 @@ def build_similarity_graph(
     ----------
     traffic_sets:
         One traffic set per alarm (index-aligned with alarm ids).
-        Either Python sets of hashable elements or — as produced by
-        ``TrafficExtractor.extract_all_codes`` — NumPy arrays of unique
-        integer codes, which the vectorized kernel ingests without any
-        per-element Python work.  Empty sets yield isolated nodes.
+        Either Python sets of hashable elements or — as the columnar
+        extractor hands over in ``TrafficExtractor.extract_all(...)
+        .graph_input`` — NumPy arrays of unique integer codes, which
+        the vectorized kernel ingests without any per-element Python
+        work.  Empty sets yield isolated nodes.
     measure:
         Similarity measure name or callable ``(intersection, |A|, |B|)
         -> weight``.

@@ -116,12 +116,6 @@ class Detector(abc.ABC):
     def __init__(
         self, tuning: str = "optimal", engine: EngineSpec = "auto", **params
     ) -> None:
-        if "backend" in params:
-            from repro.engine import resolve_legacy_backend
-
-            engine = resolve_legacy_backend(
-                engine, params.pop("backend"), what=self.name
-            )
         self.tuning = tuning
         #: Feature-path engine: a vectorized engine reads the trace's
         #: columnar table, the reference engine scans packet objects.

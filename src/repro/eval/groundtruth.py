@@ -165,7 +165,7 @@ def score_detector(
     """Score a standalone detector's alarms against injected events."""
     alarms = detector.analyze(trace)
     extractor = TrafficExtractor(trace, granularity)
-    traffic_sets = [extractor.extract(alarm) for alarm in alarms]
+    traffic_sets = extractor.extract_all(alarms).traffic_sets
     names = [alarm.config for alarm in alarms]
     return score_traffic_sets(
         trace,

@@ -23,14 +23,14 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 from xml.sax.saxutils import escape, quoteattr
 
-from repro.core.alarm_table import AlarmTable
+from repro.core.alarm_table import AlarmTable, as_alarm_table
 from repro.core.community import CommunitySet
 from repro.core.estimator import SimilarityEstimator
 from repro.core.scann import SCANNStrategy
 from repro.core.strategies import CombinationStrategy, Decision
 from repro.detectors.base import Alarm, Detector
 from repro.detectors.registry import default_ensemble
-from repro.engine import EngineSpec, resolve_engine, resolve_legacy_backend
+from repro.engine import EngineSpec, resolve_engine
 from repro.labeling.heuristics import HeuristicLabel, label_community
 from repro.labeling.taxonomy import assign_taxonomy, assign_taxonomy_batch
 from repro.net.flow import Granularity
@@ -70,14 +70,13 @@ class LabelRecord:
 class PipelineResult:
     """Everything one pipeline run produced.
 
-    ``alarms`` is the Step 1 population — an
-    :class:`~repro.core.alarm_table.AlarmTable` on the columnar path,
-    a plain list on the reference path; both support ``len`` /
-    iteration / indexing yielding :class:`Alarm` objects.
+    ``alarms`` is the alarm table Steps 2-4 ran over (the Step 1
+    population plus any annotation pseudo-alarms); it is also
+    ``community_set.alarms``.
     """
 
     trace: Trace
-    alarms: Union[list[Alarm], AlarmTable]
+    alarms: AlarmTable
     community_set: CommunitySet
     decisions: list[Decision]
     labels: list[LabelRecord]
@@ -140,9 +139,7 @@ class MAWILabPipeline:
         rule_support_pct: float = 20.0,
         seed: int = 0,
         engine: EngineSpec = "auto",
-        backend: EngineSpec = None,
     ) -> None:
-        engine = resolve_legacy_backend(engine, backend, what="pipeline")
         self.engine = resolve_engine(engine, what="pipeline")
         self.ensemble = (
             list(ensemble)
@@ -179,29 +176,14 @@ class MAWILabPipeline:
         ]
         return hashlib.sha256(repr(sorted(parts)).encode()).hexdigest()[:16]
 
-    def detect(self, trace: Trace, planes=None) -> list[Alarm]:
-        """Step 1 only: run every detector configuration on the trace.
+    def detect(self, trace: Trace, planes=None) -> AlarmTable:
+        """Step 1 only: every detector configuration, as one table.
 
+        Per-configuration tables are concatenated in ensemble order.
         ``planes`` optionally supplies a shared
         :class:`~repro.detectors.planes.PlaneCache`; by default every
         configuration resolves the trace-attached cache, so sibling
         configurations compute each feature plane once either way.
-        """
-        alarms: list[Alarm] = []
-        for detector in self.ensemble:
-            alarms.extend(
-                detector.analyze(trace)
-                if planes is None
-                else detector.analyze(trace, planes=planes)
-            )
-        return alarms
-
-    def detect_table(self, trace: Trace, planes=None) -> AlarmTable:
-        """Step 1, batch-emitting: one alarm table for the ensemble.
-
-        Row order equals :meth:`detect`'s list order (per-detector
-        tables concatenated in ensemble order), so both spellings feed
-        Steps 2-4 identically.
         """
         return AlarmTable.concatenate(
             detector.analyze_table(trace, planes=planes)
@@ -217,26 +199,22 @@ class MAWILabPipeline:
         not vote in the combiner, and accepted communities report
         their tags (paper Section 6).
         """
-        alarms: Union[list[Alarm], AlarmTable]
-        if self.engine.vectorized:
-            alarms = self.detect_table(trace)
-        else:
-            alarms = self.detect(trace)
-        return self.run_with_alarms(trace, alarms, annotations=annotations)
+        return self.run_with_alarms(
+            trace, self.detect(trace), annotations=annotations
+        )
 
     def run_with_alarms(
         self,
         trace: Trace,
-        alarms: Union[Sequence[Alarm], AlarmTable],
+        alarms: Union[AlarmTable, Sequence[Alarm]],
         annotations: Sequence = (),
         timings: Optional[dict] = None,
     ) -> PipelineResult:
         """Label one trace from precomputed alarms (Steps 2-4 only).
 
-        ``alarms`` may be a list of :class:`Alarm` objects or an
-        :class:`~repro.core.alarm_table.AlarmTable`; a vectorized
-        engine normalizes to the table (keeping Steps 2-4 columnar),
-        the reference engine to the list — both label byte-identically.
+        ``alarms`` is an :class:`~repro.core.alarm_table.AlarmTable`; a
+        plain alarm list is encoded into one first.  Every engine then
+        runs the same table path and labels byte-identically.
         ``timings``, when given, accumulates per-stage wall seconds
         (``extract`` / ``graph`` / ``combine`` / ``label``) — the
         ``repro bench`` instrumentation.
@@ -256,23 +234,17 @@ class MAWILabPipeline:
             raise ValueError(
                 f"{ANNOTATION_DETECTOR!r} is a reserved detector family"
             )
-        if self.engine.vectorized:
-            if not isinstance(alarms, AlarmTable):
-                alarms = AlarmTable.from_alarms(list(alarms), engine=self.engine)
-            if annotations:
-                alarms = AlarmTable.concatenate(
-                    [
-                        alarms,
-                        AlarmTable.from_alarms(
-                            merge_annotations([], list(annotations)),
-                            engine=self.engine,
-                        ),
-                    ]
-                )
-        else:
-            if isinstance(alarms, AlarmTable):
-                alarms = alarms.to_alarms()
-            alarms = merge_annotations(list(alarms), list(annotations))
+        alarms = as_alarm_table(alarms, engine=self.engine)
+        if annotations:
+            alarms = AlarmTable.concatenate(
+                [
+                    alarms,
+                    AlarmTable.from_alarms(
+                        merge_annotations([], list(annotations)),
+                        engine=self.engine,
+                    ),
+                ]
+            )
         # Step 2: similarity estimator (annotations participate).
         community_set = self.estimator.build(trace, alarms, timings=timings)
         # Step 3: combiner (annotations excluded from the vote table).

@@ -545,7 +545,7 @@ class Warehouse:
         date: str,
         labels: Union[LabelStore, Sequence[LabelRecord]],
         *,
-        alarms: Optional[Union[AlarmTable, Sequence]] = None,
+        alarms: Optional[AlarmTable] = None,
         n_alarms: Optional[int] = None,
         version: Optional[str] = None,
     ) -> str:
@@ -562,17 +562,10 @@ class Warehouse:
             if isinstance(labels, LabelStore)
             else LabelStore.from_records(list(labels))
         )
-        table: Optional[AlarmTable] = None
-        if alarms is not None:
-            table = (
-                alarms
-                if isinstance(alarms, AlarmTable)
-                else AlarmTable.from_alarms(list(alarms))
-            )
         if n_alarms is None:
             n_alarms = (
-                len(table)
-                if table is not None
+                len(alarms)
+                if alarms is not None
                 else int(store.n_alarms.sum())
             )
         directory = self.root / version
@@ -595,8 +588,8 @@ class Warehouse:
                 "labels", encode_label_segment(store, meta), len(store)
             ),
             "alarms": (
-                publish("alarms", encode_alarm_segment(table, meta), len(table))
-                if table is not None
+                publish("alarms", encode_alarm_segment(alarms, meta), len(alarms))
+                if alarms is not None
                 else None
             ),
             "counts": {

@@ -132,7 +132,9 @@ def apriori(
         FrequentItemset(items=items, count=count, support=count / n)
         for items, count in all_frequent.items()
     ]
-    itemsets.sort(key=lambda s: (-len(s.items), -s.count))
+    # The items break ties: the insertion order above follows string
+    # hashing, which changes from one process to the next.
+    itemsets.sort(key=lambda s: (-len(s.items), -s.count, sorted(s.items)))
     return AprioriResult(itemsets=itemsets, n_transactions=n)
 
 

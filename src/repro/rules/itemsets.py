@@ -110,13 +110,29 @@ def itemset_to_rule(items: frozenset, count: int = 0, support: float = 0.0) -> R
     )
 
 
+def _rendered_order(items: frozenset) -> tuple:
+    """An itemset's ``<src, sport, dst, dport>`` values, wildcards -1."""
+    values = dict(items)
+    return tuple(values.get(field, -1) for field in FIELDS)
+
+
+def ranked_maximal(result, limit: Optional[int] = None) -> list:
+    """Maximal itemsets of an :class:`AprioriResult`, in rule order.
+
+    Most specific first, then most supported; the rendered 4-tuple
+    (wildcards first) breaks the remaining ties, so the order — and
+    which itemsets ``limit`` keeps — is the same in every process.
+    """
+    itemsets = sorted(
+        result.maximal(),
+        key=lambda s: (-len(s.items), -s.support, _rendered_order(s.items)),
+    )
+    return itemsets if limit is None else itemsets[:limit]
+
+
 def rules_from_result(result, limit: Optional[int] = None) -> list[Rule]:
-    """Maximal itemsets of an :class:`AprioriResult`, as sorted Rules."""
-    rules = [
+    """:func:`ranked_maximal` itemsets, as Rules."""
+    return [
         itemset_to_rule(s.items, count=s.count, support=s.support)
-        for s in result.maximal()
+        for s in ranked_maximal(result, limit)
     ]
-    rules.sort(key=lambda r: (-r.degree, -r.support))
-    if limit is not None:
-        rules = rules[:limit]
-    return rules

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.rules.apriori import apriori, coverage
-from repro.rules.itemsets import Rule, rules_from_result
+from repro.rules.itemsets import Rule, itemset_to_rule, ranked_maximal
 
 
 @dataclass
@@ -60,12 +60,17 @@ def summarize_transactions(
     if not transactions:
         return CommunitySummary()
     result = apriori(transactions, min_support_pct=min_support_pct)
-    rules = rules_from_result(result, limit=max_rules)
-    if not rules:
+    # One ranked cut yields both the rules and the itemsets whose
+    # coverage is the rule support.
+    itemsets = ranked_maximal(result, limit=max_rules)
+    if not itemsets:
         return CommunitySummary(n_transactions=len(transactions))
+    rules = [
+        itemset_to_rule(s.items, count=s.count, support=s.support)
+        for s in itemsets
+    ]
     degree = sum(rule.degree for rule in rules) / len(rules)
-    maximal = result.maximal()[: len(rules)]
-    support = coverage(transactions, maximal) * 100.0
+    support = coverage(transactions, itemsets) * 100.0
     return CommunitySummary(
         rules=rules,
         rule_degree=degree,

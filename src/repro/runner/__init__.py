@@ -11,15 +11,16 @@ the production machinery for that workload:
 * :mod:`~repro.runner.shm` — the zero-copy shared-memory transport:
   packet tables exported once per trace, attached by workers without
   pickling;
-* :class:`~repro.runner.batch.BatchRunner` — the historical batch
-  facade; orchestration itself lives in
-  :class:`repro.session.LabelingSession`, which shards an archive (or
-  any iterable of traces) across workers, tracks per-shard progress
-  and failures, supports resuming an interrupted run, and aggregates
-  the per-trace label counts into a longitudinal report.
+* :mod:`~repro.runner.worker` — the per-trace and per-detector tasks
+  pool workers execute.
+
+Orchestration lives in :class:`repro.session.LabelingSession`, which
+shards an archive (or any iterable of traces) across workers, tracks
+per-shard progress and failures, supports resuming an interrupted
+run, and aggregates the per-trace label counts into a longitudinal
+report.
 """
 
-from repro.runner.batch import BatchRunner
 from repro.runner.cache import AlarmCache
 from repro.runner.config import PipelineConfig
 from repro.runner.pool import parallel_map
@@ -30,7 +31,6 @@ from repro.runner.worker import TraceTask, run_task
 __all__ = [
     "AlarmCache",
     "BatchReport",
-    "BatchRunner",
     "PipelineConfig",
     "SharedTableHandle",
     "TraceReport",

@@ -9,18 +9,13 @@ Step 1 entirely.
 Entries are serialized :class:`~repro.core.alarm_table.AlarmTable`
 columns — a handful of NumPy arrays plus two small name pools —
 written atomically (temp file + ``os.replace``) so concurrent pool
-workers never observe a torn entry; a corrupt or unreadable entry is
-treated as a miss and evicted.  Entries written by the pre-columnar
-cache (pickled ``Alarm`` object lists) still hit: they are re-encoded
-into a table on read.
+workers never observe a torn entry; a corrupt, unreadable or
+non-table entry is treated as a miss and evicted.
 
 Cache keys are **engine-agnostic**: the columnar and reference kernels
 are asserted byte-identical by the engine parity suite, so an alarm set
 computed under one engine is valid under the other and the key hashes
-only ``(archive, trace, ensemble)``.  Keys written before the engine
-layer additionally hashed the engine name; :meth:`AlarmCache.get`
-accepts those as ``legacy`` keys and migrates a hit to its new key
-once, so old caches keep paying off after an upgrade.
+only ``(archive, trace, ensemble)``.
 
 The cache is LRU-aware: every hit touches the entry's mtime, and
 :meth:`AlarmCache.prune` evicts least-recently-used entries to keep
@@ -38,10 +33,9 @@ import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 from repro.core.alarm_table import AlarmTable
-from repro.detectors.base import Alarm
 
 
 @dataclass(frozen=True)
@@ -87,49 +81,15 @@ class AlarmCache:
         ).hexdigest()[:24]
         return f"alarms-{digest}"
 
-    @staticmethod
-    def legacy_keys(
-        archive_fingerprint: str,
-        trace_name: str,
-        ensemble_fingerprint: str,
-    ) -> list[str]:
-        """Pre-engine-layer keys for the same entry.
-
-        Early versions suffixed the resolved engine name into the
-        digest; both historical spellings are candidates for the
-        one-time migration in :meth:`get`.
-        """
-        return [
-            "alarms-"
-            + hashlib.sha256(
-                f"{archive_fingerprint}:{trace_name}:{ensemble_fingerprint}"
-                f":{name}".encode()
-            ).hexdigest()[:24]
-            for name in ("numpy", "python")
-        ]
-
     def path_for(self, key: str) -> Path:
         return self.cache_dir / f"{key}.pkl"
 
-    def get(
-        self, key: str, legacy: Sequence[str] = ()
-    ) -> Optional[AlarmTable]:
-        """Cached alarm table for ``key``, or ``None`` on a miss.
-
-        ``legacy`` lists older keys that denote the same entry (see
-        :meth:`legacy_keys`); a hit on one is re-written under ``key``
-        so the migration happens exactly once per entry.
-        """
+    def get(self, key: str) -> Optional[AlarmTable]:
+        """Cached alarm table for ``key``, or ``None`` on a miss."""
         alarms = self._read(key)
         if alarms is not None:
             self.hits += 1
             return alarms
-        for old_key in legacy:
-            alarms = self._read(old_key)
-            if alarms is not None:
-                self.put(key, alarms)
-                self.hits += 1
-                return alarms
         self.misses += 1
         return None
 
@@ -151,27 +111,11 @@ class AlarmCache:
             pass
         if isinstance(payload, AlarmTable):
             return payload
-        if isinstance(payload, list):
-            # Pre-columnar entry: a pickled list of Alarm objects.
-            # Re-encode and rewrite in place so the conversion cost is
-            # paid once; a list that does not encode (corrupt items) is
-            # a corrupt entry like any other — evict, report a miss.
-            try:
-                table = AlarmTable.from_alarms(payload)
-            except Exception:
-                path.unlink(missing_ok=True)
-                return None
-            self.put(key, table)
-            return table
         path.unlink(missing_ok=True)
         return None
 
-    def put(
-        self, key: str, alarms: Union[AlarmTable, Sequence[Alarm]]
-    ) -> None:
-        """Store an alarm set under ``key`` atomically (as a table)."""
-        if not isinstance(alarms, AlarmTable):
-            alarms = AlarmTable.from_alarms(list(alarms))
+    def put(self, key: str, alarms: AlarmTable) -> None:
+        """Store an alarm table under ``key`` atomically."""
         path = self.path_for(key)
         fd, tmp_name = tempfile.mkstemp(
             dir=self.cache_dir, prefix=f".{key}.", suffix=".tmp"

@@ -30,6 +30,7 @@ export → attach → pin → reuse → teardown lifecycle.
 from __future__ import annotations
 
 import atexit
+import os
 from collections import OrderedDict
 from dataclasses import dataclass
 from multiprocessing import shared_memory
@@ -63,6 +64,26 @@ from repro.net.table import COLUMN_DTYPES, COLUMNS, PacketTable
 _owned_names: set[str] = set()
 
 
+#: Set in a fork-started child whose parent already ran a resource
+#: tracker: the child inherited the connection, so it reports to the
+#: very tracker the segment owner registered with.
+_shares_parent_tracker = False
+
+
+def _note_fork() -> None:
+    global _shares_parent_tracker
+    try:  # pragma: no cover - depends on interpreter internals
+        from multiprocessing import resource_tracker
+
+        tracker_fd = resource_tracker._resource_tracker._fd
+    except Exception:
+        tracker_fd = None
+    _shares_parent_tracker = tracker_fd is not None
+
+
+os.register_at_fork(after_in_child=_note_fork)
+
+
 def _unregister_attached(name: str) -> None:
     """Opt an attached (not owned) segment out of resource tracking.
 
@@ -71,9 +92,12 @@ def _unregister_attached(name: str) -> None:
     "cleans up" — unlinks — segments the parent still owns when the
     worker exits, and warns about leaks it never owned.  Attach-side
     unregistration is the documented workaround; it is skipped for
-    segments this very process owns.
+    segments this very process owns, and in a forked child sharing
+    its parent's tracker: there the attach's registration is the
+    owner's own, and two workers unregistering one segment make the
+    tracker print a ``KeyError`` traceback for the second.
     """
-    if name in _owned_names:
+    if name in _owned_names or _shares_parent_tracker:
         return
     try:  # pragma: no cover - depends on interpreter internals
         from multiprocessing.resource_tracker import unregister

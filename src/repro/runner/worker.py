@@ -201,18 +201,15 @@ def _label_trace(
     if cache is not None:
         if fingerprint is None:
             fingerprint = fingerprint_trace(trace)
-        key_parts = (
-            fingerprint,
-            task.date,
-            pipeline.ensemble_fingerprint(),
+        key = AlarmCache.make_key(
+            fingerprint, task.date, pipeline.ensemble_fingerprint()
         )
-        key = AlarmCache.make_key(*key_parts)
-        alarms = cache.get(key, legacy=AlarmCache.legacy_keys(*key_parts))
+        alarms = cache.get(key)
     cache_hit = alarms is not None
     compute_started = time.perf_counter()
     if alarms is None:
         # Step 1 batch-emits columnarly; the cache stores the table.
-        alarms = pipeline.detect_table(trace)
+        alarms = pipeline.detect(trace)
         if cache is not None:
             cache.put(key, alarms)
 
@@ -222,11 +219,8 @@ def _label_trace(
 
     alarms_shm = None
     if task.return_alarms:
-        from repro.core.alarm_table import AlarmTable
         from repro.runner.shm import export_alarm_table
 
-        if not isinstance(alarms, AlarmTable):
-            alarms = AlarmTable.from_alarms(list(alarms))
         alarms_shm = export_alarm_table(alarms)
 
     csv_path = ""
@@ -268,7 +262,7 @@ class DetectTask:
     configurations (``config_indices`` into
     ``config.build_pipeline().ensemble`` order), analyzes the shared
     table, and returns its alarms; concatenating group results in
-    group order reproduces ``detect_table``'s row order exactly —
+    group order reproduces ``MAWILabPipeline.detect``'s row order exactly —
     the byte-identity anchor across fan-out modes.
 
     ``stream_states``, when given (index-aligned with

@@ -1,10 +1,8 @@
-"""The single labeling orchestrator: one configuration, three run modes.
+"""The single labeling orchestrator: one configuration, every run mode.
 
-Before this module, the repository had three separate pipeline entry
-points — ``MAWILabPipeline.run`` for one closed trace,
-``BatchRunner`` for archive fan-out, and ``StreamingPipeline`` for
-sliding-window labeling — each wiring Step 1-4 on its own.
-:class:`LabelingSession` unifies them: one session owns one
+:class:`LabelingSession` is the one entry point for every labeling
+workload — one closed trace, archive fan-out, and sliding-window
+labeling.  One session owns one
 :class:`~repro.runner.config.PipelineConfig` (and therefore one
 execution engine, one strategy, one granularity, one similarity
 measure) and exposes every workload as a *run mode* of that single
@@ -56,12 +54,7 @@ from dataclasses import replace as _dc_replace
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from repro.engine import (
-    Engine,
-    EngineSpec,
-    resolve_engine,
-    resolve_legacy_backend,
-)
+from repro.engine import Engine, EngineSpec, resolve_engine
 from repro.net.table import PacketTable
 from repro.net.trace import Trace, TraceMetadata
 from repro.runner import worker
@@ -159,7 +152,6 @@ class LabelingSession:
         config: Optional[PipelineConfig] = None,
         *,
         engine: EngineSpec = None,
-        backend: EngineSpec = None,
         workers: int = 1,
         cache_dir: Optional[str] = None,
         out_dir: Optional[str] = None,
@@ -167,7 +159,6 @@ class LabelingSession:
         transport: str = "auto",
         fanout: str = "shard",
     ) -> None:
-        engine = resolve_legacy_backend(engine, backend, what="session")
         if resume and not out_dir:
             raise ValueError("resume=True requires an out_dir")
         if transport not in TRANSPORTS:
@@ -533,8 +524,8 @@ class LabelingSession:
         """Ensemble indices sliced into fan-out task groups.
 
         Groups are contiguous in ensemble order, so concatenating group
-        results in group order reproduces ``detect_table``'s row order
-        — the byte-identity anchor.
+        results in group order reproduces the row order of
+        ``MAWILabPipeline.detect`` — the byte-identity anchor.
         """
         n_configs = len(self.pipeline.ensemble)
         if self.fanout == "detector":
@@ -581,15 +572,10 @@ class LabelingSession:
             fingerprint = shard.fingerprint or worker.fingerprint_trace(
                 shard.trace
             )
-            key_parts = (
-                fingerprint,
-                shard.name,
-                self.pipeline.ensemble_fingerprint(),
+            shard.cache_key = AlarmCache.make_key(
+                fingerprint, shard.name, self.pipeline.ensemble_fingerprint()
             )
-            shard.cache_key = AlarmCache.make_key(*key_parts)
-            cached = cache.get(
-                shard.cache_key, legacy=AlarmCache.legacy_keys(*key_parts)
-            )
+            cached = cache.get(shard.cache_key)
             if cached is not None:
                 shard.cache_hit = True
                 shard.alarms = cached
@@ -756,13 +742,7 @@ class LabelingSession:
         for key, value in shard_phases.items():
             phases[key] += value
         if collect_alarms:
-            from repro.core.alarm_table import AlarmTable
-
-            alarm_tables[shard.name] = (
-                alarms
-                if isinstance(alarms, AlarmTable)
-                else AlarmTable.from_alarms(list(alarms))
-            )
+            alarm_tables[shard.name] = alarms
         csv_path = ""
         if self.out_dir:
             out_path = worker.csv_path_for(self.out_dir, shard.name)

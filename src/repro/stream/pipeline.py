@@ -44,9 +44,9 @@ from repro.core.dynamic import DynamicSimilarityGraph
 from repro.core.estimator import SimilarityEstimator
 from repro.core.extractor import TrafficExtractor
 from repro.core.louvain import louvain
-from repro.detectors.base import Alarm, Detector
+from repro.detectors.base import Detector
 from repro.detectors.streaming import StreamingDetector, wrap_ensemble
-from repro.engine import EngineSpec, resolve_engine, resolve_legacy_backend
+from repro.engine import EngineSpec, resolve_engine
 from repro.errors import StreamError
 from repro.labeling.mawilab import LabelRecord, MAWILabPipeline, labels_to_csv
 from repro.labeling.store import LabelStore
@@ -226,12 +226,10 @@ class StreamingPipeline:
         rule_support_pct: float = 20.0,
         seed: int = 0,
         engine: EngineSpec = "auto",
-        backend: EngineSpec = None,
         pool: Optional[WorkerPool] = None,
         config: Optional[PipelineConfig] = None,
         max_ring_packets: Optional[int] = None,
     ) -> None:
-        engine = resolve_legacy_backend(engine, backend, what="stream")
         if window <= 0:
             raise StreamError(f"window must be positive, got {window}")
         hop = window if hop is None else hop
@@ -417,7 +415,7 @@ class StreamingPipeline:
 
         labels: list[LabelRecord] = []
         n_communities = 0
-        fresh: list[tuple[tuple, Alarm]] = []
+        n_fresh = 0
         if len(trace):
             if self._stream_planes is not None:
                 # Seed the window trace's plane cache from the
@@ -428,13 +426,17 @@ class StreamingPipeline:
                     trace, plane_cache_for(trace, self.engine)
                 )
             # Step 1, stateful: every configuration sees the window.
+            window_alarms = self._detect_window(trace)
             # Cross-window alarm dedup: a re-detection in an
             # overlapping window is absorbed by a live copy from a
             # previous window, but duplicates *beyond* the live count
             # are kept — the offline pipeline keeps same-window
             # duplicates as distinct graph nodes, and so must we.
             seen_this_window: dict[tuple, int] = {}
-            for alarm in self._detect_window(trace):
+            fresh_rows: list[int] = []
+            fresh_keys: list[tuple] = []
+            for row in range(len(window_alarms)):
+                alarm = window_alarms.alarm(row)
                 key = (
                     alarm.config,
                     alarm.t0,
@@ -446,28 +448,26 @@ class StreamingPipeline:
                 seen_this_window[key] = seen + 1
                 if seen < len(self._alarm_keys.get(key, ())):
                     continue
-                fresh.append((key, alarm))
+                fresh_rows.append(row)
+                fresh_keys.append(key)
+            # The fresh rows keep the window table's views, so
+            # extraction reads the detectors' own flow-key objects.
+            fresh = window_alarms.take(np.asarray(fresh_rows, dtype=np.int64))
+            n_fresh = len(fresh)
             extractor = TrafficExtractor(
                 trace, self.granularity, engine=self.engine
             )
             # Step 2, incremental: deltas into the live graph; fresh
             # alarms batch-append onto the live table as one
             # concatenation.
-            traffic_sets = extractor.extract_all(
-                [alarm for _, alarm in fresh]
+            new_ids = self._graph.add_alarms(
+                extractor.extract_all(fresh).traffic_sets
             )
-            new_ids = self._graph.add_alarms(traffic_sets)
-            for (key, _alarm), alarm_id in zip(fresh, new_ids):
+            for key, alarm_id in zip(fresh_keys, new_ids):
                 self._alarm_keys.setdefault(key, []).append(alarm_id)
             if fresh:
                 self._live_table = AlarmTable.concatenate(
-                    [
-                        self._live_table,
-                        AlarmTable.from_alarms(
-                            [alarm for _, alarm in fresh],
-                            engine=self.engine,
-                        ),
-                    ]
+                    [self._live_table, fresh]
                 )
                 self._live_ids = np.concatenate(
                     [self._live_ids, np.asarray(new_ids, dtype=np.int64)]
@@ -502,7 +502,6 @@ class StreamingPipeline:
                 granularity=self.granularity,
                 graph=graph,
                 extractor=extractor,
-                alarm_table=self._live_table,
             )
             decisions = self.pipeline.strategy.classify(
                 community_set, self.pipeline.config_names
@@ -524,7 +523,7 @@ class StreamingPipeline:
             t0=window_t0,
             t1=window_end,
             n_packets=len(trace),
-            n_new_alarms=len(fresh),
+            n_new_alarms=n_fresh,
             n_live_alarms=self._graph.n_live,
             n_communities=n_communities,
             labels=labels,
@@ -536,20 +535,27 @@ class StreamingPipeline:
 
     # -- Step 1 over one window (serial or pooled) ---------------------
 
-    def _detect_window(self, trace: Trace) -> Iterator[Alarm]:
+    def _detect_window(self, trace: Trace) -> AlarmTable:
         """Every configuration's alarms for one window, ensemble order.
 
-        Serial mode walks the stateful wrappers; pooled mode fans the
-        configurations across the borrowed pool (states ride the tasks
-        and return updated) and yields the identical alarm sequence.
+        Serial mode walks the stateful wrappers and encodes their
+        alarms into one table; pooled mode fans the configurations
+        across the borrowed pool (states ride the tasks and return
+        updated) and concatenates the workers' tables — the identical
+        rows either way.
         """
-        if self.pool is None:
-            for detector in self.detectors:
-                yield from detector.analyze_window(trace)
-            return
-        yield from self._detect_window_pooled(trace)
+        if self.pool is not None:
+            return self._detect_window_pooled(trace)
+        return AlarmTable.from_alarms(
+            [
+                alarm
+                for detector in self.detectors
+                for alarm in detector.analyze_window(trace)
+            ],
+            engine=self.engine,
+        )
 
-    def _detect_window_pooled(self, trace: Trace) -> Iterator[Alarm]:
+    def _detect_window_pooled(self, trace: Trace) -> AlarmTable:
         from repro.runner.worker import DetectTask, run_detect
 
         n = len(self.detectors)
@@ -603,7 +609,7 @@ class StreamingPipeline:
                 wrapper = self.detectors[index]
                 wrapper.state = dict(result.states[position])
                 wrapper.windows_seen += 1
-            yield from result.alarms.to_alarms()
+        return AlarmTable.concatenate(result.alarms for result in results)
 
     def close(self) -> None:
         """Unlink the window-export arena (pooled mode; idempotent).

@@ -2,11 +2,13 @@
 
 The satellite properties:
 
-* ``AlarmTable.from_alarms(alarms).to_alarms() == alarms`` for any
-  alarm list (wildcard filters, flow-key sets, scores);
-* ``concat(slice(a), slice(b))`` is the identity on any split point;
-* the pipeline labels identically from the object list and the table
-  on both engines (the tentpole's byte-identical anchor);
+* ``list(AlarmTable.from_alarms(alarms)) == alarms`` for any alarm
+  list (wildcard filters, flow-key sets, scores);
+* ``concat(slice(a), slice(b))`` is the identity on any split point,
+  and slices keep the views the source table already holds;
+* the pipeline labels identically from an object list, a warm table
+  and a cold (pickled) table, with annotations, on both engines — one
+  table path whatever the engine;
 * ``LabelStore`` round-trips records exactly.
 """
 
@@ -20,6 +22,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.alarm_table import AlarmTable
+from repro.core.annotations import Annotation
 from repro.detectors.base import Alarm
 from repro.net.filters import FeatureFilter
 from repro.net.flow import FlowKey
@@ -91,7 +94,7 @@ _SETTINGS = settings(
 def test_from_alarms_to_alarms_round_trips(engine, alarm_list):
     table = AlarmTable.from_alarms(alarm_list, engine=engine)
     assert len(table) == len(alarm_list)
-    assert table.to_alarms() == alarm_list
+    assert list(table) == alarm_list
 
 
 @given(alarm_lists)
@@ -102,7 +105,7 @@ def test_round_trip_survives_pickling(alarm_list):
     table = pickle.loads(
         pickle.dumps(AlarmTable.from_alarms(alarm_list))
     )
-    assert table.to_alarms() == alarm_list
+    assert list(table) == alarm_list
     assert table == AlarmTable.from_alarms(alarm_list)
 
 
@@ -125,10 +128,10 @@ def test_concat_of_slices_is_identity(alarm_list, raw_split):
     head = table.take(np.arange(0, split))
     tail = table.take(np.arange(split, len(table)))
     rebuilt = AlarmTable.concatenate([head, tail])
-    assert rebuilt.to_alarms() == alarm_list
+    assert list(rebuilt) == alarm_list
     # Cold-cache equality too: codes, bounds and encoded designations
     # must all survive, not just the views.
-    assert pickle.loads(pickle.dumps(rebuilt)).to_alarms() == alarm_list
+    assert list(pickle.loads(pickle.dumps(rebuilt))) == alarm_list
 
 
 @given(alarm_lists, st.data())
@@ -143,7 +146,30 @@ def test_take_matches_list_indexing(alarm_list, data):
         else st.just([])
     )
     subset = table.take(np.array(rows, dtype=np.int64))
-    assert subset.to_alarms() == [alarm_list[i] for i in rows]
+    assert list(subset) == [alarm_list[i] for i in rows]
+
+
+@given(alarm_lists, st.data())
+@_SETTINGS
+def test_slices_keep_the_encoded_objects(alarm_list, data):
+    """``take`` and ``concatenate`` carry the view caches: the subset's
+    alarms, filters and flow keys are the very objects encoded, never
+    rebuilt from the columns."""
+    table = AlarmTable.from_alarms(alarm_list)
+    rows = data.draw(st.permutations(range(len(alarm_list))))
+    subset = table.take(np.array(rows, dtype=np.int64))
+    rebuilt = AlarmTable.concatenate([subset, table])
+    for view, i in zip(rebuilt, rows + list(range(len(alarm_list)))):
+        assert view is alarm_list[i]
+    filters = [f for i in rows for f in alarm_list[i].filters]
+    assert all(
+        subset.filter_at(j) is f for j, f in enumerate(filters)
+    )
+    flow_keys = {id(k) for a in alarm_list for k in a.flow_keys}
+    assert all(
+        id(subset.flow_key_at(j)) in flow_keys
+        for j in range(len(subset.w_src))
+    )
 
 
 @given(alarm_lists)
@@ -152,7 +178,7 @@ def test_boolean_mask_take(alarm_list):
     table = AlarmTable.from_alarms(alarm_list)
     mask = table.t1 <= 7.5
     survivors = table.take(~mask)
-    assert survivors.to_alarms() == [
+    assert list(survivors) == [
         a for a in alarm_list if not a.t1 <= 7.5
     ]
 
@@ -160,9 +186,9 @@ def test_boolean_mask_take(alarm_list):
 def test_empty_table():
     table = AlarmTable.empty()
     assert len(table) == 0
-    assert table.to_alarms() == []
+    assert list(table) == []
     assert AlarmTable.concatenate([]) == table
-    assert table.take(np.empty(0, dtype=np.int64)).to_alarms() == []
+    assert list(table.take(np.empty(0, dtype=np.int64))) == []
 
 
 def test_code_columns_group_by_name():
@@ -190,20 +216,55 @@ def archive_day():
     return SyntheticArchive(seed=11, trace_duration=8.0).day("2005-03-01")
 
 
+#: One annotation overlapping the day's web traffic, so the pseudo-alarm
+#: joins communities and shows up in the labels.
+_ANNOTATIONS = (
+    Annotation(tag="web", t0=1.0, t1=5.0, filters=(FeatureFilter(dport=80),)),
+)
+
+
+@pytest.fixture(scope="module")
+def numpy_csvs(archive_day):
+    """The numpy engine's CSV per annotation setting (the reference)."""
+    from repro.labeling.mawilab import MAWILabPipeline, labels_to_csv
+
+    pipeline = MAWILabPipeline(engine="numpy")
+    table = pipeline.detect(archive_day.trace)
+    return {
+        annotations: labels_to_csv(
+            pipeline.run_with_alarms(
+                archive_day.trace, table, annotations=annotations
+            ).labels
+        )
+        for annotations in ((), _ANNOTATIONS)
+    }
+
+
 @pytest.mark.parametrize("engine", ["numpy", "python"])
-def test_pipeline_labels_identically_from_list_and_table(archive_day, engine):
+def test_pipeline_labels_identically_from_list_and_table(
+    archive_day, numpy_csvs, engine
+):
+    """Every engine runs Steps 2-4 over one alarm table: an object
+    list, the detector-warm table and a cold (pickled) table label
+    byte-identically to the numpy engine, with and without
+    annotations, and the result carries the table it ran over."""
     from repro.labeling.mawilab import MAWILabPipeline, labels_to_csv
 
     pipeline = MAWILabPipeline(engine=engine)
     trace = archive_day.trace
-    alarm_list = pipeline.detect(trace)
-    table = pipeline.detect_table(trace)
-    assert table.to_alarms() == alarm_list
-    from_list = pipeline.run_with_alarms(trace, alarm_list)
-    from_table = pipeline.run_with_alarms(trace, table)
-    assert labels_to_csv(from_list.labels) == labels_to_csv(
-        from_table.labels
-    )
+    table = pipeline.detect(trace)
+    assert isinstance(table, AlarmTable)
+    cold = pickle.loads(pickle.dumps(table))
+    for alarms in (list(table), table, cold):
+        for annotations in ((), _ANNOTATIONS):
+            result = pipeline.run_with_alarms(
+                trace, alarms, annotations=annotations
+            )
+            assert isinstance(result.alarms, AlarmTable)
+            assert result.community_set.alarms is result.alarms
+            assert len(result.alarms) == len(table) + len(annotations)
+            assert labels_to_csv(result.labels) == numpy_csvs[annotations]
+    assert numpy_csvs[()] != numpy_csvs[_ANNOTATIONS]
 
 
 # -- LabelStore ---------------------------------------------------------

@@ -13,6 +13,7 @@ import os
 import pytest
 
 from repro.cli import main
+from repro.core.alarm_table import AlarmTable
 from repro.detectors.base import Alarm
 from repro.net.filters import FeatureFilter
 from repro.runner.cache import AlarmCache
@@ -27,7 +28,7 @@ def _fill(cache: AlarmCache, n: int, mtime_start: float = 1_000_000.0):
     keys = []
     for i in range(n):
         key = AlarmCache.make_key("arch", f"day-{i}", "ens")
-        cache.put(key, [_alarm(i)])
+        cache.put(key, AlarmTable.from_alarms([_alarm(i)]))
         os.utime(cache.path_for(key), (mtime_start + i, mtime_start + i))
         keys.append(key)
     return keys
@@ -82,45 +83,27 @@ class TestPrune:
         cache = AlarmCache(tmp_path)
         keys = _fill(cache, 3)
         cache.prune(max_bytes=cache.path_for(keys[2]).stat().st_size)
-        assert cache.get(keys[2]).to_alarms() == [_alarm(2)]
+        assert list(cache.get(keys[2])) == [_alarm(2)]
         assert cache.get(keys[0]) is None  # evicted = clean miss
 
 
 class TestLegacyEntries:
-    def test_object_list_entry_still_hits_as_table(self, tmp_path):
-        """Entries pickled as Alarm lists (pre-columnar cache) are
-        re-encoded into tables on read — and rewritten in place, so
-        the conversion cost is paid exactly once."""
-        import pickle
-
-        cache = AlarmCache(tmp_path)
-        key = AlarmCache.make_key("arch", "day", "ens")
-        alarms = [_alarm(1), _alarm(2)]
-        with cache.path_for(key).open("wb") as handle:
-            pickle.dump(alarms, handle)
-        got = cache.get(key)
-        assert got is not None
-        assert got.to_alarms() == alarms
-        # The entry on disk is now the table format.
-        with cache.path_for(key).open("rb") as handle:
-            from repro.core.alarm_table import AlarmTable
-
-            assert isinstance(pickle.load(handle), AlarmTable)
-
     def test_unconvertible_list_entry_is_a_clean_evicted_miss(
         self, tmp_path
     ):
-        """A list entry whose items are not alarms must behave like any
-        other corrupt entry: miss, evict, never raise."""
+        """A pickled list entry — garbage, or Alarm objects as the
+        pre-columnar cache wrote them — is not a table and behaves like
+        any other corrupt entry: miss, evict, never raise."""
         import pickle
 
         cache = AlarmCache(tmp_path)
         key = AlarmCache.make_key("arch", "day", "ens")
-        with cache.path_for(key).open("wb") as handle:
-            pickle.dump(["not", "alarms"], handle)
-        assert cache.get(key) is None
-        assert not cache.path_for(key).exists()
-        assert cache.misses == 1
+        for payload in (["not", "alarms"], [_alarm(1), _alarm(2)]):
+            with cache.path_for(key).open("wb") as handle:
+                pickle.dump(payload, handle)
+            assert cache.get(key) is None
+            assert not cache.path_for(key).exists()
+        assert cache.misses == 2
 
 
 class TestCliCachePrune:

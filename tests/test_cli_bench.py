@@ -340,21 +340,6 @@ class TestEngineOption:
         args = parser.parse_args(["label", "x.pcap", "--engine", "python"])
         assert args.engine == "python"
 
-    def test_backend_alias_still_parses(self):
-        """The pre-engine-layer spelling resolves to the same option
-        (and warns — the deprecation tests pin the message)."""
-        import pytest
-
-        parser = build_parser()
-        with pytest.warns(DeprecationWarning):
-            args = parser.parse_args(
-                ["label", "x.pcap", "--backend", "python"]
-            )
-        assert args.engine == "python"
-        with pytest.warns(DeprecationWarning):
-            args = parser.parse_args(["bench", "--backend", "numpy"])
-        assert args.engine == "numpy"
-
     def test_label_archive_engine_reaches_config(self):
         from repro.cli import _pipeline_config
 

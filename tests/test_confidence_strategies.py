@@ -5,6 +5,7 @@ Includes the paper's Fig. 2 worked example.
 
 import pytest
 
+from repro.core.alarm_table import AlarmTable
 from repro.core.community import Community, CommunitySet
 from repro.core.confidence import (
     confidence_scores,
@@ -23,20 +24,22 @@ from repro.net.filters import FeatureFilter
 
 
 def make_community(config_names, community_id=0):
-    alarms = tuple(
-        Alarm(
-            detector=name.split("/")[0],
-            config=name,
-            t0=0.0,
-            t1=1.0,
-            filters=(FeatureFilter(src=1),),
-        )
-        for name in config_names
+    table = AlarmTable.from_alarms(
+        [
+            Alarm(
+                detector=name.split("/")[0],
+                config=name,
+                t0=0.0,
+                t1=1.0,
+                filters=(FeatureFilter(src=1),),
+            )
+            for name in config_names
+        ]
     )
     return Community(
         id=community_id,
-        alarm_ids=tuple(range(len(alarms))),
-        alarms=alarms,
+        alarm_ids=tuple(range(len(table))),
+        table=table,
     )
 
 
@@ -71,7 +74,7 @@ class TestConfidence:
 def community_set_of(communities):
     return CommunitySet(
         communities=communities,
-        alarms=[],
+        alarms=AlarmTable.empty(),
         traffic_sets=[],
     )
 

@@ -370,7 +370,7 @@ def _run_similarity_graph(engine, payload):
 def _run_extractor(engine, payload):
     trace, alarms, granularity = payload
     extractor = TrafficExtractor(trace, granularity, engine=engine)
-    sets = extractor.extract_all(alarms)
+    sets = extractor.extract_all(alarms).traffic_sets
     return (
         sets,
         [extractor.extract(alarm) for alarm in alarms],
@@ -514,8 +514,7 @@ def test_extract_all_codes_feed_same_graph(trace_and_alarms):
     fast path of the estimator."""
     trace, alarms = trace_and_alarms
     extractor = TrafficExtractor(trace, Granularity.UNIFLOW, engine="numpy")
-    codes = extractor.extract_all_codes(alarms)
-    sets = extractor.extract_all(alarms)
+    codes, sets = extractor.extract_all(alarms)
     from_codes = build_similarity_graph(codes, engine="numpy")
     from_sets = build_similarity_graph(sets, engine="python")
     assert _ordered_adjacency(from_codes) == _ordered_adjacency(from_sets)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.alarm_table import AlarmTable
 from repro.core.community import Community
 from repro.core.estimator import SimilarityEstimator
 from repro.detectors.base import Alarm
@@ -78,7 +79,9 @@ class TestCommunityModel:
 
     def test_is_single(self):
         a = alarm("x/0", src=1)
-        community = Community(id=0, alarm_ids=(0,), alarms=(a,))
+        community = Community(
+            id=0, alarm_ids=(0,), table=AlarmTable.from_alarms([a])
+        )
         assert community.is_single
 
     def test_by_id(self, trace):

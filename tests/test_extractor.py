@@ -122,6 +122,6 @@ class TestPacketsOf:
     def test_extract_all_alignment(self, two_flow_trace):
         extractor = TrafficExtractor(two_flow_trace, Granularity.PACKET)
         alarms = [alarm_for(src=1), alarm_for(src=3)]
-        sets = extractor.extract_all(alarms)
+        sets = extractor.extract_all(alarms).traffic_sets
         assert sets[0] == frozenset({0, 1})
         assert sets[1] == frozenset({3, 4})

@@ -114,3 +114,40 @@ class TestSummarize:
         packets = [make_packet()] * 5
         summary = summarize_transactions(transactions_from_packets(packets))
         assert "[100%]" in summary.describe()
+
+
+def test_label_csv_does_not_depend_on_string_hashing(tmp_path):
+    """Rule rows come out in the same order in every process: ties in
+    degree and support break on the rule's 4-tuple, not on the set
+    iteration order that string hashing (``PYTHONHASHSEED``) decides.
+    This day has two 0.21-support rules in one community."""
+    import os
+    import subprocess
+    import sys
+
+    from repro.mawi.archive import SyntheticArchive
+    from repro.net.pcap import write_pcap
+
+    archive = SyntheticArchive(seed=2010, trace_duration=30)
+    pcap = tmp_path / "day.pcap"
+    write_pcap(archive.day("2004-07-26").trace, str(pcap))
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    outputs = []
+    for hash_seed in ("0", "3"):
+        out = tmp_path / f"labels-{hash_seed}.csv"
+        env = dict(
+            os.environ,
+            PYTHONHASHSEED=hash_seed,
+            PYTHONPATH=os.pathsep.join(
+                filter(None, (src, os.environ.get("PYTHONPATH")))
+            ),
+        )
+        subprocess.run(
+            [sys.executable, "-m", "repro.cli", "label", str(pcap),
+             "--out", str(out)],
+            env=env,
+            check=True,
+            capture_output=True,
+        )
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]

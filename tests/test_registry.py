@@ -76,8 +76,10 @@ class TestTypedErrors:
             detector_for_config("pca")
 
     def test_unknown_parameter_raises_detector_error(self):
-        with pytest.raises(DetectorError, match="unknown parameters"):
-            detector_for_config("kl/optimal", warp_factor=9)
+        # ``backend`` is no engine alias: it is an unknown parameter.
+        for params in ({"warp_factor": 9}, {"backend": "python"}):
+            with pytest.raises(DetectorError, match="unknown parameters"):
+                detector_for_config("kl/optimal", **params)
 
     def test_unknown_engine_raises_detector_error(self):
         with pytest.raises(DetectorError):

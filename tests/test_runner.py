@@ -1,4 +1,4 @@
-"""Batch runner: sharding determinism, caching, resume semantics."""
+"""Batch labeling: sharding determinism, caching, resume semantics."""
 
 from __future__ import annotations
 
@@ -6,15 +6,12 @@ import pickle
 
 import pytest
 
+from repro.core.alarm_table import AlarmTable
 from repro.mawi.archive import SyntheticArchive
-from repro.runner import (
-    AlarmCache,
-    BatchRunner,
-    PipelineConfig,
-    parallel_map,
-)
+from repro.runner import AlarmCache, PipelineConfig, parallel_map
 from repro.runner import worker as worker_module
 from repro.runner.worker import csv_path_for
+from repro.session import LabelingSession
 
 DATES = ["2004-06-01", "2004-06-02", "2004-06-03"]
 
@@ -26,6 +23,12 @@ def small_archive() -> SyntheticArchive:
 
 def _csv_bytes(out_dir, dates):
     return [csv_path_for(out_dir, date).read_bytes() for date in dates]
+
+
+def _label_archive(archive, dates, progress=None, **session_options):
+    """One archive run on a fresh session, closed afterwards."""
+    with LabelingSession(**session_options) as session:
+        return session.label_archive(archive, dates, progress=progress)
 
 
 def double(x: int) -> int:  # module-level so pool workers can import it
@@ -58,9 +61,9 @@ class TestAlarmCache:
         cache = AlarmCache(tmp_path)
         key = AlarmCache.make_key("arch", "2004-06-01", "ens")
         assert cache.get(key) is None
-        cache.put(key, day_alarms)
+        cache.put(key, AlarmTable.from_alarms(day_alarms))
         # Entries are stored columnarly; views give the objects back.
-        assert cache.get(key).to_alarms() == day_alarms
+        assert list(cache.get(key)) == day_alarms
         assert (cache.hits, cache.misses) == (1, 1)
         assert len(cache) == 1
         assert cache.clear() == 1
@@ -81,16 +84,18 @@ class TestAlarmCache:
 
 
 class TestBatchRunner:
+    """The batch workload: archive days sharded by a session's pool."""
+
     def test_parallel_matches_serial_byte_identical(
         self, small_archive, tmp_path
     ):
         serial_dir = tmp_path / "serial"
         pool_dir = tmp_path / "pool"
-        serial = BatchRunner(workers=1, out_dir=str(serial_dir)).run(
-            small_archive, DATES
+        serial = _label_archive(
+            small_archive, DATES, workers=1, out_dir=str(serial_dir)
         )
-        pooled = BatchRunner(workers=4, out_dir=str(pool_dir)).run(
-            small_archive, DATES
+        pooled = _label_archive(
+            small_archive, DATES, workers=4, out_dir=str(pool_dir)
         )
         assert [r.date for r in serial.reports] == DATES
         assert [r.date for r in pooled.reports] == DATES
@@ -102,7 +107,7 @@ class TestBatchRunner:
     def test_matches_direct_pipeline_run(self, small_archive):
         from repro.labeling.mawilab import labels_to_csv
 
-        batch = BatchRunner().run(small_archive, DATES[:1])
+        batch = _label_archive(small_archive, DATES[:1])
         pipeline = PipelineConfig().build_pipeline()
         result = pipeline.run(small_archive.day(DATES[0]).trace)
         import hashlib
@@ -116,22 +121,26 @@ class TestBatchRunner:
         self, small_archive, tmp_path
     ):
         cache_dir = str(tmp_path / "cache")
-        first = BatchRunner(cache_dir=cache_dir).run(small_archive, DATES)
+        first = _label_archive(small_archive, DATES, cache_dir=cache_dir)
         assert first.cache_hits == 0
         assert first.cache_misses == len(DATES)
 
         # Different combiner + granularity: Step 1 output is reused.
-        relabel = BatchRunner(
+        relabel = _label_archive(
+            small_archive,
+            DATES,
             config=PipelineConfig(strategy="average", granularity="packet"),
             cache_dir=cache_dir,
-        ).run(small_archive, DATES)
+        )
         assert relabel.cache_hits == len(DATES)
         assert all(r.ok for r in relabel.reports)
 
         # Cached alarms must label identically to a cache-less run.
-        fresh = BatchRunner(
-            config=PipelineConfig(strategy="average", granularity="packet")
-        ).run(small_archive, DATES)
+        fresh = _label_archive(
+            small_archive,
+            DATES,
+            config=PipelineConfig(strategy="average", granularity="packet"),
+        )
         assert [r.csv_sha256 for r in relabel.reports] == [
             r.csv_sha256 for r in fresh.reports
         ]
@@ -140,11 +149,13 @@ class TestBatchRunner:
         self, small_archive, tmp_path
     ):
         cache_dir = str(tmp_path / "cache")
-        BatchRunner(cache_dir=cache_dir).run(small_archive, DATES[:1])
-        trimmed = BatchRunner(
+        _label_archive(small_archive, DATES[:1], cache_dir=cache_dir)
+        trimmed = _label_archive(
+            small_archive,
+            DATES[:1],
             config=PipelineConfig(detectors=("kl", "pca")),
             cache_dir=cache_dir,
-        ).run(small_archive, DATES[:1])
+        )
         assert trimmed.cache_hits == 0
 
     def test_worker_failure_is_isolated_and_resume_completes(
@@ -159,15 +170,15 @@ class TestBatchRunner:
             return real_inner(task)
 
         monkeypatch.setattr(worker_module, "_run_task_inner", flaky)
-        crashed = BatchRunner(out_dir=out_dir).run(small_archive, DATES)
+        crashed = _label_archive(small_archive, DATES, out_dir=out_dir)
         assert [r.status for r in crashed.reports] == ["ok", "failed", "ok"]
         assert "simulated worker crash" in crashed.failures()[0].error
         assert not csv_path_for(out_dir, DATES[1]).exists()
 
         # Resume after the "crash" recomputes only the failed shard.
         monkeypatch.setattr(worker_module, "_run_task_inner", real_inner)
-        resumed = BatchRunner(out_dir=out_dir, resume=True).run(
-            small_archive, DATES
+        resumed = _label_archive(
+            small_archive, DATES, out_dir=out_dir, resume=True
         )
         assert [r.status for r in resumed.reports] == [
             "skipped",
@@ -177,7 +188,7 @@ class TestBatchRunner:
 
         # The resumed output set is byte-identical to a clean full run.
         clean_dir = str(tmp_path / "clean")
-        clean = BatchRunner(out_dir=clean_dir).run(small_archive, DATES)
+        clean = _label_archive(small_archive, DATES, out_dir=clean_dir)
         assert [r.csv_sha256 for r in resumed.reports] == [
             r.csv_sha256 for r in clean.reports
         ]
@@ -185,16 +196,17 @@ class TestBatchRunner:
 
     def test_resume_requires_out_dir(self):
         with pytest.raises(ValueError):
-            BatchRunner(resume=True)
+            LabelingSession(resume=True)
 
     def test_duplicate_dates_rejected(self, small_archive):
         with pytest.raises(ValueError):
-            BatchRunner().run(small_archive, [DATES[0], DATES[0]])
+            _label_archive(small_archive, [DATES[0], DATES[0]])
 
     def test_run_traces_matches_archive_path(self, small_archive):
-        by_date = BatchRunner().run(small_archive, DATES[:2])
+        by_date = _label_archive(small_archive, DATES[:2])
         traces = [small_archive.day(date).trace for date in DATES[:2]]
-        by_trace = BatchRunner().run_traces(traces)
+        with LabelingSession() as session:
+            by_trace = session.label_traces(traces)
         # Label content is trace-derived only, so the CSVs agree even
         # though the shard keys differ (trace names vs ISO dates).
         assert sorted(r.csv_sha256 for r in by_trace.reports) == sorted(
@@ -204,7 +216,7 @@ class TestBatchRunner:
     def test_report_json_and_describe(self, small_archive):
         import json
 
-        batch = BatchRunner().run(small_archive, DATES[:1])
+        batch = _label_archive(small_archive, DATES[:1])
         payload = json.loads(batch.to_json())
         assert payload["n_completed"] == 1
         assert payload["traces"][0]["date"] == DATES[0]
@@ -213,7 +225,7 @@ class TestBatchRunner:
 
     def test_progress_reports_each_shard(self, small_archive):
         seen = []
-        BatchRunner().run(
+        _label_archive(
             small_archive,
             DATES[:2],
             progress=lambda done, total, report: seen.append(

@@ -3,8 +3,7 @@
 The unification contract: offline, archive, batch (both transports)
 and full-coverage streaming runs of the same session configuration
 produce byte-identical label CSVs.  Plus the engine-agnostic alarm
-cache: entries written under one engine (or under pre-engine-layer
-legacy keys) hit under any other.
+cache: entries written under one engine hit under any other.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import pytest
 
 from repro.labeling.mawilab import labels_to_csv
 from repro.mawi.archive import SyntheticArchive
-from repro.runner.cache import AlarmCache
 from repro.runner.config import PipelineConfig
 from repro.session import LabelingSession
 
@@ -100,7 +98,7 @@ class TestModeParity:
         name = day_trace.metadata.name
         table = batch.alarm_tables[name]
         expected = LabelingSession().pipeline.detect(day_trace)
-        assert table.to_alarms() == expected
+        assert list(table) == list(expected)
         # The transport handle was consumed, not leaked into the report
         # (and the JSON rendering stays serializable).
         assert batch.reports[0].alarms_shm is None
@@ -156,44 +154,6 @@ class TestEngineAgnosticCache:
         assert second.cache_hits == 1
         assert (
             second.reports[0].csv_sha256 == first.reports[0].csv_sha256
-        )
-
-    def test_legacy_engine_suffixed_keys_migrate_once(
-        self, archive, tmp_path
-    ):
-        """An entry cached under the pre-engine-layer key (engine name
-        hashed in) is found, served, and rewritten under the new key."""
-        cache_dir = tmp_path / "cache"
-        config = PipelineConfig()
-        key_parts = (
-            archive.fingerprint(),
-            DATE,
-            config.build_pipeline().ensemble_fingerprint(),
-        )
-
-        # Seed the cache the way the old code would have.
-        seeded = LabelingSession(
-            config=config, cache_dir=str(cache_dir)
-        ).label_archive(archive, [DATE])
-        assert seeded.cache_misses == 1
-        cache = AlarmCache(cache_dir)
-        new_key = AlarmCache.make_key(*key_parts)
-        legacy_key = AlarmCache.legacy_keys(*key_parts)[0]
-        cache.path_for(new_key).rename(cache.path_for(legacy_key))
-
-        # The next run hits through the legacy key...
-        migrated = LabelingSession(
-            config=config, cache_dir=str(cache_dir)
-        ).label_archive(archive, [DATE])
-        assert migrated.cache_hits == 1
-        # ...and the migration rewrote the entry under the new key.
-        assert cache.path_for(new_key).is_file()
-        final = LabelingSession(
-            config=config, cache_dir=str(cache_dir)
-        ).label_archive(archive, [DATE])
-        assert final.cache_hits == 1
-        assert (
-            final.reports[0].csv_sha256 == seeded.reports[0].csv_sha256
         )
 
     def test_cache_hits_across_transports(self, archive, tmp_path):

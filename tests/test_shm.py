@@ -154,7 +154,7 @@ def _attach_alarms(handle) -> list:
     """Pool worker: attach an alarm segment, materialize every view."""
     attached = handle.attach()
     try:
-        return attached.table.to_alarms()
+        return list(attached.table)
     finally:
         attached.close()
 
@@ -181,7 +181,7 @@ def test_alarm_table_round_trips_through_shm_subprocess(pool, alarm_list):
             assert attached.table == table
         finally:
             attached.close()
-        assert handle.to_table().to_alarms() == alarm_list
+        assert list(handle.to_table()) == alarm_list
         # Cross-process: a pool worker materializes equal alarms.
         remote = pool.submit(_attach_alarms, handle).result(timeout=60)
         assert remote == alarm_list
@@ -223,3 +223,43 @@ def test_handle_is_small_and_picklable():
             attached.close()
     finally:
         handle.unlink()
+
+
+def _attach_and_record_unregisters(conn) -> None:
+    """Fork child: attach the handle the parent sends, report every
+    resource-tracker unregister the attach sent."""
+    from multiprocessing import resource_tracker
+
+    calls = []
+    resource_tracker.unregister = lambda name, rtype: calls.append(name)
+    handle = conn.recv()
+    handle.attach().close()
+    conn.send(calls)
+
+
+def test_fork_child_attach_sends_no_unregister():
+    """A forked worker shares its parent's resource tracker, so the
+    owner's registration is the only one: unregistering it on attach
+    lets two workers unregister one segment, and the tracker prints a
+    ``KeyError`` traceback for the second."""
+    import multiprocessing
+    from multiprocessing import resource_tracker
+
+    resource_tracker.ensure_running()
+    ctx = multiprocessing.get_context("fork")
+    parent_conn, child_conn = ctx.Pipe()
+    child = ctx.Process(
+        target=_attach_and_record_unregisters, args=(child_conn,)
+    )
+    child.start()
+    # Export after the fork: the segment is not in the child's copy of
+    # this process's owned names.
+    handle = export_table(PacketTable.from_packets(_single))
+    try:
+        parent_conn.send(handle)
+        assert parent_conn.poll(60)
+        assert parent_conn.recv() == []
+    finally:
+        child.join(60)
+        handle.unlink()
+    assert child.exitcode == 0

@@ -164,7 +164,7 @@ class TestTraceBacking:
         assert merged.packets == Trace(packets).packets
 
     def test_trace_pickles_for_pool_workers(self, packets):
-        """BatchRunner.run_traces ships traces into pool workers."""
+        """LabelingSession.label_traces ships traces into pool workers."""
         import pickle
 
         trace = Trace(packets)

@@ -428,7 +428,6 @@ def test_combiner_change_reruns_zero_step1(
         raise AssertionError("Step 1 reran during a delta recompute")
 
     monkeypatch.setattr(MAWILabPipeline, "detect", forbidden)
-    monkeypatch.setattr(MAWILabPipeline, "detect_table", forbidden)
     cache_dir = str(tmp_path / "alarm-cache")
     report = wh.recompute(
         dataclasses.replace(config, strategy="average"),
