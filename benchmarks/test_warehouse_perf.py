@@ -107,13 +107,20 @@ def _query_csv(database: LabelDatabase, dates) -> list:
     ]
 
 
-def _best_of(fn, reps: int) -> tuple[float, object]:
-    best, result = float("inf"), None
+def _best_of_interleaved(fns, reps: int) -> list[tuple[float, object]]:
+    """Best time and last result of each callable over ``reps`` rounds.
+
+    The callables alternate within every round (a, b, a, b, ...), so a
+    drift in host speed slows both sides of a ratio alike instead of
+    landing on whichever block of repetitions ran during it.
+    """
+    best = [(float("inf"), None)] * len(fns)
     for _ in range(reps):
-        started = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - started)
-    return best, result
+        for i, fn in enumerate(fns):
+            started = time.perf_counter()
+            result = fn()
+            best[i] = (min(best[i][0], time.perf_counter() - started), result)
+    return best
 
 
 def test_cross_day_query_beats_csv_by_10x(populated):
@@ -124,10 +131,9 @@ def test_cross_day_query_beats_csv_by_10x(populated):
 
     # Warm both paths once (mmap pages, filesystem cache), then take
     # best-of so scheduler noise cannot fail the gate spuriously.
-    csv_seconds, csv_rows = _best_of(
-        lambda: _query_csv(database, dates), reps=3
+    (csv_seconds, csv_rows), (warehouse_seconds, rows) = _best_of_interleaved(
+        [lambda: _query_csv(database, dates), query_warehouse], reps=3
     )
-    warehouse_seconds, rows = _best_of(query_warehouse, reps=3)
 
     assert rows, "query returned nothing — predicate bug, not perf"
     # The CSV renders one row per (community, rule) while the warehouse

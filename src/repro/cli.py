@@ -1423,7 +1423,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--chunk",
         type=int,
         default=8192,
-        help="ingestion batch size in packets",
+        help="ingestion batch size in packets; also bounds the pcap "
+        "reader's memory (one batch of decoded rows plus a 64 KiB block)",
     )
     stream.add_argument(
         "--workers",
