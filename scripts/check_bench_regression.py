@@ -25,17 +25,14 @@ hardware faster than the baseline host can only add headroom.
 Host-relative ratios are additionally enforced so the fast paths
 cannot silently rot:
 
-* the fan-out transport microbench keeps the shared-memory path at
-  least as fast as pickle (``shm_speedup >= 1`` within tolerance);
 * the alarm-path comparison keeps the columnar data path at least 2x
   the object path (``columnar_speedup >= 2`` within tolerance);
 * the end-to-end fan-out labeling legs keep the shm pool at least 2x
-  a single process (``shm_vs_single >= 2`` within tolerance) and at
-  least as fast as the pickle pool (``shm_vs_pickle >= 1`` within
-  tolerance).  These two need real parallelism, so they are enforced
-  only when the candidate ran with ``workers > 1`` on a host with
-  more than one CPU (``fanout.cpu_count``) — a single-core runner
-  records a skip instead of a false failure;
+  a single process (``shm_vs_single >= 2`` within tolerance).  This
+  needs real parallelism, so it is enforced only when the candidate
+  ran with ``workers > 1`` on a host with more than one CPU
+  (``fanout.cpu_count``) — a single-core runner records a skip
+  instead of a false failure;
 * the detect leg keeps the shared feature-plane cache at least 1.5x
   the uncached ensemble (``detect_leg.detect_speedup >= 1.5`` within
   tolerance), following the same single-core self-skip convention
@@ -179,41 +176,25 @@ def main(argv: list[str] | None = None) -> int:
         else:
             ledger.fail(name)
 
+    # End-to-end fan-out win: only meaningful when the candidate run
+    # actually had parallel hardware and used it.
     fanout = candidate.get("fanout", {})
-    speedup = fanout.get("shm_speedup")
-    if speedup is not None:
+    if fanout.get("workers", 0) > 1 and fanout.get("cpu_count", 1) > 1:
         check_ratio(
             ledger,
-            "fanout_shm_speedup",
-            speedup,
-            1.0,
+            "fanout_shm_vs_single",
+            fanout["shm_vs_single"],
+            2.0,
             args.tolerance,
-            "fanout shm_speedup",
+            "fanout shm_vs_single",
         )
-
-    # End-to-end fan-out wins: only meaningful when the candidate run
-    # actually had parallel hardware and used it.
-    if fanout.get("workers", 0) > 1 and fanout.get("cpu_count", 1) > 1:
-        for name, target in (("shm_vs_single", 2.0), ("shm_vs_pickle", 1.0)):
-            ratio = fanout.get(name)
-            if ratio is None:
-                continue
-            check_ratio(
-                ledger,
-                f"fanout_{name}",
-                ratio,
-                target,
-                args.tolerance,
-                f"fanout {name}",
-            )
     elif fanout:
-        reason = (
+        ledger.skip(
+            "fanout_shm_vs_single",
             f"workers={fanout.get('workers')}, "
             f"cpu_count={fanout.get('cpu_count', 1)}; needs a "
-            "multi-core parallel run"
+            "multi-core parallel run",
         )
-        ledger.skip("fanout_shm_vs_single", reason)
-        ledger.skip("fanout_shm_vs_pickle", reason)
 
     # Plane-cache win: cached ensemble Step 1 vs uncached, same
     # single-core self-skip convention as the fan-out ratios.

@@ -7,7 +7,8 @@ by chunk, poll ``/labels`` until the day is queryable — and then
 checks the two properties a daemon must not lose:
 
 * liveness: ``/health`` reports ``ok`` and ``/metrics`` counts the
-  ingested windows;
+  ingested windows — also right after the daemon answered a malformed
+  request line and an out-of-range packet row with two 400s;
 * clean death: SIGTERM terminates the process with the conventional
   signal status and leaves no ``/dev/shm`` segments behind.
 
@@ -25,6 +26,7 @@ import json
 import os
 import re
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -77,6 +79,24 @@ def post(base: str, path: str, payload: dict) -> dict:
         return json.load(response)
 
 
+def raw_status(port: int, data: bytes) -> int:
+    """Status code of the daemon's answer to raw request bytes."""
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+        sock.sendall(data)
+        response = b""
+        while chunk := sock.recv(65536):
+            response += chunk
+    return int(response.split(b" ", 2)[1]) if response else 0
+
+
+def post_status(base: str, path: str, payload: dict) -> int:
+    try:
+        post(base, path, payload)
+    except urllib.error.HTTPError as exc:
+        return exc.code
+    return 200
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--duration", type=float, default=12.0)
@@ -126,6 +146,15 @@ def main(argv: list[str] | None = None) -> int:
         post(base, "/feeds/smoke", {"date": day.date})
         for chunk in chunk_table(day.trace.table, 4096):
             post(base, "/feeds/smoke/packets", {"packets": table_to_rows(chunk)})
+        # Bad input is refused, not wrapped or dropped on the floor: a
+        # sport of 70000 and a request line that does not parse.
+        wrapped = [[0.5, 1, 2, 70000, 80, 6, 60, 16, 0]]
+        bad_row = post_status(base, "/feeds/smoke/packets", {"packets": wrapped})
+        assert bad_row == 400, f"out-of-range packet row got {bad_row}"
+        bad_line = raw_status(port, b"NONSENSE\r\n\r\n")
+        assert bad_line == 400, f"malformed request line got {bad_line}"
+        with urllib.request.urlopen(base + "/health", timeout=30) as response:
+            assert response.status == 200, response.status
         status = post(base, "/feeds/smoke/close", {})
         assert status["state"] == "closed", status
         assert status["packets_in"] == len(day.trace), status
@@ -142,6 +171,7 @@ def main(argv: list[str] | None = None) -> int:
         metrics = get(base, "/metrics")
         assert metrics["ingest"]["windows"] >= 1, metrics
         assert metrics["ingest"]["packets"] == len(day.trace), metrics
+        assert metrics["http"]["errors"] == 2, metrics
         health = get(base, "/health")
         assert health["status"] == "ok", health
         assert health["days_published"] == 1, health

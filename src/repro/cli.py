@@ -29,7 +29,7 @@ the final cross-window-deduplicated CSV goes to stdout; `engines`
 lists the registered execution engines and their kernels; `bench` runs
 the offline pipeline once on a synthetic archive day plus a streaming
 leg and a worker fan-out leg, and prints per-stage wall times,
-streaming throughput and per-transport fan-out throughput as JSON —
+streaming throughput and per-mode fan-out throughput as JSON —
 the perf artifact CI archives on every PR; `archive` sweeps synthetic
 archive days and prints the SCANN attack-ratio series (the Fig. 7
 workflow); `label-archive` shards archive days across a process pool,
@@ -229,8 +229,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     across PRs: generation parameters, per-stage seconds
     (detect / extract / graph / combine / label), totals and output
     shape (alarm/community/label counts), a streaming leg, and a
-    worker fan-out leg comparing the shared-memory and pickle
-    transports.
+    worker fan-out leg comparing a single process with the pool.
     """
     import time
 
@@ -430,25 +429,17 @@ def _bench_alarm_path(trace, reps: int = 3) -> dict:
 
 
 def _bench_fanout(args: argparse.Namespace, archive) -> dict:
-    """Fan-out leg: pool execution compared end to end, plus a raw
-    transport microbench.
+    """Fan-out leg: pool execution compared end to end.
 
-    *Labeling*: ``--fanout-traces`` archive days labeled four ways —
-    ``single`` (one process, the 2x-win reference), ``pickle`` (pool,
-    tables serialized through the task pipe), ``shm`` (pool, tables
-    exported once into recycled arena segments workers pin), and
-    ``shm_detector`` (intra-trace detector fan-out over the shm
-    transport).  Every sub-leg records its worker count, fan-out mode
-    and transport alongside packets/sec; all four must render
-    byte-identical label CSVs (asserted here).  ``shm_vs_single`` and
-    ``shm_vs_pickle`` are the ratios the CI regression gate enforces
-    (on multi-core hosts), and ``cpu_count`` records what parallelism
-    the host could actually offer.
-
-    *Transport microbench*: the bench trace tiled to
-    ``--fanout-packets`` rows and shipped to every worker with a
-    trivial touch on the far side, isolating raw transport throughput
-    (this is where zero-copy shows up undiluted by labeling compute).
+    ``--fanout-traces`` archive days labeled three ways — ``single``
+    (one process, the 2x-win reference), ``shm`` (pool, tables
+    exported once into recycled shared-memory segments workers pin),
+    and ``shm_detector`` (intra-trace detector fan-out over the same
+    segments).  Every sub-leg records its worker count and fan-out
+    mode alongside packets/sec; all three must render byte-identical
+    label CSVs (asserted here).  ``shm_vs_single`` is the ratio the CI
+    regression gate enforces (on multi-core hosts), and ``cpu_count``
+    records what parallelism the host could actually offer.
 
     With ``--profile``, each labeling sub-leg carries a per-phase
     wall-time breakdown (export / attach / compute / merge / idle).
@@ -470,31 +461,9 @@ def _bench_fanout(args: argparse.Namespace, archive) -> dict:
         "labeling": {},
     }
     sub_legs = (
-        ("single", dict(workers=1, transport="pickle", fanout="shard")),
-        (
-            "pickle",
-            dict(
-                workers=args.fanout_workers,
-                transport="pickle",
-                fanout="shard",
-            ),
-        ),
-        (
-            "shm",
-            dict(
-                workers=args.fanout_workers,
-                transport="shm",
-                fanout="shard",
-            ),
-        ),
-        (
-            "shm_detector",
-            dict(
-                workers=args.fanout_workers,
-                transport="shm",
-                fanout="detector",
-            ),
-        ),
+        ("single", dict(workers=1, fanout="shard")),
+        ("shm", dict(workers=args.fanout_workers, fanout="shard")),
+        ("shm_detector", dict(workers=args.fanout_workers, fanout="detector")),
     )
     shas = {}
     for name, spec in sub_legs:
@@ -531,74 +500,7 @@ def _bench_fanout(args: argparse.Namespace, archive) -> dict:
         / leg["labeling"]["shm"]["seconds"],
         3,
     )
-    leg["shm_vs_pickle"] = round(
-        leg["labeling"]["pickle"]["seconds"]
-        / leg["labeling"]["shm"]["seconds"],
-        3,
-    )
-    leg["transport"] = _bench_transport(args, traces[0])
-    leg["shm_speedup"] = round(
-        leg["transport"]["pickle"]["seconds"]
-        / leg["transport"]["shm"]["seconds"],
-        3,
-    )
     return leg
-
-
-def _bench_transport(args: argparse.Namespace, trace) -> dict:
-    """Raw transport throughput: one big table to every worker."""
-    import time
-
-    import numpy as np
-
-    from repro.net.table import COLUMNS, PacketTable
-    from repro.runner.pool import parallel_map
-    from repro.runner.shm import (
-        export_table,
-        transport_probe_pickle,
-        transport_probe_shm,
-    )
-
-    reps = max(args.fanout_packets // max(len(trace), 1), 1)
-    big = PacketTable(
-        **{
-            name: np.tile(getattr(trace.table, name), reps)
-            for name in COLUMNS
-        }
-    )
-    workers = args.fanout_workers
-    result = {"n_packets": len(big), "shipments": workers}
-    expected = int(big.size.sum())
-
-    # Zero-copy means the table exists ONCE: every worker attaches the
-    # same segment, while the pickle transport below must serialize
-    # one full copy per shipment.
-    started = time.perf_counter()
-    handle = export_table(big)
-    try:
-        sums = parallel_map(
-            transport_probe_shm, [handle] * workers, workers=workers
-        )
-    finally:
-        handle.unlink()
-    elapsed = time.perf_counter() - started
-    assert sums == [expected] * workers
-    result["shm"] = {
-        "seconds": round(elapsed, 6),
-        "packets_per_sec": round(len(big) * workers / elapsed, 1),
-    }
-
-    started = time.perf_counter()
-    sums = parallel_map(
-        transport_probe_pickle, [big] * workers, workers=workers
-    )
-    elapsed = time.perf_counter() - started
-    assert sums == [expected] * workers
-    result["pickle"] = {
-        "seconds": round(elapsed, 6),
-        "packets_per_sec": round(len(big) * workers / elapsed, 1),
-    }
-    return result
 
 
 def _bench_serve(args: argparse.Namespace, archive) -> dict:
@@ -1018,20 +920,12 @@ def _cmd_label_archive(args: argparse.Namespace) -> int:
             print(f"error: duplicate --date {date!r}", file=sys.stderr)
             return 2
         seen.add(date)
-    if args.fanout != "shard" and args.transport == "regenerate":
-        print(
-            "error: --fanout detector/trace needs pregenerated tables; "
-            "pass --transport shm (or pickle)",
-            file=sys.stderr,
-        )
-        return 2
     session = _session(
         args,
         workers=args.workers,
         cache_dir=args.cache_dir,
         out_dir=args.out_dir,
         resume=args.resume,
-        transport=args.transport if args.transport != "regenerate" else "auto",
         fanout=args.fanout,
     )
 
@@ -1043,13 +937,15 @@ def _cmd_label_archive(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
 
-    if args.transport == "regenerate":
+    if args.fanout == "shard":
+        # Workers regenerate each day from its date; nothing but a
+        # string crosses the process boundary.
         with session:
             batch = session.label_archive(archive, dates, progress=progress)
     else:
-        # Explicit transport: pregenerate the days in this process and
-        # ship the packet tables to workers (shm or pickle), keeping
-        # the per-date output naming of the regenerate path.
+        # Intra-trace fan-out needs the packet tables: pregenerate the
+        # days here and ship them to the workers over shared memory,
+        # keeping the per-date output naming of the regenerate path.
         traces = []
         for date in dates:
             day = archive.day(date)
@@ -1069,9 +965,8 @@ def _cmd_label_archive(args: argparse.Namespace) -> int:
             batch = session.label_traces(
                 traces,
                 progress=progress,
-                # Same provenance as the regenerate transport, so alarm
-                # caches warmed under either transport hit under the
-                # other.
+                # Same provenance as the regenerate path, so alarm caches
+                # warmed under either fan-out mode hit under the other.
                 fingerprints=[archive.fingerprint()] * len(traces),
             )
     print(batch.describe())
@@ -1360,12 +1255,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fan-out-leg batch size in archive days",
     )
     bench.add_argument(
-        "--fanout-packets",
-        type=int,
-        default=2_000_000,
-        help="transport-microbench table size in packets",
-    )
-    bench.add_argument(
         "--alarm-path-reps",
         type=int,
         default=3,
@@ -1588,14 +1477,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="process-pool size (1 = serial)",
-    )
-    label_archive.add_argument(
-        "--transport",
-        choices=("regenerate", "shm", "pickle"),
-        default="regenerate",
-        help="how traces reach workers: regenerate each day in the "
-        "worker (default), or pregenerate here and ship tables over "
-        "zero-copy shared memory / the pickle pipe",
     )
     _add_fanout_option(label_archive)
     label_archive.add_argument(

@@ -37,9 +37,8 @@ into flat per-filter / per-flow-key column blocks:
   (src/sport/dst/dport/proto as unsigned columns).
 
 Because every column is a plain array, an alarm table pickles
-compactly (the alarm cache stores these), ships zero-copy over shared
-memory (:func:`repro.runner.shm.export_alarm_table`), and slices /
-concatenates without touching Python objects.  Detector and
+compactly (the alarm cache stores these and fan-out workers return
+them) and slices / concatenates without touching Python objects.  Detector and
 configuration *names* live in small first-appearance-ordered pools;
 the dense coding is computed by the paired ``"alarm_codes"`` engine
 kernels.

@@ -87,7 +87,7 @@ def _score_grid_chunk(payload: tuple) -> list[SweepPoint]:
             attached = handle.attach()
             attachments.append(attached)
             workloads.append(
-                (Trace.from_table(attached.table, metadata), events)
+                (Trace.from_table(attached.view, metadata), events)
             )
     try:
         points = []

@@ -61,6 +61,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -99,6 +100,9 @@ _RULE_COLUMNS = (
     "r_record", "r_src", "r_sport", "r_dst", "r_dport",
     "r_support", "r_count",
 )
+
+#: String pools of a label segment (LabelStore attribute names).
+_LABEL_POOLS = ("categories", "details", "detector_names", "annotation_tags")
 
 
 def warehouse_fingerprint(
@@ -192,8 +196,73 @@ def encode_segment(
     return bytes(out)
 
 
+def _check_header(header, path: Path) -> None:
+    """Raise :class:`WarehouseError` unless ``header`` is a well-formed
+    segment descriptor: the required keys with their JSON types,
+    numeric dtypes, and every array inside ``data_bytes``."""
+
+    def bad(why: str) -> WarehouseError:
+        return WarehouseError(f"corrupt segment header in {path}: {why}")
+
+    def count(value) -> bool:
+        return type(value) is int and value >= 0
+
+    if not isinstance(header, dict):
+        raise bad("not an object")
+    for key, kind in (
+        ("kind", str), ("arrays", list), ("pools", dict), ("meta", dict),
+    ):
+        if not isinstance(header.get(key), kind):
+            raise bad(f"{key!r} missing or not a {kind.__name__}")
+    if not count(header.get("data_bytes")):
+        raise bad("'data_bytes' missing or not a non-negative integer")
+    for name, pool in header["pools"].items():
+        if not isinstance(pool, list) or not all(
+            isinstance(item, str) for item in pool
+        ):
+            raise bad(f"pool {name!r} is not a list of strings")
+    for descriptor in header["arrays"]:
+        if not isinstance(descriptor, dict) or not isinstance(
+            descriptor.get("name"), str
+        ):
+            raise bad(f"array descriptor {descriptor!r:.60} has no name")
+        name = descriptor["name"]
+        if not (count(descriptor.get("length")) and count(descriptor.get("offset"))):
+            raise bad(f"array {name!r} length/offset not non-negative integers")
+        raw = descriptor.get("dtype")
+        try:
+            dtype = np.dtype(raw) if isinstance(raw, str) else None
+        except (TypeError, ValueError):
+            dtype = None
+        if dtype is None or dtype.kind not in "biuf":
+            raise bad(f"array {name!r} has unknown dtype {raw!r:.20}")
+        end = descriptor["offset"] + descriptor["length"] * dtype.itemsize
+        if end > header["data_bytes"]:
+            raise bad(f"array {name!r} ends past data_bytes")
+
+
+@contextmanager
+def _decoding(segment: "Segment", arrays, pools):
+    """A decoder's guard: absent arrays or pools, and arrays whose
+    lengths or bounds disagree, raise :class:`WarehouseError`."""
+    missing = [name for name in arrays if name not in segment.arrays]
+    missing += [f"pool {name}" for name in pools if name not in segment.pools]
+    if missing:
+        raise WarehouseError(
+            f"segment {segment.path} lacks {', '.join(missing)}"
+        )
+    try:
+        yield segment.arrays
+    except (IndexError, ValueError) as exc:
+        raise WarehouseError(f"corrupt segment {segment.path}: {exc}") from exc
+
+
 class Segment:
-    """One opened segment file: mapped column views + pools + meta."""
+    """One opened segment file: mapped column views + pools + meta.
+
+    Every malformed header — bad magic, format, JSON or descriptor —
+    raises :class:`~repro.errors.WarehouseError`.
+    """
 
     __slots__ = ("path", "kind", "arrays", "pools", "meta")
 
@@ -227,6 +296,7 @@ class Segment:
             raise WarehouseError(
                 f"unreadable segment {self.path}: {exc}"
             ) from exc
+        _check_header(header, self.path)
         self.kind = header["kind"]
         if kind is not None and self.kind != kind:
             raise WarehouseError(
@@ -237,14 +307,14 @@ class Segment:
         }
         self.meta = header["meta"]
         data_start = 16 + header_len + _pad(16 + header_len)
-        if data_start + int(header["data_bytes"]) > size:
+        if data_start + header["data_bytes"] > size:
             raise WarehouseError(f"truncated segment: {self.path}")
         raw = np.memmap(self.path, dtype=np.uint8, mode="r")
         self.arrays = {}
         for descriptor in header["arrays"]:
             dtype = np.dtype(descriptor["dtype"])
-            start = data_start + int(descriptor["offset"])
-            nbytes = int(descriptor["length"]) * dtype.itemsize
+            start = data_start + descriptor["offset"]
+            nbytes = descriptor["length"] * dtype.itemsize
             self.arrays[descriptor["name"]] = raw[
                 start : start + nbytes
             ].view(dtype)
@@ -314,12 +384,7 @@ def encode_label_segment(store: LabelStore, meta: dict) -> bytes:
             np.fromiter((r.count for r in rules), np.int64, count=m),
         ),
     ]
-    pools = {
-        "categories": store.categories,
-        "details": store.details,
-        "detector_names": store.detector_names,
-        "annotation_tags": store.annotation_tags,
-    }
+    pools = {name: getattr(store, name) for name in _LABEL_POOLS}
     return encode_segment("labels", arrays, pools, meta)
 
 
@@ -333,45 +398,47 @@ def label_store_from_segment(segment: Segment) -> LabelStore:
     from repro.rules.itemsets import Rule
     from repro.rules.summarize import CommunitySummary
 
-    arrays = segment.arrays
-    n = len(arrays["community_id"])
-    rule_bounds = arrays["rule_bounds"]
+    with _decoding(
+        segment,
+        LABEL_COLUMNS + LABEL_BOUND_COLUMNS + _SUMMARY_COLUMNS
+        + ("rule_bounds",) + _RULE_COLUMNS,
+        _LABEL_POOLS,
+    ) as arrays:
+        n = len(arrays["community_id"])
+        rule_bounds = arrays["rule_bounds"]
 
-    def opt(column: str, j: int) -> Optional[int]:
-        value = int(arrays[column][j])
-        return None if value < 0 else value
+        def opt(column: str, j: int) -> Optional[int]:
+            value = int(arrays[column][j])
+            return None if value < 0 else value
 
-    summaries = []
-    for i in range(n):
-        lo, hi = int(rule_bounds[i]), int(rule_bounds[i + 1])
-        summaries.append(
-            CommunitySummary(
-                rules=[
-                    Rule(
-                        src=opt("r_src", j),
-                        sport=opt("r_sport", j),
-                        dst=opt("r_dst", j),
-                        dport=opt("r_dport", j),
-                        support=float(arrays["r_support"][j]),
-                        count=int(arrays["r_count"][j]),
-                    )
-                    for j in range(lo, hi)
-                ],
-                rule_degree=float(arrays["s_rule_degree"][i]),
-                rule_support=float(arrays["s_rule_support"][i]),
-                n_transactions=int(arrays["s_n_transactions"][i]),
+        summaries = []
+        for i in range(n):
+            lo, hi = int(rule_bounds[i]), int(rule_bounds[i + 1])
+            summaries.append(
+                CommunitySummary(
+                    rules=[
+                        Rule(
+                            src=opt("r_src", j),
+                            sport=opt("r_sport", j),
+                            dst=opt("r_dst", j),
+                            dport=opt("r_dport", j),
+                            support=float(arrays["r_support"][j]),
+                            count=int(arrays["r_count"][j]),
+                        )
+                        for j in range(lo, hi)
+                    ],
+                    rule_degree=float(arrays["s_rule_degree"][i]),
+                    rule_support=float(arrays["s_rule_support"][i]),
+                    n_transactions=int(arrays["s_n_transactions"][i]),
+                )
             )
+        return LabelStore(
+            **{name: arrays[name] for name in LABEL_COLUMNS},
+            detector_bounds=arrays["detector_bounds"],
+            annotation_bounds=arrays["annotation_bounds"],
+            **{name: segment.pools[name] for name in _LABEL_POOLS},
+            summaries=summaries,
         )
-    return LabelStore(
-        **{name: arrays[name] for name in LABEL_COLUMNS},
-        detector_bounds=arrays["detector_bounds"],
-        annotation_bounds=arrays["annotation_bounds"],
-        categories=segment.pools["categories"],
-        details=segment.pools["details"],
-        detector_names=segment.pools["detector_names"],
-        annotation_tags=segment.pools["annotation_tags"],
-        summaries=summaries,
-    )
 
 
 def encode_alarm_segment(table: AlarmTable, meta: dict) -> bytes:
@@ -383,11 +450,12 @@ def encode_alarm_segment(table: AlarmTable, meta: dict) -> bytes:
 
 def alarm_table_from_segment(segment: Segment) -> AlarmTable:
     """Rebuild an :class:`AlarmTable` zero-copy from mapped columns."""
-    return AlarmTable(
-        *(segment.arrays[name] for name in ALL_ARRAYS),
-        detectors=segment.pools["detectors"],
-        configs=segment.pools["configs"],
-    )
+    with _decoding(segment, ALL_ARRAYS, ("detectors", "configs")) as arrays:
+        return AlarmTable(
+            *(arrays[name] for name in ALL_ARRAYS),
+            detectors=segment.pools["detectors"],
+            configs=segment.pools["configs"],
+        )
 
 
 # -- recompute reporting ------------------------------------------------

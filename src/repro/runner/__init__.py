@@ -9,8 +9,8 @@ the production machinery for that workload:
 * :class:`~repro.runner.cache.AlarmCache` — an on-disk Step 1 cache so
   re-labeling with a different combiner or granularity skips detection;
 * :mod:`~repro.runner.shm` — the zero-copy shared-memory transport:
-  packet tables exported once per trace, attached by workers without
-  pickling;
+  packet tables (and feature planes) exported once per trace,
+  attached by workers without pickling;
 * :mod:`~repro.runner.worker` — the per-trace and per-detector tasks
   pool workers execute.
 

@@ -8,9 +8,12 @@ Step 1 entirely.
 
 Entries are serialized :class:`~repro.core.alarm_table.AlarmTable`
 columns — a handful of NumPy arrays plus two small name pools —
-written atomically (temp file + ``os.replace``) so concurrent pool
-workers never observe a torn entry; a corrupt, unreadable or
-non-table entry is treated as a miss and evicted.
+behind a magic tag and the SHA-256 of the serialized bytes, written
+atomically (temp file + ``os.replace``) so concurrent pool workers
+never observe a torn entry.  :meth:`AlarmCache.get` checks the digest
+before decoding anything: a truncated, bit-flipped, undecodable or
+old-format entry is evicted, counted in :attr:`AlarmCache.evictions`
+and returned as a miss — never as a different alarm table.
 
 Cache keys are **engine-agnostic**: the columnar and reference kernels
 are asserted byte-identical by the engine parity suite, so an alarm set
@@ -37,6 +40,10 @@ from typing import Optional
 
 from repro.core.alarm_table import AlarmTable
 
+#: Entry layout: this tag, the SHA-256 of the payload, the payload.
+_ENTRY_MAGIC = b"MWAC\x01"
+_DIGEST_BYTES = 32
+
 
 @dataclass(frozen=True)
 class PruneStats:
@@ -62,6 +69,9 @@ class AlarmCache:
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         self.hits = 0
         self.misses = 0
+        #: Entries found corrupt (digest mismatch, undecodable, old
+        #: format) and deleted; each also counts as a miss.
+        self.evictions = 0
 
     @staticmethod
     def make_key(
@@ -96,33 +106,51 @@ class AlarmCache:
     def _read(self, key: str) -> Optional[AlarmTable]:
         path = self.path_for(key)
         try:
-            with path.open("rb") as handle:
-                payload = pickle.load(handle)
+            entry = path.read_bytes()
         except FileNotFoundError:
             return None
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError):
-            # Torn/corrupt entry (e.g. from a killed worker): evict.
-            path.unlink(missing_ok=True)
-            return None
+        except OSError:
+            return self._evict(path)
+        head = len(_ENTRY_MAGIC) + _DIGEST_BYTES
+        payload = entry[head:]
+        if (
+            not entry.startswith(_ENTRY_MAGIC)
+            or entry[len(_ENTRY_MAGIC) : head]
+            != hashlib.sha256(payload).digest()
+        ):
+            return self._evict(path)
+        try:
+            alarms = pickle.loads(payload)
+        except Exception:  # noqa: BLE001 - counted, evicted, a miss
+            return self._evict(path)
+        if not isinstance(alarms, AlarmTable):
+            return self._evict(path)
         # Touch on hit: prune() evicts by mtime, making this an LRU.
         try:
             os.utime(path)
         except OSError:  # pragma: no cover - entry raced away
             pass
-        if isinstance(payload, AlarmTable):
-            return payload
+        return alarms
+
+    def _evict(self, path: Path) -> None:
+        """Delete a corrupt entry (torn by a killed worker, bit rot,
+        an older format); the caller reports a miss."""
         path.unlink(missing_ok=True)
+        self.evictions += 1
         return None
 
     def put(self, key: str, alarms: AlarmTable) -> None:
         """Store an alarm table under ``key`` atomically."""
         path = self.path_for(key)
+        payload = pickle.dumps(alarms, protocol=pickle.HIGHEST_PROTOCOL)
         fd, tmp_name = tempfile.mkstemp(
             dir=self.cache_dir, prefix=f".{key}.", suffix=".tmp"
         )
         try:
             with os.fdopen(fd, "wb") as handle:
-                pickle.dump(alarms, handle, protocol=pickle.HIGHEST_PROTOCOL)
+                handle.write(_ENTRY_MAGIC)
+                handle.write(hashlib.sha256(payload).digest())
+                handle.write(payload)
             os.replace(tmp_name, path)
         except BaseException:
             try:

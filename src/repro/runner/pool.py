@@ -316,8 +316,8 @@ def parallel_map(
 ) -> list[R]:
     """One-shot :meth:`WorkerPool.map` over a temporary pool.
 
-    Kept for callers without a pool to persist (CLI microbenches, grid
-    sweeps); anything issuing repeated maps should hold a
+    Kept for callers without a pool to persist (grid sweeps);
+    anything issuing repeated maps should hold a
     :class:`WorkerPool` instead and amortize worker start-up.
     """
     items = list(items)

@@ -33,12 +33,6 @@ class TraceReport:
     csv_sha256: str = ""
     elapsed: float = 0.0
     error: str = ""
-    #: Zero-copy result transport: a
-    #: :class:`~repro.runner.shm.SharedAlarmTableHandle` naming the
-    #: worker's exported Step 1 alarm table, when the task asked for
-    #: it.  Consumed (and cleared) by the session; never serialized
-    #: into the JSON report.
-    alarms_shm: object = None
     #: Worker-side phase wall seconds ("attach", "compute"); the
     #: session adds its parent-side phases ("export", "merge") when
     #: profiling.  Empty when the shard was skipped or failed early.
@@ -54,10 +48,6 @@ class BatchReport:
     """Aggregate of one batch run, ordered by date."""
 
     reports: list[TraceReport] = field(default_factory=list)
-    #: Step 1 alarm tables collected from workers over the zero-copy
-    #: shm result transport (``collect_alarms=True`` sessions only),
-    #: keyed by trace name.  Not part of the JSON report.
-    alarm_tables: dict = field(default_factory=dict, repr=False)
 
     def completed(self) -> list[TraceReport]:
         return [r for r in self.reports if r.status == "ok"]
@@ -91,13 +81,8 @@ class BatchReport:
         return {key: sum(getattr(r, key) for r in done) for key in keys}
 
     def to_json(self) -> str:
-        def row(report: TraceReport) -> dict:
-            serialized = asdict(report)
-            serialized.pop("alarms_shm", None)  # transport-only field
-            return serialized
-
         payload = {
-            "traces": [row(r) for r in self.reports],
+            "traces": [asdict(r) for r in self.reports],
             "totals": self.totals(),
             "n_completed": len(self.completed()),
             "n_failed": len(self.failures()),

@@ -15,18 +15,19 @@ Both must stay module-level functions (pickled by reference into pool
 workers) and must never raise: every failure is folded into a
 ``status="failed"`` report so one bad shard cannot take down a batch.
 
-A task's packets reach the worker over one of three transports:
+A task's packets reach the worker in one of three ways:
 
 * **regenerate** — the worker rebuilds the archive day from
   ``(archive_seed, trace_duration, date)``; nothing but a date string
   crosses the process boundary;
-* **pickle** — an embedded :class:`~repro.net.trace.Trace` rides the
-  task pipe (two copies + pickle framing);
-* **shm** — a :class:`~repro.runner.shm.SharedTableHandle` names a
-  shared-memory segment the worker attaches zero-copy.  Tasks with
-  ``pin_segment=True`` attach through the process-local
-  :class:`~repro.runner.shm.SegmentRegistry`, so successive tasks
-  against the same (or a recycled arena) segment skip the map.
+* **shm** — on a multi-process pool, a
+  :class:`~repro.runner.shm.SharedTableHandle` names a recycled
+  shared-memory segment the worker attaches zero-copy through its
+  pinned :class:`~repro.runner.shm.SegmentRegistry`, so successive
+  tasks against the same segment skip the map;
+* **in-process** — on an inline pool (``workers <= 1``) the task
+  carries the :class:`~repro.net.trace.Trace` object itself; nothing
+  is copied and no segment is created.
 """
 
 from __future__ import annotations
@@ -51,13 +52,13 @@ from repro.runner.shm import (
 
 @dataclass(frozen=True)
 class TraceTask:
-    """One shard: label one trace (generated, embedded, or shared).
+    """One shard: label one trace (generated, in-process, or shared).
 
     When both ``trace`` and ``shm`` are ``None`` the worker regenerates
-    the archive day from ``(archive_seed, trace_duration, date)`` —
-    pickling a date string is far cheaper than pickling a packet trace.
-    An embedded ``trace`` or a shared-memory ``shm`` handle supports
-    labeling arbitrary traces (e.g. loaded pcaps).
+    the archive day from ``(archive_seed, trace_duration, date)``.  A
+    shared-memory ``shm`` handle (pool workers) or an in-process
+    ``trace`` (inline pools) supports labeling arbitrary traces (e.g.
+    loaded pcaps).
     """
 
     date: str
@@ -69,21 +70,11 @@ class TraceTask:
     metadata: Optional[TraceMetadata] = None
     #: Trace-source fingerprint for alarm-cache keys.  Callers that
     #: know the provenance (e.g. an archive day shipped over shm) pass
-    #: it so the cache key is transport-independent; ``None`` falls
-    #: back to a content digest of the packets.
+    #: it so the cache key matches the regenerate path's; ``None``
+    #: falls back to a content digest of the packets.
     fingerprint: Optional[str] = None
     cache_dir: Optional[str] = None
     out_dir: Optional[str] = None
-    #: When true, the worker exports its Step 1 alarm table to a
-    #: shared-memory segment and the report carries the handle — the
-    #: parent attaches the *results* zero-copy (and owns the unlink).
-    return_alarms: bool = False
-    #: When true, the shm transport attaches through the worker's
-    #: pinned :class:`~repro.runner.shm.SegmentRegistry` instead of a
-    #: one-shot mapping — the right choice whenever the parent recycles
-    #: segment names across shards (arena transport) or several tasks
-    #: share one table.
-    pin_segment: bool = False
 
 
 def csv_path_for(out_dir: str | Path, date: str) -> Path:
@@ -146,25 +137,15 @@ def run_task(task: TraceTask) -> TraceReport:
 
 def _run_task_inner(task: TraceTask) -> TraceReport:
     if task.shm is not None:
+        # Registry attach: the mapping is pinned across tasks, so a
+        # recycled arena segment maps once per worker lifetime.
         attach_started = time.perf_counter()
-        if task.pin_segment:
-            # Registry attach: the mapping is pinned across tasks, so
-            # a recycled arena segment maps once per worker lifetime.
-            table = segment_registry().table(task.shm)
-            attach = time.perf_counter() - attach_started
-            trace = Trace.from_table(table, task.metadata)
-            return _label_trace(
-                task, trace, fingerprint=task.fingerprint, attach=attach
-            )
-        attached = task.shm.attach()
+        table = segment_registry().view(task.shm)
         attach = time.perf_counter() - attach_started
-        try:
-            trace = Trace.from_table(attached.table, task.metadata)
-            return _label_trace(
-                task, trace, fingerprint=task.fingerprint, attach=attach
-            )
-        finally:
-            attached.close()
+        trace = Trace.from_table(table, task.metadata)
+        return _label_trace(
+            task, trace, fingerprint=task.fingerprint, attach=attach
+        )
     if task.trace is not None:
         return _label_trace(task, task.trace, fingerprint=task.fingerprint)
     from repro.mawi.archive import SyntheticArchive
@@ -182,12 +163,12 @@ def _label_trace(
     fingerprint: Optional[str],
     attach: float = 0.0,
 ) -> TraceReport:
-    """Shared Step 1-4 body behind every transport.
+    """Shared Step 1-4 body behind every way a trace arrives.
 
     ``fingerprint`` identifies the trace source for the alarm cache;
     ``None`` means content-derived (embedded/shared traces), computed
     only when a cache is actually configured — it costs a full packet
-    scan.  ``attach`` is the transport-side attach time, folded into
+    scan.  ``attach`` is the shared-memory attach time, folded into
     the report's phase breakdown.
     """
     from repro.labeling.mawilab import labels_to_csv
@@ -217,12 +198,6 @@ def _label_trace(
     csv_text = labels_to_csv(result.labels)
     compute = time.perf_counter() - compute_started
 
-    alarms_shm = None
-    if task.return_alarms:
-        from repro.runner.shm import export_alarm_table
-
-        alarms_shm = export_alarm_table(alarms)
-
     csv_path = ""
     if task.out_dir:
         out_path = csv_path_for(task.out_dir, task.date)
@@ -241,7 +216,6 @@ def _label_trace(
         cache_hit=cache_hit,
         csv_path=csv_path,
         csv_sha256=hashlib.sha256(csv_text.encode()).hexdigest(),
-        alarms_shm=alarms_shm,
         phases={
             "attach": round(attach, 6),
             "compute": round(compute, 6),
@@ -256,9 +230,10 @@ def _label_trace(
 class DetectTask:
     """Step 1 for a subset of detector configurations on one table.
 
-    The intra-trace fan-out unit: the parent exports one packet table,
-    slices the ensemble's configuration list into index groups, and
-    ships one ``DetectTask`` per group.  Each worker rebuilds only its
+    The intra-trace fan-out unit: the parent exports one packet table
+    (``shm``; an inline pool passes the ``trace`` itself), slices the
+    ensemble's configuration list into index groups, and ships one
+    ``DetectTask`` per group.  Each worker rebuilds only its
     configurations (``config_indices`` into
     ``config.build_pipeline().ensemble`` order), analyzes the shared
     table, and returns its alarms; concatenating group results in
@@ -278,7 +253,6 @@ class DetectTask:
     shm: Optional[SharedTableHandle] = None
     trace: Optional[Trace] = None
     metadata: Optional[TraceMetadata] = None
-    pin_segment: bool = True
     stream_states: Optional[tuple[dict, ...]] = None
     #: Feature planes the parent already computed for this trace,
     #: exported as one shared segment.  The worker seeds its trace's
@@ -326,16 +300,11 @@ def run_detect(task: DetectTask) -> DetectResult:
 def _run_detect_inner(task: DetectTask) -> DetectResult:
     from repro.core.alarm_table import AlarmTable
 
-    attached = None
-    attached_planes = None
     attach_started = time.perf_counter()
     if task.shm is not None:
-        if task.pin_segment:
-            table = segment_registry().table(task.shm)
-        else:
-            attached = task.shm.attach()
-            table = attached.table
-        trace = Trace.from_table(table, task.metadata)
+        trace = Trace.from_table(
+            segment_registry().view(task.shm), task.metadata
+        )
     elif task.trace is not None:
         trace = task.trace
     else:
@@ -348,43 +317,30 @@ def _run_detect_inner(task: DetectTask) -> DetectResult:
 
         pipeline = _pipeline_for(task.config)
         cache = plane_cache_for(trace, pipeline.engine)
-        if task.pin_segment:
-            plane_views = segment_registry().planes(task.planes)
-        else:
-            attached_planes = task.planes.attach()
-            plane_views = attached_planes.planes
-        for spec, value in plane_views.items():
+        for spec, value in segment_registry().view(task.planes).items():
             cache.seed(spec, value)
     attach = time.perf_counter() - attach_started
 
     detect_started = time.perf_counter()
-    try:
-        ensemble = _pipeline_for(task.config).ensemble
-        tables = []
-        states: Optional[list[dict]] = (
-            [] if task.stream_states is not None else None
-        )
-        for position, index in enumerate(task.config_indices):
-            detector = ensemble[index]
-            if task.stream_states is None:
-                tables.append(detector.analyze_table(trace))
-            else:
-                state = dict(task.stream_states[position])
-                alarms = detector.analyze_stream(trace, state)
-                tables.append(
-                    AlarmTable.from_alarms(
-                        list(alarms), engine=detector.engine
-                    )
-                )
-                states.append(state)
-        # Alarm tables own their arrays (emission re-encodes), so the
-        # result outlives the packet-table views safely.
-        merged = AlarmTable.concatenate(tables)
-    finally:
-        if attached_planes is not None:
-            attached_planes.close()
-        if attached is not None:
-            attached.close()
+    ensemble = _pipeline_for(task.config).ensemble
+    tables = []
+    states: Optional[list[dict]] = (
+        [] if task.stream_states is not None else None
+    )
+    for position, index in enumerate(task.config_indices):
+        detector = ensemble[index]
+        if task.stream_states is None:
+            tables.append(detector.analyze_table(trace))
+        else:
+            state = dict(task.stream_states[position])
+            alarms = detector.analyze_stream(trace, state)
+            tables.append(
+                AlarmTable.from_alarms(list(alarms), engine=detector.engine)
+            )
+            states.append(state)
+    # Alarm tables own their arrays (emission re-encodes), so the
+    # result outlives the packet-table views safely.
+    merged = AlarmTable.concatenate(tables)
     detect = time.perf_counter() - detect_started
     return DetectResult(
         config_indices=task.config_indices,

@@ -24,7 +24,9 @@ Routes
     ``max_ring_packets``).
 ``POST /feeds/<name>/packets``
     Push a chunk: ``{"packets": [[time, src, dst, sport, dport,
-    proto, size, tcp_flags, icmp_type], ...]}``.  The push runs in an
+    proto, size, tcp_flags, icmp_type], ...]}``.  A non-finite time,
+    or a non-integral or out-of-range value in an integer column, is
+    rejected with a 400 naming the row and column.  The push runs in an
     executor thread so feed backpressure (a full ring) blocks this
     HTTP request — and therefore the remote producer — instead of
     buffering unboundedly in the server.
@@ -32,7 +34,11 @@ Routes
     Drain and close a feed; returns its final status.
 
 Queries never touch the pipeline: ``/labels`` reads the
-:class:`~repro.labeling.database.LiveLabelIndex` snapshot only.
+:class:`~repro.labeling.database.LiveLabelIndex` snapshot only.  A
+request the server cannot parse (a malformed request line, a bad or
+oversized ``Content-Length``) is answered 400 / 413 with a JSON error
+body and counted in ``/metrics``' ``http.errors``; the connection then
+closes.
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ from urllib.parse import parse_qs, urlsplit
 import numpy as np
 
 from repro.errors import LabelingError, ServeError
-from repro.net.table import COLUMNS, PacketTable
+from repro.net.table import COLUMN_DTYPES, COLUMNS, PacketTable
 from repro.serve.daemon import LabelingService
 
 _MAX_REQUEST_BYTES = 64 * 1024 * 1024
@@ -60,6 +66,16 @@ _REASONS = {
     500: "Internal Server Error",
 }
 
+#: Accepted half-open range ``[low, high)`` of every integer column
+#: (all but ``time``, the first), as floats; exact for these dtypes.
+_INT_LOW = np.array(
+    [np.iinfo(COLUMN_DTYPES[name]).min for name in COLUMNS[1:]], np.float64
+)
+_INT_HIGH = np.array(
+    [np.iinfo(COLUMN_DTYPES[name]).max + 1 for name in COLUMNS[1:]],
+    np.float64,
+)
+
 
 def table_to_rows(table: PacketTable) -> list[list[float]]:
     """Render a packet table as JSON-serializable rows (wire format)."""
@@ -68,17 +84,44 @@ def table_to_rows(table: PacketTable) -> list[list[float]]:
 
 
 def rows_to_table(rows: list[list[float]]) -> PacketTable:
-    """Parse the wire format back into a :class:`PacketTable`."""
+    """Parse the wire format back into a :class:`PacketTable`.
+
+    Raises :class:`~repro.errors.ServeError` naming the first bad row
+    and column rather than letting a value wrap into its column's
+    dtype: times must be finite, and the integer columns integral and
+    within their dtype's range.
+    """
     if not rows:
         return PacketTable.empty()
     width = len(COLUMNS)
-    for row in rows:
-        if len(row) != width:
+    for index, row in enumerate(rows):
+        sized = isinstance(row, (list, tuple))
+        if not sized or len(row) != width:
+            got = len(row) if sized else type(row).__name__
             raise ServeError(
-                f"packet rows need {width} fields "
-                f"({', '.join(COLUMNS)}); got {len(row)}"
+                f"packet row {index} needs {width} fields "
+                f"({', '.join(COLUMNS)}); got {got}"
             )
-    matrix = np.asarray(rows, dtype=np.float64)
+    try:
+        matrix = np.asarray(rows, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ServeError(f"packet rows must hold numbers: {exc}") from None
+    bad_time = ~np.isfinite(matrix[:, 0])
+    if bad_time.any():
+        index = int(np.flatnonzero(bad_time)[0])
+        raise ServeError(
+            f"packet row {index}: time {rows[index][0]!r} is not finite"
+        )
+    ints = matrix[:, 1:]
+    bad = (ints != np.floor(ints)) | (ints < _INT_LOW) | (ints >= _INT_HIGH)
+    if bad.any():
+        index, column = (int(i) for i in np.argwhere(bad)[0])
+        dtype = COLUMN_DTYPES[COLUMNS[column + 1]]
+        raise ServeError(
+            f"packet row {index}: {COLUMNS[column + 1]} "
+            f"{rows[index][column + 1]!r} is not an integer in "
+            f"[{np.iinfo(dtype).min}, {np.iinfo(dtype).max}]"
+        )
     return PacketTable(
         **{name: matrix[:, i] for i, name in enumerate(COLUMNS)}
     )
@@ -94,6 +137,10 @@ class _HTTPError(Exception):
         super().__init__(message)
         self.status = status
         self.message = message
+
+
+def _error_body(message: str) -> str:
+    return json.dumps({"error": message}) + "\n"
 
 
 class LabelServer:
@@ -202,7 +249,18 @@ class LabelServer:
             while True:
                 try:
                     request = await self._read_request(reader)
-                except asyncio.IncompleteReadError:
+                except _HTTPError as exc:
+                    # The stream can't be resynchronized after a head
+                    # that didn't parse: answer, then close.
+                    self.requests += 1
+                    self.errors += 1
+                    await self._respond(
+                        writer,
+                        exc.status,
+                        _error_body(exc.message),
+                        "application/json",
+                        keep_alive=False,
+                    )
                     break
                 if request is None:
                     break
@@ -215,17 +273,12 @@ class LabelServer:
                 except _HTTPError as exc:
                     self.errors += 1
                     status = exc.status
-                    payload = json.dumps({"error": exc.message}) + "\n"
+                    payload = _error_body(exc.message)
                     content_type = "application/json"
                 except Exception as exc:  # noqa: BLE001 - server isolation
                     self.errors += 1
                     status = 500
-                    payload = (
-                        json.dumps(
-                            {"error": f"{type(exc).__name__}: {exc}"}
-                        )
-                        + "\n"
-                    )
+                    payload = _error_body(f"{type(exc).__name__}: {exc}")
                     content_type = "application/json"
                 await self._respond(
                     writer, status, payload, content_type, keep_alive
@@ -240,25 +293,45 @@ class LabelServer:
                 pass
 
     async def _read_request(self, reader: asyncio.StreamReader):
-        request_line = await reader.readline()
-        if not request_line:
+        """One ``(method, path, body, keep_alive)``, or ``None`` at EOF.
+
+        Raises :class:`_HTTPError` (400 / 413) for a head that does not
+        parse; a client hanging up mid-request is a clean EOF.
+        """
+        try:
+            request_line = await reader.readline()
+            if not request_line:
+                return None
+            parts = request_line.decode("latin-1").strip().split(" ")
+            if len(parts) != 3:
+                raise _HTTPError(400, "malformed request line")
+            method, path, version = parts
+            headers: dict[str, str] = {}
+            while True:
+                line = await reader.readline()
+                text = line.decode("latin-1").strip()
+                if not text:
+                    break
+                name, _, value = text.partition(":")
+                headers[name.strip().lower()] = value.strip()
+            raw_length = headers.get("content-length", "0") or "0"
+            try:
+                length = int(raw_length)
+            except ValueError:
+                raise _HTTPError(
+                    400, f"invalid Content-Length {raw_length[:32]!r}"
+                ) from None
+            if length < 0:
+                raise _HTTPError(
+                    400, f"negative Content-Length {raw_length[:32]!r}"
+                )
+            if length > _MAX_REQUEST_BYTES:
+                raise _HTTPError(413, "request body too large")
+            body = await reader.readexactly(length) if length else b""
+        except asyncio.IncompleteReadError:
             return None
-        parts = request_line.decode("latin-1").strip().split(" ")
-        if len(parts) != 3:
-            raise _HTTPError(400, "malformed request line")
-        method, path, version = parts
-        headers: dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            text = line.decode("latin-1").strip()
-            if not text:
-                break
-            name, _, value = text.partition(":")
-            headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
-        if length > _MAX_REQUEST_BYTES:
-            raise _HTTPError(413, "request body too large")
-        body = await reader.readexactly(length) if length else b""
+        except ValueError as exc:  # a line over the reader's buffer limit
+            raise _HTTPError(400, f"request head line too long: {exc}") from None
         keep_alive = (
             headers.get("connection", "").lower() != "close"
             and version == "HTTP/1.1"

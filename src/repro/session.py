@@ -19,9 +19,9 @@ configuration:
     each day locally, Step 1 alarms go through the shared
     :class:`~repro.runner.cache.AlarmCache`.
 ``label_traces``
-    Arbitrary traces fanned out across the pool, shipped over the
-    zero-copy shared-memory transport (:mod:`repro.runner.shm`) by
-    default, or pickled on request.
+    Arbitrary traces fanned out across the pool, shipped to workers
+    over zero-copy shared memory (:mod:`repro.runner.shm`); an inline
+    pool (``workers <= 1``) hands the trace objects over in-process.
 ``label_stream``
     The same configuration run online over a sliding window, with
     cross-window alarm dedup and label merging; with ``workers > 1``
@@ -65,13 +65,7 @@ from repro.runner.pool import (
     register_signal_cleanup,
 )
 from repro.runner.report import BatchReport, TraceReport
-from repro.runner.shm import PlaneArena, TableArena, export_table
-
-#: Accepted trace transports for pooled modes.  ``"auto"`` picks the
-#: shared-memory transport whenever tasks actually cross a process
-#: boundary (``workers > 1``) and in-process pickling-free hand-off
-#: otherwise.
-TRANSPORTS = ("auto", "shm", "pickle")
+from repro.runner.shm import PlaneArena, TableArena
 
 #: Accepted fan-out modes for pooled modes.  ``"shard"`` makes whole
 #: traces the unit of parallelism; ``"detector"`` fans each trace's
@@ -135,10 +129,6 @@ class LabelingSession:
         trace in pooled modes; required for ``resume``.
     resume:
         Skip dates whose label CSV already exists in ``out_dir``.
-    transport:
-        How pooled traces reach workers: ``"shm"`` (zero-copy shared
-        memory), ``"pickle"``, or ``"auto"``.  Archive days always use
-        the cheaper regenerate-in-worker path.
     fanout:
         Unit of pooled parallelism (see :data:`FANOUTS`).  ``"shard"``
         parallelizes across traces; ``"detector"`` / ``"trace"``
@@ -156,15 +146,10 @@ class LabelingSession:
         cache_dir: Optional[str] = None,
         out_dir: Optional[str] = None,
         resume: bool = False,
-        transport: str = "auto",
         fanout: str = "shard",
     ) -> None:
         if resume and not out_dir:
             raise ValueError("resume=True requires an out_dir")
-        if transport not in TRANSPORTS:
-            raise ValueError(
-                f"unknown transport {transport!r}; known: {list(TRANSPORTS)}"
-            )
         if fanout not in FANOUTS:
             raise ValueError(
                 f"unknown fanout {fanout!r}; known: {list(FANOUTS)}"
@@ -180,7 +165,6 @@ class LabelingSession:
         self.cache_dir = cache_dir
         self.out_dir = out_dir
         self.resume = resume
-        self.transport = transport
         self.fanout = fanout
         self._pipeline = None
         #: The persistent pool every pooled mode runs on.
@@ -329,32 +313,25 @@ class LabelingSession:
         traces: Iterable[Trace],
         progress: Optional[ProgressCallback] = None,
         fingerprints: Optional[Sequence[Optional[str]]] = None,
-        collect_alarms: bool = False,
         profile: Optional[dict] = None,
     ) -> BatchReport:
         """Batch mode: arbitrary traces fanned out across the pool.
 
         Each trace is keyed by its metadata name (falling back to the
         date field), which names its output CSV and resume marker.
-        With the shared-memory transport (the default whenever
-        ``workers > 1``), each trace's packet table is exported into a
-        recycled :class:`~repro.runner.shm.TableArena` segment workers
-        attach zero-copy (and keep pinned, so recycled segments map
-        once per worker); exports are double-buffered against worker
-        compute, and peak shared memory is bounded by the shards in
-        flight, not the corpus.
+        With ``workers > 1``, each trace's packet table is exported
+        into a recycled :class:`~repro.runner.shm.TableArena` segment
+        workers attach zero-copy (and keep pinned, so recycled segments
+        map once per worker); exports are double-buffered against
+        worker compute, and peak shared memory is bounded by the shards
+        in flight, not the corpus.  An inline pool passes the trace
+        objects themselves and creates no segment.
 
         ``fingerprints`` optionally names each trace's provenance for
         the alarm cache (index-aligned; ``None`` entries fall back to a
         content digest) — pass the archive fingerprint when shipping
-        pregenerated archive days so cache keys stay
-        transport-independent.
-
-        ``collect_alarms=True`` returns every trace's Step 1 alarm
-        table in ``BatchReport.alarm_tables`` (keyed by trace name):
-        shard-mode workers export theirs over the zero-copy shm result
-        transport; intra-trace fan-out modes already merge the table in
-        the parent.
+        pregenerated archive days so their cache keys match the
+        regenerate-in-worker path's.
 
         ``profile``, when a dict, receives per-phase wall seconds
         summed over the run — ``export`` (parent-side segment packing),
@@ -371,9 +348,6 @@ class LabelingSession:
             fingerprints = [None] * len(traces)
         elif len(fingerprints) != len(traces):
             raise ValueError("fingerprints must align with traces")
-        transport = self.transport
-        if transport == "auto":
-            transport = "shm" if self.workers > 1 else "pickle"
 
         names: list[str] = []
         seen: set[str] = set()
@@ -401,28 +375,20 @@ class LabelingSession:
             "compute": 0.0,
             "merge": 0.0,
         }
-        if self.fanout == "shard":
-            fresh = self._label_traces_shard(
+        run = (
+            self._label_traces_shard
+            if self.fanout == "shard"
+            else self._label_traces_fanout
+        )
+        reports.extend(
+            run(
                 pending,
-                transport=transport,
-                collect_alarms=collect_alarms,
                 progress=progress,
                 done_offset=len(reports),
                 total=len(traces),
                 phases=phases,
             )
-        else:
-            fresh = self._label_traces_fanout(
-                pending,
-                transport=transport,
-                collect_alarms=collect_alarms,
-                progress=progress,
-                done_offset=len(reports),
-                total=len(traces),
-                phases=phases,
-            )
-        alarm_tables = fresh.alarm_tables
-        reports.extend(fresh.reports)
+        )
         reports.sort(key=lambda r: r.date)
 
         if profile is not None:
@@ -438,26 +404,20 @@ class LabelingSession:
                 wall=round(wall, 6),
                 workers=self.workers,
                 fanout=self.fanout,
-                transport=transport,
             )
-        batch = BatchReport(reports=reports)
-        batch.alarm_tables.update(alarm_tables)
-        return batch
+        return BatchReport(reports=reports)
 
     # -- shard-mode fan-out (one task per trace) -----------------------
 
     def _label_traces_shard(
         self,
         pending: Sequence[tuple[str, Trace, Optional[str]]],
-        transport: str,
-        collect_alarms: bool,
         progress: Optional[ProgressCallback],
         done_offset: int,
         total: int,
         phases: dict,
-    ) -> BatchReport:
+    ) -> list[TraceReport]:
         arena_of: dict[str, TableArena] = {}
-        alarm_tables: dict[str, object] = {}
 
         def make_tasks():
             for name, trace, fingerprint in pending:
@@ -468,17 +428,14 @@ class LabelingSession:
                     out_dir=self.out_dir,
                     metadata=trace.metadata,
                     fingerprint=fingerprint,
-                    return_alarms=collect_alarms,
                 )
-                if transport == "shm":
+                if self.pool.parallel:
                     started = time.perf_counter()
                     arena = self._take_arena()
                     handle = arena.export(trace.table)
                     phases["export"] += time.perf_counter() - started
                     arena_of[name] = arena
-                    yield worker.TraceTask(
-                        shm=handle, pin_segment=True, **common
-                    )
+                    yield worker.TraceTask(shm=handle, **common)
                 else:
                     yield worker.TraceTask(trace=trace, **common)
 
@@ -490,21 +447,11 @@ class LabelingSession:
             for key, value in getattr(report, "phases", {}).items():
                 if key in phases:
                     phases[key] += value
-            result_handle = getattr(report, "alarms_shm", None)
-            if result_handle is not None:
-                # Pull the worker's alarm table out of its result
-                # segment, then free it; the handle never outlives
-                # this callback.
-                try:
-                    alarm_tables[report.date] = result_handle.to_table()
-                finally:
-                    result_handle.unlink()
-                report.alarms_shm = None
             if progress is not None:
                 progress(done + done_offset, total, report)
 
         try:
-            reports = self.pool.map_pipelined(
+            return self.pool.map_pipelined(
                 worker.run_task,
                 make_tasks(),
                 total=len(pending),
@@ -514,9 +461,6 @@ class LabelingSession:
             for arena in list(arena_of.values()):
                 self._return_arena(arena)
             arena_of.clear()
-        batch = BatchReport(reports=reports)
-        batch.alarm_tables.update(alarm_tables)
-        return batch
 
     # -- intra-trace fan-out (tasks per detector-config group) ---------
 
@@ -557,11 +501,11 @@ class LabelingSession:
             trace=trace,
             fingerprint=None,
         )
-        self._submit_fanout(shard, transport="shm", use_cache=False)
+        self._submit_fanout(shard, use_cache=False)
         return self._collect_fanout(shard)
 
     def _submit_fanout(
-        self, shard: _FanoutShard, transport: str, use_cache: bool = True
+        self, shard: _FanoutShard, use_cache: bool = True
     ) -> None:
         """Stage 1: consult the cache, else export + submit the groups."""
         from repro.runner.cache import AlarmCache
@@ -586,12 +530,12 @@ class LabelingSession:
             metadata=shard.trace.metadata,
             stream_states=None,
         )
-        if transport == "shm":
+        if self.pool.parallel:
             export_started = time.perf_counter()
             shard.arena = self._take_arena()
             handle = shard.arena.export(shard.trace.table)
             shard.export_seconds = time.perf_counter() - export_started
-            common.update(shm=handle, pin_segment=True)
+            common.update(shm=handle)
             if self.engine.vectorized:
                 # Compute the ensemble's shared feature planes once in
                 # the parent and export them next to the packet table,
@@ -669,13 +613,11 @@ class LabelingSession:
     def _label_traces_fanout(
         self,
         pending: Sequence[tuple[str, Trace, Optional[str]]],
-        transport: str,
-        collect_alarms: bool,
         progress: Optional[ProgressCallback],
         done_offset: int,
         total: int,
         phases: dict,
-    ) -> BatchReport:
+    ) -> list[TraceReport]:
         """Intra-trace fan-out over many traces, double-buffered.
 
         Trace ``i + 1``'s detector groups are submitted *before* trace
@@ -686,23 +628,18 @@ class LabelingSession:
         from repro.labeling.mawilab import labels_to_csv
 
         reports: list[TraceReport] = []
-        alarm_tables: dict[str, object] = {}
         shards = [
             _FanoutShard(name=name, trace=trace, fingerprint=fingerprint)
             for name, trace, fingerprint in pending
         ]
         try:
             if shards:
-                self._submit_fanout(shards[0], transport)
+                self._submit_fanout(shards[0])
             for index, shard in enumerate(shards):
                 if index + 1 < len(shards):
-                    self._submit_fanout(shards[index + 1], transport)
+                    self._submit_fanout(shards[index + 1])
                 report = self._finalize_fanout_shard(
-                    shard,
-                    collect_alarms=collect_alarms,
-                    alarm_tables=alarm_tables,
-                    labels_to_csv=labels_to_csv,
-                    phases=phases,
+                    shard, labels_to_csv=labels_to_csv, phases=phases
                 )
                 reports.append(report)
                 if progress is not None:
@@ -713,17 +650,10 @@ class LabelingSession:
                 shard.arena = None
                 self._return_plane_arena(shard.plane_arena)
                 shard.plane_arena = None
-        batch = BatchReport(reports=reports)
-        batch.alarm_tables.update(alarm_tables)
-        return batch
+        return reports
 
     def _finalize_fanout_shard(
-        self,
-        shard: _FanoutShard,
-        collect_alarms: bool,
-        alarm_tables: dict,
-        labels_to_csv,
-        phases: dict,
+        self, shard: _FanoutShard, labels_to_csv, phases: dict
     ) -> TraceReport:
         """Merge one shard's groups and run Steps 2-4 in the parent."""
         try:
@@ -741,8 +671,6 @@ class LabelingSession:
             )
         for key, value in shard_phases.items():
             phases[key] += value
-        if collect_alarms:
-            alarm_tables[shard.name] = alarms
         csv_path = ""
         if self.out_dir:
             out_path = worker.csv_path_for(self.out_dir, shard.name)
@@ -838,4 +766,4 @@ class LabelingSession:
         return BatchReport(reports=reports)
 
 
-__all__ = ["LabelingSession", "TRANSPORTS", "FANOUTS", "export_table"]
+__all__ = ["LabelingSession", "FANOUTS"]

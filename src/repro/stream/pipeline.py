@@ -585,7 +585,6 @@ class StreamingPipeline:
                     config_indices=group,
                     shm=handle,
                     metadata=self._metadata,
-                    pin_segment=True,
                     stream_states=tuple(
                         dict(self.detectors[i].state) for i in group
                     ),

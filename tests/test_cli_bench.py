@@ -101,10 +101,11 @@ class TestBenchCommand:
         assert streaming["chunk_packets"] == 512
 
     def test_records_fanout_transport_comparison(self, capsys):
-        """The fan-out leg reports packets/sec for every sub-leg
-        (single process, pickle pool, shm pool, shm detector fan-out),
-        each tagged with its workers / transport / fan-out mode, plus
-        the host-relative ratios the CI gate enforces."""
+        """The fan-out leg compares the in-process run with the shared-
+        memory pool: packets/sec for every sub-leg (single process, shm
+        pool, shm detector fan-out), each tagged with its workers and
+        fan-out mode, plus the host-relative ratio the CI gate
+        enforces."""
         assert (
             main(
                 [
@@ -119,8 +120,6 @@ class TestBenchCommand:
                     "2",
                     "--fanout-traces",
                     "2",
-                    "--fanout-packets",
-                    "50000",
                     "--warehouse-days",
                     "0",
                 ]
@@ -134,27 +133,20 @@ class TestBenchCommand:
         assert fanout["cpu_count"] >= 1
         labeling = fanout["labeling"]
         specs = {
-            "single": (1, "pickle", "shard"),
-            "pickle": (2, "pickle", "shard"),
-            "shm": (2, "shm", "shard"),
-            "shm_detector": (2, "shm", "detector"),
+            "single": (1, "shard"),
+            "shm": (2, "shard"),
+            "shm_detector": (2, "detector"),
         }
-        for name, (workers, transport, mode) in specs.items():
+        assert set(labeling) == set(specs)
+        for name, (workers, mode) in specs.items():
             leg = labeling[name]
-            assert leg["workers"] == workers
-            assert leg["transport"] == transport
-            assert leg["fanout"] == mode
+            assert leg == {**leg, "workers": workers, "fanout": mode}
             assert leg["seconds"] > 0
             assert leg["packets_per_sec"] > 0
             # Profile only rides along under --profile.
             assert "profile" not in leg
         assert fanout["shm_vs_single"] > 0
-        assert fanout["shm_vs_pickle"] > 0
-        for transport in ("pickle", "shm"):
-            assert fanout["transport"][transport]["seconds"] > 0
-            assert fanout["transport"][transport]["packets_per_sec"] > 0
-        assert fanout["transport"]["shipments"] == 2
-        assert fanout["shm_speedup"] > 0
+        assert "transport" not in fanout
 
     def test_profile_adds_per_phase_breakdown(self, capsys):
         """--profile attaches per-phase wall seconds (export / attach /
@@ -174,8 +166,6 @@ class TestBenchCommand:
                     "2",
                     "--fanout-traces",
                     "2",
-                    "--fanout-packets",
-                    "50000",
                     "--warehouse-days",
                     "0",
                 ]
@@ -183,7 +173,7 @@ class TestBenchCommand:
             == 0
         )
         labeling = json.loads(capsys.readouterr().out)["fanout"]["labeling"]
-        for name in ("single", "pickle", "shm", "shm_detector"):
+        for name in ("single", "shm", "shm_detector"):
             profile = labeling[name]["profile"]
             assert {
                 "export",
@@ -195,8 +185,7 @@ class TestBenchCommand:
             } <= set(profile)
             assert profile["compute"] > 0
             assert profile["wall"] > 0
-            assert all(v >= 0 for k, v in profile.items()
-                       if k not in ("fanout", "transport"))
+            assert all(v >= 0 for k, v in profile.items() if k != "fanout")
 
     def test_records_alarm_path_comparison(self, capsys):
         """The alarm-path leg reports Steps 2-4 alarms/sec for the

@@ -164,11 +164,11 @@ class TestSegmentRegistry:
             registry = SegmentRegistry()
             try:
                 first = arena.export(day_trace.table)
-                t1 = registry.table(first)
+                t1 = registry.view(first)
                 assert (t1.time == day_trace.table.time).all()
                 second = arena.export(day_trace.table)
                 assert second.name == first.name
-                registry.table(second)
+                registry.view(second)
                 assert registry.attaches == 1
                 assert registry.hits == 1
                 assert registry.names() == (first.name,)
@@ -179,8 +179,8 @@ class TestSegmentRegistry:
         registry = SegmentRegistry(max_segments=1)
         handles = [export_table(day_trace.table) for _ in range(2)]
         try:
-            registry.table(handles[0])
-            registry.table(handles[1])
+            registry.view(handles[0])
+            registry.view(handles[1])
             assert registry.attaches == 2
             assert registry.names() == (handles[1].name,)
         finally:
@@ -192,7 +192,7 @@ class TestSegmentRegistry:
         registry = SegmentRegistry()
         handle = export_table(day_trace.table)
         try:
-            registry.table(handle)
+            registry.view(handle)
             registry.release(handle.name)
             registry.release(handle.name)
             assert registry.names() == ()
@@ -339,6 +339,38 @@ class TestFanoutModes:
         )
 
 
+class TestInlineSession:
+    def test_single_worker_session_creates_no_segment(
+        self, day_trace, monkeypatch
+    ):
+        """An inline pool hands traces over in-process: no fan-out
+        mode, run mode or streaming window ever creates a segment."""
+        from multiprocessing import shared_memory
+
+        from repro.stream import chunk_table
+
+        created = []
+        real_init = shared_memory.SharedMemory.__init__
+
+        def spy(self, name=None, create=False, *args, **kwargs):
+            if create:
+                created.append(name)
+            real_init(self, name, create, *args, **kwargs)
+
+        monkeypatch.setattr(shared_memory.SharedMemory, "__init__", spy)
+        for fanout in FANOUTS:
+            with LabelingSession(workers=1, fanout=fanout) as session:
+                session.label_trace(day_trace)
+                session.label_traces([day_trace])
+                session.label_stream(
+                    chunk_table(day_trace.table, 2048),
+                    window=4.0,
+                    metadata=day_trace.metadata,
+                )
+                assert session._arenas == [], fanout
+            assert created == [], fanout
+
+
 class TestCrashTeardown:
     def test_worker_death_leaks_no_segments(self, archive, monkeypatch):
         """A worker dying mid-batch breaks that call, but close()
@@ -352,7 +384,7 @@ class TestCrashTeardown:
         traces = [
             archive.day(d).trace for d in (DATE, "2004-06-02", "2004-06-03")
         ]
-        session = LabelingSession(workers=2, transport="shm")
+        session = LabelingSession(workers=2)
         monkeypatch.setattr(worker, "run_task", _die)
         with pytest.raises(BrokenProcessPool):
             session.label_traces(traces)
@@ -379,7 +411,7 @@ class TestCrashTeardown:
         import gc
 
         before = _shm_segments()
-        session = LabelingSession(workers=1, transport="shm")
+        session = LabelingSession(workers=2)
         session.label_traces([day_trace])
         assert _shm_segments() - before  # arena segment live
         del session
@@ -430,7 +462,7 @@ class TestPooledStreaming:
 
 class TestPhaseAccounting:
     def test_reports_carry_worker_phases(self, day_trace):
-        with LabelingSession(transport="shm") as session:
+        with LabelingSession() as session:
             batch = session.label_traces([day_trace])
         phases = batch.reports[0].phases
         assert set(phases) == {"attach", "compute"}
@@ -440,16 +472,15 @@ class TestPhaseAccounting:
         traces = [day_trace, archive.day("2004-06-02").trace]
         for fanout in ("shard", "detector"):
             profile: dict = {}
-            with LabelingSession(transport="shm", fanout=fanout) as session:
+            with LabelingSession(fanout=fanout) as session:
                 session.label_traces(traces, profile=profile)
             assert {
                 "export", "attach", "compute", "merge", "idle",
-                "wall", "workers", "fanout", "transport",
+                "wall", "workers", "fanout",
             } <= set(profile), fanout
             assert profile["compute"] > 0
             assert profile["wall"] > 0
             assert profile["fanout"] == fanout
-            assert profile["transport"] == "shm"
 
 
 class TestSignalTeardown:
@@ -462,7 +493,7 @@ class TestSignalTeardown:
         from repro.runner import pool as pool_mod
 
         before = _shm_segments()
-        session = LabelingSession(workers=2, transport="shm")
+        session = LabelingSession(workers=2)
         session.label_traces([day_trace])
         assert _shm_segments() - before  # arena live
         pool_mod._run_signal_cleanup()
@@ -515,7 +546,7 @@ from repro.session import LabelingSession
 
 install_signal_handlers()
 trace = SyntheticArchive(seed=7, trace_duration=5.0).day("2004-06-01").trace
-session = LabelingSession(workers=2, transport="shm")
+session = LabelingSession(workers=2)
 session.label_traces([trace])
 print("READY", flush=True)
 try:

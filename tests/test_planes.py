@@ -8,8 +8,7 @@ Four angles on :mod:`repro.detectors.planes`:
 * **cached == uncached** (hypothesis) — ``analyze_table`` with one
   cache shared across an ensemble of overlapping configurations is
   identical to fully uncached analysis, on both engines;
-* **shared-memory transport** — planes exported by
-  :func:`~repro.runner.shm.export_planes` / recycled through a
+* **shared-memory transport** — planes exported through a
   :class:`~repro.runner.shm.PlaneArena` attach element-identical and
   read-only;
 * **streaming planes** (hypothesis) — incrementally maintained
@@ -37,7 +36,7 @@ from repro.detectors.sketch import shared_hasher
 from repro.engine import get_engine
 from repro.net.packet import PROTO_ICMP, PROTO_TCP, PROTO_UDP, Packet
 from repro.net.trace import Trace
-from repro.runner.shm import PlaneArena, export_planes, segment_registry
+from repro.runner.shm import PlaneArena, segment_registry
 from repro.stream.planes import StreamingPlanes
 
 # -- strategies (the parity suite's small alphabets) -------------------
@@ -213,28 +212,22 @@ def _computed_cache(trace) -> PlaneCache:
 def test_plane_export_attach_roundtrip(tiny_trace):
     items = _computed_cache(tiny_trace).exportable_items()
     assert items
-    handle = export_planes(items)
-    try:
-        with handle.attach() as planes:
+    with PlaneArena() as arena:
+        with arena.export(items).attach() as planes:
             assert set(planes) == {spec for spec, _ in items}
             for spec, value in items:
                 _assert_planes_equal(planes[spec], value)
-    finally:
-        handle.unlink()
 
 
 def test_attached_planes_are_read_only(tiny_trace):
     items = _computed_cache(tiny_trace).exportable_items()
-    handle = export_planes(items)
-    try:
-        with handle.attach() as planes:
+    with PlaneArena() as arena:
+        with arena.export(items).attach() as planes:
             array = next(
                 v for v in planes.values() if isinstance(v, np.ndarray)
             )
             with pytest.raises(ValueError):
                 array[0] = 0
-    finally:
-        handle.unlink()
 
 
 def test_plane_arena_recycles_one_segment(tiny_trace):
@@ -243,7 +236,7 @@ def test_plane_arena_recycles_one_segment(tiny_trace):
         first = arena.export(items)
         name = first.name
         registry = segment_registry()
-        planes = registry.planes(first)
+        planes = registry.view(first)
         for spec, value in items:
             _assert_planes_equal(planes[spec], value)
         # A same-size re-export recycles the segment in place.

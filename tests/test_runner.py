@@ -75,12 +75,33 @@ class TestAlarmCache:
         assert AlarmCache.make_key("a", "d2", "e") != base
         assert AlarmCache.make_key("a", "d", "e2") != base
 
-    def test_corrupt_entry_is_evicted_miss(self, tmp_path):
+    def test_corrupt_entry_is_evicted_miss(self, tmp_path, day_alarms):
         cache = AlarmCache(tmp_path)
         key = AlarmCache.make_key("arch", "day", "ens")
-        cache.path_for(key).write_bytes(b"not a pickle")
-        assert cache.get(key) is None
-        assert not cache.path_for(key).exists()
+        path = cache.path_for(key)
+        table = AlarmTable.from_alarms(day_alarms)
+        cache.put(key, table)
+        entry = path.read_bytes()
+        # Garbage, an entry in the old (digest-less) format, every
+        # truncation point on a stride, one-bit and eight-byte flips.
+        corrupted = [b"not a pickle", pickle.dumps(table)]
+        corrupted += [entry[:n] for n in range(0, len(entry), 37)]
+        for position in range(0, len(entry), max(len(entry) // 150, 1)):
+            flipped = bytearray(entry)
+            flipped[position] ^= 1 << (position % 8)
+            corrupted.append(bytes(flipped))
+            eight = bytearray(entry)
+            eight[position : position + 8] = bytes(
+                b ^ 0xFF for b in eight[position : position + 8]
+            )
+            corrupted.append(bytes(eight))
+        for n, data in enumerate(corrupted, 1):
+            path.write_bytes(data)
+            assert cache.get(key) is None
+            assert not path.exists()
+            assert (cache.evictions, cache.misses, cache.hits) == (n, n, 0)
+        cache.put(key, table)
+        assert cache.get(key) == table
 
 
 class TestBatchRunner:

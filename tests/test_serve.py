@@ -9,7 +9,9 @@ cleanly.
 
 from __future__ import annotations
 
+import asyncio
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -17,13 +19,15 @@ import urllib.request
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ServeError
 from repro.labeling.mawilab import labels_to_csv
 from repro.net.table import COLUMNS, PacketTable
 from repro.serve import LabelServer, LabelingService
 from repro.serve.daemon import _FeedRing, _p95
-from repro.serve.http import rows_to_table, table_to_rows
+from repro.serve.http import _HTTPError, rows_to_table, table_to_rows
 from repro.stream.window import chunk_table
 
 DATE = "2004-06-01"
@@ -140,6 +144,25 @@ class TestWireFormat:
         with pytest.raises(ServeError, match="fields"):
             rows_to_table([[0.0, 1, 2]])
 
+    @pytest.mark.parametrize(
+        ("column", "value"),
+        [
+            ("sport", 70000),
+            ("src", -1),
+            ("src", 2**33),
+            ("sport", 1.7),
+            ("time", float("nan")),
+        ],
+    )
+    def test_value_that_would_wrap_is_rejected(self, column, value):
+        """A value its column's dtype cannot hold is refused, naming
+        the row and column, instead of wrapping (70000 -> 4464)."""
+        good = [0.5, 10, 20, 1000, 80, 6, 60, 16, 0]
+        bad = list(good)
+        bad[COLUMNS.index(column)] = value
+        with pytest.raises(ServeError, match=f"row 1: {column} "):
+            rows_to_table([good, bad])
+
 
 class TestParity:
     def test_served_csv_identical_to_offline_label(
@@ -253,6 +276,19 @@ class TestHTTP:
             _post(base, "/feeds/ghost/packets", {"packets": []})
         assert excinfo.value.code == 409
 
+    def test_out_of_range_packet_row_400(self, served):
+        _, _, base = served
+        _post(base, "/feeds/wrap", {"date": "2004-06-11"})
+        try:
+            row = [0.5, 10, 20, 70000, 80, 6, 60, 16, 0]
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                _post(base, "/feeds/wrap/packets", {"packets": [row]})
+            assert excinfo.value.code == 400
+            error = json.load(excinfo.value)["error"]
+            assert "row 0: sport 70000" in error
+        finally:
+            _post(base, "/feeds/wrap/close", {})
+
     def test_http_ingest_round_trip(self, served, archive_day):
         """The full wire path labels identically to direct pushes."""
         service, _, base = served
@@ -268,6 +304,95 @@ class TestHTTP:
         assert labels_to_csv(
             service.index.store_for("2004-06-10").to_records()
         ) == labels_to_csv(service.index.store_for(DATE).to_records())
+
+
+def _raw_exchange(port: int, data: bytes) -> bytes:
+    """Send raw bytes, read until the server closes the connection."""
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+        sock.sendall(data)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+class TestRequestErrors:
+    """Request heads that do not parse get a JSON 4xx, are counted,
+    and close the connection; the server keeps serving."""
+
+    @pytest.mark.parametrize(
+        ("head", "status"),
+        [
+            (b"NONSENSE\r\n\r\n", 400),
+            (b"POST /feeds/x/packets HTTP/1.1\r\nContent-Length: ten\r\n\r\n", 400),
+            (b"POST /feeds/x/packets HTTP/1.1\r\nContent-Length: -5\r\n\r\n", 400),
+            (
+                b"POST /feeds/x/packets HTTP/1.1\r\n"
+                b"Content-Length: 67108865\r\n\r\n",
+                413,
+            ),
+        ],
+        ids=["request-line", "non-numeric-length", "negative-length", "too-large"],
+    )
+    def test_unparsable_request_answered(self, served, head, status):
+        _, server, base = served
+        errors = server.errors
+        response = _raw_exchange(server.port, head)
+        status_line, _, rest = response.partition(b"\r\n")
+        assert status_line.startswith(f"HTTP/1.1 {status} ".encode())
+        assert b"Connection: close" in rest
+        assert "error" in json.loads(rest.partition(b"\r\n\r\n")[2])
+        assert server.errors == errors + 1
+        assert _get(base, "/health")["status"] == "ok"
+
+
+_REQUEST_LINES = st.one_of(
+    st.binary(max_size=48),
+    st.sampled_from(
+        [
+            b"GET /health HTTP/1.1\r\n",
+            b"POST /feeds/a/packets HTTP/1.1\r\n",
+            b"GET / HTTP/1.0\r\n",
+        ]
+    ),
+)
+_HEADER_LINES = st.one_of(
+    st.binary(max_size=48).map(lambda raw: raw + b"\r\n"),
+    st.text(max_size=12).map(lambda t: f"Content-Length: {t}\r\n".encode()),
+    st.integers(-(2**40), 2**40).map(
+        lambda n: f"Content-Length: {n}\r\n".encode()
+    ),
+)
+_HEADS = st.builds(
+    lambda line, headers, body: line + b"".join(headers) + b"\r\n" + body,
+    _REQUEST_LINES,
+    st.lists(_HEADER_LINES, max_size=4),
+    st.binary(max_size=64),
+)
+
+
+@given(data=st.one_of(st.binary(max_size=256), _HEADS))
+@settings(max_examples=300, deadline=None)
+def test_request_head_fuzz(data):
+    """Any bytes parse to a request, a 4xx, or a clean EOF — never
+    another exception (a 64-byte reader limit reaches the over-long
+    line path too)."""
+    server = LabelServer(service=None)
+
+    async def read():
+        reader = asyncio.StreamReader(limit=64)
+        reader.feed_data(data)
+        reader.feed_eof()
+        try:
+            return await server._read_request(reader)
+        except _HTTPError as exc:
+            return exc
+
+    outcome = asyncio.run(read())
+    if isinstance(outcome, _HTTPError):
+        assert 400 <= outcome.status < 500
+    else:
+        assert outcome is None or len(outcome) == 4
 
 
 class TestBackpressure:

@@ -1,7 +1,7 @@
 """LabelingSession: one configuration, every run mode, one output.
 
-The unification contract: offline, archive, batch (both transports)
-and full-coverage streaming runs of the same session configuration
+The unification contract: offline, archive, batch (in-process and
+over shared memory) and full-coverage streaming runs of the same session configuration
 produce byte-identical label CSVs.  Plus the engine-agnostic alarm
 cache: entries written under one engine hit under any other.
 """
@@ -45,12 +45,11 @@ class TestModeParity:
         assert [r.status for r in by_archive.reports] == ["ok"]
         assert by_archive.reports[0].csv_sha256 == offline
 
-        for transport in ("pickle", "shm"):
-            shipped = LabelingSession(transport=transport).label_traces(
-                [day_trace]
-            )
+        for workers in (1, 2):
+            with LabelingSession(workers=workers) as shipping:
+                shipped = shipping.label_traces([day_trace])
             assert [r.status for r in shipped.reports] == ["ok"]
-            assert shipped.reports[0].csv_sha256 == offline, transport
+            assert shipped.reports[0].csv_sha256 == offline, workers
 
     def test_full_window_stream_matches_offline(self, day_trace):
         from repro.stream import chunk_table
@@ -77,36 +76,11 @@ class TestModeParity:
         dates = [DATE, "2004-06-02"]
         traces = [archive.day(d).trace for d in dates]
         serial = LabelingSession(workers=1).label_traces(traces)
-        pooled = LabelingSession(workers=2, transport="shm").label_traces(
-            traces
-        )
+        with LabelingSession(workers=2) as session:
+            pooled = session.label_traces(traces)
         assert [r.csv_sha256 for r in serial.reports] == [
             r.csv_sha256 for r in pooled.reports
         ]
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_collect_alarms_returns_worker_tables_zero_copy(
-        self, archive, day_trace, workers
-    ):
-        """Workers export their Step 1 alarm tables over shared memory;
-        the session collects them into the batch report, equal to an
-        in-process detection, with every segment freed afterwards."""
-        batch = LabelingSession(workers=workers).label_traces(
-            [day_trace], collect_alarms=True
-        )
-        assert [r.status for r in batch.reports] == ["ok"]
-        name = day_trace.metadata.name
-        table = batch.alarm_tables[name]
-        expected = LabelingSession().pipeline.detect(day_trace)
-        assert list(table) == list(expected)
-        # The transport handle was consumed, not leaked into the report
-        # (and the JSON rendering stays serializable).
-        assert batch.reports[0].alarms_shm is None
-        assert "alarms_shm" not in batch.to_json()
-
-    def test_collect_alarms_off_by_default(self, day_trace):
-        batch = LabelingSession().label_traces([day_trace])
-        assert batch.alarm_tables == {}
 
 
 class TestSessionConfig:
@@ -118,8 +92,9 @@ class TestSessionConfig:
         assert session.config.engine == "python"
 
     def test_unknown_transport_rejected(self):
-        with pytest.raises(ValueError, match="transport"):
-            LabelingSession(transport="carrier-pigeon")
+        # Shared memory is the only pool transport; there is no knob.
+        with pytest.raises(TypeError, match="transport"):
+            LabelingSession(transport="shm")
 
     def test_resume_requires_out_dir(self):
         with pytest.raises(ValueError, match="out_dir"):
@@ -157,9 +132,10 @@ class TestEngineAgnosticCache:
         )
 
     def test_cache_hits_across_transports(self, archive, tmp_path):
-        """A cache warmed by the regenerate transport hits when the
-        same archive days are shipped as pregenerated traces (given the
-        archive fingerprint), and vice versa."""
+        """A cache warmed by regenerating days in the workers hits when
+        the same archive days are shipped as pregenerated traces,
+        in-process or over shared memory (given the archive
+        fingerprint)."""
         from repro.net.trace import Trace, TraceMetadata
 
         cache_dir = str(tmp_path / "cache")
@@ -172,13 +148,14 @@ class TestEngineAgnosticCache:
         shipped_trace = Trace.from_table(
             day.table, TraceMetadata(name=DATE, date=DATE)
         )
-        for transport in ("pickle", "shm"):
-            shipped = LabelingSession(
-                cache_dir=cache_dir, transport=transport
-            ).label_traces(
-                [shipped_trace], fingerprints=[archive.fingerprint()]
-            )
-            assert shipped.cache_hits == 1, transport
+        for workers in (1, 2):
+            with LabelingSession(
+                cache_dir=cache_dir, workers=workers
+            ) as session:
+                shipped = session.label_traces(
+                    [shipped_trace], fingerprints=[archive.fingerprint()]
+                )
+            assert shipped.cache_hits == 1, workers
             assert (
                 shipped.reports[0].csv_sha256
                 == warmed.reports[0].csv_sha256
@@ -190,15 +167,24 @@ class TestEngineAgnosticCache:
         close() unlinks every segment."""
         from multiprocessing import shared_memory
 
-        dates = [DATE, "2004-06-02", "2004-06-03"]
-        traces = [archive.day(d).trace for d in dates]
-        session = LabelingSession(transport="shm")
-        batch = session.label_traces(traces)
-        assert all(r.ok for r in batch.reports)
-        # Serial shards pipeline through at most a few arena slots; a
-        # 3-trace batch must not have allocated 3 segments.
-        assert 1 <= len(session._arenas) <= 3
-        assert sum(a.allocations for a in session._arenas) >= 1
+        from repro.net.trace import Trace, TraceMetadata
+
+        # Equal-sized tables, so a recycled segment never has to grow.
+        table = archive.day(DATE).trace.table
+        traces = [
+            Trace.from_table(table, TraceMetadata(name=f"copy-{i}"))
+            for i in range(3)
+        ]
+        session = LabelingSession(workers=2)
+        for _ in range(2):
+            batch = session.label_traces(traces)
+            assert all(r.ok for r in batch.reports)
+        # At most one arena per shard in flight, and the second batch
+        # exported into the first batch's segments.
+        assert 1 <= len(session._arenas) <= len(traces)
+        assert sum(a.allocations for a in session._arenas) == len(
+            session._arenas
+        )
         names = [a.name for a in session._arenas if a.name]
         assert names, "arena should hold a live recycled segment"
         session.close()

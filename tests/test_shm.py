@@ -1,10 +1,8 @@
-"""Shared-memory table transports: zero-copy round-trips.
+"""Shared-memory packet-table transport: zero-copy round-trips.
 
-The satellite properties: any :class:`PacketTable` — including empty
+The satellite property: any :class:`PacketTable` — including empty
 and single-packet tables — exported to a shared-memory segment and
-attached *in a subprocess* equals the original, column for column; and
-any :class:`AlarmTable` (the worker-result transport) round-trips the
-same way, views included.
+attached *in a subprocess* equals the original, column for column.
 """
 
 from __future__ import annotations
@@ -16,14 +14,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.alarm_table import AlarmTable
 from repro.net.packet import PROTO_ICMP, PROTO_TCP, PROTO_UDP, Packet
 from repro.net.table import COLUMNS, PacketTable
-from repro.runner.shm import (
-    export_alarm_table,
-    export_table,
-    segment_bytes,
-)
+from repro.runner.shm import export_table, segment_bytes
 
 
 def _packet(time, src, dst, sport, dport, proto, size, flags):
@@ -79,12 +72,8 @@ def _columns_equal(a: PacketTable, b: PacketTable) -> bool:
 
 def _attach_columns(handle) -> dict:
     """Pool worker: attach the segment and read every column out."""
-    attached = handle.attach()
-    try:
-        table = attached.table
+    with handle.attach() as table:
         return {c: getattr(table, c).tolist() for c in COLUMNS}
-    finally:
-        attached.close()
 
 
 @pytest.fixture(scope="module")
@@ -106,11 +95,8 @@ def test_export_attach_in_subprocess_round_trips(pool, packet_list):
     handle = export_table(table)
     try:
         # In-process attach is already zero-copy...
-        attached = handle.attach()
-        try:
-            assert _columns_equal(attached.table, table)
-        finally:
-            attached.close()
+        with handle.attach() as attached:
+            assert _columns_equal(attached, table)
         # ...and a *different process* reads the same bytes back.
         remote = pool.submit(_attach_columns, handle).result(timeout=60)
         for column in COLUMNS:
@@ -140,69 +126,11 @@ def test_attach_is_zero_copy():
     table = PacketTable.from_packets(_single * 5)
     handle = export_table(table)
     try:
-        attached = handle.attach()
-        try:
+        with handle.attach() as attached:
             for column in COLUMNS:
-                assert not getattr(attached.table, column).flags.owndata
-        finally:
-            attached.close()
+                assert not getattr(attached, column).flags.owndata
     finally:
         handle.unlink()
-
-
-def _attach_alarms(handle) -> list:
-    """Pool worker: attach an alarm segment, materialize every view."""
-    attached = handle.attach()
-    try:
-        return list(attached.table)
-    finally:
-        attached.close()
-
-
-from test_alarm_table import alarm_lists  # noqa: E402
-
-
-@given(alarm_lists)
-@example([])
-@settings(
-    max_examples=10,
-    suppress_health_check=[HealthCheck.too_slow],
-    deadline=None,
-)
-def test_alarm_table_round_trips_through_shm_subprocess(pool, alarm_list):
-    """The worker-result transport: export an alarm table, attach in a
-    different process, get the identical alarms back."""
-    table = AlarmTable.from_alarms(alarm_list)
-    handle = export_alarm_table(table)
-    try:
-        # In-process: attach views and the copy-out helper agree.
-        attached = handle.attach()
-        try:
-            assert attached.table == table
-        finally:
-            attached.close()
-        assert list(handle.to_table()) == alarm_list
-        # Cross-process: a pool worker materializes equal alarms.
-        remote = pool.submit(_attach_alarms, handle).result(timeout=60)
-        assert remote == alarm_list
-    finally:
-        handle.unlink()
-
-
-def test_alarm_handle_unlink_is_idempotent():
-    from repro.detectors.base import Alarm
-    from repro.net.filters import FeatureFilter
-
-    table = AlarmTable.from_alarms(
-        [Alarm("pca", "pca/a", 0.0, 1.0, (FeatureFilter(src=1),))]
-    )
-    handle = export_alarm_table(table)
-    handle.unlink()
-    handle.unlink()  # second unlink is a silent no-op
-    from multiprocessing import shared_memory
-
-    with pytest.raises(FileNotFoundError):
-        shared_memory.SharedMemory(name=handle.name)
 
 
 def test_handle_is_small_and_picklable():
@@ -216,11 +144,8 @@ def test_handle_is_small_and_picklable():
         # a row count, not megabytes of packet arrays.
         assert len(payload) < 512
         clone = pickle.loads(payload)
-        attached = clone.attach()
-        try:
-            assert _columns_equal(attached.table, table)
-        finally:
-            attached.close()
+        with clone.attach() as attached:
+            assert _columns_equal(attached, table)
     finally:
         handle.unlink()
 

@@ -8,7 +8,8 @@ Four angles on :mod:`repro.labeling.warehouse`:
   the CSV export must be byte-identical to ``labels_to_csv``; a
   hypothesis suite drives this over arbitrary record shapes.
 * **Crash injection** — truncated segments are rejected on open (size
-  check), silent corruption by ``verify`` (SHA-256), torn manifests
+  check), malformed headers and descriptors with a ``WarehouseError``
+  (a hypothesis fuzz), silent corruption by ``verify`` (SHA-256), torn manifests
   cannot happen (``write_atomic``), and a crash mid-``store_day``
   leaves the previous manifest pointing only at complete files.
 * **Queries** — predicate pushdown over mapped columns agrees with the
@@ -40,8 +41,11 @@ from repro.labeling.taxonomy import TAXONOMY_ORDER
 from repro.labeling.warehouse import (
     Segment,
     Warehouse,
+    alarm_table_from_segment,
     archive_meta,
+    encode_alarm_segment,
     encode_label_segment,
+    label_store_from_segment,
     warehouse_fingerprint,
 )
 from repro.rules.itemsets import Rule
@@ -281,6 +285,105 @@ def test_bad_magic_is_rejected(tmp_path, result_store):
     path.write_bytes(bytes(payload))
     with pytest.raises(WarehouseError, match="magic"):
         Segment(path)
+
+
+@pytest.fixture(scope="module")
+def segment_payloads(result_store, day_alarms):
+    """One real encoded segment of each kind, with its decoder."""
+    return {
+        "labels": (
+            encode_label_segment(result_store, {"date": "2004-06-01"}),
+            label_store_from_segment,
+        ),
+        "alarms": (
+            encode_alarm_segment(
+                AlarmTable.from_alarms(day_alarms), {"date": "2004-06-01"}
+            ),
+            alarm_table_from_segment,
+        ),
+    }
+
+
+def _header_json(payload: bytes) -> tuple[dict, int]:
+    header_len = int.from_bytes(payload[8:16], "little")
+    return json.loads(payload[16 : 16 + header_len]), header_len
+
+
+def _reheader(payload: bytes, header) -> bytes:
+    """``payload``'s data blocks behind a different JSON header."""
+    old = _header_json(payload)[1]
+    data = payload[16 + old + (-(16 + old)) % 64 :]
+    raw = json.dumps(header).encode()
+    head = payload[:8] + len(raw).to_bytes(8, "little") + raw
+    return head + b"\x00" * ((-len(head)) % 64) + data
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70)
+    | st.floats(allow_nan=False) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _mutated_segments(draw, payloads):
+    kind = draw(st.sampled_from(sorted(payloads)))
+    payload = payloads[kind][0]
+    header, header_len = _header_json(payload)
+    if draw(st.booleans()):
+        # 1-4 raw bytes anywhere in the fixed prefix or the JSON.
+        mutated = bytearray(payload)
+        for _ in range(draw(st.integers(1, 4))):
+            mutated[draw(st.integers(0, 15 + header_len))] = draw(
+                st.integers(0, 255)
+            )
+        return kind, bytes(mutated)
+    # One structural edit of the decoded descriptor.
+    target = header
+    if draw(st.booleans()):
+        target = draw(st.sampled_from(header["arrays"]))
+    key = draw(st.sampled_from(sorted(target)))
+    value = target[key]
+    edit = draw(st.sampled_from(["delete", "replace", "nudge"]))
+    if edit == "delete":
+        del target[key]
+    elif edit == "nudge" and type(value) is int:
+        target[key] = draw(st.integers(0, 2 * value + 16))
+    else:
+        target[key] = draw(_JSON_VALUES)
+    return kind, _reheader(payload, header)
+
+
+def test_segment_header_fuzz(tmp_path_factory, segment_payloads):
+    """Opening and decoding a segment whose header bytes or descriptor
+    fields were mutated either succeeds or raises ``WarehouseError`` —
+    never a ``KeyError``/``TypeError``/``ValueError`` from inside."""
+    root = tmp_path_factory.mktemp("fuzz")
+    for kind, (payload, decode) in segment_payloads.items():
+        path = root / f"intact.{kind}.seg"
+        path.write_bytes(payload)
+        decode(Segment(path, kind=kind))  # the unmutated bytes decode
+
+    @given(case=_mutated_segments(segment_payloads))
+    @settings(max_examples=400, deadline=None)
+    def check(case):
+        kind, data = case
+        path = root / f"{kind}.seg"
+        # A fresh inode, so mappings from earlier examples stay valid.
+        path.unlink(missing_ok=True)
+        path.write_bytes(data)
+        try:
+            segment = Segment(path, kind=kind)
+        except WarehouseError:
+            return
+        try:
+            segment_payloads[kind][1](segment)
+        except WarehouseError:
+            pass
+
+    check()
 
 
 def test_crash_mid_store_leaves_previous_manifest(
