@@ -24,7 +24,7 @@ from benchmarks.conftest import GRANULARITY_DATES, run_once
 from repro.eval.metrics import cdf_points
 from repro.eval.report import format_table
 from repro.net.flow import Granularity
-from repro.rules.itemsets import transactions_from_flows, transactions_from_packets
+from repro.rules.itemsets import traffic_block
 from repro.rules.summarize import summarize_transactions
 
 GRANULARITIES = (Granularity.PACKET, Granularity.UNIFLOW, Granularity.BIFLOW)
@@ -32,17 +32,15 @@ GRANULARITIES = (Granularity.PACKET, Granularity.UNIFLOW, Granularity.BIFLOW)
 
 def _summaries(community_set):
     """Rule summaries of non-single communities."""
-    extractor = community_set.extractor
+    table = community_set.extractor.trace.table
     summaries = []
     for community in community_set.non_single():
         if not community.traffic:
             continue
-        if community_set.granularity is Granularity.PACKET:
-            packets = [extractor.trace[i] for i in sorted(community.traffic)]
-            transactions = transactions_from_packets(packets)
-        else:
-            transactions = transactions_from_flows(sorted(community.traffic))
-        summaries.append(summarize_transactions(transactions))
+        block = traffic_block(
+            community.traffic, community_set.granularity, table
+        )
+        summaries.append(summarize_transactions(block))
     return summaries
 
 

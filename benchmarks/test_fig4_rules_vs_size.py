@@ -12,7 +12,7 @@ import numpy as np
 from benchmarks.conftest import GRANULARITY_DATES, run_once
 from repro.eval.report import format_table
 from repro.net.flow import Granularity
-from repro.rules.itemsets import transactions_from_flows
+from repro.rules.itemsets import flow_block
 from repro.rules.summarize import summarize_transactions
 
 SIZE_BUCKETS = [(2, 4), (5, 9), (10, 19), (20, 10**9)]
@@ -27,7 +27,7 @@ def test_fig4_rules_vs_size(granularity_runs, benchmark):
                 if not community.traffic:
                     continue
                 summary = summarize_transactions(
-                    transactions_from_flows(sorted(community.traffic))
+                    flow_block(community.traffic)
                 )
                 points.append(
                     (community.size, summary.rule_degree, summary.rule_support)

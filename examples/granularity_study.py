@@ -13,7 +13,8 @@ from repro.core import SimilarityEstimator
 from repro.detectors import default_ensemble, run_ensemble
 from repro.mawi import SyntheticArchive
 from repro.net.flow import Granularity
-from repro.rules import summarize_transactions, transactions_from_flows, transactions_from_packets
+from repro.rules import summarize_transactions
+from repro.rules.itemsets import traffic_block
 
 
 def main() -> None:
@@ -41,17 +42,10 @@ def main() -> None:
         for community in community_set.non_single():
             if not community.traffic:
                 continue
-            if granularity is Granularity.PACKET:
-                packets = [
-                    community_set.extractor.trace[i]
-                    for i in sorted(community.traffic)
-                ]
-                transactions = transactions_from_packets(packets)
-            else:
-                transactions = transactions_from_flows(
-                    sorted(community.traffic)
-                )
-            summary = summarize_transactions(transactions)
+            block = traffic_block(
+                community.traffic, granularity, community_set.extractor.trace.table
+            )
+            summary = summarize_transactions(block)
             degrees.append(summary.rule_degree)
             supports.append(summary.rule_support)
         sizes = [c.size for c in community_set.communities]

@@ -8,7 +8,12 @@ checks the two properties a daemon must not lose:
 
 * liveness: ``/health`` reports ``ok`` and ``/metrics`` counts the
   ingested windows — also right after the daemon answered a malformed
-  request line and an out-of-range packet row with two 400s;
+  request line, an out-of-range packet row and two feeds opened with
+  bad options (a negative window, a date that climbs out of the
+  database root) with four 400s;
+* containment: the daemon stores the closed day in its database and
+  warehouse roots (both under one temporary directory) and writes
+  nothing else in that directory;
 * clean death: SIGTERM terminates the process with the conventional
   signal status and leaves no ``/dev/shm`` segments behind.
 
@@ -29,7 +34,9 @@ import signal
 import socket
 import subprocess
 import sys
+import tempfile
 import threading
+from pathlib import Path
 import time
 import urllib.error
 import urllib.request
@@ -97,6 +104,15 @@ def post_status(base: str, path: str, payload: dict) -> int:
     return 200
 
 
+def files_outside(top: Path, *roots: Path) -> list[Path]:
+    """Files under ``top`` that are not under one of ``roots``."""
+    return [
+        path
+        for path in top.rglob("*")
+        if path.is_file() and not any(root in path.parents for root in roots)
+    ]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--duration", type=float, default=12.0)
@@ -113,6 +129,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     segments_before = shm_segments()
     deadline = time.monotonic() + args.timeout
+    scratch = tempfile.TemporaryDirectory(prefix="serve-smoke-")
+    top = Path(scratch.name)
+    # Nested, so a path that climbs two levels still lands inside top.
+    db_root, warehouse_root = top / "a" / "b" / "db", top / "a" / "b" / "wh"
 
     process = subprocess.Popen(
         [
@@ -126,6 +146,10 @@ def main(argv: list[str] | None = None) -> int:
             str(args.duration * 2),
             "--exit-after",
             str(args.timeout),
+            "--db-root",
+            str(db_root),
+            "--warehouse-root",
+            str(warehouse_root),
         ],
         stderr=subprocess.PIPE,
     )
@@ -155,6 +179,19 @@ def main(argv: list[str] | None = None) -> int:
         assert bad_line == 400, f"malformed request line got {bad_line}"
         with urllib.request.urlopen(base + "/health", timeout=30) as response:
             assert response.status == 200, response.status
+        # Bad feed options are refused and open no feed.
+        errors = get(base, "/metrics")["http"]["errors"]
+        for name, options in (
+            ("bad-window", {"date": day.date, "window": -5}),
+            ("bad-date", {"date": "..-..-x"}),
+        ):
+            code = post_status(base, f"/feeds/{name}", options)
+            assert code == 400, f"feed {name} got {code}"
+        listed = {feed["name"] for feed in get(base, "/feeds")["feeds"]}
+        assert listed == {"smoke"}, listed
+        assert get(base, "/metrics")["http"]["errors"] == errors + 2
+        with urllib.request.urlopen(base + "/health", timeout=30) as response:
+            assert response.status == 200, response.status
         status = post(base, "/feeds/smoke/close", {})
         assert status["state"] == "closed", status
         assert status["packets_in"] == len(day.trace), status
@@ -171,10 +208,18 @@ def main(argv: list[str] | None = None) -> int:
         metrics = get(base, "/metrics")
         assert metrics["ingest"]["windows"] >= 1, metrics
         assert metrics["ingest"]["packets"] == len(day.trace), metrics
-        assert metrics["http"]["errors"] == 2, metrics
+        assert metrics["http"]["errors"] == 4, metrics
         health = get(base, "/health")
         assert health["status"] == "ok", health
         assert health["days_published"] == 1, health
+        year, month, mday = day.date.split("-")
+        day_file = db_root / year / month / f"{mday}_anomalous_suspicious.csv"
+        assert day_file.is_file(), f"closed day not in the database: {day_file}"
+        assert list(warehouse_root.rglob(f"{day.date}.labels.seg")), (
+            "closed day not in the warehouse"
+        )
+        outside = files_outside(top, db_root, warehouse_root)
+        assert not outside, f"daemon wrote outside its roots: {outside}"
     except BaseException:
         process.kill()
         process.wait()
@@ -188,8 +233,12 @@ def main(argv: list[str] | None = None) -> int:
 
     leaked = shm_segments() - segments_before
     assert not leaked, f"daemon leaked /dev/shm segments: {sorted(leaked)}"
+    scratch.cleanup()
 
-    print("serve smoke OK: ingested, queried, SIGTERM'd cleanly, no leaks")
+    print(
+        "serve smoke OK: ingested, queried, refused bad input, stored the "
+        "day inside its roots, SIGTERM'd cleanly, no leaks"
+    )
     return 0
 
 

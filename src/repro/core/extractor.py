@@ -126,14 +126,14 @@ class ColumnarTrafficExtraction:
         self._filter_mask = engine.kernel("filter_mask")
         self._scratch = engine.scratch()
         self._codes, self._keys = trace.flow_code_table(Granularity.UNIFLOW)
-        self._key_to_code = {key: c for c, key in enumerate(self._keys)}
+        self._key_to_code = dict(zip(self._keys, range(len(self._keys))))
         if granularity is Granularity.BIFLOW:
             self._bicodes, self._bikeys = trace.flow_code_table(
                 Granularity.BIFLOW
             )
-            self._bikey_to_code = {
-                key: c for c, key in enumerate(self._bikeys)
-            }
+            self._bikey_to_code = dict(
+                zip(self._bikeys, range(len(self._bikeys)))
+            )
         else:
             self._bicodes = np.empty(0, dtype=np.int64)
             self._bikeys = []

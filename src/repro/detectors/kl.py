@@ -20,7 +20,10 @@ Algorithm
 4. For each anomalous bin, select the values whose probability grew
    the most (the divergence contributors), keep packets carrying any
    such value, and run the modified Apriori on them; emit one alarm
-   per mined maximal rule.
+   per mined maximal rule.  The miner reads the selected rows as an
+   integer block sliced from the packet table (the engine's
+   ``"frequent_itemsets"`` kernel), and the lift filter counts the
+   previous bin's matches with one mask per rule.
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ import numpy as np
 from repro.detectors.base import Alarm, Detector
 from repro.detectors.features import BinnedHistogram, first_appearance_order
 from repro.net.trace import Trace
-from repro.rules.apriori import apriori
-from repro.rules.itemsets import rules_from_result, transactions_from_packets
+from repro.rules.columnar import itemset_mask
+from repro.rules.itemsets import itemset_to_rule, packet_block, ranked_maximal
 
 _FEATURES = ("src", "dst", "sport", "dport")
 
@@ -88,27 +91,30 @@ class KLDetector(Detector):
         per-feature histograms across window advances: bin 0 of the new
         window is scored against them (and its grown values ranked
         against them), then the new window's last-bin histograms replace
-        the baseline.  With an empty state this is exactly
-        :meth:`analyze` — the offline-parity anchor.
+        the baseline.  ``state["baseline_block"]`` carries the last
+        bin's rows as a rule-mining block (see
+        :mod:`repro.rules.itemsets`) for bin 0's lift filter.  With an
+        empty state this is exactly :meth:`analyze` — the
+        offline-parity anchor.
         """
         if len(trace) < 4:
             return []
         planes = self._plane_cache(trace, planes)
         baseline = state.get("baseline")
-        baseline_transactions = state.get("baseline_transactions")
+        baseline_block = state.get("baseline_block")
         if self.engine.vectorized:
             return self._analyze_numpy(
                 trace,
                 planes,
                 baseline=baseline,
-                baseline_transactions=baseline_transactions,
+                baseline_block=baseline_block,
                 carry=state,
             )
         return self._analyze_python(
             trace,
             planes,
             baseline=baseline,
-            baseline_transactions=baseline_transactions,
+            baseline_block=baseline_block,
             carry=state,
         )
 
@@ -117,7 +123,7 @@ class KLDetector(Detector):
         trace: Trace,
         planes,
         baseline: dict[str, Counter] | None = None,
-        baseline_transactions: list | None = None,
+        baseline_block: np.ndarray | None = None,
         carry: dict | None = None,
     ) -> list[Alarm]:
         """Reference path: Counter histograms, packet-by-packet."""
@@ -154,8 +160,8 @@ class KLDetector(Detector):
                 feature: histograms[feature][n_bins - 1]
                 for feature in _FEATURES
             }
-            carry["baseline_transactions"] = transactions_from_packets(
-                [trace[i] for i in bins[n_bins - 1]]
+            carry["baseline_block"] = packet_block(
+                trace.table, np.asarray(bins[n_bins - 1], dtype=np.int64)
             )
 
         alarms: list[Alarm] = []
@@ -180,32 +186,30 @@ class KLDetector(Detector):
                 if not values:
                     continue
                 selected = [
-                    trace[i]
-                    for i in bins[b]
-                    if getattr(trace[i], feature) in values
+                    i for i in bins[b] if getattr(trace[i], feature) in values
                 ]
                 if not selected:
                     continue
                 t0 = t_start + b * bin_width
                 t1 = t0 + bin_width
-                if b == 0:
-                    alarms.extend(
-                        self._mine_alarms(
-                            selected,
-                            [],
-                            t0,
-                            t1,
-                            float(series[b]),
-                            previous_transactions=baseline_transactions,
-                        )
+                previous = (
+                    baseline_block
+                    if b == 0
+                    else packet_block(
+                        trace.table, np.asarray(bins[b - 1], dtype=np.int64)
                     )
-                else:
-                    previous = [trace[i] for i in bins[b - 1]]
-                    alarms.extend(
-                        self._mine_alarms(
-                            selected, previous, t0, t1, float(series[b])
-                        )
+                )
+                alarms.extend(
+                    self._mine_alarms(
+                        packet_block(
+                            trace.table, np.asarray(selected, dtype=np.int64)
+                        ),
+                        previous,
+                        t0,
+                        t1,
+                        float(series[b]),
                     )
+                )
         return _dedupe(alarms)
 
     def _analyze_numpy(
@@ -213,15 +217,16 @@ class KLDetector(Detector):
         trace: Trace,
         planes,
         baseline: dict[str, Counter] | None = None,
-        baseline_transactions: list | None = None,
+        baseline_block: np.ndarray | None = None,
         carry: dict | None = None,
     ) -> list[Alarm]:
         """Columnar path: dense per-bin histograms over the table.
 
         Bin assignment, histogram counting (``np.add.at`` over
         ``(time bin, value code)``), divergence series and
-        grown-value ranking are all vectorized; packet objects are only
-        materialized for the anomalous bins handed to the rule miner.
+        grown-value ranking are all vectorized, and the rule miner
+        reads the anomalous bins as blocks sliced from the table: no
+        packet object is built.
         Selections are integer-identical to :meth:`_analyze_python`
         (divergence *values* may differ in the last float ulp because
         the reference accumulates in set-iteration order).  The bin
@@ -233,7 +238,6 @@ class KLDetector(Detector):
         t_start, t_end = trace.start_time, trace.end_time
         span = max(t_end - t_start, 1e-9)
         n_bins = p["n_bins"]
-        bin_idx = planes.get(trace, ("time_bins", n_bins))
         members_lists = planes.get(trace, ("bin_members", n_bins))
 
         alarms: list[Alarm] = []
@@ -282,46 +286,38 @@ class KLDetector(Detector):
                 )
                 if not selected_mask.any():
                     continue
-                selected = [trace[int(i)] for i in members[selected_mask]]
                 t0 = t_start + b * bin_width
                 t1 = t0 + bin_width
-                if b == 0:
-                    alarms.extend(
-                        self._mine_alarms(
-                            selected,
-                            [],
-                            t0,
-                            t1,
-                            float(series[b]),
-                            previous_transactions=baseline_transactions,
-                        )
+                previous = (
+                    baseline_block
+                    if b == 0
+                    else packet_block(table, members_lists[b - 1])
+                )
+                alarms.extend(
+                    self._mine_alarms(
+                        packet_block(table, members[selected_mask]),
+                        previous,
+                        t0,
+                        t1,
+                        float(series[b]),
                     )
-                else:
-                    previous = [
-                        trace[int(i)] for i in members_lists[b - 1]
-                    ]
-                    alarms.extend(
-                        self._mine_alarms(
-                            selected, previous, t0, t1, float(series[b])
-                        )
-                    )
+                )
         if carry is not None:
             carry["baseline"] = new_baseline
-            carry["baseline_transactions"] = _dense_bin_transactions(
-                table, bin_idx, n_bins - 1
+            carry["baseline_block"] = packet_block(
+                table, members_lists[n_bins - 1]
             )
         return _dedupe(alarms)
 
     def _mine_alarms(
         self,
-        packets,
-        previous_packets,
+        block: np.ndarray,
+        previous: np.ndarray | None,
         t0: float,
         t1: float,
         score: float,
-        previous_transactions=None,
     ) -> list[Alarm]:
-        """Run Apriori on the anomalous packets, one alarm per rule.
+        """Mine the anomalous rows' rules, one alarm per rule.
 
         A mined rule is kept only if its prevalence *grew* relative to
         the previous bin (lift filter): anomaly extraction reports what
@@ -330,29 +326,27 @@ class KLDetector(Detector):
         previous-bin coverage is already high (steady-state traffic
         such as port 80) are discarded even when frequent now.
 
-        ``previous_transactions`` overrides the previous bin's encoded
-        4-tuples when its packets are gone — the streamed bin-0 case,
-        where the previous bin lives in the carried detector state.
+        ``block`` and ``previous`` are rule-mining blocks (see
+        :mod:`repro.rules.itemsets`) of the anomalous bin's selected
+        rows and of the previous bin; for a streamed bin 0 the previous
+        bin is the carried last bin of the previous window, or ``None``
+        without one.
         """
         p = self.params
-        transactions = transactions_from_packets(packets)
-        result = apriori(transactions, min_support_pct=p["rule_support_pct"])
-        rules = rules_from_result(result, limit=p["max_rules_per_bin"])
-        if previous_transactions is None:
-            previous_transactions = transactions_from_packets(
-                previous_packets
-            )
-        prev_transactions = [frozenset(t) for t in previous_transactions]
-        n_prev = len(prev_transactions)
+        result = self.engine.kernel("frequent_itemsets")(
+            block, p["rule_support_pct"]
+        )
+        n_prev = 0 if previous is None else len(previous)
         alarms = []
-        for rule in rules:
-            if rule.degree == 0:
-                continue
+        for itemset in ranked_maximal(result, limit=p["max_rules_per_bin"]):
+            rule = itemset_to_rule(
+                itemset.items, count=itemset.count, support=itemset.support
+            )
             if n_prev > 0:
-                items = _rule_items(rule)
-                prev_cov = sum(
-                    1 for t in prev_transactions if items <= t
-                ) / n_prev
+                prev_cov = (
+                    int(np.count_nonzero(itemset_mask(previous, itemset.items)))
+                    / n_prev
+                )
                 if prev_cov * p["min_lift"] >= rule.support:
                     continue
             alarms.append(
@@ -406,28 +400,6 @@ def _grown_values_dense(
     delta = counts[b, uniq_codes] / n_curr - counts[b - 1, uniq_codes] / n_prev
     order = np.lexsort((first_pos, -delta))[:top]
     return uniq_codes[order][delta[order] > 0]
-
-
-def _dense_bin_transactions(table, bin_idx: np.ndarray, b: int) -> list[tuple]:
-    """One bin's encoded 4-tuple transactions, read off the columns.
-
-    Element-identical to ``transactions_from_packets`` over the bin's
-    packets (same ints, same order) without materializing objects —
-    this runs once per window to carry the last bin into the next
-    window's lift filter.
-    """
-    idx = np.nonzero(bin_idx == b)[0]
-    return [
-        (
-            ("src", int(src)),
-            ("sport", int(sport)),
-            ("dst", int(dst)),
-            ("dport", int(dport)),
-        )
-        for src, sport, dst, dport in zip(
-            table.src[idx], table.sport[idx], table.dst[idx], table.dport[idx]
-        )
-    ]
 
 
 def _dense_bin_counter(histogram: BinnedHistogram, b: int) -> Counter:
@@ -505,20 +477,6 @@ def _grown_values(prev: Counter, curr: Counter, top: int) -> set:
     }
     ranked = sorted(growth.items(), key=lambda kv: kv[1], reverse=True)
     return {key for key, delta in ranked[:top] if delta > 0}
-
-
-def _rule_items(rule) -> frozenset:
-    """Itemset form of a Rule, for coverage tests."""
-    items = []
-    if rule.src is not None:
-        items.append(("src", rule.src))
-    if rule.sport is not None:
-        items.append(("sport", rule.sport))
-    if rule.dst is not None:
-        items.append(("dst", rule.dst))
-    if rule.dport is not None:
-        items.append(("dport", rule.dport))
-    return frozenset(items)
 
 
 def _dedupe(alarms: list[Alarm]) -> list[Alarm]:

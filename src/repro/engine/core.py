@@ -7,9 +7,9 @@ replaces that convention with one first-class object:
 
 * a **kernel registry** — each operation with paired implementations
   (filter-mask, flow-coding, feature binning, sketch hashing,
-  similarity graph, heuristics, traffic extraction) registers one
-  kernel per engine, and callers ask ``engine.kernel("flow_codes")``
-  instead of branching on a string;
+  similarity graph, heuristics, traffic extraction, rule mining)
+  registers one kernel per engine, and callers ask
+  ``engine.kernel("flow_codes")`` instead of branching on a string;
 * **capability flags** — ``engine.vectorized`` tells a caller whether
   columnar array paths are available without naming any engine;
 * **per-engine scratch allocators** — :meth:`Engine.scratch` hands out
@@ -54,6 +54,7 @@ KERNEL_OPS = (
     "label_assign",
     "feature_plane",
     "warehouse_select",
+    "frequent_itemsets",
 )
 
 

@@ -42,6 +42,13 @@ Kernel signatures
     for index-aligned decision columns; ``NaN`` relative distance
     means "no metric, approximate from mu" exactly like
     :func:`repro.labeling.taxonomy.assign_taxonomy`.
+``frequent_itemsets(block, min_support_pct=20.0, max_size=4)``
+    :class:`~repro.rules.apriori.AprioriResult` of an ``(n, 4)`` int64
+    block of src, sport, dst and dport values (KL's rule extraction
+    and Step 4's community rules): itemsets, counts, supports and
+    order are the same on every engine.  The reference kernel is
+    Apriori over one transaction per row; the vectorized kernel counts
+    every field subset by grouping packed integer keys.
 ``feature_plane(trace, spec, planes)``
     One derived feature plane of a trace (column, time-bin index,
     binned histogram, sketch buckets, per-family statistics...), keyed
@@ -420,6 +427,24 @@ def _warehouse_select_python(
     return np.asarray(out, dtype=np.int64)
 
 
+# -- rule mining -------------------------------------------------------
+
+
+@PYTHON_ENGINE.register("frequent_itemsets")
+def _frequent_itemsets_python(block, min_support_pct=20.0, max_size=4):
+    """Breadth-first Apriori over the block's transactions (the oracle)."""
+    from repro.rules.apriori import apriori
+    from repro.rules.itemsets import transactions_from_block
+
+    return apriori(transactions_from_block(block), min_support_pct, max_size)
+
+
+def _register_rule_kernels() -> None:
+    from repro.rules.columnar import frequent_itemsets
+
+    NUMPY_ENGINE.register("frequent_itemsets", frequent_itemsets)
+
+
 # -- traffic extraction ------------------------------------------------
 
 
@@ -437,3 +462,4 @@ _register_sketch_kernels()
 _register_graph_kernels()
 _register_extractor_kernels()
 _register_plane_kernels()
+_register_rule_kernels()

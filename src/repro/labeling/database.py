@@ -22,7 +22,9 @@ lightweight :class:`StoredLabel` records usable with
 from __future__ import annotations
 
 import csv
+import datetime
 import os
+import re
 import threading
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -65,11 +67,28 @@ class StoredLabel:
     rule_support: float = 0.0
 
 
-def _day_relpath(date: str) -> str:
+_ISO_DAY = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
+def is_iso_day(date) -> bool:
+    """Whether ``date`` is a ``YYYY-MM-DD`` calendar date string.
+
+    Day files and warehouse segments are named after the date, so
+    nothing else may reach a file path.
+    """
+    if not isinstance(date, str) or not _ISO_DAY.fullmatch(date):
+        return False
     try:
-        year, month, day = date.split("-")
-    except ValueError as exc:
-        raise LabelingError(f"bad ISO date {date!r}") from exc
+        datetime.date.fromisoformat(date)
+    except ValueError:
+        return False
+    return True
+
+
+def _day_relpath(date: str) -> str:
+    if not is_iso_day(date):
+        raise LabelingError(f"bad ISO date {date!r}")
+    year, month, day = date.split("-")
     return os.path.join(year, month, f"{day}_anomalous_suspicious.csv")
 
 

@@ -35,7 +35,7 @@ from repro.labeling.heuristics import HeuristicLabel, label_community
 from repro.labeling.taxonomy import assign_taxonomy, assign_taxonomy_batch
 from repro.net.flow import Granularity
 from repro.net.trace import Trace
-from repro.rules.itemsets import transactions_from_flows, transactions_from_packets
+from repro.rules.itemsets import traffic_block
 from repro.rules.summarize import CommunitySummary, summarize_transactions
 
 
@@ -122,11 +122,12 @@ class MAWILabPipeline:
         Execution engine (any spec
         :func:`repro.engine.resolve_engine` accepts) applied to every
         stage that has paired kernels: detector feature binning,
-        traffic extraction, similarity-graph construction and the
-        community heuristics.  ``"python"`` selects the pure-Python
-        reference implementations end-to-end; all engines produce
-        byte-identical label output.  A caller-supplied ``ensemble``
-        keeps its own per-detector engines.
+        traffic extraction, similarity-graph construction, the
+        community heuristics and rule mining.  ``"python"`` selects
+        the pure-Python reference implementations end-to-end; all
+        engines produce byte-identical label output.  A
+        caller-supplied ``ensemble`` keeps its own per-detector
+        engines.
     """
 
     def __init__(
@@ -311,15 +312,13 @@ class MAWILabPipeline:
 
     def _summarize(self, community_set: CommunitySet, community) -> CommunitySummary:
         """Association rules over the community's traffic."""
-        granularity = community_set.granularity
-        if granularity is Granularity.PACKET:
-            extractor = community_set.extractor
-            packets = [extractor.trace[i] for i in sorted(community.traffic)]
-            transactions = transactions_from_packets(packets)
-        else:
-            transactions = transactions_from_flows(sorted(community.traffic))
+        block = traffic_block(
+            community.traffic,
+            community_set.granularity,
+            community_set.extractor.trace.table,
+        )
         return summarize_transactions(
-            transactions, min_support_pct=self.rule_support_pct
+            block, min_support_pct=self.rule_support_pct, engine=self.engine
         )
 
 

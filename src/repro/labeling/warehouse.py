@@ -72,7 +72,7 @@ from repro.core.alarm_table import ALL_ARRAYS, AlarmTable
 from repro.engine import EngineSpec, resolve_engine
 from repro.errors import WarehouseError
 from repro.ioutil import write_atomic, write_atomic_bytes
-from repro.labeling.database import _address_code
+from repro.labeling.database import _address_code, is_iso_day
 from repro.labeling.mawilab import LabelRecord, PipelineResult, labels_to_csv
 from repro.labeling.store import (
     LABEL_BOUND_COLUMNS,
@@ -622,8 +622,11 @@ class Warehouse:
         Returns the label segment path.  Segment files are published
         atomically and the manifest (bytes + SHA-256 per file) last, so
         a crash mid-store leaves the previous manifest pointing only at
-        complete files.
+        complete files.  ``date`` names the segment files, so it must
+        be a ``YYYY-MM-DD`` calendar date.
         """
+        if not is_iso_day(date):
+            raise WarehouseError(f"bad ISO date {date!r}")
         version, entry = self._version_entry(version)
         store = (
             labels

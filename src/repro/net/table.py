@@ -243,33 +243,38 @@ def flow_codes(
             np.where(swap, dport, sport),
             np.where(swap, sport, dport),
         )
-    # Pack the 5-tuple into two uint64 words (64 + 40 bits used).
-    packed = np.empty(n, dtype=[("a", np.uint64), ("b", np.uint64)])
-    packed["a"] = (src << np.uint64(32)) | dst
-    packed["b"] = (
+    # Pack the 5-tuple into two uint64 words (64 + 40 bits used) and
+    # group them with a stable sort: each group's rows stay in row
+    # order, so its first sorted row is the flow's first appearance.
+    high = (src << np.uint64(32)) | dst
+    low = (
         (sport << np.uint64(24))
         | (dport << np.uint64(8))
         | table.proto.astype(np.uint64)
     )
-    _uniq, first_index, inverse = np.unique(
-        packed, return_index=True, return_inverse=True
-    )
-    # np.unique numbers groups in sorted order; renumber by first
-    # appearance so codes match insertion-ordered dict aggregation.
-    appearance = np.argsort(first_index, kind="stable")
-    rank = np.empty(len(first_index), dtype=np.int64)
-    rank[appearance] = np.arange(len(first_index), dtype=np.int64)
-    codes = rank[inverse]
-    keys = [
-        FlowKey(
-            src=int(src[i]),
-            sport=int(sport[i]),
-            dst=int(dst[i]),
-            dport=int(dport[i]),
-            proto=int(table.proto[i]),
+    order = np.lexsort((low, high))
+    starts = np.ones(n, dtype=bool)
+    high, low = high[order], low[order]
+    starts[1:] = (high[1:] != high[:-1]) | (low[1:] != low[:-1])
+    group = np.cumsum(starts) - 1
+    # Number the flows by first appearance: the rank of each flow's
+    # first row among all first rows.
+    first = np.zeros(n, dtype=bool)
+    first[order[starts]] = True
+    rank = np.cumsum(first) - 1
+    codes = np.empty(n, dtype=np.int64)
+    codes[order] = rank[order[starts]][group]
+    rows = np.nonzero(first)[0]
+    keys = list(
+        map(
+            FlowKey,
+            src[rows].tolist(),
+            sport[rows].tolist(),
+            dst[rows].tolist(),
+            dport[rows].tolist(),
+            table.proto[rows].tolist(),
         )
-        for i in first_index[appearance]
-    ]
+    )
     return codes, keys
 
 

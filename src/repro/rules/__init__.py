@@ -8,19 +8,26 @@ The paper uses association rules in two places:
   each community's traffic into concise 4-tuple rules (Section 4.1.1),
   scored by *rule degree* and *rule support*.
 
-Both use the same engine: :func:`~repro.rules.apriori.apriori`, a
-breadth-first Apriori with the paper's modification that minimum
-support ``s`` is a *percentage* of the transactions rather than an
-absolute count.
+Both read the traffic as an ``(n, 4)`` integer block of src, sport,
+dst and dport values (:func:`~repro.rules.itemsets.packet_block`,
+:func:`~repro.rules.itemsets.flow_block`) and mine it through the
+engine's ``"frequent_itemsets"`` kernel, with the paper's modification
+that minimum support ``s`` is a *percentage* of the transactions rather
+than an absolute count.  The reference kernel is
+:func:`~repro.rules.apriori.apriori`, a breadth-first Apriori over one
+transaction per row; the columnar kernel
+(:mod:`repro.rules.columnar`) counts every field subset of the block
+at once and returns the same itemsets.
 """
 
 from repro.rules.apriori import AprioriResult, FrequentItemset, apriori
 from repro.rules.itemsets import (
     FIELDS,
     Rule,
+    flow_block,
     itemset_to_rule,
-    transactions_from_flows,
-    transactions_from_packets,
+    packet_block,
+    transactions_from_block,
 )
 from repro.rules.summarize import CommunitySummary, summarize_transactions
 
@@ -30,9 +37,10 @@ __all__ = [
     "apriori",
     "FIELDS",
     "Rule",
+    "flow_block",
     "itemset_to_rule",
-    "transactions_from_flows",
-    "transactions_from_packets",
+    "packet_block",
+    "transactions_from_block",
     "CommunitySummary",
     "summarize_transactions",
 ]

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 from typing import Hashable, Iterable, Sequence
 
@@ -87,17 +88,13 @@ def apriori(
     Raises
     ------
     RuleMiningError
-        If the support threshold is out of range.
+        If the support threshold or ``max_size`` is out of range.
     """
-    if not 0.0 < min_support_pct <= 100.0:
-        raise RuleMiningError(
-            f"min_support_pct must be in (0, 100], got {min_support_pct}"
-        )
     sets = [frozenset(t) for t in transactions]
     n = len(sets)
+    min_count = min_support_count(n, min_support_pct, max_size)
     if n == 0:
         return AprioriResult(itemsets=[], n_transactions=0)
-    min_count = max(1, -(-int(min_support_pct * n) // 100))  # ceil(n*s/100)
 
     # Size-1 pass.
     counts: Counter = Counter()
@@ -128,12 +125,40 @@ def apriori(
         for c in current:
             all_frequent[c] = candidate_counts[c]
 
+    return ordered_result(all_frequent.items(), n)
+
+
+def min_support_count(
+    n_transactions: int, min_support_pct: float, max_size: int
+) -> int:
+    """Check the mining parameters; the smallest frequent count.
+
+    Every miner calls this first.  The count is the smallest ``c`` with
+    ``c / n >= min_support_pct / 100``, computed exactly: at 20.1 % of
+    5 transactions an itemset needs 2 of them, not 1.
+    """
+    if not 0.0 < min_support_pct <= 100.0:
+        raise RuleMiningError(
+            f"min_support_pct must be in (0, 100], got {min_support_pct}"
+        )
+    if max_size < 1:
+        raise RuleMiningError(f"max_size must be at least 1, got {max_size}")
+    exact = Fraction(min_support_pct) * n_transactions / 100
+    return max(1, -(-exact.numerator // exact.denominator))
+
+
+def ordered_result(counts: Iterable, n: int) -> AprioriResult:
+    """An :class:`AprioriResult` from ``(items, count)`` pairs.
+
+    Largest itemsets first, then the most frequent; the sorted items
+    break the remaining ties, so the order does not depend on the
+    order the pairs come in (string hashing changes that from one
+    process to the next).
+    """
     itemsets = [
         FrequentItemset(items=items, count=count, support=count / n)
-        for items, count in all_frequent.items()
+        for items, count in counts
     ]
-    # The items break ties: the insertion order above follows string
-    # hashing, which changes from one process to the next.
     itemsets.sort(key=lambda s: (-len(s.items), -s.count, sorted(s.items)))
     return AprioriResult(itemsets=itemsets, n_transactions=n)
 

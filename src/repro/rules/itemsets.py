@@ -1,10 +1,12 @@
-"""Encoding traffic as transactions, and itemsets as 4-tuple rules.
+"""Encoding traffic for the rule miners, and itemsets as 4-tuple rules.
 
-A transaction is the 4-tuple of one packet or one flow: source address,
-source port, destination address, destination port — each encoded as a
-``(field, value)`` item so that Apriori can mix fields freely.  This is
+The miners read a *block*: an ``(n, 4)`` int64 array with one row per
+packet or flow and the columns source address, source port,
+destination address, destination port (:data:`FIELDS` order).  This is
 exactly the rule space of the paper's Section 4.1.1 (protocol is not
-part of the rule degree).
+part of the rule degree).  The reference Apriori reads the same rows as
+transactions of ``(field, value)`` items, so that it can mix fields
+freely.
 """
 
 from __future__ import annotations
@@ -12,37 +14,51 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from repro.net.flow import FlowKey
-from repro.net.packet import Packet
+import numpy as np
+
+from repro.net.flow import FlowKey, Granularity
 
 # Field order defines the canonical 4-tuple rendering <src, sport, dst, dport>.
 FIELDS = ("src", "sport", "dst", "dport")
 
 
-def transactions_from_packets(packets: Iterable[Packet]) -> list[tuple]:
-    """One transaction per packet."""
-    return [
-        (
-            ("src", p.src),
-            ("sport", p.sport),
-            ("dst", p.dst),
-            ("dport", p.dport),
-        )
-        for p in packets
-    ]
+def packet_block(table, rows=None) -> np.ndarray:
+    """The block of a :class:`~repro.net.table.PacketTable`'s rows.
+
+    ``rows`` is an index array (all rows when ``None``); the block keeps
+    its order.
+    """
+    columns = [table.column(field) for field in FIELDS]
+    if rows is not None:
+        columns = [column[rows] for column in columns]
+    block = np.empty((len(columns[0]), len(FIELDS)), dtype=np.int64)
+    for j, column in enumerate(columns):
+        block[:, j] = column
+    return block
 
 
-def transactions_from_flows(flows: Iterable[FlowKey]) -> list[tuple]:
-    """One transaction per flow key."""
-    return [
-        (
-            ("src", k.src),
-            ("sport", k.sport),
-            ("dst", k.dst),
-            ("dport", k.dport),
-        )
-        for k in flows
-    ]
+def flow_block(flows: Iterable[FlowKey]) -> np.ndarray:
+    """The block of some flow keys, one row per key."""
+    keys = np.array(list(flows), dtype=np.int64).reshape(-1, 5)
+    return np.ascontiguousarray(keys[:, : len(FIELDS)])
+
+
+def traffic_block(traffic, granularity: Granularity, table) -> np.ndarray:
+    """The block of an extracted traffic set (e.g. a community's).
+
+    At packet granularity ``traffic`` holds row indices into ``table``;
+    otherwise it holds flow keys.  Row order is unspecified: nothing
+    mined from a block depends on it.
+    """
+    if granularity is Granularity.PACKET:
+        rows = np.fromiter(traffic, dtype=np.int64, count=len(traffic))
+        return packet_block(table, rows)
+    return flow_block(traffic)
+
+
+def transactions_from_block(block) -> list[tuple]:
+    """One ``((field, value), ...)`` transaction per block row."""
+    return [tuple(zip(FIELDS, row)) for row in np.asarray(block).tolist()]
 
 
 @dataclass(frozen=True)
@@ -128,11 +144,3 @@ def ranked_maximal(result, limit: Optional[int] = None) -> list:
         key=lambda s: (-len(s.items), -s.support, _rendered_order(s.items)),
     )
     return itemsets if limit is None else itemsets[:limit]
-
-
-def rules_from_result(result, limit: Optional[int] = None) -> list[Rule]:
-    """:func:`ranked_maximal` itemsets, as Rules."""
-    return [
-        itemset_to_rule(s.items, count=s.count, support=s.support)
-        for s in ranked_maximal(result, limit)
-    ]

@@ -15,10 +15,18 @@ alarms, which is what makes the labels concise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
-from repro.rules.apriori import apriori, coverage
-from repro.rules.itemsets import Rule, itemset_to_rule, ranked_maximal
+import numpy as np
+
+from repro.engine import EngineSpec, resolve_engine
+from repro.rules.apriori import coverage
+from repro.rules.columnar import block_coverage
+from repro.rules.itemsets import (
+    Rule,
+    itemset_to_rule,
+    ranked_maximal,
+    transactions_from_block,
+)
 
 
 @dataclass
@@ -41,39 +49,50 @@ class CommunitySummary:
 
 
 def summarize_transactions(
-    transactions: Sequence[tuple],
+    block,
     min_support_pct: float = 20.0,
     max_rules: int = 20,
+    engine: EngineSpec = "auto",
 ) -> CommunitySummary:
-    """Mine and score the rules of one community's transactions.
+    """Mine and score the rules of one community's traffic.
 
     Parameters
     ----------
-    transactions:
-        Encoded 4-tuples (see ``repro.rules.itemsets``).
+    block:
+        The community's packets or flows as an ``(n, 4)`` integer block
+        (see ``repro.rules.itemsets``).
     min_support_pct:
         Apriori percentage support; the paper fixes it at 20 %.
     max_rules:
         Keep at most this many rules (most specific first) — large
         communities can otherwise produce rule floods.
+    engine:
+        Engine whose ``"frequent_itemsets"`` kernel mines the rules; a
+        vectorized engine also measures the rule support with masks.
     """
-    if not transactions:
+    engine = resolve_engine(engine, what="rule miner")
+    block = np.asarray(block, dtype=np.int64).reshape(-1, 4)
+    n = len(block)
+    if n == 0:
         return CommunitySummary()
-    result = apriori(transactions, min_support_pct=min_support_pct)
+    result = engine.kernel("frequent_itemsets")(block, min_support_pct)
     # One ranked cut yields both the rules and the itemsets whose
     # coverage is the rule support.
     itemsets = ranked_maximal(result, limit=max_rules)
     if not itemsets:
-        return CommunitySummary(n_transactions=len(transactions))
+        return CommunitySummary(n_transactions=n)
     rules = [
         itemset_to_rule(s.items, count=s.count, support=s.support)
         for s in itemsets
     ]
     degree = sum(rule.degree for rule in rules) / len(rules)
-    support = coverage(transactions, itemsets) * 100.0
+    if engine.vectorized:
+        support = block_coverage(block, itemsets)
+    else:
+        support = coverage(transactions_from_block(block), itemsets)
     return CommunitySummary(
         rules=rules,
         rule_degree=degree,
-        rule_support=support,
-        n_transactions=len(transactions),
+        rule_support=support * 100.0,
+        n_transactions=n,
     )

@@ -37,13 +37,14 @@ leaves no orphan workers or ``/dev/shm`` segments.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from typing import Optional, Sequence
 
 from repro.engine import EngineSpec
 from repro.errors import ServeError
-from repro.labeling.database import LabelDatabase, LiveLabelIndex
+from repro.labeling.database import LabelDatabase, LiveLabelIndex, is_iso_day
 from repro.net.table import PacketTable
 from repro.net.trace import TraceMetadata
 from repro.runner.config import PipelineConfig
@@ -142,6 +143,26 @@ class _FeedRing:
     def depth_packets(self) -> int:
         with self._cond:
             return self._packets
+
+
+def _shown(value) -> str:
+    """``repr`` of a client-supplied value, cut for an error message."""
+    text = repr(value)
+    return text if len(text) <= 64 else text[:61] + "..."
+
+
+def _check_positive(field: str, value) -> None:
+    """Raise :class:`ServeError` unless ``value`` is a finite number > 0."""
+    number = math.nan
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+    if not (math.isfinite(number) and number > 0):
+        raise ServeError(
+            f"{field} must be a finite positive number, got {_shown(value)}"
+        )
 
 
 class Feed:
@@ -379,6 +400,62 @@ class LabelingService:
 
     # -- feeds ---------------------------------------------------------
 
+    def feed_options(
+        self,
+        name: str,
+        date: Optional[str] = None,
+        window: Optional[float] = None,
+        hop: Optional[float] = None,
+        max_ring_packets: Optional[int] = None,
+    ) -> dict:
+        """Check one feed's options; the options with defaults filled in
+        (``date`` stays ``None`` when not given).
+
+        ``date`` (the feed name when ``None``) must be a ``YYYY-MM-DD``
+        calendar date whenever closing the feed writes its day into the
+        database or the warehouse.  ``window`` and ``hop`` must be
+        finite positive numbers with ``hop <= window``, and
+        ``max_ring_packets`` a positive integer; booleans are neither.
+        Raises :class:`~repro.errors.ServeError` naming the field.
+        """
+        if date is not None and not is_iso_day(date):
+            raise ServeError(
+                f"date must be a YYYY-MM-DD calendar date, got {_shown(date)}"
+            )
+        if date is None and not is_iso_day(name) and (
+            self.database is not None or self.warehouse is not None
+        ):
+            raise ServeError(
+                f"feed {_shown(name)} needs a YYYY-MM-DD date: its name is "
+                f"not one, and its day is stored when it closes"
+            )
+        window = self.default_window if window is None else window
+        _check_positive("window", window)
+        hop = self.default_hop if hop is None else hop
+        if hop is not None:
+            _check_positive("hop", hop)
+            if hop > window:
+                raise ServeError(
+                    f"hop must not exceed window, got hop={hop} window={window}"
+                )
+        if max_ring_packets is None:
+            max_ring_packets = self.default_max_ring_packets
+        if (
+            isinstance(max_ring_packets, bool)
+            or not isinstance(max_ring_packets, int)
+            or max_ring_packets <= 0
+        ):
+            raise ServeError(
+                "max_ring_packets must be a positive integer, got "
+                f"{_shown(max_ring_packets)}"
+            )
+        return {
+            "date": date,
+            "window": window,
+            "hop": hop,
+            "max_ring_packets": max_ring_packets,
+        }
+
     def open_feed(
         self,
         name: str,
@@ -387,7 +464,17 @@ class LabelingService:
         hop: Optional[float] = None,
         max_ring_packets: Optional[int] = None,
     ) -> Feed:
-        """Open one named feed (its consumer thread starts now)."""
+        """Open one named feed (its consumer thread starts now).
+
+        Options are checked by :meth:`feed_options` first.
+        """
+        options = self.feed_options(
+            name,
+            date=date,
+            window=window,
+            hop=hop,
+            max_ring_packets=max_ring_packets,
+        )
         with self._lock:
             if self._closed:
                 raise ServeError("service is shut down")
@@ -396,18 +483,9 @@ class LabelingService:
                 "draining",
             ):
                 raise ServeError(f"feed {name!r} is already open")
-            feed = Feed(
-                self,
-                name=name,
-                date=date or name,
-                window=window if window is not None else self.default_window,
-                hop=hop if hop is not None else self.default_hop,
-                max_ring_packets=(
-                    max_ring_packets
-                    if max_ring_packets is not None
-                    else self.default_max_ring_packets
-                ),
-            )
+            if options["date"] is None:
+                options["date"] = name
+            feed = Feed(self, name=name, **options)
             self._feeds[name] = feed
             return feed
 

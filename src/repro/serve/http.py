@@ -21,7 +21,10 @@ Routes
     the offline ``repro label`` CSV for a fully ingested day.
 ``POST /feeds/<name>``
     Open a feed (JSON body: ``date``, ``window``, ``hop``,
-    ``max_ring_packets``).
+    ``max_ring_packets``).  An option that is not valid (see
+    :meth:`~repro.serve.daemon.LabelingService.feed_options`) gets a
+    400 naming it, and no feed opens; a feed of that name that is
+    still open gets a 409.
 ``POST /feeds/<name>/packets``
     Push a chunk: ``{"packets": [[time, src, dst, sport, dport,
     proto, size, tcp_flags, icmp_type], ...]}``.  A non-finite time,
@@ -476,15 +479,19 @@ class LabelServer:
         return self._json({"labels": rows, "count": len(rows)})
 
     def _open_feed(self, name: str, body: bytes):
-        options = self._body_json(body)
+        body_options = self._body_json(body)
         try:
-            feed = self.service.open_feed(
+            options = self.service.feed_options(
                 name,
-                date=options.get("date"),
-                window=options.get("window"),
-                hop=options.get("hop"),
-                max_ring_packets=options.get("max_ring_packets"),
+                **{
+                    key: body_options.get(key)
+                    for key in ("date", "window", "hop", "max_ring_packets")
+                },
             )
+        except ServeError as exc:
+            raise _HTTPError(400, str(exc)) from exc
+        try:
+            feed = self.service.open_feed(name, **options)
         except ServeError as exc:
             raise _HTTPError(409, str(exc)) from exc
         return self._json(feed.status())

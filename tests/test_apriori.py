@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import RuleMiningError
-from repro.rules.apriori import apriori, coverage
+from repro.rules.apriori import apriori, coverage, min_support_count
 
 
 class TestBasics:
@@ -45,6 +45,49 @@ class TestBasics:
             apriori([("a",)], min_support_pct=0)
         with pytest.raises(RuleMiningError):
             apriori([("a",)], min_support_pct=101)
+
+    def test_fractional_support_rounds_up(self):
+        # 20.1 % of 5 transactions is 1.005: an itemset needs 2 of them.
+        transactions = [("a",)] * 4 + [("b",)]
+        result = apriori(transactions, min_support_pct=20.1)
+        assert [s.items for s in result.itemsets] == [frozenset({"a"})]
+        assert apriori(transactions, min_support_pct=20.0).of_size(1)[1].items == (
+            frozenset({"b"})
+        )
+
+    def test_min_support_count_is_exact(self):
+        assert min_support_count(5, 20.1, 4) == 2
+        assert min_support_count(5, 20.0, 4) == 1
+        assert min_support_count(3, 100 / 3, 4) == 2
+        assert min_support_count(10, 0.01, 4) == 1
+        assert min_support_count(0, 20.0, 4) == 1
+
+    @pytest.mark.parametrize("max_size", [0, -1])
+    def test_max_size_below_one_rejected(self, max_size):
+        with pytest.raises(RuleMiningError):
+            apriori([("a",)], min_support_pct=50, max_size=max_size)
+        with pytest.raises(RuleMiningError):
+            apriori([], min_support_pct=50, max_size=max_size)
+
+    @pytest.mark.parametrize("engine", ["numpy", "python"])
+    @pytest.mark.parametrize("rows", [1, 40])
+    def test_kernels_share_the_threshold_and_checks(self, engine, rows):
+        import numpy as np
+
+        from repro.engine import get_engine
+
+        kernel = get_engine(engine).kernel("frequent_itemsets")
+        block = np.zeros((rows * 5, 4), dtype=np.int64)
+        block[: rows * 4, 0] = 7
+        result = kernel(block, 20.1, 1)
+        assert [s.items for s in result.itemsets] == [
+            frozenset({(f, 0)}) for f in ("dport", "dst", "sport")
+        ] + [frozenset({("src", 7)})]
+        for max_size in (0, -1):
+            with pytest.raises(RuleMiningError):
+                kernel(block, 20.0, max_size)
+        with pytest.raises(RuleMiningError):
+            kernel(block, 0.0, 4)
 
     def test_max_size_limits_itemsets(self):
         transactions = [("a", "b", "c", "d")] * 5

@@ -28,10 +28,13 @@ from repro.detectors.base import Alarm
 from repro.detectors.sketch import SketchHasher, dominant_keys
 from repro.engine import KERNEL_OPS, engine_pairs, get_engine
 from repro.net.filters import FeatureFilter
-from repro.net.flow import Granularity, uniflow_key
+from repro.net.flow import FlowKey, Granularity, uniflow_key
 from repro.net.packet import PROTO_ICMP, PROTO_TCP, PROTO_UDP, Packet
-from repro.net.table import COLUMNS
+from repro.net.table import COLUMNS, PacketTable, flow_codes
 from repro.net.trace import Trace, merge_traces
+from repro.rules.apriori import apriori, coverage
+from repro.rules.columnar import block_coverage, itemset_mask, mine_block
+from repro.rules.itemsets import ranked_maximal, transactions_from_block
 
 # -- strategies -------------------------------------------------------
 #
@@ -311,6 +314,32 @@ def warehouse_select_inputs(draw):
     return columns, predicates
 
 
+@st.composite
+def itemset_inputs(draw):
+    """A rule-mining block, a support percentage and a size cap.
+
+    0 to a few hundred rows drawn from a small alphabet (so itemsets
+    are frequent), optionally repeating a few rows, copying sport into
+    dport (equal values in different fields) or using the extreme
+    address and port values.
+    """
+    n = draw(st.sampled_from([0, 1, 2, 5, 31, 32, 33]) | st.integers(0, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    block = rng.integers(0, draw(st.integers(1, 6)), size=(n, 4))
+    if n and draw(st.booleans()):
+        block = block[rng.integers(0, min(n, 3), size=n)]
+    if draw(st.booleans()):
+        block[:, 3] = block[:, 1]
+    if draw(st.booleans()):
+        block[:, 0] = np.where(block[:, 0] % 2, 0xFFFFFFFF, block[:, 0])
+        block[:, 1] = np.where(block[:, 1] % 2, 0xFFFF, block[:, 1])
+    pct = draw(
+        st.sampled_from([10.0, 15.0, 20.0, 25.0, 100.0])
+        | st.floats(min_value=0.01, max_value=100.0)
+    )
+    return block, pct, draw(st.integers(1, 4))
+
+
 # -- the parity table --------------------------------------------------
 
 
@@ -423,6 +452,17 @@ def _run_warehouse_select(engine, payload):
     return engine.kernel("warehouse_select")(columns, **predicates).tolist()
 
 
+def _run_frequent_itemsets(engine, payload):
+    block, pct, max_size = payload
+    result = engine.kernel("frequent_itemsets")(block, pct, max_size)
+    rules = ranked_maximal(result, limit=20)
+    if engine.vectorized:
+        support = block_coverage(block, rules)
+    else:
+        support = coverage(transactions_from_block(block), rules)
+    return result, support
+
+
 def _run_label_assign(engine, payload):
     accepted, distance, mu, suspicious_distance = payload
     return engine.kernel("label_assign")(
@@ -480,6 +520,7 @@ KERNEL_CASES = [
         warehouse_select_inputs(),
         _run_warehouse_select,
     ),
+    KernelCase("frequent_itemsets", itemset_inputs(), _run_frequent_itemsets),
 ]
 
 
@@ -530,6 +571,39 @@ def test_trace_flows_match_reference_aggregation(packet_list):
         assert trace.flows(granularity) == aggregate_flows(
             trace.packets, granularity
         )
+
+
+@given(itemset_inputs())
+@settings(suppress_health_check=[HealthCheck.too_slow], deadline=None)
+def test_columnar_miner_matches_apriori_at_every_size(payload):
+    """The columnar miner and rule masks, below the kernel's small-
+    block cut too: same itemsets, counts, supports and order as
+    Apriori, same rule support as the reference coverage."""
+    block, pct, max_size = payload
+    transactions = transactions_from_block(block)
+    result = mine_block(block, pct, max_size)
+    assert result == apriori(transactions, pct, max_size)
+    rules = ranked_maximal(result, limit=20)
+    covered = np.zeros(len(block), dtype=bool)
+    for itemset in rules:
+        covered |= itemset_mask(block, itemset.items)
+    expected = coverage(transactions, rules)
+    assert (covered.sum() / len(block) if len(block) else 0.0) == expected
+
+
+def test_flow_codes_of_empty_and_one_row_tables():
+    for granularity in (Granularity.UNIFLOW, Granularity.BIFLOW):
+        codes, keys = flow_codes(PacketTable.empty(), granularity)
+        assert codes.dtype == np.int64 and codes.tolist() == []
+        assert keys == []
+    row = Trace([_packet(1.0, 9, 4, 80, 1234, PROTO_TCP, 60, 2)]).table
+    codes, keys = flow_codes(row, Granularity.UNIFLOW)
+    assert codes.tolist() == [0]
+    assert keys == [FlowKey(src=9, sport=80, dst=4, dport=1234, proto=6)]
+    assert all(type(value) is int for value in keys[0])
+    codes, keys = flow_codes(row, Granularity.BIFLOW)
+    assert codes.tolist() == [0]
+    assert keys == [FlowKey(src=4, sport=1234, dst=9, dport=80, proto=6)]
 
 
 def test_engine_pairs_exist_for_all_ops():

@@ -548,8 +548,9 @@ install_signal_handlers()
 trace = SyntheticArchive(seed=7, trace_duration=5.0).day("2004-06-01").trace
 session = LabelingSession(workers=2)
 session.label_traces([trace])
-print("READY", flush=True)
 try:
+    # Inside the try: a SIGINT sent on READY must land in it.
+    print("READY", flush=True)
     time.sleep(120)
 except KeyboardInterrupt:
     sys.exit(42)

@@ -3,29 +3,39 @@
 import pytest
 
 from repro.net.flow import FlowKey
+from repro.net.table import PacketTable
 from repro.rules.apriori import apriori
 from repro.rules.itemsets import (
     Rule,
+    flow_block,
     itemset_to_rule,
-    rules_from_result,
-    transactions_from_flows,
-    transactions_from_packets,
+    packet_block,
+    ranked_maximal,
+    transactions_from_block,
 )
 from repro.rules.summarize import summarize_transactions
 from tests.conftest import make_packet
 
 
+def _block(packets):
+    return packet_block(PacketTable.from_packets(packets))
+
+
+def _transactions(packets):
+    return transactions_from_block(_block(packets))
+
+
 class TestTransactions:
     def test_packet_encoding(self):
         p = make_packet(src=1, dst=2, sport=10, dport=20)
-        (t,) = transactions_from_packets([p])
+        (t,) = _transactions([p])
         assert ("src", 1) in t
         assert ("dport", 20) in t
         assert len(t) == 4
 
     def test_flow_encoding(self):
         key = FlowKey(1, 10, 2, 20, 6)
-        (t,) = transactions_from_flows([key])
+        (t,) = transactions_from_block(flow_block([key]))
         assert ("sport", 10) in t
         assert ("dst", 2) in t
 
@@ -62,23 +72,23 @@ class TestRule:
 class TestRulesFromResult:
     def test_sorted_by_degree_then_support(self):
         packets = [make_packet(src=1, dst=2, sport=10, dport=20)] * 10
-        result = apriori(transactions_from_packets(packets), min_support_pct=50)
-        rules = rules_from_result(result)
-        assert rules[0].degree == 4
+        result = apriori(_transactions(packets), min_support_pct=50)
+        rules = ranked_maximal(result)
+        assert len(rules[0]) == 4
 
     def test_limit(self):
         packets = [
             make_packet(src=i, dst=i + 100, sport=i, dport=i) for i in range(1, 6)
         ] * 2
-        result = apriori(transactions_from_packets(packets), min_support_pct=10)
-        rules = rules_from_result(result, limit=2)
+        result = apriori(_transactions(packets), min_support_pct=10)
+        rules = ranked_maximal(result, limit=2)
         assert len(rules) == 2
 
 
 class TestSummarize:
     def test_homogeneous_traffic_degree_4(self):
         packets = [make_packet(src=1, dst=2, sport=10, dport=20)] * 20
-        summary = summarize_transactions(transactions_from_packets(packets))
+        summary = summarize_transactions(_block(packets))
         assert summary.rule_degree == pytest.approx(4.0)
         assert summary.rule_support == pytest.approx(100.0)
 
@@ -87,9 +97,7 @@ class TestSummarize:
         # sport, dst), each covering half the traffic.
         packets = [make_packet(src=1, sport=80, dst=2, dport=1000 + i) for i in range(10)]
         packets += [make_packet(src=1, sport=80, dst=3, dport=2000 + i) for i in range(10)]
-        summary = summarize_transactions(
-            transactions_from_packets(packets), min_support_pct=20
-        )
+        summary = summarize_transactions(_block(packets), min_support_pct=20)
         assert summary.rule_degree == pytest.approx(3.0)
         assert summary.rule_support == pytest.approx(100.0)
         described = {r.describe() for r in summary.rules}
@@ -101,7 +109,7 @@ class TestSummarize:
             make_packet(src=i, dst=i + 500, sport=i + 1, dport=80)
             for i in range(1, 30)
         ]
-        summary = summarize_transactions(transactions_from_packets(packets))
+        summary = summarize_transactions(_block(packets))
         # Only dport=80 is frequent.
         assert summary.rule_degree == pytest.approx(1.0)
 
@@ -112,7 +120,7 @@ class TestSummarize:
 
     def test_describe_renders(self):
         packets = [make_packet()] * 5
-        summary = summarize_transactions(transactions_from_packets(packets))
+        summary = summarize_transactions(_block(packets))
         assert "[100%]" in summary.describe()
 
 

@@ -94,7 +94,9 @@ class TestDetection:
         # mined dport=80 rule has lift ~1 and must be dropped.
         steady = [make_packet(time=1.0, src=i, dport=80) for i in range(20)]
         previous = [make_packet(time=0.0, src=i + 100, dport=80) for i in range(20)]
-        alarms = detector._mine_alarms(steady, previous, 1.0, 2.0, 1.0)
+        alarms = detector._mine_alarms(
+            _block(steady), _block(previous), 1.0, 2.0, 1.0
+        )
         assert all(
             a.filters[0].dport != 80 or a.filters[0].degree > 1 for a in alarms
         )
@@ -106,7 +108,9 @@ class TestDetection:
         # Port 445 did not exist before -> infinite lift -> kept.
         current = [make_packet(time=1.0, src=7, dst=i, dport=445) for i in range(20)]
         previous = [make_packet(time=0.0, src=i + 100, dport=80) for i in range(20)]
-        alarms = detector._mine_alarms(current, previous, 1.0, 2.0, 1.0)
+        alarms = detector._mine_alarms(
+            _block(current), _block(previous), 1.0, 2.0, 1.0
+        )
         ports = {a.filters[0].dport for a in alarms}
         assert 445 in ports
 
@@ -121,3 +125,10 @@ class TestDetection:
 
         trace = Trace([make_packet(time=float(i)) for i in range(3)])
         assert KLDetector().analyze(trace) == []
+
+
+def _block(packets):
+    from repro.net.table import PacketTable
+    from repro.rules.itemsets import packet_block
+
+    return packet_block(PacketTable.from_packets(packets))

@@ -503,3 +503,243 @@ class TestServeCLI:
 
         assert main(["serve", "--schedule", "60"]) == 2
         assert "--db-root" in capsys.readouterr().err
+
+
+# -- feed options and dates -------------------------------------------
+
+#: Strings that are not YYYY-MM-DD calendar dates, two of them paths
+#: that climb out of a database root.
+_NOT_DATES = [
+    "..-..-escaped",
+    "../../../x",
+    "2004-13-01",
+    "2004-02-30",
+    "2004-6-1",
+    "2004-06-01/..",
+    "2004-06-01\n",
+    "２004-06-01",
+    "",
+]
+
+
+def _files_outside(top, *roots):
+    """Files under ``top`` that are not under one of ``roots``."""
+    return [
+        path
+        for path in top.rglob("*")
+        if path.is_file()
+        and not any(root in path.parents for root in roots)
+    ]
+
+
+def _post_raw(base: str, path: str, body: bytes):
+    """(status, JSON payload) of one POST, 4xx/5xx included."""
+    request = urllib.request.Request(base + path, data=body, method="POST")
+    try:
+        with urllib.request.urlopen(request, timeout=60) as response:
+            return response.status, json.load(response)
+    except urllib.error.HTTPError as exc:
+        return exc.code, json.load(exc)
+
+
+@pytest.fixture
+def persisting(tmp_path):
+    """A service that stores closed days in a database and a
+    warehouse, both nested below ``tmp_path``, over HTTP."""
+    db_root = tmp_path / "a" / "b" / "db"
+    wh_root = tmp_path / "a" / "b" / "wh"
+    service = LabelingService(
+        window=60.0, db_root=str(db_root), warehouse_root=str(wh_root)
+    )
+    server = LabelServer(service).start_background()
+    yield service, server, f"http://127.0.0.1:{server.port}", (db_root, wh_root)
+    server.stop_background()
+    service.shutdown()
+    assert _files_outside(tmp_path, db_root, wh_root) == []
+
+
+class TestDayPaths:
+    @pytest.mark.parametrize("date", _NOT_DATES + [123, None])
+    def test_day_relpath_rejects_non_dates(self, date):
+        from repro.errors import LabelingError
+        from repro.labeling.database import _day_relpath
+
+        with pytest.raises(LabelingError):
+            _day_relpath(date)
+
+    def test_database_writes_only_dates(self, tmp_path):
+        from repro.errors import LabelingError
+        from repro.labeling.database import LabelDatabase
+
+        root = tmp_path / "a" / "b" / "db"
+        db = LabelDatabase(str(root))
+        for date in _NOT_DATES:
+            with pytest.raises(LabelingError):
+                db.store_day_labels(date, [])
+        db.store_day_labels("2004-02-29", [])
+        assert db.dates() == ["2004-02-29"]
+        assert _files_outside(tmp_path, root) == []
+
+    def test_warehouse_writes_only_dates(self, tmp_path):
+        from repro.errors import WarehouseError
+        from repro.labeling.warehouse import Warehouse
+
+        root = tmp_path / "a" / "b" / "wh"
+        warehouse = Warehouse(root)
+        warehouse.ensure_version("test")
+        for date in _NOT_DATES:
+            with pytest.raises(WarehouseError):
+                warehouse.store_day(date, [])
+        assert not list(tmp_path.rglob("*.seg"))
+        warehouse.store_day("2004-02-29", [])
+        assert warehouse.dates() == ["2004-02-29"]
+        assert _files_outside(tmp_path, root) == []
+
+
+#: (JSON body, field the 400 names) of feed opens that must fail.
+_BAD_FEED_OPTIONS = [
+    ({"window": "abc"}, "window"),
+    ({"window": -5}, "window"),
+    ({"window": 0}, "window"),
+    ({"window": float("nan")}, "window"),
+    ({"window": float("inf")}, "window"),
+    ({"window": True}, "window"),
+    ({"hop": [1]}, "hop"),
+    ({"window": 10, "hop": 20}, "hop"),
+    ({"hop": 61}, "hop"),
+    ({"max_ring_packets": "x"}, "max_ring_packets"),
+    ({"max_ring_packets": -1}, "max_ring_packets"),
+    ({"max_ring_packets": 0}, "max_ring_packets"),
+    ({"max_ring_packets": 1.5}, "max_ring_packets"),
+    ({"max_ring_packets": True}, "max_ring_packets"),
+    ({"date": 123}, "date"),
+    ({"date": ["x"]}, "date"),
+    ({"date": "..-..-escaped"}, "date"),
+    ({"date": "../../../x"}, "date"),
+]
+_BAD_FEED_IDS = [
+    ",".join(f"{key}={value!r}" for key, value in options.items())
+    for options, _ in _BAD_FEED_OPTIONS
+]
+
+
+class TestFeedOptions:
+    @pytest.mark.parametrize(
+        ("options", "field"),
+        _BAD_FEED_OPTIONS,
+        ids=_BAD_FEED_IDS,
+    )
+    def test_http_answers_400_and_opens_nothing(self, persisting, options, field):
+        service, server, base, _ = persisting
+        body = {"date": "2004-06-14", **options}
+        status, payload = _post_raw(base, "/feeds/bad", json.dumps(body).encode())
+        assert status == 400
+        assert field in payload["error"]
+        assert _get(base, "/feeds")["feeds"] == []
+        assert _get(base, "/health")["status"] == "ok"
+
+    @pytest.mark.parametrize(
+        ("options", "field"),
+        _BAD_FEED_OPTIONS,
+        ids=_BAD_FEED_IDS,
+    )
+    def test_service_raises(self, options, field):
+        with LabelingService(window=60.0) as service:
+            with pytest.raises(ServeError, match=field):
+                service.open_feed("bad", **{"date": "2004-06-14", **options})
+            assert service.feeds_status() == []
+
+    def test_persisting_service_needs_a_date(self, persisting):
+        service, _, base, _ = persisting
+        with pytest.raises(ServeError, match="date"):
+            service.open_feed("../../../x")
+        status, payload = _post_raw(
+            base, "/feeds/..-..-x", json.dumps({}).encode()
+        )
+        assert status == 400 and "date" in payload["error"]
+        assert service.feeds_status() == []
+
+    def test_name_is_the_date_when_it_is_one(self, persisting):
+        service, _, base, (db_root, _) = persisting
+        status, payload = _post_raw(base, "/feeds/2004-06-15", b"{}")
+        assert status == 200 and payload["date"] == "2004-06-15"
+        status, _ = _post_raw(base, "/feeds/2004-06-15/close", b"{}")
+        assert status == 200
+        from repro.labeling.database import LabelDatabase
+
+        assert LabelDatabase(str(db_root)).dates() == ["2004-06-15"]
+
+    def test_memory_only_service_keeps_any_name(self):
+        with LabelingService(window=60.0) as service:
+            assert service.open_feed("live").date == "live"
+
+
+# -- fuzzing the feed routes with JSON bodies --------------------------
+
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=10,
+)
+_ODD = st.sampled_from([None, True, "x", [], {}, float("nan"), float("inf")])
+_FEED_BODIES = _JSON | st.fixed_dictionaries(
+    {},
+    optional={
+        "date": _JSON | st.sampled_from(["2004-06-16", "..-..-x", "2004-02-30"]),
+        "window": _JSON | st.floats(0.5, 120.0),
+        "hop": _JSON | st.floats(0.5, 120.0),
+        "max_ring_packets": _JSON | st.integers(-2, 10**6),
+    },
+)
+#: Rows keep finite times within one window, so an accepted chunk
+#: never asks the sink feed to emit many windows.
+_ROWS = st.tuples(
+    st.floats(0.0, 50.0) | _ODD,
+    *[st.integers(-1, 2**33) | st.floats(-2.0, 70000.0) | _ODD] * 4,
+    st.sampled_from([1, 6, 17, 0, 2]) | _ODD,
+    st.integers(-1, 1500) | _ODD,
+    st.integers(0, 300) | _ODD,
+    st.integers(0, 300) | _ODD,
+).map(list)
+_PACKET_BODIES = _JSON | st.fixed_dictionaries(
+    {"packets": st.lists(_ROWS | _JSON, max_size=3) | _JSON}
+)
+
+
+@pytest.fixture(scope="module")
+def fuzzed(tmp_path_factory):
+    top = tmp_path_factory.mktemp("fuzz")
+    roots = (top / "db", top / "wh")
+    service = LabelingService(
+        window=60.0, db_root=str(roots[0]), warehouse_root=str(roots[1])
+    )
+    service.open_feed("sink", date="2004-06-17")
+    server = LabelServer(service).start_background()
+    yield service, f"http://127.0.0.1:{server.port}"
+    server.stop_background()
+    service.shutdown(drain=False)
+    assert _files_outside(top, *roots) == []
+
+
+@given(
+    name=st.sampled_from(["fuzz", "2004-06-18", "2004-02-30", "%2e%2e"]),
+    options=_FEED_BODIES,
+    packets=_PACKET_BODIES,
+)
+@settings(max_examples=80, deadline=None)
+def test_feed_routes_fuzz(fuzzed, name, options, packets):
+    """Any JSON body posted to a feed route gets a 2xx or a 4xx."""
+    service, base = fuzzed
+    status, _ = _post_raw(base, f"/feeds/{name}", json.dumps(options).encode())
+    assert 200 <= status < 300 or 400 <= status < 500
+    if status == 200:
+        assert _post_raw(base, f"/feeds/{name}/close", b"{}")[0] == 200
+    body = json.dumps(packets).encode()
+    for feed in ("sink", "ghost"):
+        status, _ = _post_raw(base, f"/feeds/{feed}/packets", body)
+        assert 200 <= status < 300 or 400 <= status < 500

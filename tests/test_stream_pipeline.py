@@ -331,8 +331,11 @@ class TestKLBaselineCarry:
         assert streamed == detector.analyze(archive_trace)
         assert "baseline" in state
         assert set(state["baseline"]) == {"src", "dst", "sport", "dport"}
-        # The last bin's transactions ride along for the lift filter.
-        assert isinstance(state["baseline_transactions"], list)
+        # The last bin's rows ride along, as a rule-mining block, for
+        # the lift filter.
+        block = state["baseline_block"]
+        assert isinstance(block, np.ndarray)
+        assert block.ndim == 2 and block.shape[1] == 4 and len(block) > 0
 
     @pytest.mark.parametrize("engine", ["numpy", "python"])
     def test_engines_agree_with_baseline(self, archive_trace, engine):
@@ -347,28 +350,110 @@ class TestKLBaselineCarry:
 
         results = {}
         baselines = {}
-        transactions = {}
+        blocks = {}
         for b in ("numpy", "python"):
             detector = KLDetector(engine=b)
             state: dict = {}
             detector.analyze_stream(first, state)
             baselines[b] = state["baseline"]
-            transactions[b] = state["baseline_transactions"]
+            blocks[b] = state["baseline_block"]
             results[b] = detector.analyze_stream(second, state)
         assert baselines["numpy"] == baselines["python"]
-        assert transactions["numpy"] == transactions["python"]
-        # Alarm *selections* are identical; scores may differ in the
-        # last float ulp (the engines accumulate divergence in
-        # different orders — the same documented property as offline).
-        assert [
-            (a.config, a.t0, a.t1, a.filters, a.flow_keys)
-            for a in results["numpy"]
-        ] == [
-            (a.config, a.t0, a.t1, a.filters, a.flow_keys)
-            for a in results["python"]
+        assert np.array_equal(blocks["numpy"], blocks["python"])
+        _assert_same_alarms(results["numpy"], results["python"])
+
+    def test_engines_agree_on_streamed_bin_zero(self):
+        """A second window whose bin 0 bursts against the carried last
+        bin: bin 0 is scored and mined against the baseline, its lift
+        filter drops the steady flow the baseline already carried, and
+        both engines emit the same alarms."""
+        from repro.detectors.kl import KLDetector
+
+        rng = np.random.default_rng(7)
+        first = _synthetic_window(0.0, rng)
+        second = _synthetic_window(12.0, rng, burst=450)
+        results = {}
+        for engine in ("numpy", "python"):
+            detector = KLDetector(engine=engine)
+            state: dict = {}
+            detector.analyze_stream(first, state)
+            results[engine] = detector.analyze_stream(second, state)
+        bin_zero = [
+            f
+            for alarm in results["numpy"]
+            if alarm.t0 == second.start_time
+            for f in alarm.filters
         ]
-        for fast, reference in zip(results["numpy"], results["python"]):
-            assert fast.score == pytest.approx(reference.score)
+        assert any(
+            f.src == _BURST_SRC and f.dst == _SERVER and f.dport == 80
+            for f in bin_zero
+        )
+        # Mined in bin 0 too, but as common in the carried last bin.
+        assert not any(f.src == _STEADY_SRC for f in bin_zero)
+        _assert_same_alarms(results["numpy"], results["python"])
+
+
+_STEADY_SRC, _SERVER, _BURST_SRC = 0x0A000001, 0x0B000001, 0x0A0B0C0D
+
+
+def _synthetic_window(start, rng, burst=0):
+    """12 s of background plus a steady flow to port 80 of one server;
+    ``burst`` more packets to that port from a new host in the first
+    second."""
+    from repro.net.table import PacketTable
+    from repro.net.trace import Trace
+
+    def packets(time, src, dst, sport, dport):
+        n = len(time)
+        return PacketTable(
+            time=time,
+            **{
+                name: np.broadcast_to(value, n)
+                for name, value in (
+                    ("src", src), ("dst", dst), ("sport", sport), ("dport", dport),
+                )
+            },
+            proto=np.full(n, 6),
+            size=np.full(n, 60),
+            tcp_flags=np.full(n, 16),
+            icmp_type=np.zeros(n),
+        )
+
+    n, m = 3600, 1800
+    parts = [
+        packets(
+            start + np.sort(rng.uniform(0, 12, n)),
+            0x0C000000 + rng.integers(0, 50, n),
+            0x0D000000 + rng.integers(0, 20, n),
+            rng.integers(1024, 60000, n),
+            rng.choice([22, 25, 53, 443], n),
+        ),
+        packets(
+            start + np.linspace(0, 12, m, endpoint=False),
+            _STEADY_SRC,
+            _SERVER,
+            rng.integers(1024, 60000, m),
+            80,
+        ),
+    ]
+    if burst:
+        parts.append(
+            packets(
+                start + np.linspace(0, 0.9, burst), _BURST_SRC, _SERVER, 4444, 80
+            )
+        )
+    return Trace.from_table(PacketTable.concatenate(parts))
+
+
+def _assert_same_alarms(fast, reference):
+    # Alarm *selections* are identical; scores may differ in the last
+    # float ulp (the engines accumulate divergence in different
+    # orders — the same documented property as offline).
+    assert [(a.config, a.t0, a.t1, a.filters, a.flow_keys) for a in fast] == [
+        (a.config, a.t0, a.t1, a.filters, a.flow_keys) for a in reference
+    ]
+    for a, b in zip(fast, reference):
+        assert a.score == pytest.approx(b.score)
 
 
 def _slice_trace(trace, t0, t1):
