@@ -12,12 +12,17 @@ lazily through the table only when object-level code asks for
 :attr:`Community.alarms`; the hot consumers —
 :meth:`Community.detectors` / :meth:`Community.configs` feeding the
 combiner vote tables — read the table's dense code columns directly.
+Likewise, on the columnar engine a community's traffic is a sorted
+code array (:attr:`Community.codes`), and the public
+:attr:`Community.traffic` set is decoded from it on first access.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Optional
+from typing import Callable, FrozenSet, Optional, Sequence
+
+import numpy as np
 
 from repro.core.alarm_table import AlarmTable
 from repro.detectors.base import Alarm
@@ -40,9 +45,22 @@ class Community:
         flow keys, per the estimator's granularity).
     t0, t1:
         Envelope of the member alarms' time windows.
+    codes, decode:
+        The traffic as sorted codes of the run's trace (packet rows or
+        flow codes) and the function that turns them into the traffic
+        set; given in place of ``traffic`` by a columnar extraction.
     """
 
-    __slots__ = ("id", "alarm_ids", "table", "traffic", "t0", "t1")
+    __slots__ = (
+        "id",
+        "alarm_ids",
+        "table",
+        "t0",
+        "t1",
+        "codes",
+        "_traffic",
+        "_decode",
+    )
 
     def __init__(
         self,
@@ -52,13 +70,24 @@ class Community:
         traffic: FrozenSet = frozenset(),
         t0: float = 0.0,
         t1: float = 0.0,
+        codes: Optional[np.ndarray] = None,
+        decode: Optional[Callable[[np.ndarray], FrozenSet]] = None,
     ) -> None:
         self.id = id
         self.alarm_ids = tuple(alarm_ids)
         self.table = table
-        self.traffic = traffic
         self.t0 = t0
         self.t1 = t1
+        self.codes = codes
+        self._traffic = traffic if codes is None else None
+        self._decode = decode
+
+    @property
+    def traffic(self) -> FrozenSet:
+        """Union of the members' traffic sets (decoded on first access)."""
+        if self._traffic is None:
+            self._traffic = self._decode(self.codes)
+        return self._traffic
 
     @property
     def alarms(self) -> tuple[Alarm, ...]:
@@ -107,7 +136,7 @@ class CommunitySet:
 
     communities: list[Community]
     alarms: AlarmTable
-    traffic_sets: list[FrozenSet]
+    traffic_sets: Sequence[FrozenSet]
     granularity: object = None  # repro.net.flow.Granularity
     graph: Optional[object] = None  # repro.core.graph.SimilarityGraph
     extractor: Optional[object] = None  # repro.core.extractor.TrafficExtractor

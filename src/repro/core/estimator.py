@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.core.alarm_table import AlarmTable, as_alarm_table
 from repro.core.community import Community, CommunitySet
-from repro.core.extractor import TrafficExtractor
+from repro.core.extractor import TrafficExtractor, TrafficSets
 from repro.core.graph import build_similarity_graph
 from repro.core.louvain import louvain
 from repro.detectors.base import Alarm
@@ -126,14 +126,16 @@ class SimilarityEstimator:
     @staticmethod
     def _materialize(
         table: AlarmTable,
-        traffic_sets: list,
+        traffic_sets: Sequence,
         partition: dict[int, int],
     ) -> list[Community]:
         """Build Community objects from the Louvain partition.
 
         Communities stay index vectors over the table: their time
         envelopes come from vectorized column reductions and their
-        member alarms are lazy table views.
+        member alarms are lazy table views.  Over
+        :class:`~repro.core.extractor.TrafficSets` their traffic is the
+        union of the members' code arrays, decoded only on access.
         """
         members: dict[int, list[int]] = {}
         for alarm_id, label in partition.items():
@@ -141,18 +143,26 @@ class SimilarityEstimator:
         communities: list[Community] = []
         for new_id, label in enumerate(sorted(members)):
             alarm_ids = tuple(sorted(members[label]))
-            traffic = frozenset().union(
-                *(traffic_sets[i] for i in alarm_ids)
-            )
+            if isinstance(traffic_sets, TrafficSets):
+                traffic = dict(
+                    codes=traffic_sets.union(alarm_ids),
+                    decode=traffic_sets.decode,
+                )
+            else:
+                traffic = dict(
+                    traffic=frozenset().union(
+                        *(traffic_sets[i] for i in alarm_ids)
+                    )
+                )
             ids = np.fromiter(alarm_ids, np.int64, count=len(alarm_ids))
             communities.append(
                 Community(
                     id=new_id,
                     alarm_ids=alarm_ids,
                     table=table,
-                    traffic=traffic,
                     t0=float(table.t0[ids].min()),
                     t1=float(table.t1[ids].max()),
+                    **traffic,
                 )
             )
         return communities

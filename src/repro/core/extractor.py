@@ -13,35 +13,92 @@ alarms that touch different packets of the same conversation.
 Two interchangeable strategies implement the retrieval, registered as
 the per-engine ``"traffic_extractor"`` kernels.  Each implements one
 method, ``extract_table``, which reads an
-:class:`~repro.core.alarm_table.AlarmTable` and returns the engine's
-similarity-graph input together with the public traffic sets — the
-strategies are the only place the engines differ:
+:class:`~repro.core.alarm_table.AlarmTable` and returns an
+:class:`Extraction`: the engine's similarity-graph input together with
+the public traffic sets.
 
-* :class:`ColumnarTrafficExtraction` — alarm filters become boolean
-  masks over the trace's :class:`~repro.net.table.PacketTable` (via
-  the ``"filter_mask"`` kernel), flows are dense integer codes
-  (``"flow_codes"``), and the per-alarm code arrays feed the
-  vectorized similarity-graph kernel directly.  The per-alarm mask
-  accumulator comes from the engine's scratch allocator instead of a
-  fresh allocation per alarm.
+* :class:`ColumnarTrafficExtraction` — traffic is a sorted array of
+  integer codes per alarm: packet rows, or flow codes of the trace's
+  :class:`~repro.net.table.FlowTable`.  Each filter is evaluated over
+  the rows of its time window only, found with one ``searchsorted``
+  on the time-sorted trace; every flow key of the table is mapped to
+  its uniflow code in one vectorized lookup, and its rows come from
+  the flow table's code -> rows index.  The codes feed the similarity
+  graph, the communities, the Table-1 heuristics and the rule blocks
+  directly; :class:`TrafficSets` builds the public sets from them
+  only for the elements a caller reads.
 * :class:`ReferenceTrafficExtraction` — the original per-packet
   predicate loop, kept as the readable reference; its traffic sets are
   also its graph input.  The engine parity suite asserts both
   strategies extract identical traffic sets.
+
+Both keep one window rule: flow-key traffic includes packets at
+exactly the alarm's ``t1`` when that is the trace's last timestamp,
+while a filter's window stays half-open.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, NamedTuple, Sequence, Union
+from collections.abc import Sequence
+from typing import Callable, FrozenSet, NamedTuple, Union
 
 import numpy as np
 
-from repro.core.alarm_table import AlarmTable, as_alarm_table
+from repro.core.alarm_table import FLOW_COLUMNS, AlarmTable, as_alarm_table
 from repro.detectors.base import Alarm
 from repro.engine import Engine, EngineSpec, resolve_engine
 from repro.errors import TraceError
 from repro.net.flow import FlowKey, Granularity, biflow_key, uniflow_key
 from repro.net.trace import Trace
+
+#: Filter fields in :class:`~repro.core.alarm_table.AlarmTable` column
+#: order (``f_src``, ``f_dst``, ...).
+_FILTER_FIELDS = ("src", "dst", "sport", "dport", "proto")
+
+_NO_ROWS = np.empty(0, dtype=np.int64)
+_NO_ROWS.flags.writeable = False
+
+
+class TrafficSets(Sequence):
+    """Per-alarm traffic sets, decoded from code arrays on first access.
+
+    Element ``i`` is ``decode(codes[i])``, built when a caller first
+    reads it and then kept.  Equal to any sequence holding the same
+    sets in the same order.
+    """
+
+    def __init__(
+        self,
+        codes: list[np.ndarray],
+        decode: Callable[[np.ndarray], FrozenSet],
+    ) -> None:
+        self.codes = codes
+        self.decode = decode
+        self._sets: list = [None] * len(codes)
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        traffic = self._sets[index]
+        if traffic is None:
+            traffic = self._sets[index] = self.decode(self.codes[index])
+        return traffic
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
+
+    __hash__ = None
+
+    def union(self, ids: Sequence[int]) -> np.ndarray:
+        """Sorted codes of the union of elements ``ids``."""
+        if len(ids) == 1:
+            return self.codes[ids[0]]
+        return np.unique(np.concatenate([self.codes[i] for i in ids]))
 
 
 class ReferenceTrafficExtraction:
@@ -110,9 +167,6 @@ class ReferenceTrafficExtraction:
             i for i, key in enumerate(self._biflow_of) if key in wanted
         )
 
-    def packet_index_array(self, traffic: FrozenSet) -> np.ndarray:
-        return np.array(self.packets_of(traffic), dtype=np.int64)
-
 
 class ColumnarTrafficExtraction:
     """Vectorized extraction strategy over the trace's packet table."""
@@ -123,125 +177,145 @@ class ColumnarTrafficExtraction:
         self.trace = trace
         self.granularity = granularity
         self.engine = engine
-        self._filter_mask = engine.kernel("filter_mask")
         self._scratch = engine.scratch()
-        self._codes, self._keys = trace.flow_code_table(Granularity.UNIFLOW)
-        self._key_to_code = dict(zip(self._keys, range(len(self._keys))))
-        if granularity is Granularity.BIFLOW:
-            self._bicodes, self._bikeys = trace.flow_code_table(
-                Granularity.BIFLOW
-            )
-            self._bikey_to_code = dict(
-                zip(self._bikeys, range(len(self._bikeys)))
-            )
-        else:
-            self._bicodes = np.empty(0, dtype=np.int64)
-            self._bikeys = []
-            self._bikey_to_code = {}
 
-    def _mask_for(
-        self, filters, flow_keys, alarm_t0: float, alarm_t1: float
-    ) -> np.ndarray:
-        """Boolean packet mask designated by one alarm row's fields.
-
-        The accumulator is a scratch buffer — valid only until the next
-        call, which :meth:`extract_table` respects by consuming each
-        mask into codes before building the next.
-        """
-        table = self.trace.table
-        mask = self._scratch.zeros(len(table), dtype=bool)
-        for feature_filter in filters:
-            t0 = feature_filter.t0 if feature_filter.t0 is not None else alarm_t0
-            t1 = feature_filter.t1 if feature_filter.t1 is not None else alarm_t1
-            if t1 < t0:
-                # Mirror Trace.time_slice on the reference path.
-                raise TraceError(f"empty interval [{t0}, {t1})")
-            mask |= self._filter_mask(table, feature_filter, t0=t0, t1=t1)
-        if flow_keys:
-            wanted = [
-                self._key_to_code[key]
-                for key in flow_keys
-                if key in self._key_to_code
-            ]
-            if wanted:
-                in_flows = np.isin(self._codes, np.array(wanted, dtype=np.int64))
-                time = table.time
-                in_window = (time >= alarm_t0) & (time < alarm_t1)
-                if alarm_t1 == self.trace.end_time:
-                    in_window |= time == alarm_t1
-                mask |= in_flows & in_window
-        return mask
-
-    def _codes_for_mask(self, mask: np.ndarray) -> np.ndarray:
-        """Sorted unique traffic codes (or packet indices) of a mask."""
+    def traffic_of(self, codes: np.ndarray) -> FrozenSet:
+        """The public traffic set of a code array."""
         if self.granularity is Granularity.PACKET:
-            return np.nonzero(mask)[0]
-        if self.granularity is Granularity.UNIFLOW:
-            return np.unique(self._codes[mask])
-        return np.unique(self._bicodes[mask])
-
-    def _codes_to_traffic(self, codes: np.ndarray) -> FrozenSet:
-        """Materialize a code array as the public traffic set."""
-        if self.granularity is Granularity.PACKET:
-            return frozenset(int(i) for i in codes)
-        keys = (
-            self._keys
-            if self.granularity is Granularity.UNIFLOW
-            else self._bikeys
-        )
-        return frozenset(keys[int(c)] for c in codes)
+            return frozenset(codes.tolist())
+        return frozenset(self.trace.flow_table(self.granularity).keys_of(codes))
 
     def extract_table(
         self, table: AlarmTable
-    ) -> tuple[list[np.ndarray], list[FrozenSet]]:
+    ) -> tuple[list[np.ndarray], TrafficSets]:
         """Per-row code arrays (the graph input) and their traffic sets.
 
-        Designations are read from the table's pooled filter and
-        flow-key views — the detectors' own objects when the table
-        was encoded from them — and no :class:`Alarm` view is built.
+        Designations are read from the table's filter and flow-key
+        columns; no :class:`Alarm`, filter or flow-key view is built.
         Element ``i`` of the codes holds the sorted unique traffic
         codes (flow ids, or packet indices at packet granularity) of
         row ``i``: the integer alphabet the ``"similarity_graph"``
         kernel consumes without per-element Python work.
         """
-        filter_bounds = table.filter_bounds
-        flow_bounds = table.flow_bounds
-        t0s, t1s = table.t0, table.t1
+        time = self.trace.table.time
+        # Every filter's window [t0, t1): its own bounds, else its
+        # alarm's; two searchsorted calls bound all their row ranges.
+        owner = np.repeat(np.arange(len(table)), np.diff(table.filter_bounds))
+        t0s = np.where(np.isnan(table.f_t0), table.t0[owner], table.f_t0)
+        t1s = np.where(np.isnan(table.f_t1), table.t1[owner], table.f_t1)
+        empty = np.flatnonzero(t1s < t0s)
+        if empty.size:
+            # Mirror Trace.time_slice on the reference path.
+            j = int(empty[0])
+            raise TraceError(f"empty interval [{float(t0s[j])}, {float(t1s[j])})")
+        filter_lo = np.searchsorted(time, t0s).tolist()
+        filter_hi = np.searchsorted(time, t1s).tolist()
+        tests = self._filter_tests(table)
+        flow_bounds = table.flow_bounds.tolist()
+        if flow_bounds[-1]:
+            uniflows = self.trace.flow_table(Granularity.UNIFLOW)
+            key_codes = uniflows.lookup(
+                np.stack([table.column(name) for name in FLOW_COLUMNS], axis=1)
+            )
+            key_lo = np.searchsorted(time, table.t0).tolist()
+            key_hi = np.searchsorted(time, table.t1).tolist()
+            # A flow-key window ending at the trace's last timestamp
+            # includes the packets there.
+            at_end = (table.t1 == time[-1]).tolist() if len(time) else []
+        filter_bounds = table.filter_bounds.tolist()
+        traffic_codes = (
+            None
+            if self.granularity is Granularity.PACKET
+            else self.trace.flow_table(self.granularity).codes
+        )
         codes = []
         for i in range(len(table)):
-            filters = [
-                table.filter_at(j)
-                for j in range(
-                    int(filter_bounds[i]), int(filter_bounds[i + 1])
-                )
+            windows = [
+                (filter_lo[j], filter_hi[j], tests[j])
+                for j in range(filter_bounds[i], filter_bounds[i + 1])
+                if filter_hi[j] > filter_lo[j]
             ]
-            flow_keys = [
-                table.flow_key_at(j)
-                for j in range(int(flow_bounds[i]), int(flow_bounds[i + 1]))
-            ]
-            mask = self._mask_for(
-                filters, flow_keys, float(t0s[i]), float(t1s[i])
+            rows = _NO_ROWS
+            if flow_bounds[i + 1] > flow_bounds[i]:
+                wanted = key_codes[flow_bounds[i] : flow_bounds[i + 1]]
+                wanted = wanted[wanted >= 0]
+                if wanted.size:
+                    lo, hi = key_lo[i], key_hi[i]
+                    if at_end[i]:
+                        lo, hi = min(lo, hi), len(time)
+                    rows = uniflows.rows_of(wanted)
+                    rows = rows[(rows >= lo) & (rows < hi)]
+            bounds = [(lo, hi) for lo, hi, _ in windows]
+            if rows.size:
+                bounds.append((int(rows.min()), int(rows.max()) + 1))
+            if not bounds:
+                codes.append(_NO_ROWS)
+                continue
+            start = min(lo for lo, _ in bounds)
+            stop = max(hi for _, hi in bounds)
+            mask = self._scratch.zeros(stop - start, dtype=bool)
+            for lo, hi, window_tests in windows:
+                window = mask[lo - start : hi - start]
+                if not window_tests:
+                    window[:] = True
+                    continue
+                (column, value), *more = window_tests
+                hits = column[lo:hi] == value
+                for column, value in more:
+                    hits &= column[lo:hi] == value
+                window |= hits
+            mask[rows - start] = True
+            codes.append(
+                np.flatnonzero(mask) + start
+                if traffic_codes is None
+                else np.unique(traffic_codes[start:stop][mask])
             )
-            codes.append(self._codes_for_mask(mask))
-        return codes, [self._codes_to_traffic(c) for c in codes]
+        return codes, TrafficSets(codes, self.traffic_of)
+
+    def _filter_tests(self, table: AlarmTable) -> list[list[tuple]]:
+        """The ``(column, value)`` tests of each filter row.
+
+        ``-1`` in a filter column is the wildcard ``None``.
+        """
+        packets = self.trace.table
+        return [
+            [
+                (packets.column(name), value)
+                for name, value in zip(_FILTER_FIELDS, row)
+                if value >= 0
+            ]
+            for row in zip(
+                *(table.column(f"f_{name}").tolist() for name in _FILTER_FIELDS)
+            )
+        ]
 
     def packets_of(self, traffic: FrozenSet) -> list[int]:
-        return [int(i) for i in self.packet_index_array(traffic)]
-
-    def packet_index_array(self, traffic: FrozenSet) -> np.ndarray:
         if self.granularity is Granularity.PACKET:
-            return np.array(sorted(int(i) for i in traffic), dtype=np.int64)
-        if self.granularity is Granularity.UNIFLOW:
-            key_to_code: dict = self._key_to_code
-            codes = self._codes
-        else:
-            key_to_code = self._bikey_to_code
-            codes = self._bicodes
-        wanted = [key_to_code[key] for key in traffic if key in key_to_code]
-        if not wanted:
-            return np.empty(0, dtype=np.int64)
-        mask = np.isin(codes, np.array(wanted, dtype=np.int64))
-        return np.nonzero(mask)[0].astype(np.int64)
+            return sorted(int(i) for i in traffic)
+        flows = self.trace.flow_table(self.granularity)
+        return np.sort(flows.rows_of(flows.codes_of([traffic])[0])).tolist()
+
+
+def community_codes(communities, trace: Trace, granularity: Granularity) -> list:
+    """Each community's traffic as sorted codes of ``trace``.
+
+    Communities from a columnar extraction carry their codes.  The
+    others, such as the streaming engine's, whose flow keys outlive
+    any one window, are mapped together in one lookup; flows with no
+    packet in ``trace`` are dropped.
+    """
+    codes = [community.codes for community in communities]
+    missing = [i for i, c in enumerate(codes) if c is None]
+    traffic_sets = [communities[i].traffic for i in missing]
+    if granularity is Granularity.PACKET:
+        mapped = [
+            np.array(sorted(traffic), dtype=np.int64) for traffic in traffic_sets
+        ]
+    else:
+        mapped = trace.flow_table(granularity).codes_of(traffic_sets)
+    for i, found in zip(missing, mapped):
+        codes[i] = found
+    return codes
 
 
 class Extraction(NamedTuple):
@@ -251,16 +325,18 @@ class Extraction(NamedTuple):
     #: element per alarm (code arrays on the columnar engine, the
     #: traffic sets themselves on the reference engine).
     graph_input: list
-    #: The public per-alarm traffic sets (packet indices or flow keys).
-    traffic_sets: list[FrozenSet]
+    #: The public per-alarm traffic sets (packet indices or flow keys):
+    #: a :class:`TrafficSets` over the code arrays on the columnar
+    #: engine, a list on the reference engine.
+    traffic_sets: Sequence[FrozenSet]
 
 
 class TrafficExtractor:
     """Extracts, per alarm, the associated traffic set.
 
-    The extractor precomputes per-packet flow keys (or dense flow
-    codes, on a vectorized engine) once per trace so that each alarm
-    extraction costs only its own time window.
+    The extractor precomputes per-packet flow keys (or, on a
+    vectorized engine, reads the trace's cached flow tables) so that
+    each alarm extraction costs only its own time window.
 
     Parameters
     ----------
@@ -305,18 +381,10 @@ class TrafficExtractor:
         return self.extract_all([alarm]).traffic_sets[0]
 
     def packets_of(self, traffic: FrozenSet) -> list[int]:
-        """Expand a traffic set back to packet indices.
+        """Expand a traffic set back to sorted packet indices.
 
         For packet granularity this is the identity; for flow
         granularities it returns every packet of every listed flow.
-        Used by the heuristics and the rule miner, which need packets.
+        The reference heuristics use it to gather their packets.
         """
         return self._impl.packets_of(traffic)
-
-    def packet_index_array(self, traffic: FrozenSet) -> np.ndarray:
-        """:meth:`packets_of` as a sorted int64 array.
-
-        The heuristics use it to label community traffic without
-        materializing packet objects.
-        """
-        return self._impl.packet_index_array(traffic)

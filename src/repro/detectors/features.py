@@ -47,6 +47,11 @@ class BinnedHistogram:
         """Number of packets in time bin ``b``."""
         return int(self.counts[b].sum())
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the three arrays."""
+        return int(self.values.nbytes + self.codes.nbytes + self.counts.nbytes)
+
 
 def binned_value_histogram(
     table: PacketTable,

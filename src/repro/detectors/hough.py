@@ -185,12 +185,13 @@ class HoughDetector(Detector):
                 if not self._is_transient(trace, key, direction, t0, t1):
                     continue
                 if vectorized:
-                    codes, flow_keys = planes.get(
+                    flow_table = planes.get(
                         trace, ("flow_codes", Granularity.UNIFLOW.name)
                     )
                     flows = frozenset(
-                        flow_keys[c]
-                        for c in np.unique(codes[key_indices])
+                        flow_table.keys_of(
+                            np.unique(flow_table.codes[key_indices])
+                        )
                     )
                 else:
                     flows = frozenset(

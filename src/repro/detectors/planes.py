@@ -50,9 +50,9 @@ Plane specs
 ``("hough_pixels", field, x_bins, y_bins, pixel_threshold, seed)``
     ``(ys, xs)`` coordinates of lit pixels of one traffic picture.
 ``("flow_codes", granularity_name)``
-    ``(codes, flow_keys)`` from :meth:`Trace.flow_code_table` (already
-    trace-cached; the plane spec makes the dependency explicit and
-    countable).
+    The trace's :class:`~repro.net.table.FlowTable` from
+    :meth:`Trace.flow_table` (already trace-cached; the plane spec
+    makes the dependency explicit and countable).
 
 Sharing model
 -------------
@@ -81,27 +81,22 @@ from repro.errors import DetectorError
 _MISSING = object()
 
 #: Plane kinds never exported over shared memory: either trivially
-#: recomputable from the already-shared packet table ("column"), or
-#: non-numeric ("flow_codes" carries FlowKey objects, "binned_counters"
-#: carries Counters).
+#: recomputable from the already-shared packet table ("column",
+#: "flow_codes"), or non-numeric ("binned_counters" carries Counters).
 EXPORT_SKIP_KINDS = frozenset({"column", "flow_codes", "binned_counters"})
 
 
 def plane_nbytes(value) -> int:
-    """Approximate in-memory size of one cached plane, in bytes."""
-    if isinstance(value, np.ndarray):
-        return int(value.nbytes)
-    if isinstance(value, (tuple, list)):
-        return sum(plane_nbytes(v) for v in value)
-    if isinstance(value, Counter):
-        return 16 * len(value)
-    nbytes = getattr(value, "nbytes", None)
-    if nbytes is not None:
-        return int(nbytes)
-    counts = getattr(value, "counts", None)
-    if counts is not None:  # BinnedHistogram
-        return plane_nbytes(counts) + plane_nbytes(value.values) + plane_nbytes(value.codes)
-    return 0
+    """Array bytes of one cached plane.
+
+    Counts the ``nbytes`` of the plane, or of each part of a tuple
+    plane such as Hough's ``(ys, xs)``.  Lists are never walked: they
+    can hold one Python object per packet, flow or bin, which would
+    make a cache miss cost as much as the plane.
+    """
+    if isinstance(value, tuple):
+        return sum(int(getattr(part, "nbytes", 0)) for part in value)
+    return int(getattr(value, "nbytes", 0))
 
 
 class PlaneCache:
@@ -294,7 +289,7 @@ def _compute_plane(trace, spec: tuple, planes: PlaneCache, vectorized: bool):
     if kind == "flow_codes":
         from repro.net.flow import Granularity
 
-        return trace.flow_code_table(Granularity[spec[1]])
+        return trace.flow_table(Granularity[spec[1]])
     raise DetectorError(f"unknown feature plane kind: {spec!r}")
 
 
@@ -318,7 +313,7 @@ def _time_bins(trace, n_bins: int, vectorized: bool) -> np.ndarray:
 def _bin_members(trace, n_bins: int, planes: PlaneCache, vectorized: bool):
     bin_idx = planes.get(trace, ("time_bins", n_bins))
     if vectorized:
-        return [np.nonzero(bin_idx == b)[0] for b in range(n_bins)]
+        return tuple(np.nonzero(bin_idx == b)[0] for b in range(n_bins))
     bins: list[list[int]] = [[] for _ in range(n_bins)]
     for i, b in enumerate(bin_idx):
         bins[int(b)].append(i)

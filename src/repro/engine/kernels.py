@@ -16,7 +16,8 @@ Kernel signatures
     override wildcard time bounds (the alarm window).
 ``flow_codes(table, granularity)``
     ``(codes, keys)``: dense int64 per-packet flow ids numbered by
-    first appearance, plus the code -> FlowKey table.
+    first appearance, plus the code -> FlowKey table (the vectorized
+    kernel reads both from a :class:`~repro.net.table.FlowTable`).
 ``binned_histogram(table, feature, bin_idx, n_bins)``
     :class:`~repro.detectors.features.BinnedHistogram` of one feature
     column per time bin.
@@ -27,12 +28,18 @@ Kernel signatures
     Most frequent keys hashing to ``sketch`` among masked packets.
 ``similarity_graph(traffic_sets, measure_fn, batch_fn, edge_threshold)``
     The alarm similarity graph (Step 2).
-``community_label(extractor, community)``
-    Table-1 heuristic label of one community's traffic.
+``community_label(extractor, communities)``
+    Table-1 heuristic labels of every community of one run, in order.
+    The vectorized kernel sums per-flow counts over the communities'
+    code arrays with segmented reductions; the reference kernel gathers
+    each community's packet objects.
 ``column_values(trace, field, dtype=None)``
     One packet field as an array (the detectors' feature columns).
 ``traffic_extractor(trace, granularity, engine)``
-    Factory for the per-engine traffic-extraction strategy object.
+    Factory for the per-engine traffic-extraction strategy object.  The
+    vectorized strategy evaluates each alarm over its time window's
+    row range and returns sorted code arrays, decoded to public traffic
+    sets only on access; the reference strategy loops over packets.
 ``alarm_codes(names)``
     ``(codes, pool)``: dense int32 codes for a sequence of detector /
     configuration names, numbered by first appearance — the coding
@@ -214,19 +221,29 @@ def _register_graph_kernels() -> None:
 
 
 @NUMPY_ENGINE.register("community_label")
-def _community_label_numpy(extractor, community):
-    from repro.labeling.heuristics import label_packets_table
+def _community_label_numpy(extractor, communities):
+    from repro.core.extractor import community_codes
+    from repro.labeling.heuristics import label_code_sets
 
-    indices = extractor.packet_index_array(community.traffic)
-    return label_packets_table(extractor.trace.table, indices)
+    return label_code_sets(
+        extractor.trace,
+        extractor.granularity,
+        community_codes(communities, extractor.trace, extractor.granularity),
+    )
 
 
 @PYTHON_ENGINE.register("community_label")
-def _community_label_python(extractor, community):
+def _community_label_python(extractor, communities):
+    """Per-community :func:`label_packets` over packet objects."""
     from repro.labeling.heuristics import label_packets
 
-    indices = extractor.packets_of(community.traffic)
-    return label_packets([extractor.trace[i] for i in indices])
+    trace = extractor.trace
+    return [
+        label_packets(
+            [trace[i] for i in extractor.packets_of(community.traffic)]
+        )
+        for community in communities
+    ]
 
 
 # -- feature columns ---------------------------------------------------

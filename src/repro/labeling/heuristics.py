@@ -28,7 +28,7 @@ destination port with the right protocol.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -156,96 +156,203 @@ def label_packets(
     return HeuristicLabel(CATEGORY_UNKNOWN, "Unknown")
 
 
-def label_packets_table(
-    table: "PacketTable",
-    indices: np.ndarray,
+#: The port rules of Table 1, one counted column each: (protocol,
+#: ports) a packet matches on its source or destination port.
+_PORT_RULES = (
+    (PROTO_TCP, _SASSER_PORTS),
+    (PROTO_TCP, {135}),
+    (PROTO_TCP, {445}),
+    (PROTO_TCP, _WELL_KNOWN_SERVICE_PORTS),
+    (PROTO_UDP, {53}),
+    (PROTO_UDP, {137}),
+    (PROTO_TCP, {139}),
+    (PROTO_TCP, _HTTP_PORTS),
+    (PROTO_TCP, _SPECIAL_TCP_PORTS),
+)
+(
+    _SASSER,
+    _RPC,
+    _SMB,
+    _SERVICE_TCP,
+    _DNS_UDP,
+    _NETBIOS_UDP,
+    _NETBIOS_TCP,
+    _HTTP,
+    _SPECIAL_TCP,
+) = range(len(_PORT_RULES))
+
+
+def _rule_bits(proto: int) -> np.ndarray:
+    """Per port, the bit set of the ``proto`` rules it belongs to."""
+    bits = np.zeros(1 << 16, dtype=np.uint16)
+    for j, (rule_proto, ports) in enumerate(_PORT_RULES):
+        if rule_proto == proto:
+            bits[sorted(ports)] |= 1 << j
+    return bits
+
+
+#: 65,536-entry port tables: a packet's rule hits are two lookups.
+_TCP_BITS = _rule_bits(PROTO_TCP)
+_UDP_BITS = _rule_bits(PROTO_UDP)
+
+#: Counted columns: packets, TCP packets, TCP SYN, TCP SYN|RST|FIN,
+#: ICMP, then one per port rule.
+_PACKETS, _TCP, _SYN, _CONTROL, _ICMP = range(5)
+_N_COLUMNS = 5 + len(_PORT_RULES)
+
+
+def _packet_columns(table: "PacketTable", rows: np.ndarray) -> np.ndarray:
+    """The counted columns of some packets, one row each (uint8)."""
+    proto = table.proto[rows]
+    flags = table.tcp_flags[rows]
+    is_tcp = proto == PROTO_TCP
+    is_udp = proto == PROTO_UDP
+    sport = table.sport[rows]
+    dport = table.dport[rows]
+    hits = np.where(
+        is_tcp,
+        _TCP_BITS[sport] | _TCP_BITS[dport],
+        np.where(is_udp, _UDP_BITS[sport] | _UDP_BITS[dport], 0),
+    )
+    columns = np.empty((len(rows), _N_COLUMNS), dtype=np.uint8)
+    columns[:, _PACKETS] = 1
+    columns[:, _TCP] = is_tcp
+    columns[:, _SYN] = is_tcp & ((flags & SYN) > 0)
+    columns[:, _CONTROL] = is_tcp & ((flags & (SYN | RST | FIN)) > 0)
+    columns[:, _ICMP] = proto == PROTO_ICMP
+    for j in range(len(_PORT_RULES)):
+        columns[:, 5 + j] = (hits >> j) & 1
+    return columns
+
+
+def _segment_sums(
+    values: np.ndarray, sizes: np.ndarray, rows: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Column sums of consecutive segments of ``sizes`` rows (int64).
+
+    The segments run over ``values[rows]`` (all of ``values`` when
+    ``rows`` is ``None``), gathered one column at a time so that no
+    gathered copy of the whole matrix is ever held.
+    """
+    sums = np.zeros((len(sizes), values.shape[1]), dtype=np.int64)
+    nonempty = sizes > 0
+    if nonempty.any():
+        starts = (np.cumsum(sizes) - sizes)[nonempty]
+        for j in range(values.shape[1]):
+            column = values[:, j] if rows is None else values[rows, j]
+            sums[nonempty, j] = np.add.reduceat(column, starts, dtype=np.int64)
+    return sums
+
+
+#: The labels of the cascade in :func:`label_code_sets`, by index.
+_CASCADE_LABELS = (
+    HeuristicLabel(CATEGORY_UNKNOWN, "Unknown"),
+    HeuristicLabel(CATEGORY_ATTACK, "Sasser"),
+    HeuristicLabel(CATEGORY_ATTACK, "RPC"),
+    HeuristicLabel(CATEGORY_ATTACK, "SMB"),
+    HeuristicLabel(CATEGORY_ATTACK, "Ping"),
+    HeuristicLabel(CATEGORY_ATTACK, "Other"),
+    HeuristicLabel(CATEGORY_ATTACK, "NetBIOS"),
+    HeuristicLabel(CATEGORY_SPECIAL, "Http"),
+    HeuristicLabel(CATEGORY_SPECIAL, "Service"),
+)
+
+
+def label_code_sets(
+    trace,
+    granularity,
+    code_sets: Sequence[np.ndarray],
     port_fraction: float = 0.5,
     icmp_threshold: float = 0.5,
     min_icmp_packets: int = 10,
-) -> HeuristicLabel:
-    """Vectorized :func:`label_packets` over columnar traffic.
+) -> list[HeuristicLabel]:
+    """Vectorized :func:`label_packets` for many communities at once.
 
-    Evaluates the Table-1 rules on the table rows selected by
-    ``indices`` with boolean column arithmetic; the fractions are the
-    same integer-count divisions as the reference, so both paths assign
+    ``code_sets`` holds each community's traffic as sorted unique
+    codes: packet rows at packet granularity, otherwise flow codes of
+    ``trace.flow_table(granularity)``.  Communities may share flows.
+    The counted columns are summed per flow over the flow table's code
+    -> rows index, gathered per community member and summed per
+    community with ``np.add.reduceat``.  The Table-1 cascade then
+    runs over all communities at once, with the same integer-count
+    divisions and float sums as the reference, so both paths assign
     identical labels.
     """
-    n = int(len(indices))
-    if n == 0:
-        return HeuristicLabel(CATEGORY_UNKNOWN, "Unknown")
-    proto = table.proto[indices]
-    sport = table.sport[indices]
-    dport = table.dport[indices]
-    flags = table.tcp_flags[indices]
-    is_tcp = proto == PROTO_TCP
-    is_udp = proto == PROTO_UDP
+    from repro.net.flow import Granularity
 
-    def port_frac(ports: Iterable[int], proto_mask: np.ndarray) -> float:
-        wanted = np.array(sorted(ports), dtype=np.uint16)
-        hits = proto_mask & (np.isin(sport, wanted) | np.isin(dport, wanted))
-        return int(hits.sum()) / n
-
-    n_tcp = int(is_tcp.sum())
-    syn = (
-        int((is_tcp & ((flags & SYN) > 0)).sum()) / n_tcp if n_tcp else 0.0
+    table = trace.table
+    sizes = np.fromiter(map(len, code_sets), np.int64, len(code_sets))
+    members = (
+        np.concatenate(code_sets).astype(np.int64, copy=False)
+        if sizes.sum()
+        else np.empty(0, dtype=np.int64)
     )
-    control = (
-        int((is_tcp & ((flags & (SYN | RST | FIN)) > 0)).sum()) / n_tcp
-        if n_tcp
-        else 0.0
+    needed, member_of = np.unique(members, return_inverse=True)
+    if granularity is Granularity.PACKET:
+        per_code = _packet_columns(table, needed)
+    else:
+        flows = trace.flow_table(granularity)
+        per_code = _segment_sums(
+            _packet_columns(table, flows.rows_of(needed)),
+            flows.offsets[needed + 1] - flows.offsets[needed],
+        )
+    counts = _segment_sums(per_code, sizes, member_of)
+
+    def fraction(column: int, total: np.ndarray) -> np.ndarray:
+        out = np.zeros(len(total))
+        return np.divide(counts[:, column], total, out=out, where=total > 0)
+
+    n = counts[:, _PACKETS]
+    n_tcp = counts[:, _TCP]
+    rule = [fraction(5 + j, n) for j in range(len(_PORT_RULES))]
+    syn = fraction(_SYN, n_tcp)
+    control = fraction(_CONTROL, n_tcp)
+    icmp = fraction(_ICMP, n)
+    service = rule[_SERVICE_TCP] + rule[_DNS_UDP]
+    choice = np.select(
+        [
+            n == 0,
+            rule[_SASSER] >= port_fraction,
+            rule[_RPC] >= port_fraction,
+            rule[_SMB] >= port_fraction,
+            (n >= min_icmp_packets) & (icmp >= icmp_threshold),
+            ((n > 7) & (control >= 0.5))
+            | ((service >= port_fraction) & (syn >= 0.3)),
+            rule[_NETBIOS_UDP] + rule[_NETBIOS_TCP] >= port_fraction,
+            (rule[_HTTP] >= port_fraction) & (syn < 0.3),
+            (rule[_SPECIAL_TCP] + rule[_DNS_UDP] >= port_fraction)
+            & (syn < 0.3),
+        ],
+        np.arange(len(_CASCADE_LABELS)),
+        default=0,
     )
-    icmp = int((proto == PROTO_ICMP).sum()) / n
-
-    if port_frac(_SASSER_PORTS, is_tcp) >= port_fraction:
-        return HeuristicLabel(CATEGORY_ATTACK, "Sasser")
-    if port_frac({135}, is_tcp) >= port_fraction:
-        return HeuristicLabel(CATEGORY_ATTACK, "RPC")
-    if port_frac({445}, is_tcp) >= port_fraction:
-        return HeuristicLabel(CATEGORY_ATTACK, "SMB")
-    if n >= min_icmp_packets and icmp >= icmp_threshold:
-        return HeuristicLabel(CATEGORY_ATTACK, "Ping")
-
-    service_fraction = port_frac(_WELL_KNOWN_SERVICE_PORTS, is_tcp) + port_frac(
-        {53}, is_udp
-    )
-
-    if n > 7 and control >= 0.5:
-        return HeuristicLabel(CATEGORY_ATTACK, "Other")
-    if service_fraction >= port_fraction and syn >= 0.3:
-        return HeuristicLabel(CATEGORY_ATTACK, "Other")
-
-    netbios = port_frac({137}, is_udp) + port_frac({139}, is_tcp)
-    if netbios >= port_fraction:
-        return HeuristicLabel(CATEGORY_ATTACK, "NetBIOS")
-
-    if port_frac(_HTTP_PORTS, is_tcp) >= port_fraction and syn < 0.3:
-        return HeuristicLabel(CATEGORY_SPECIAL, "Http")
-    special = port_frac(_SPECIAL_TCP_PORTS, is_tcp) + port_frac({53}, is_udp)
-    if special >= port_fraction and syn < 0.3:
-        return HeuristicLabel(CATEGORY_SPECIAL, "Service")
-
-    return HeuristicLabel(CATEGORY_UNKNOWN, "Unknown")
+    return [_CASCADE_LABELS[c] for c in choice.tolist()]
 
 
-def label_community(community, extractor) -> HeuristicLabel:
-    """Label one community via its extracted traffic.
+def label_communities(communities, extractor) -> list[HeuristicLabel]:
+    """Label every community of one run via its extracted traffic.
 
-    Follows the extractor's engine by dispatching its
-    ``"community_label"`` kernel: columnar extractors label through
-    :func:`label_packets_table` without materializing packet objects,
-    reference extractors through :func:`label_packets`.
+    One call of the extractor engine's ``"community_label"`` kernel
+    labels them all: the columnar kernel through
+    :func:`label_code_sets` without materializing packet objects, the
+    reference kernel through :func:`label_packets` per community.
 
     Parameters
     ----------
-    community:
-        :class:`~repro.core.community.Community`.
+    communities:
+        :class:`~repro.core.community.Community` objects.
     extractor:
         The :class:`~repro.core.extractor.TrafficExtractor` of the
-        estimator run (needed to expand flow keys back to packets).
+        estimator run (needed to expand the traffic back to packets).
     """
     from repro.engine import resolve_engine
 
     engine = resolve_engine(
         getattr(extractor, "engine", "python"), what="heuristics"
     )
-    return engine.kernel("community_label")(extractor, community)
+    return engine.kernel("community_label")(extractor, list(communities))
+
+
+def label_community(community, extractor) -> HeuristicLabel:
+    """Label one community: :func:`label_communities` of one."""
+    return label_communities([community], extractor)[0]

@@ -31,11 +31,11 @@ from repro.core.strategies import CombinationStrategy, Decision
 from repro.detectors.base import Alarm, Detector
 from repro.detectors.registry import default_ensemble
 from repro.engine import EngineSpec, resolve_engine
-from repro.labeling.heuristics import HeuristicLabel, label_community
-from repro.labeling.taxonomy import assign_taxonomy, assign_taxonomy_batch
+from repro.labeling.heuristics import HeuristicLabel, label_communities
+from repro.labeling.taxonomy import assign_taxonomy_batch
 from repro.net.flow import Granularity
 from repro.net.trace import Trace
-from repro.rules.itemsets import traffic_block
+from repro.rules.itemsets import code_block, traffic_block
 from repro.rules.summarize import CommunitySummary, summarize_transactions
 
 
@@ -257,17 +257,9 @@ class MAWILabPipeline:
             timings["combine"] = (
                 timings.get("combine", 0.0) + _time.perf_counter() - started
             )
-        # Step 4: rules + taxonomy.  Taxonomies are assigned columnarly
-        # — one ``"label_assign"`` kernel call over the decision
-        # columns — before the per-community record assembly.
+        # Step 4: rules + taxonomy.
         started = _time.perf_counter()
-        taxonomies = assign_taxonomy_batch(decisions, engine=self.engine)
-        labels = [
-            self._label_one(community_set, community, decision, taxonomy)
-            for community, decision, taxonomy in zip(
-                community_set.communities, decisions, taxonomies
-            )
-        ]
+        labels = self._label_all(community_set, decisions)
         if timings is not None:
             timings["label"] = (
                 timings.get("label", 0.0) + _time.perf_counter() - started
@@ -281,45 +273,54 @@ class MAWILabPipeline:
             config_names=self.config_names,
         )
 
-    def _label_one(
-        self,
-        community_set: CommunitySet,
-        community,
-        decision: Decision,
-        taxonomy: Optional[str] = None,
-    ) -> LabelRecord:
+    def _label_all(
+        self, community_set: CommunitySet, decisions: Sequence[Decision]
+    ) -> list[LabelRecord]:
+        """Step 4 for every community of one run.
+
+        Taxonomies come from one ``"label_assign"`` kernel call over
+        the decision columns and the Table-1 heuristics from one
+        ``"community_label"`` call.  Rules are mined per community
+        from its block: gathered from the trace's flow table when the
+        community carries codes, built from its traffic set otherwise.
+        """
         from repro.core.annotations import ANNOTATION_DETECTOR, community_tags
 
-        extractor = community_set.extractor
-        heuristic = label_community(community, extractor)
-        summary = self._summarize(community_set, community)
-        detectors = tuple(
-            sorted(community.detectors() - {ANNOTATION_DETECTOR})
-        )
-        return LabelRecord(
-            community_id=community.id,
-            taxonomy=taxonomy if taxonomy is not None else assign_taxonomy(decision),
-            heuristic=heuristic,
-            summary=summary,
-            t0=community.t0,
-            t1=community.t1,
-            n_alarms=community.size,
-            detectors=detectors,
-            relative_distance=decision.relative_distance,
-            mu=decision.mu,
-            annotations=tuple(community_tags(community)),
-        )
-
-    def _summarize(self, community_set: CommunitySet, community) -> CommunitySummary:
-        """Association rules over the community's traffic."""
-        block = traffic_block(
-            community.traffic,
-            community_set.granularity,
-            community_set.extractor.trace.table,
-        )
-        return summarize_transactions(
-            block, min_support_pct=self.rule_support_pct, engine=self.engine
-        )
+        communities = community_set.communities
+        taxonomies = assign_taxonomy_batch(decisions, engine=self.engine)
+        heuristics = label_communities(communities, community_set.extractor)
+        trace = community_set.extractor.trace
+        granularity = community_set.granularity
+        labels = []
+        for community, decision, taxonomy, heuristic in zip(
+            communities, decisions, taxonomies, heuristics
+        ):
+            if community.codes is None:
+                block = traffic_block(community.traffic, granularity, trace.table)
+            else:
+                block = code_block(community.codes, granularity, trace)
+            labels.append(
+                LabelRecord(
+                    community_id=community.id,
+                    taxonomy=taxonomy,
+                    heuristic=heuristic,
+                    summary=summarize_transactions(
+                        block,
+                        min_support_pct=self.rule_support_pct,
+                        engine=self.engine,
+                    ),
+                    t0=community.t0,
+                    t1=community.t1,
+                    n_alarms=community.size,
+                    detectors=tuple(
+                        sorted(community.detectors() - {ANNOTATION_DETECTOR})
+                    ),
+                    relative_distance=decision.relative_distance,
+                    mu=decision.mu,
+                    annotations=tuple(community_tags(community)),
+                )
+            )
+        return labels
 
 
 def labels_to_csv(labels: Sequence[LabelRecord]) -> str:

@@ -27,6 +27,7 @@ Column dtypes
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -208,11 +209,228 @@ class PacketTable:
 
 # -- flow encoding -----------------------------------------------------
 #
-# Flow-aware layers (the traffic extractor, Trace.flows) need a
-# per-packet *flow code*: a dense integer identifying the packet's flow
-# at a granularity.  Codes are numbered by first appearance, so code
-# order matches the insertion order of the object-based
-# ``aggregate_flows`` reference exactly.
+# Flow-aware layers (the traffic extractor, the Table-1 heuristics,
+# rule mining, Trace.flows) need a per-packet *flow code*: a dense
+# integer identifying the packet's flow at a granularity.  Codes are
+# numbered by first appearance, so code order matches the insertion
+# order of the object-based ``aggregate_flows`` reference exactly.
+
+#: The packed-key dtype of :meth:`FlowTable.lookup`: the two key words
+#: big-endian, so byte order is numeric (high word, low word) order.
+_PACKED_KEY = np.dtype(">u8")
+
+
+def _pack(src, sport, dst, dport, proto) -> tuple[np.ndarray, np.ndarray]:
+    """A 5-tuple of unsigned columns as two uint64 words (64 + 40 bits
+    used), built in place to keep temporaries few."""
+    high = src.astype(np.uint64)
+    high <<= np.uint64(32)
+    high |= dst
+    low = sport.astype(np.uint64)
+    low <<= np.uint64(16)
+    low |= dport
+    low <<= np.uint64(8)
+    low |= proto
+    return high, low
+
+
+def _packed_keys(high: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """One 16-byte value per key that compares like ``(high, low)``."""
+    packed = np.empty((len(high), 2), dtype=_PACKED_KEY)
+    packed[:, 0] = high
+    packed[:, 1] = low
+    return packed.view(np.dtype("V16")).ravel()
+
+
+class FlowTable:
+    """The flows of one packet table at one granularity.
+
+    :meth:`~repro.net.trace.Trace.flow_table` builds one per trace and
+    granularity.  Flows are numbered ``0..F-1`` by first appearance.
+
+    Attributes
+    ----------
+    codes:
+        ``(n,)`` int64: the flow code of each packet row.
+    first_row:
+        ``(F,)`` int64: each flow's first row, ascending.
+    rows, offsets:
+        The code -> rows index: ``rows[offsets[c]:offsets[c + 1]]``
+        are flow ``c``'s rows, ascending.
+    key_columns:
+        ``(F, 5)`` int64: each flow's src, sport, dst, dport and proto
+        (:class:`FlowKey` field order; canonical endpoint order at
+        biflow granularity).
+
+    :class:`FlowKey` objects are built only on request: :meth:`keys`
+    for all flows, :meth:`keys_of` for some.
+    """
+
+    __slots__ = (
+        "granularity",
+        "codes",
+        "first_row",
+        "rows",
+        "offsets",
+        "key_columns",
+        "_sorted_keys",
+        "_sorted_codes",
+        "_keys",
+    )
+
+    def __init__(self, table: PacketTable, granularity: Granularity) -> None:
+        if granularity is Granularity.PACKET:
+            raise ValueError(
+                "packets have no flow key; use packet indices instead"
+            )
+        n = len(table)
+        src, dst = table.src, table.dst
+        sport, dport = table.sport, table.dport
+        if granularity is Granularity.BIFLOW:
+            # Canonical endpoint order: the (address, port) pair
+            # comparison of ``biflow_key`` equals comparing the packed
+            # 48-bit integers.
+            forward = (src.astype(np.uint64) << np.uint64(16)) | sport
+            backward = (dst.astype(np.uint64) << np.uint64(16)) | dport
+            swap = forward > backward
+            src, dst = np.where(swap, dst, src), np.where(swap, src, dst)
+            sport, dport = (
+                np.where(swap, dport, sport),
+                np.where(swap, sport, dport),
+            )
+        # Group the packed keys with a stable sort: each group's rows
+        # stay in row order, so its first sorted row is the flow's
+        # first appearance.
+        high, low = _pack(src, sport, dst, dport, table.proto)
+        order = np.lexsort((low, high))
+        high, low = high[order], low[order]
+        starts = np.ones(n, dtype=bool)
+        starts[1:] = (high[1:] != high[:-1]) | (low[1:] != low[:-1])
+        group_start = np.flatnonzero(starts)
+        # Number the flows by first appearance: the rank of each flow's
+        # first row among all first rows.
+        first = np.zeros(n, dtype=bool)
+        first[order[group_start]] = True
+        group_code = (np.cumsum(first) - 1)[order[group_start]]
+        codes = np.empty(n, dtype=np.int64)
+        codes[order] = np.repeat(group_code, np.diff(np.append(group_start, n)))
+        first_row = np.flatnonzero(first)
+        # The code -> rows index: ``order`` holds each flow's rows as
+        # one ascending run; lay the runs out in code order.
+        n_flows = len(group_start)
+        group_of = np.empty(n_flows, dtype=np.int64)
+        group_of[group_code] = np.arange(n_flows)
+        sizes = np.diff(np.append(group_start, n))[group_of]
+        offsets = np.zeros(n_flows + 1, dtype=np.int64)
+        np.cumsum(sizes, out=offsets[1:])
+        rows = order[
+            np.repeat(group_start[group_of] - offsets[:-1], sizes)
+            + np.arange(n, dtype=np.int64)
+        ]
+        key_columns = np.empty((n_flows, 5), dtype=np.int64)
+        for j, column in enumerate((src, sport, dst, dport, table.proto)):
+            key_columns[:, j] = column[first_row]
+        self.granularity = granularity
+        self.codes = codes
+        self.first_row = first_row
+        self.rows = rows
+        self.offsets = offsets
+        self.key_columns = key_columns
+        self._sorted_keys = _packed_keys(high[group_start], low[group_start])
+        self._sorted_codes = group_code
+        self._keys: Optional[list[Optional[FlowKey]]] = None
+
+    def __len__(self) -> int:
+        return len(self.first_row)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the table's arrays."""
+        return sum(
+            int(array.nbytes)
+            for array in (
+                self.codes,
+                self.first_row,
+                self.rows,
+                self.offsets,
+                self.key_columns,
+                self._sorted_keys,
+                self._sorted_codes,
+            )
+        )
+
+    def keys(self) -> list[FlowKey]:
+        """Every flow's :class:`FlowKey`, indexed by code."""
+        return self.keys_of(range(len(self)))
+
+    def keys_of(self, codes) -> list[FlowKey]:
+        """The :class:`FlowKey` of each code in ``codes``, in order.
+
+        Keys are built on first request and kept, so every traffic set
+        decoded from this table shares one object per flow.
+        """
+        codes = codes.tolist() if isinstance(codes, np.ndarray) else list(codes)
+        if self._keys is None:
+            self._keys = [None] * len(self)
+        keys = self._keys
+        missing = [c for c in codes if keys[c] is None]
+        if missing:
+            built = map(FlowKey._make, self.key_columns[missing].tolist())
+            for code, key in zip(missing, built):
+                keys[code] = key
+        return [keys[c] for c in codes]
+
+    def lookup(self, keys) -> np.ndarray:
+        """The code of each key; ``-1`` for keys with no packet here.
+
+        ``keys`` is ``(m, 5)`` like :attr:`key_columns`.  One binary
+        search over the flows' sorted packed keys serves all of them.
+        """
+        keys = np.asarray(keys, dtype=np.uint64).reshape(-1, 5)
+        found = np.full(len(keys), -1, dtype=np.int64)
+        if len(self) == 0 or len(keys) == 0:
+            return found
+        wanted = _packed_keys(*_pack(*keys.T))
+        at = np.minimum(
+            np.searchsorted(self._sorted_keys, wanted), len(self) - 1
+        )
+        hit = self._sorted_keys[at] == wanted
+        found[hit] = self._sorted_codes[at[hit]]
+        return found
+
+    def codes_of(self, traffic_sets) -> list[np.ndarray]:
+        """Sorted codes of each set of :class:`FlowKey`\\ s.
+
+        Keys with no packet here are dropped.  One :meth:`lookup`
+        serves every set.
+        """
+        if not traffic_sets:
+            return []
+        sizes = np.fromiter(map(len, traffic_sets), np.int64, len(traffic_sets))
+        keys = np.fromiter(
+            chain.from_iterable(traffic_sets),
+            dtype=np.dtype((np.uint64, 5)),
+            count=int(sizes.sum()),
+        )
+        found = self.lookup(keys)
+        return [
+            np.unique(part[part >= 0])
+            for part in np.split(found, np.cumsum(sizes)[:-1])
+        ]
+
+    def rows_of(self, codes) -> np.ndarray:
+        """The rows of the flows ``codes``, flow by flow (int64)."""
+        codes = np.asarray(codes, dtype=np.int64)
+        starts = self.offsets[codes]
+        sizes = self.offsets[codes + 1] - starts
+        total = int(sizes.sum())
+        if total == 0:
+            return np.empty(0, dtype=np.int64)
+        ends = np.cumsum(sizes)
+        return self.rows[
+            np.repeat(starts - (ends - sizes), sizes)
+            + np.arange(total, dtype=np.int64)
+        ]
 
 
 def flow_codes(
@@ -225,84 +443,35 @@ def flow_codes(
     ``keys[code]`` is the corresponding flow key — canonically ordered
     for ``Granularity.BIFLOW``, literal for ``Granularity.UNIFLOW``.
     """
-    if granularity is Granularity.PACKET:
-        raise ValueError("packets have no flow key; use packet indices instead")
-    n = len(table)
-    src = table.src.astype(np.uint64)
-    dst = table.dst.astype(np.uint64)
-    sport = table.sport.astype(np.uint64)
-    dport = table.dport.astype(np.uint64)
-    if granularity is Granularity.BIFLOW:
-        # Canonical endpoint order: the (address, port) pair comparison
-        # of ``biflow_key`` equals comparing the packed 48-bit integers.
-        forward = (src << np.uint64(16)) | sport
-        backward = (dst << np.uint64(16)) | dport
-        swap = forward > backward
-        src, dst = np.where(swap, dst, src), np.where(swap, src, dst)
-        sport, dport = (
-            np.where(swap, dport, sport),
-            np.where(swap, sport, dport),
-        )
-    # Pack the 5-tuple into two uint64 words (64 + 40 bits used) and
-    # group them with a stable sort: each group's rows stay in row
-    # order, so its first sorted row is the flow's first appearance.
-    high = (src << np.uint64(32)) | dst
-    low = (
-        (sport << np.uint64(24))
-        | (dport << np.uint64(8))
-        | table.proto.astype(np.uint64)
-    )
-    order = np.lexsort((low, high))
-    starts = np.ones(n, dtype=bool)
-    high, low = high[order], low[order]
-    starts[1:] = (high[1:] != high[:-1]) | (low[1:] != low[:-1])
-    group = np.cumsum(starts) - 1
-    # Number the flows by first appearance: the rank of each flow's
-    # first row among all first rows.
-    first = np.zeros(n, dtype=bool)
-    first[order[starts]] = True
-    rank = np.cumsum(first) - 1
-    codes = np.empty(n, dtype=np.int64)
-    codes[order] = rank[order[starts]][group]
-    rows = np.nonzero(first)[0]
-    keys = list(
-        map(
-            FlowKey,
-            src[rows].tolist(),
-            sport[rows].tolist(),
-            dst[rows].tolist(),
-            dport[rows].tolist(),
-            table.proto[rows].tolist(),
-        )
-    )
-    return codes, keys
+    flows = FlowTable(table, granularity)
+    return flows.codes, flows.keys()
 
 
 def aggregate_flows_table(
     table: PacketTable,
     granularity: Granularity = Granularity.UNIFLOW,
-    codes: Optional[np.ndarray] = None,
-    keys: Optional[list[FlowKey]] = None,
+    flows: Optional[FlowTable] = None,
 ):
     """Vectorized twin of :func:`repro.net.flow.aggregate_flows`.
 
     Produces the identical ``{FlowKey: Flow}`` mapping — same insertion
     order, same per-flow statistics, same ``packet_indices`` — from the
-    columnar table.  ``codes``/``keys`` may be passed when already
-    computed (e.g. by a :class:`~repro.core.extractor.TrafficExtractor`).
+    columnar table.  ``flows`` may be passed when already built (e.g.
+    by :meth:`~repro.net.trace.Trace.flow_table`).
     """
     from repro.net.flow import Flow
 
     if granularity is Granularity.PACKET:
         raise ValueError("cannot aggregate flows at packet granularity")
-    if codes is None or keys is None:
-        codes, keys = flow_codes(table, granularity)
-    n_flows = len(keys)
-    flows: dict[FlowKey, Flow] = {}
+    if flows is None:
+        flows = FlowTable(table, granularity)
+    codes = flows.codes
+    n_flows = len(flows)
+    result: dict[FlowKey, Flow] = {}
     if n_flows == 0:
-        return flows
+        return result
 
-    counts = np.bincount(codes, minlength=n_flows)
+    counts = np.diff(flows.offsets)
     byte_sums = np.bincount(codes, weights=table.size, minlength=n_flows)
     is_tcp = table.proto == PROTO_TCP
     flags = table.tcp_flags
@@ -320,15 +489,10 @@ def aggregate_flows_table(
         codes, weights=(table.proto == PROTO_ICMP), minlength=n_flows
     )
 
-    # Group packet indices per flow: a stable sort by code keeps the
-    # indices ascending inside each group, matching append order.
-    order = np.argsort(codes, kind="stable")
-    boundaries = np.cumsum(counts)[:-1]
-    groups = np.split(order, boundaries)
-
     time = table.time
-    for code, key in enumerate(keys):
-        indices = groups[code]
+    offsets = flows.offsets.tolist()
+    for code, key in enumerate(flows.keys()):
+        indices = flows.rows[offsets[code] : offsets[code + 1]]
         flow = Flow(key=key)
         flow.packets = int(counts[code])
         flow.bytes = int(byte_sums[code])
@@ -340,5 +504,5 @@ def aggregate_flows_table(
         flow.first_time = float(group_times.min())
         flow.last_time = float(group_times.max())
         flow.packet_indices = [int(i) for i in indices]
-        flows[key] = flow
-    return flows
+        result[key] = flow
+    return result

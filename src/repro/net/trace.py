@@ -24,7 +24,7 @@ import numpy as np
 from repro.errors import TraceError
 from repro.net.flow import Flow, FlowKey, Granularity
 from repro.net.packet import Packet
-from repro.net.table import PacketTable, aggregate_flows_table, flow_codes
+from repro.net.table import FlowTable, PacketTable, aggregate_flows_table
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ class Trace:
         self._packet_cache: list[Optional[Packet]] = [None] * len(table)
         self._packets_tuple: Optional[tuple[Packet, ...]] = None
         self._flow_cache: dict[Granularity, dict[FlowKey, Flow]] = {}
-        self._code_cache: dict[Granularity, tuple[np.ndarray, list[FlowKey]]] = {}
+        self._flow_tables: dict[Granularity, FlowTable] = {}
 
     # -- columnar access ----------------------------------------------
 
@@ -100,15 +100,17 @@ class Trace:
         """The struct-of-arrays backing store (time-sorted)."""
         return self._table
 
-    def flow_code_table(
-        self, granularity: Granularity
-    ) -> tuple[np.ndarray, list[FlowKey]]:
-        """Per-packet flow codes + code->key table (cached per trace)."""
-        cached = self._code_cache.get(granularity)
-        if cached is None:
-            cached = flow_codes(self._table, granularity)
-            self._code_cache[granularity] = cached
-        return cached
+    def flow_table(self, granularity: Granularity) -> FlowTable:
+        """The :class:`~repro.net.table.FlowTable` at ``granularity``.
+
+        Built on first use and cached per trace.
+        """
+        flows = self._flow_tables.get(granularity)
+        if flows is None:
+            flows = self._flow_tables[granularity] = FlowTable(
+                self._table, granularity
+            )
+        return flows
 
     # -- basic container protocol ------------------------------------
 
@@ -189,9 +191,8 @@ class Trace:
         """
         cached = self._flow_cache.get(granularity)
         if cached is None:
-            codes, keys = self.flow_code_table(granularity)
             cached = aggregate_flows_table(
-                self._table, granularity, codes=codes, keys=keys
+                self._table, granularity, self.flow_table(granularity)
             )
             self._flow_cache[granularity] = cached
         return cached

@@ -56,6 +56,18 @@ def traffic_block(traffic, granularity: Granularity, table) -> np.ndarray:
     return flow_block(traffic)
 
 
+def code_block(codes, granularity: Granularity, trace) -> np.ndarray:
+    """The block of a code array (see :func:`traffic_block`).
+
+    At packet granularity ``codes`` are rows of ``trace``; otherwise
+    they are flow codes, and the block gathers the flow table's key
+    columns.
+    """
+    if granularity is Granularity.PACKET:
+        return packet_block(trace.table, codes)
+    return trace.flow_table(granularity).key_columns[codes, : len(FIELDS)]
+
+
 def transactions_from_block(block) -> list[tuple]:
     """One ``((field, value), ...)`` transaction per block row."""
     return [tuple(zip(FIELDS, row)) for row in np.asarray(block).tolist()]

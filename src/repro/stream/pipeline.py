@@ -50,7 +50,6 @@ from repro.engine import EngineSpec, resolve_engine
 from repro.errors import StreamError
 from repro.labeling.mawilab import LabelRecord, MAWILabPipeline, labels_to_csv
 from repro.labeling.store import LabelStore
-from repro.labeling.taxonomy import assign_taxonomy_batch
 from repro.net.flow import Granularity
 from repro.net.table import PacketTable
 from repro.net.trace import Trace, TraceMetadata
@@ -506,15 +505,10 @@ class StreamingPipeline:
             decisions = self.pipeline.strategy.classify(
                 community_set, self.pipeline.config_names
             )
-            taxonomies = assign_taxonomy_batch(decisions, engine=self.engine)
-            labels = [
-                self.pipeline._label_one(
-                    community_set, community, decision, taxonomy
-                )
-                for community, decision, taxonomy in zip(
-                    communities, decisions, taxonomies
-                )
-            ]
+            # The communities' flow keys map to window codes inside the
+            # batched heuristics; keys without packets in the window
+            # drop out there, while the rule blocks keep every key.
+            labels = self.pipeline._label_all(community_set, decisions)
 
         self._merge_labels(labels)
         latency = _time.perf_counter() - started

@@ -25,7 +25,7 @@ from repro.core.alarm_table import AlarmTable
 from repro.core.annotations import Annotation
 from repro.detectors.base import Alarm
 from repro.net.filters import FeatureFilter
-from repro.net.flow import FlowKey
+from repro.net.flow import FlowKey, Granularity
 from repro.net.packet import PROTO_ICMP, PROTO_TCP, PROTO_UDP
 
 # -- strategies -------------------------------------------------------
@@ -225,32 +225,35 @@ _ANNOTATIONS = (
 
 @pytest.fixture(scope="module")
 def numpy_csvs(archive_day):
-    """The numpy engine's CSV per annotation setting (the reference)."""
+    """The numpy engine's CSV per granularity and annotation setting
+    (the reference)."""
     from repro.labeling.mawilab import MAWILabPipeline, labels_to_csv
 
-    pipeline = MAWILabPipeline(engine="numpy")
-    table = pipeline.detect(archive_day.trace)
+    table = MAWILabPipeline(engine="numpy").detect(archive_day.trace)
     return {
-        annotations: labels_to_csv(
-            pipeline.run_with_alarms(
-                archive_day.trace, table, annotations=annotations
-            ).labels
+        (granularity, annotations): labels_to_csv(
+            MAWILabPipeline(engine="numpy", granularity=granularity)
+            .run_with_alarms(archive_day.trace, table, annotations=annotations)
+            .labels
         )
+        for granularity in Granularity
         for annotations in ((), _ANNOTATIONS)
     }
 
 
+@pytest.mark.parametrize("granularity", list(Granularity), ids=str)
 @pytest.mark.parametrize("engine", ["numpy", "python"])
 def test_pipeline_labels_identically_from_list_and_table(
-    archive_day, numpy_csvs, engine
+    archive_day, numpy_csvs, engine, granularity
 ):
-    """Every engine runs Steps 2-4 over one alarm table: an object
-    list, the detector-warm table and a cold (pickled) table label
-    byte-identically to the numpy engine, with and without
-    annotations, and the result carries the table it ran over."""
+    """Every engine runs Steps 2-4 over one alarm table at every
+    granularity: an object list, the detector-warm table and a cold
+    (pickled) table label byte-identically to the numpy engine, with
+    and without annotations, and the result carries the table it ran
+    over."""
     from repro.labeling.mawilab import MAWILabPipeline, labels_to_csv
 
-    pipeline = MAWILabPipeline(engine=engine)
+    pipeline = MAWILabPipeline(engine=engine, granularity=granularity)
     trace = archive_day.trace
     table = pipeline.detect(trace)
     assert isinstance(table, AlarmTable)
@@ -263,8 +266,11 @@ def test_pipeline_labels_identically_from_list_and_table(
             assert isinstance(result.alarms, AlarmTable)
             assert result.community_set.alarms is result.alarms
             assert len(result.alarms) == len(table) + len(annotations)
-            assert labels_to_csv(result.labels) == numpy_csvs[annotations]
-    assert numpy_csvs[()] != numpy_csvs[_ANNOTATIONS]
+            assert (
+                labels_to_csv(result.labels)
+                == numpy_csvs[granularity, annotations]
+            )
+    assert numpy_csvs[granularity, ()] != numpy_csvs[granularity, _ANNOTATIONS]
 
 
 # -- LabelStore ---------------------------------------------------------

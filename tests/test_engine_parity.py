@@ -13,8 +13,8 @@ tie-breaks by first appearance), not merely set equality.
 Adding a kernel = adding one row to ``KERNEL_CASES``.
 """
 
+import dataclasses
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -22,6 +22,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.alarm_table import AlarmTable
+from repro.core.community import Community
 from repro.core.extractor import TrafficExtractor
 from repro.core.graph import build_similarity_graph
 from repro.detectors.base import Alarm
@@ -97,6 +99,13 @@ def traces_and_alarms(draw):
         t0 = draw(st.floats(min_value=0.0, max_value=5.0, allow_nan=False))
         t1 = draw(st.floats(min_value=5.0, max_value=11.0, allow_nan=False))
         alarm_filters = tuple(draw(st.lists(filters, max_size=2)))
+        if draw(st.booleans()):
+            # A window ending at the trace's last timestamp: flow keys
+            # include the packets there, filters do not.
+            t0, t1 = min(t0, trace.end_time), trace.end_time
+            alarm_filters = tuple(
+                dataclasses.replace(f, t0=None, t1=None) for f in alarm_filters
+            )
         flow_keys = set()
         if draw(st.booleans()):
             index = draw(st.integers(0, len(trace) - 1))
@@ -211,9 +220,33 @@ def graph_inputs(draw):
 
 @st.composite
 def community_inputs(draw):
+    """A run's alarms and communities over them, at any granularity.
+
+    A community is a list of alarm ids.  Communities overlap when they
+    share an alarm or a flow, are empty when they hold no alarm or only
+    alarms that designate nothing, and hold one row when their alarms
+    designate one packet or flow (one-packet traces included).
+    ``by_codes`` picks how the vectorized kernel gets them: with the
+    extraction's code arrays, or as traffic sets it maps itself, the
+    streaming engine's way; such sets may also hold a flow with no
+    packet in the trace.
+    """
     trace, alarms = draw(traces_and_alarms())
+    ids = st.integers(0, len(alarms) - 1)
+    groups = draw(
+        st.lists(
+            st.lists(ids, min_size=1, max_size=3, unique=True),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    if draw(st.booleans()):
+        # Communities sharing an alarm share its traffic.
+        groups.append(sorted(set(groups[0]) | set(groups[-1])))
+    if draw(st.booleans()):
+        groups.insert(draw(st.integers(0, len(groups))), [])
     granularity = draw(st.sampled_from(list(Granularity)))
-    return trace, alarms[0], granularity
+    return trace, alarms, granularity, groups, draw(st.booleans())
 
 
 #: Small name alphabet so codes actually repeat.
@@ -396,22 +429,54 @@ def _run_similarity_graph(engine, payload):
     return _ordered_adjacency(graph)
 
 
+def _codes_of(trace, granularity, sets):
+    """Sorted traffic codes of public traffic sets."""
+    if granularity is Granularity.PACKET:
+        return [sorted(traffic) for traffic in sets]
+    return [
+        codes.tolist()
+        for codes in trace.flow_table(granularity).codes_of(list(sets))
+    ]
+
+
 def _run_extractor(engine, payload):
     trace, alarms, granularity = payload
     extractor = TrafficExtractor(trace, granularity, engine=engine)
-    sets = extractor.extract_all(alarms).traffic_sets
+    graph_input, sets = extractor.extract_all(alarms)
+    codes = (
+        [c.tolist() for c in graph_input]
+        if engine.vectorized
+        else _codes_of(trace, granularity, sets)
+    )
     return (
-        sets,
+        codes,
+        list(sets),
         [extractor.extract(alarm) for alarm in alarms],
         [extractor.packets_of(traffic) for traffic in sets],
     )
 
 
 def _run_community_label(engine, payload):
-    trace, alarm, granularity = payload
+    trace, alarms, granularity, groups, by_codes = payload
     extractor = TrafficExtractor(trace, granularity, engine=engine)
-    community = SimpleNamespace(traffic=extractor.extract(alarm))
-    return engine.kernel("community_label")(extractor, community)
+    sets = extractor.extract_all(alarms).traffic_sets
+    table = AlarmTable.from_alarms(alarms)
+    communities = []
+    for community_id, ids in enumerate(groups):
+        if by_codes and engine.vectorized:
+            codes = np.unique(
+                np.concatenate([sets.codes[i] for i in ids] + [np.empty(0)])
+            ).astype(np.int64)
+            community = Community(
+                community_id, ids, table, codes=codes, decode=sets.decode
+            )
+        else:
+            traffic = frozenset().union(*(sets[i] for i in ids))
+            if not by_codes and granularity is not Granularity.PACKET:
+                traffic |= {uniflow_key(trace[0])._replace(src=999)}
+            community = Community(community_id, ids, table, traffic=traffic)
+        communities.append(community)
+    return engine.kernel("community_label")(extractor, communities)
 
 
 def _run_column_values(engine, payload):

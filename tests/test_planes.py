@@ -126,6 +126,27 @@ def test_cache_counts_hits_and_misses():
     assert cache.counters()["planes"] == 1
 
 
+def test_byte_counter_counts_arrays_without_walking_lists():
+    """A plane's bytes are its arrays' ``nbytes``: a list it holds (one
+    Python object per flow, say) is counted without being iterated."""
+    from repro.net.flow import FlowKey
+
+    class Unwalkable(list):
+        def __iter__(self):
+            raise AssertionError("the byte counter walked a list")
+
+    codes = np.arange(6, dtype=np.int64)
+    keys = Unwalkable([FlowKey(1, 2, 3, 4, 6)] * 3)
+    cache = PlaneCache("numpy")
+    cache.seed(("codes_and_keys",), (codes, keys))
+    cache.seed(("keys",), keys)
+    assert len(cache) == 2
+    assert cache.nbytes == codes.nbytes
+    trace = Trace([_packet(float(i), i % 3, 1, 1, 2, PROTO_TCP, 100, 16) for i in range(10)])
+    flows = cache.get(trace, ("flow_codes", "UNIFLOW"))
+    assert cache.nbytes == codes.nbytes + flows.nbytes > codes.nbytes
+
+
 def test_disabled_cache_recomputes():
     trace = Trace([_packet(float(i), 1, 2, 1, 2, PROTO_UDP, 100, 0) for i in range(6)])
     cache = PlaneCache("numpy", enabled=False)
