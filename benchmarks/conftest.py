@@ -12,6 +12,7 @@ The corpus is session-scoped; figure benchmarks only aggregate.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import pytest
@@ -104,3 +105,19 @@ def granularity_runs(archive):
 def run_once(benchmark, fn):
     """Run ``fn`` exactly once under pytest-benchmark accounting."""
     return benchmark.pedantic(fn, rounds=1, iterations=1)
+
+
+def best_of_interleaved(fns, reps: int) -> list[tuple[float, object]]:
+    """Best time and last result of each callable over ``reps`` rounds.
+
+    The callables alternate within every round (a, b, a, b, ...), so a
+    drift in host speed slows both sides of a ratio alike instead of
+    landing on whichever block of repetitions ran during it.
+    """
+    best = [(float("inf"), None)] * len(fns)
+    for _ in range(reps):
+        for i, fn in enumerate(fns):
+            started = time.perf_counter()
+            result = fn()
+            best[i] = (min(best[i][0], time.perf_counter() - started), result)
+    return best

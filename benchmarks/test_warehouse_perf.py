@@ -27,6 +27,8 @@ from repro.labeling.taxonomy import TAXONOMY_ORDER
 from repro.rules.itemsets import Rule
 from repro.rules.summarize import CommunitySummary
 
+from benchmarks.conftest import best_of_interleaved
+
 N_DAYS = 32
 ROWS_PER_DAY = 200
 
@@ -107,22 +109,6 @@ def _query_csv(database: LabelDatabase, dates) -> list:
     ]
 
 
-def _best_of_interleaved(fns, reps: int) -> list[tuple[float, object]]:
-    """Best time and last result of each callable over ``reps`` rounds.
-
-    The callables alternate within every round (a, b, a, b, ...), so a
-    drift in host speed slows both sides of a ratio alike instead of
-    landing on whichever block of repetitions ran during it.
-    """
-    best = [(float("inf"), None)] * len(fns)
-    for _ in range(reps):
-        for i, fn in enumerate(fns):
-            started = time.perf_counter()
-            result = fn()
-            best[i] = (min(best[i][0], time.perf_counter() - started), result)
-    return best
-
-
 def test_cross_day_query_beats_csv_by_10x(populated):
     database, warehouse, dates = populated
 
@@ -131,7 +117,7 @@ def test_cross_day_query_beats_csv_by_10x(populated):
 
     # Warm both paths once (mmap pages, filesystem cache), then take
     # best-of so scheduler noise cannot fail the gate spuriously.
-    (csv_seconds, csv_rows), (warehouse_seconds, rows) = _best_of_interleaved(
+    (csv_seconds, csv_rows), (warehouse_seconds, rows) = best_of_interleaved(
         [lambda: _query_csv(database, dates), query_warehouse], reps=3
     )
 

@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Twelve subcommands expose the library to non-Python users::
+Eleven subcommands expose the library to non-Python users::
 
     mawilab generate      --seed 7 --duration 30 --anomaly sasser \
                           --anomaly ping_flood --out day.pcap --truth truth.json
@@ -9,7 +9,6 @@ Twelve subcommands expose the library to non-Python users::
     mawilab label         day.pcap --format csv --out labels.csv
     mawilab stream        day.pcap --window 60 --hop 30 --out labels.csv
     mawilab engines
-    mawilab bench         --engine auto --out bench.json
     mawilab archive       --start 2004-01-01 --months 6
     mawilab label-archive --start 2004-01-01 --months 6 --workers 4 \
                           --out-dir labels/ --cache-dir .mawilab-cache --resume
@@ -26,22 +25,18 @@ runs the same method *online* over a sliding window — the pcap is read
 in bounded batches, each window is labeled as its end passes, and
 per-window progress (packets, alarms, latency) goes to stderr while
 the final cross-window-deduplicated CSV goes to stdout; `engines`
-lists the registered execution engines and their kernels; `bench` runs
-the offline pipeline once on a synthetic archive day plus a streaming
-leg and a worker fan-out leg, and prints per-stage wall times,
-streaming throughput and per-mode fan-out throughput as JSON —
-the perf artifact CI archives on every PR; `archive` sweeps synthetic
-archive days and prints the SCANN attack-ratio series (the Fig. 7
-workflow); `label-archive` shards archive days across a process pool,
-writes one label CSV per day plus a JSON batch report, and can resume
-an interrupted run; `serve` runs the labeling daemon — concurrent
-HTTP packet feeds with bounded-ring backpressure, live ``/labels``
-queries, and an optional resumable archive-ingest schedule (see
-``docs/serving.md``); `warehouse` manages the memory-mapped columnar
-label store — ingest, zero-copy cross-day queries, CSV export,
-checksum verification, and configuration-delta recompute (see
-``docs/warehouse.md``).  All commands are deterministic given their
-seeds.
+lists the registered execution engines and their kernels; `archive`
+sweeps synthetic archive days and prints the SCANN attack-ratio series
+(the Fig. 7 workflow); `label-archive` shards archive days across a
+process pool, writes one label CSV per day plus a JSON batch report,
+and can resume an interrupted run; `serve` runs the labeling daemon —
+concurrent HTTP packet feeds with bounded-ring backpressure, live
+``/labels`` queries, and an optional resumable archive-ingest
+schedule (see ``docs/serving.md``); `warehouse` manages the
+memory-mapped columnar label store — ingest, zero-copy cross-day
+queries, CSV export, checksum verification, and configuration-delta
+recompute (see ``docs/warehouse.md``).  All commands are deterministic
+given their seeds.
 
 The pipeline commands accept ``--engine {auto,numpy,python}``: the
 columnar NumPy engine (default) or the pure-Python reference
@@ -220,514 +215,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     else:
         print(rendered, end="")
     return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """One synthetic-trace pipeline run with per-stage wall times.
-
-    Prints a JSON document so CI can archive comparable perf artifacts
-    across PRs: generation parameters, per-stage seconds
-    (detect / extract / graph / combine / label), totals and output
-    shape (alarm/community/label counts), a streaming leg, and a
-    worker fan-out leg comparing a single process with the pool.
-    """
-    import time
-
-    from repro.labeling.mawilab import MAWILabPipeline
-    from repro.mawi.archive import SyntheticArchive
-
-    archive = SyntheticArchive(seed=args.seed, trace_duration=args.duration)
-    trace = archive.day(args.date).trace
-    pipeline = MAWILabPipeline(engine=args.engine)
-
-    timings: dict = {}
-    started = time.perf_counter()
-    alarms = pipeline.detect(trace)
-    timings["detect"] = time.perf_counter() - started
-    result = pipeline.run_with_alarms(trace, alarms, timings=timings)
-    total = time.perf_counter() - started
-
-    # Streaming leg: the same trace consumed as a chunked stream with
-    # overlapping windows, so the artifact tracks online throughput
-    # (packets/sec) and window latency alongside the offline stages.
-    from repro.errors import StreamError
-    from repro.stream import StreamingPipeline, chunk_table
-
-    stream_window = args.stream_window or args.duration / 3.0
-    stream_hop = args.stream_hop or stream_window / 2.0
-    try:
-        streamer = StreamingPipeline(
-            window=stream_window, hop=stream_hop, engine=args.engine
-        )
-    except StreamError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    stream_result = streamer.run(
-        chunk_table(trace.table, args.stream_chunk)
-    )
-
-    payload = {
-        "engine": args.engine,
-        "seed": args.seed,
-        "date": args.date,
-        "duration": args.duration,
-        "n_packets": len(trace),
-        "n_alarms": len(result.alarms),
-        "n_communities": len(result.community_set.communities),
-        "n_anomalous": len(result.anomalous()),
-        "stages": {
-            stage: round(timings.get(stage, 0.0), 6)
-            for stage in ("detect", "extract", "graph", "combine", "label")
-        },
-        "total": round(total, 6),
-        "streaming": {
-            "window": stream_window,
-            "hop": stream_hop,
-            "chunk_packets": args.stream_chunk,
-            "n_labels": len(stream_result.labels),
-            **stream_result.stats.to_dict(),
-        },
-    }
-    payload["detect_leg"] = _bench_detect(
-        trace, engine=args.engine, profile=args.profile
-    )
-    if args.alarm_path_reps > 0:
-        payload["alarm_path"] = _bench_alarm_path(
-            trace, reps=args.alarm_path_reps
-        )
-    if args.fanout_workers > 0:
-        payload["fanout"] = _bench_fanout(args, archive)
-    if args.serve_queries > 0:
-        payload["serve"] = _bench_serve(args, archive)
-    if args.warehouse_days > 0:
-        payload["warehouse"] = _bench_warehouse(args, archive)
-    rendered = json.dumps(payload, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(rendered)
-        print(f"wrote bench report to {args.out}", file=sys.stderr)
-    else:
-        print(rendered, end="")
-    return 0
-
-
-def _bench_detect(trace, engine: str, profile: bool, reps: int = 3) -> dict:
-    """Detect leg: Step 1 throughput with and without the plane cache.
-
-    The ensemble analyzes the bench trace twice per rep — *uncached*
-    (one fresh :class:`~repro.detectors.planes.PlaneCache` per
-    configuration, preserving only the pre-cache intra-configuration
-    reuse) and *cached* (one cache shared across all configurations,
-    the production sharing path).  Both legs must produce
-    byte-identical labels (asserted here), so ``detect_speedup`` —
-    best-of-``reps`` uncached seconds over cached seconds, the ratio
-    the CI regression gate enforces on multi-core hosts — is a pure
-    plane-sharing effect.
-
-    With ``profile``, the leg carries per-configuration wall times for
-    both variants plus the shared cache's hit/miss/bytes counters.
-    """
-    import os
-    import time
-
-    from repro.core.alarm_table import AlarmTable
-    from repro.detectors.planes import PlaneCache
-    from repro.labeling.mawilab import MAWILabPipeline, labels_to_csv
-
-    pipeline = MAWILabPipeline(engine=engine)
-    names = pipeline.config_names
-
-    def run_leg(shared: bool) -> tuple[dict, str]:
-        best = None
-        for _ in range(reps):
-            cache = PlaneCache(pipeline.engine) if shared else None
-            per_config = {}
-            tables = []
-            leg_started = time.perf_counter()
-            for name, detector in zip(names, pipeline.ensemble):
-                planes = (
-                    cache if shared else PlaneCache(pipeline.engine)
-                )
-                started = time.perf_counter()
-                tables.append(detector.analyze_table(trace, planes=planes))
-                per_config[name] = round(
-                    time.perf_counter() - started, 6
-                )
-            elapsed = time.perf_counter() - leg_started
-            if best is None or elapsed < best["seconds"]:
-                best = {"seconds": round(elapsed, 6)}
-                if profile:
-                    best["per_config"] = per_config
-                    if shared:
-                        best["plane_cache"] = cache.counters()
-                best_tables = tables
-        result = pipeline.run_with_alarms(
-            trace, AlarmTable.concatenate(best_tables)
-        )
-        return best, labels_to_csv(result.labels)
-
-    uncached, uncached_csv = run_leg(shared=False)
-    cached, cached_csv = run_leg(shared=True)
-    if uncached_csv != cached_csv:
-        raise RuntimeError(
-            "detect leg: cached and uncached runs disagree on labels"
-        )
-    return {
-        "engine": engine,
-        "reps": reps,
-        "n_configs": len(names),
-        "cpu_count": os.cpu_count() or 1,
-        "uncached": uncached,
-        "cached": cached,
-        "detect_speedup": round(
-            uncached["seconds"] / cached["seconds"], 3
-        ),
-    }
-
-
-def _bench_alarm_path(trace, reps: int = 3) -> dict:
-    """Alarm-path leg: Steps 2-4 throughput, python vs numpy kernels.
-
-    One Step 1 alarm table is pushed through similarity estimation,
-    community detection, acceptance and labeling ``reps`` times on both
-    engines — the same table path, differing only in the kernels
-    (``object`` = the pure-Python reference kernels, ``columnar`` =
-    the NumPy kernels) — reporting alarms/sec per engine.  Both must
-    render byte-identical CSV (asserted here), so the speedup is a pure
-    kernel effect.
-    """
-    import time
-
-    from repro.labeling.mawilab import MAWILabPipeline, labels_to_csv
-
-    columnar_pipeline = MAWILabPipeline(engine="numpy")
-    object_pipeline = MAWILabPipeline(engine="python")
-    table = columnar_pipeline.detect(trace)
-    n_alarms = len(table)
-    leg: dict = {"n_alarms": n_alarms, "reps": reps}
-    outputs = {}
-
-    for name, pipeline in (
-        ("object", object_pipeline),
-        ("columnar", columnar_pipeline),
-    ):
-        started = time.perf_counter()
-        for _ in range(reps):
-            result = pipeline.run_with_alarms(trace, table)
-        elapsed = time.perf_counter() - started
-        outputs[name] = labels_to_csv(result.labels)
-        leg[name] = {
-            "seconds": round(elapsed, 6),
-            "alarms_per_sec": round(n_alarms * reps / elapsed, 1),
-        }
-    if outputs["object"] != outputs["columnar"]:
-        raise RuntimeError("alarm-path leg: engines disagree on labels")
-    leg["columnar_speedup"] = round(
-        leg["object"]["seconds"] / leg["columnar"]["seconds"], 3
-    )
-    return leg
-
-
-def _bench_fanout(args: argparse.Namespace, archive) -> dict:
-    """Fan-out leg: pool execution compared end to end.
-
-    ``--fanout-traces`` archive days labeled three ways — ``single``
-    (one process, the 2x-win reference), ``shm`` (pool, tables
-    exported once into recycled shared-memory segments workers pin),
-    and ``shm_detector`` (intra-trace detector fan-out over the same
-    segments).  Every sub-leg records its worker count and fan-out
-    mode alongside packets/sec; all three must render byte-identical
-    label CSVs (asserted here).  ``shm_vs_single`` is the ratio the CI
-    regression gate enforces (on multi-core hosts), and ``cpu_count``
-    records what parallelism the host could actually offer.
-
-    With ``--profile``, each labeling sub-leg carries a per-phase
-    wall-time breakdown (export / attach / compute / merge / idle).
-    """
-    import os
-    import time
-
-    from repro.runner.config import PipelineConfig
-    from repro.session import LabelingSession
-
-    dates = _month_dates("2005-01-01", args.fanout_traces)
-    traces = [archive.day(date).trace for date in dates]
-    total_packets = sum(len(t) for t in traces)
-    leg = {
-        "workers": args.fanout_workers,
-        "n_traces": len(traces),
-        "total_packets": total_packets,
-        "cpu_count": os.cpu_count() or 1,
-        "labeling": {},
-    }
-    sub_legs = (
-        ("single", dict(workers=1, fanout="shard")),
-        ("shm", dict(workers=args.fanout_workers, fanout="shard")),
-        ("shm_detector", dict(workers=args.fanout_workers, fanout="detector")),
-    )
-    shas = {}
-    for name, spec in sub_legs:
-        profile: dict = {}
-        with LabelingSession(
-            config=PipelineConfig(engine=args.engine), **spec
-        ) as session:
-            started = time.perf_counter()
-            report = session.label_traces(
-                traces, profile=profile if args.profile else None
-            )
-            elapsed = time.perf_counter() - started
-        if report.failures():
-            raise RuntimeError(
-                f"fanout leg {name!r} failed: "
-                f"{[r.error for r in report.failures()]}"
-            )
-        shas[name] = tuple(r.csv_sha256 for r in report.reports)
-        entry = {
-            **spec,
-            "seconds": round(elapsed, 6),
-            "packets_per_sec": round(total_packets / elapsed, 1),
-        }
-        if args.profile:
-            entry["profile"] = profile
-        leg["labeling"][name] = entry
-    if len(set(shas.values())) != 1:
-        raise RuntimeError(
-            "fanout legs disagree on labels: "
-            + ", ".join(sorted(shas))
-        )
-    leg["shm_vs_single"] = round(
-        leg["labeling"]["single"]["seconds"]
-        / leg["labeling"]["shm"]["seconds"],
-        3,
-    )
-    return leg
-
-
-def _bench_serve(args: argparse.Namespace, archive) -> dict:
-    """Serve leg: ingest + query throughput through the live daemon.
-
-    Boots a :class:`~repro.serve.daemon.LabelingService` behind its
-    HTTP surface, pushes one archive day through a feed *over HTTP*
-    (the full wire path, backpressure included), then hammers
-    ``/labels`` to measure query throughput.  The artifact records
-    queries/sec, the ingest-to-queryable p95 latency (window labeling
-    + index publish), and — under ``--profile`` — per-feed queue-depth
-    high-water marks against their configured bounds, which the
-    regression gate checks for bounded-memory behavior.
-    """
-    import time
-    import urllib.request
-
-    from repro.serve import LabelServer, LabelingService, table_to_rows
-    from repro.stream.window import chunk_table
-
-    day = archive.day(args.date)
-
-    with LabelingService(
-        engine=args.engine,
-        window=args.duration,
-        max_ring_packets=args.serve_ring,
-    ) as service:
-        server = LabelServer(service).start_background()
-        base = f"http://127.0.0.1:{server.port}"
-
-        def post(path: str, payload: dict) -> dict:
-            request = urllib.request.Request(
-                base + path,
-                data=json.dumps(payload).encode(),
-                headers={"Content-Type": "application/json"},
-                method="POST",
-            )
-            with urllib.request.urlopen(request) as response:
-                return json.load(response)
-
-        post("/feeds/bench", {"date": day.date})
-        ingest_started = time.perf_counter()
-        for chunk in chunk_table(day.trace.table, args.stream_chunk):
-            post("/feeds/bench/packets", {"packets": table_to_rows(chunk)})
-        close_status = post("/feeds/bench/close", {})
-        ingest_seconds = time.perf_counter() - ingest_started
-
-        query_url = base + f"/labels?date={day.date}&taxonomy=anomalous"
-        query_started = time.perf_counter()
-        for _ in range(args.serve_queries):
-            with urllib.request.urlopen(query_url) as response:
-                json.load(response)
-        query_seconds = time.perf_counter() - query_started
-
-        with urllib.request.urlopen(base + "/metrics") as response:
-            metrics = json.load(response)
-
-        leg = {
-            "n_packets": len(day.trace),
-            "n_labels": close_status["labels"],
-            "windows": close_status["windows"],
-            "ingest_seconds": round(ingest_seconds, 6),
-            "ingest_packets_per_sec": round(
-                len(day.trace) / ingest_seconds, 1
-            ),
-            "p95_commit_seconds": metrics["latency"]["p95_commit_seconds"],
-            "queries": args.serve_queries,
-            "queries_per_sec": round(
-                args.serve_queries / query_seconds, 1
-            ),
-        }
-        if args.profile:
-            # Bounded-memory evidence: every queue's high-water mark
-            # next to its configured bound (gated by
-            # check_bench_regression.py).
-            leg["queues"] = metrics["queues"]
-        server.stop_background()
-    return leg
-
-
-def _bench_warehouse(args: argparse.Namespace, archive) -> dict:
-    """Warehouse leg: columnar cross-day queries vs CSV re-parsing,
-    plus the delta-recompute path.
-
-    ``--warehouse-days`` archive days are labeled once and dual-written
-    into a :class:`~repro.labeling.database.LabelDatabase` (the CSV
-    baseline) and a :class:`~repro.labeling.warehouse.Warehouse`
-    (mmap'd columnar segments).  The leg then measures:
-
-    * cross-day query throughput — the same taxonomy filter answered
-      from mapped columns (``Warehouse.query``) and by re-parsing every
-      day's CSV (``LabelDatabase.load_day``); ``query_speedup`` is the
-      ratio the CI regression gate enforces,
-    * cold-open latency — a fresh :class:`Warehouse` handle mapping
-      every day's label segment,
-    * delta recompute — a heuristics-only configuration change
-      (combiner strategy) relabeled via ``Warehouse.recompute``, which
-      must reuse every day's Step 1 alarms from the previous version's
-      segments (``step1_reruns`` is gated at exactly zero) and beat the
-      full relabeling wall time (``recompute_speedup``).
-
-    The warehouse CSV export is asserted byte-identical to the stored
-    database CSV for every day, so the speedups are pure data-path
-    effects.
-    """
-    import dataclasses
-    import os
-    import tempfile
-    import time
-
-    from repro.labeling.database import LabelDatabase, _day_relpath
-    from repro.labeling.warehouse import (
-        Warehouse,
-        archive_meta,
-        warehouse_fingerprint,
-    )
-    from repro.runner.config import PipelineConfig
-
-    dates = _month_dates("2005-01-01", args.warehouse_days)
-    config = PipelineConfig(engine=args.engine)
-    pipeline = config.build_pipeline()
-    query_reps = 20
-    with tempfile.TemporaryDirectory(prefix="bench-warehouse-") as root:
-        database = LabelDatabase(os.path.join(root, "csv"))
-        warehouse = Warehouse(os.path.join(root, "warehouse"))
-        version = warehouse.ensure_version(
-            warehouse_fingerprint(
-                archive.fingerprint(),
-                pipeline.ensemble_fingerprint(),
-                repr(config),
-            ),
-            ensemble_fingerprint=pipeline.ensemble_fingerprint(),
-            config=repr(config),
-            archive=archive_meta(archive),
-        )
-
-        started = time.perf_counter()
-        for date in dates:
-            result = pipeline.run(archive.day(date).trace)
-            database.store_day(date, result)
-            warehouse.store_result(date, result, version=version)
-        full_label_seconds = time.perf_counter() - started
-
-        for date in dates:
-            path = os.path.join(database.root, _day_relpath(date))
-            with open(path) as handle:
-                if warehouse.export_csv(date) != handle.read():
-                    raise RuntimeError(
-                        f"warehouse leg: export for {date} is not "
-                        "byte-identical to the stored CSV"
-                    )
-
-        warehouse.close()
-        started = time.perf_counter()
-        cold = Warehouse(os.path.join(root, "warehouse"))
-        for date in dates:
-            cold.open_labels(date)
-        cold_open_seconds = time.perf_counter() - started
-        cold.close()
-
-        started = time.perf_counter()
-        for _ in range(query_reps):
-            rows = warehouse.query(
-                taxonomy="anomalous", engine=args.engine
-            )
-        warehouse_seconds = time.perf_counter() - started
-
-        started = time.perf_counter()
-        for _ in range(query_reps):
-            csv_rows = [
-                (date, record)
-                for date in dates
-                for record in database.load_day(date)
-                if record.taxonomy == "anomalous"
-            ]
-        csv_seconds = time.perf_counter() - started
-        # The CSV path yields one row per (community, rule); the
-        # warehouse one per community — compare matched communities.
-        csv_hits = {(date, record.community_id) for date, record in csv_rows}
-        if len(csv_hits) != len(rows):
-            raise RuntimeError(
-                "warehouse leg: mmap query and CSV scan disagree "
-                f"({len(rows)} vs {len(csv_hits)} communities)"
-            )
-
-        # Heuristics-only change: the detection ensemble is untouched,
-        # so every day's Step 1 alarms must come back from the previous
-        # version's alarm segments — zero ensemble reruns.
-        started = time.perf_counter()
-        report = warehouse.recompute(
-            dataclasses.replace(config, strategy="average"),
-            archive=archive,
-        )
-        recompute_seconds = time.perf_counter() - started
-        if report.step1_reruns:
-            raise RuntimeError(
-                "warehouse leg: heuristics-only recompute reran "
-                f"Step 1 on {report.step1_reruns} day(s)"
-            )
-        warehouse.close()
-
-    return {
-        "days": len(dates),
-        "query_reps": query_reps,
-        "n_query_rows": len(rows),
-        "full_label_seconds": round(full_label_seconds, 6),
-        "cold_open_seconds": round(cold_open_seconds, 6),
-        "warehouse_queries_per_sec": round(
-            query_reps / warehouse_seconds, 1
-        ),
-        "csv_queries_per_sec": round(query_reps / csv_seconds, 1),
-        "query_speedup": round(csv_seconds / warehouse_seconds, 3),
-        "recompute": {
-            "seconds": round(recompute_seconds, 6),
-            "step1_reruns": report.step1_reruns,
-            "cache_hits": report.cache_hits,
-            "segment_hits": report.segment_hits,
-            "days_changed": sum(
-                1
-                for day in report.days
-                if day.added or day.removed or day.taxonomy_changed
-            ),
-            "recompute_speedup": round(
-                full_label_seconds / recompute_seconds, 3
-            ),
-        },
-    }
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -1216,79 +703,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fanout_option(label)
     _add_pipeline_options(label)
     label.set_defaults(func=_cmd_label)
-
-    bench = sub.add_parser(
-        "bench",
-        help="run the synthetic-trace pipeline once and print per-stage "
-        "wall times as JSON",
-    )
-    bench.add_argument("--seed", type=int, default=2010)
-    bench.add_argument("--duration", type=float, default=30.0)
-    bench.add_argument("--date", default="2005-06-01")
-    _add_engine_option(bench)
-    bench.add_argument(
-        "--stream-window",
-        type=float,
-        help="streaming-leg window seconds (default: duration / 3)",
-    )
-    bench.add_argument(
-        "--stream-hop",
-        type=float,
-        help="streaming-leg hop seconds (default: window / 2)",
-    )
-    bench.add_argument(
-        "--stream-chunk",
-        type=int,
-        default=2048,
-        help="streaming-leg ingestion batch size in packets",
-    )
-    bench.add_argument(
-        "--fanout-workers",
-        type=int,
-        default=4,
-        help="fan-out-leg pool size (0 skips the fan-out leg)",
-    )
-    bench.add_argument(
-        "--fanout-traces",
-        type=int,
-        default=4,
-        help="fan-out-leg batch size in archive days",
-    )
-    bench.add_argument(
-        "--alarm-path-reps",
-        type=int,
-        default=3,
-        help="alarm-path-leg repetitions of Steps 2-4 per engine "
-        "(0 skips the alarm-path leg)",
-    )
-    bench.add_argument(
-        "--serve-queries",
-        type=int,
-        default=50,
-        help="serve-leg /labels query count (0 skips the serve leg)",
-    )
-    bench.add_argument(
-        "--serve-ring",
-        type=int,
-        default=65536,
-        help="serve-leg feed ring capacity in packets (the bounded-"
-        "memory limit the regression gate checks peaks against)",
-    )
-    bench.add_argument(
-        "--warehouse-days",
-        type=int,
-        default=6,
-        help="warehouse-leg archive-day count for the mmap-query vs "
-        "CSV-scan and delta-recompute comparison (0 skips the leg)",
-    )
-    bench.add_argument(
-        "--profile",
-        action="store_true",
-        help="record per-phase wall times (export / attach / compute / "
-        "merge / idle) for each fan-out labeling sub-leg",
-    )
-    bench.add_argument("--out", help="output path (stdout if omitted)")
-    bench.set_defaults(func=_cmd_bench)
 
     stream = sub.add_parser(
         "stream",

@@ -18,8 +18,7 @@ the graph input it hands over) and the similarity-graph kernel.
 
 from __future__ import annotations
 
-import time
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -78,42 +77,28 @@ class SimilarityEstimator:
         self,
         trace: Trace,
         alarms: Union[AlarmTable, Sequence[Alarm]],
-        timings: Optional[dict] = None,
     ) -> CommunitySet:
         """Run the estimator on one trace's alarms.
 
         ``alarms`` is an :class:`~repro.core.alarm_table.AlarmTable`;
         a plain alarm list is encoded into one first.  The resulting
-        communities are index vectors over the table.  ``timings``,
-        when given, accumulates per-stage wall seconds under the keys
-        ``"extract"``, ``"graph"`` and ``"combine"`` (Louvain
-        clustering) — the ``repro bench`` instrumentation.
+        communities are index vectors over the table.
         """
-        clock = time.perf_counter
         table = as_alarm_table(alarms, engine=self.engine)
-        started = clock()
         extractor = TrafficExtractor(
             trace, self.granularity, engine=self.engine
         )
         graph_input, traffic_sets = extractor.extract_all(table)
-        if timings is not None:
-            timings["extract"] = timings.get("extract", 0.0) + clock() - started
-        started = clock()
         graph = build_similarity_graph(
             graph_input,
             measure=self.measure,
             edge_threshold=self.edge_threshold,
             engine=self.engine,
         )
-        if timings is not None:
-            timings["graph"] = timings.get("graph", 0.0) + clock() - started
-        started = clock()
         partition = louvain(
             graph, resolution=self.resolution, seed=self.seed
         )
         communities = self._materialize(table, traffic_sets, partition)
-        if timings is not None:
-            timings["combine"] = timings.get("combine", 0.0) + clock() - started
         return CommunitySet(
             communities=communities,
             alarms=table,

@@ -41,7 +41,6 @@ ENGINE_ALIASES = ("auto", "numpy", "python")
 #: is open (plugins may add operations), but these are the paired
 #: families the parity suite asserts over.
 KERNEL_OPS = (
-    "filter_mask",
     "flow_codes",
     "binned_histogram",
     "sketch_buckets",

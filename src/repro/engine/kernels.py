@@ -11,9 +11,6 @@ through one table-driven hypothesis suite.
 
 Kernel signatures
 -----------------
-``filter_mask(table, feature_filter, t0=None, t1=None)``
-    Boolean per-row mask of packets the filter designates; ``t0``/``t1``
-    override wildcard time bounds (the alarm window).
 ``flow_codes(table, granularity)``
     ``(codes, keys)``: dense int64 per-packet flow ids numbered by
     first appearance, plus the code -> FlowKey table (the vectorized
@@ -73,33 +70,6 @@ from collections import Counter
 import numpy as np
 
 from repro.engine.core import NUMPY_ENGINE, PYTHON_ENGINE
-
-# -- filter-mask -------------------------------------------------------
-
-
-@NUMPY_ENGINE.register("filter_mask")
-def _filter_mask_numpy(table, feature_filter, t0=None, t1=None):
-    return feature_filter.mask(table, t0=t0, t1=t1)
-
-
-@PYTHON_ENGINE.register("filter_mask")
-def _filter_mask_python(table, feature_filter, t0=None, t1=None):
-    """Per-packet ``matches`` loop, with the same window override."""
-    import dataclasses
-
-    if t0 is not None and feature_filter.t0 is None:
-        feature_filter = dataclasses.replace(feature_filter, t0=t0)
-    if t1 is not None and feature_filter.t1 is None:
-        feature_filter = dataclasses.replace(feature_filter, t1=t1)
-    return np.fromiter(
-        (
-            feature_filter.matches(table.packet(i))
-            for i in range(len(table))
-        ),
-        dtype=bool,
-        count=len(table),
-    )
-
 
 # -- flow coding -------------------------------------------------------
 

@@ -209,19 +209,13 @@ class MAWILabPipeline:
         trace: Trace,
         alarms: Union[AlarmTable, Sequence[Alarm]],
         annotations: Sequence = (),
-        timings: Optional[dict] = None,
     ) -> PipelineResult:
         """Label one trace from precomputed alarms (Steps 2-4 only).
 
         ``alarms`` is an :class:`~repro.core.alarm_table.AlarmTable`; a
         plain alarm list is encoded into one first.  Every engine then
         runs the same table path and labels byte-identically.
-        ``timings``, when given, accumulates per-stage wall seconds
-        (``extract`` / ``graph`` / ``combine`` / ``label``) — the
-        ``repro bench`` instrumentation.
         """
-        import time as _time
-
         from repro.core.annotations import (
             ANNOTATION_DETECTOR,
             merge_annotations,
@@ -247,23 +241,13 @@ class MAWILabPipeline:
                 ]
             )
         # Step 2: similarity estimator (annotations participate).
-        community_set = self.estimator.build(trace, alarms, timings=timings)
+        community_set = self.estimator.build(trace, alarms)
         # Step 3: combiner (annotations excluded from the vote table).
-        started = _time.perf_counter()
         decisions = self.strategy.classify(
             community_set, strip_annotation_configs(self.config_names)
         )
-        if timings is not None:
-            timings["combine"] = (
-                timings.get("combine", 0.0) + _time.perf_counter() - started
-            )
         # Step 4: rules + taxonomy.
-        started = _time.perf_counter()
         labels = self._label_all(community_set, decisions)
-        if timings is not None:
-            timings["label"] = (
-                timings.get("label", 0.0) + _time.perf_counter() - started
-            )
         return PipelineResult(
             trace=trace,
             alarms=alarms,

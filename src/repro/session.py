@@ -340,8 +340,8 @@ class LabelingSession:
         ``merge`` (parent-side
         alarm merging + Steps 2-4 in fan-out modes), ``idle``
         (estimated worker idle: pool capacity minus busy time) plus
-        ``wall`` and ``workers`` — the evidence `repro bench
-        --profile` reports.
+        ``wall`` and ``workers`` — the pool profile the ``archive``
+        workload of ``benchmarks/perf`` reports as ``info.profile``.
         """
         traces = list(traces)
         if fingerprints is None:

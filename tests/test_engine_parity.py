@@ -383,12 +383,6 @@ def _ordered_adjacency(graph):
     }
 
 
-def _run_filter_mask(engine, payload):
-    trace, feature_filter = payload
-    mask = engine.kernel("filter_mask")(trace.table, feature_filter)
-    return mask.tolist()
-
-
 def _run_flow_codes(engine, payload):
     trace, granularity = payload
     codes, keys = engine.kernel("flow_codes")(trace.table, granularity)
@@ -545,7 +539,6 @@ class KernelCase:
 
 
 KERNEL_CASES = [
-    KernelCase("filter_mask", st.tuples(traces, filters), _run_filter_mask),
     KernelCase(
         "flow_codes",
         st.tuples(
@@ -607,6 +600,22 @@ def test_kernel_parity(case, data):
     assert pairs, f"no engine pair registered for {case.op!r}"
     for vectorized, reference in pairs:
         assert case.run(vectorized, payload) == case.run(reference, payload)
+
+
+@given(traces, filters, st.none() | _times, st.none() | _times)
+@settings(suppress_health_check=[HealthCheck.too_slow], deadline=None)
+def test_filter_mask_matches_per_packet_loop(trace, feature_filter, t0, t1):
+    """``FeatureFilter.mask`` equals a per-packet ``matches`` loop, with
+    ``t0``/``t1`` filling the filter's wildcard time bounds the way the
+    alarm window does."""
+    reference = dataclasses.replace(
+        feature_filter,
+        t0=t0 if feature_filter.t0 is None else feature_filter.t0,
+        t1=t1 if feature_filter.t1 is None else feature_filter.t1,
+    )
+    table = trace.table
+    expected = [reference.matches(table.packet(i)) for i in range(len(table))]
+    assert feature_filter.mask(table, t0=t0, t1=t1).tolist() == expected
 
 
 # -- cross-kernel composition ------------------------------------------

@@ -11,6 +11,7 @@ shard, failed detector group, dead worker — tears down without leaked
 
 from __future__ import annotations
 
+import itertools
 import os
 import time
 
@@ -470,17 +471,18 @@ class TestPhaseAccounting:
 
     def test_profile_sums_phases(self, archive, day_trace):
         traces = [day_trace, archive.day("2004-06-02").trace]
-        for fanout in ("shard", "detector"):
+        for workers, fanout in itertools.product((1, 2), ("shard", "detector")):
             profile: dict = {}
-            with LabelingSession(fanout=fanout) as session:
+            with LabelingSession(workers=workers, fanout=fanout) as session:
                 session.label_traces(traces, profile=profile)
             assert {
                 "export", "attach", "compute", "merge", "idle",
                 "wall", "workers", "fanout",
-            } <= set(profile), fanout
+            } <= set(profile), (workers, fanout)
             assert profile["compute"] > 0
             assert profile["wall"] > 0
             assert profile["fanout"] == fanout
+            assert all(v >= 0 for k, v in profile.items() if k != "fanout")
 
 
 class TestSignalTeardown:
