@@ -43,9 +43,7 @@ MIN_SPEEDUP = 1.6
 def label(traces, workers: int) -> tuple[float, tuple[str, ...]]:
     """Wall seconds of one ``label_traces`` call and its CSV hashes."""
     traces = [Trace.from_table(t.table, t.metadata) for t in traces]
-    with LabelingSession(
-        config=PipelineConfig(), workers=workers, fanout="shard"
-    ) as session:
+    with LabelingSession(config=PipelineConfig(), workers=workers) as session:
         started = time.perf_counter()
         report = session.label_traces(traces)
         elapsed = time.perf_counter() - started

@@ -6,7 +6,7 @@ Eleven subcommands expose the library to non-Python users::
                           --anomaly ping_flood --out day.pcap --truth truth.json
     mawilab inspect       day.pcap
     mawilab detect        day.pcap --config kl/sensitive
-    mawilab label         day.pcap --format csv --out labels.csv
+    mawilab label         day.pcap --format csv --out labels.csv --workers 4
     mawilab stream        day.pcap --window 60 --hop 30 --out labels.csv
     mawilab engines
     mawilab archive       --start 2004-01-01 --months 6
@@ -20,23 +20,24 @@ Eleven subcommands expose the library to non-Python users::
     mawilab warehouse query     --root wh --taxonomy anomalous --dport 445
     mawilab warehouse recompute --root wh --strategy average
 
-`label` runs the full 4-step pipeline on one closed trace; `stream`
-runs the same method *online* over a sliding window — the pcap is read
-in bounded batches, each window is labeled as its end passes, and
-per-window progress (packets, alarms, latency) goes to stderr while
-the final cross-window-deduplicated CSV goes to stdout; `engines`
-lists the registered execution engines and their kernels; `archive`
-sweeps synthetic archive days and prints the SCANN attack-ratio series
-(the Fig. 7 workflow); `label-archive` shards archive days across a
-process pool, writes one label CSV per day plus a JSON batch report,
-and can resume an interrupted run; `serve` runs the labeling daemon —
-concurrent HTTP packet feeds with bounded-ring backpressure, live
-``/labels`` queries, and an optional resumable archive-ingest
-schedule (see ``docs/serving.md``); `warehouse` manages the
-memory-mapped columnar label store — ingest, zero-copy cross-day
-queries, CSV export, checksum verification, and configuration-delta
-recompute (see ``docs/warehouse.md``).  All commands are deterministic
-given their seeds.
+`label` runs the full 4-step pipeline on one closed trace (with
+``--workers N``, each detector configuration of Step 1 is one pool
+task); `stream` runs the same method *online* over a sliding window —
+the pcap is read in bounded batches, each window is labeled as its
+end passes, and per-window progress (packets, alarms, latency) goes to
+stderr while the final cross-window-deduplicated CSV goes to stdout;
+`engines` lists the registered execution engines and their kernels;
+`archive` sweeps synthetic archive days and prints the SCANN
+attack-ratio series (the Fig. 7 workflow); `label-archive` shards
+archive days across a process pool, one task per day, writes one label
+CSV per day plus a JSON batch report, and can resume an interrupted
+run; `serve` runs the labeling daemon — concurrent HTTP packet feeds
+with bounded-ring backpressure, live ``/labels`` queries, and an
+optional resumable archive-ingest schedule (see ``docs/serving.md``);
+`warehouse` manages the memory-mapped columnar label store — ingest,
+zero-copy cross-day queries, CSV export, checksum verification, and
+configuration-delta recompute (see ``docs/warehouse.md``).  All
+commands are deterministic given their seeds.
 
 The pipeline commands accept ``--engine {auto,numpy,python}``: the
 columnar NumPy engine (default) or the pure-Python reference
@@ -146,9 +147,7 @@ def _cmd_label(args: argparse.Namespace) -> int:
     from repro.net.pcap import read_pcap
 
     trace = read_pcap(args.pcap)
-    with _session(
-        args, workers=args.workers, fanout=args.fanout
-    ) as session:
+    with _session(args, workers=args.workers) as session:
         result = session.label_trace(trace)
     print(
         f"{len(result.alarms)} alarms -> "
@@ -391,7 +390,6 @@ def _cmd_label_archive(args: argparse.Namespace) -> int:
     import os
 
     from repro.mawi.archive import SyntheticArchive
-    from repro.net.trace import Trace, TraceMetadata
 
     archive = SyntheticArchive(seed=args.seed, trace_duration=args.duration)
     dates = args.date or _month_dates(args.start, args.months)
@@ -413,7 +411,6 @@ def _cmd_label_archive(args: argparse.Namespace) -> int:
         cache_dir=args.cache_dir,
         out_dir=args.out_dir,
         resume=args.resume,
-        fanout=args.fanout,
     )
 
     def progress(done: int, total: int, report) -> None:
@@ -424,38 +421,10 @@ def _cmd_label_archive(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
 
-    if args.fanout == "shard":
-        # Workers regenerate each day from its date; nothing but a
-        # string crosses the process boundary.
-        with session:
-            batch = session.label_archive(archive, dates, progress=progress)
-    else:
-        # Intra-trace fan-out needs the packet tables: pregenerate the
-        # days here and ship them to the workers over shared memory,
-        # keeping the per-date output naming of the regenerate path.
-        traces = []
-        for date in dates:
-            day = archive.day(date)
-            metadata = day.trace.metadata
-            traces.append(
-                Trace.from_table(
-                    day.trace.table,
-                    TraceMetadata(
-                        name=date,
-                        samplepoint=metadata.samplepoint,
-                        link_mbps=metadata.link_mbps,
-                        date=date,
-                    ),
-                )
-            )
-        with session:
-            batch = session.label_traces(
-                traces,
-                progress=progress,
-                # Same provenance as the regenerate path, so alarm caches
-                # warmed under either fan-out mode hit under the other.
-                fingerprints=[archive.fingerprint()] * len(traces),
-            )
+    # Workers regenerate each day from its date; nothing but a string
+    # crosses the process boundary.
+    with session:
+        batch = session.label_archive(archive, dates, progress=progress)
     print(batch.describe())
     report_path = os.path.join(args.out_dir, "report.json")
     with open(report_path, "w") as handle:
@@ -496,26 +465,21 @@ def _cmd_warehouse_ingest(args: argparse.Namespace) -> int:
                 skipped += 1
                 continue
             trace = archive.day(date).trace
-            alarms = None
-            key = None
             if cache is not None:
                 key = AlarmCache.make_key(
                     archive.fingerprint(), date, ensemble_fp
                 )
-                alarms = cache.get(key)
-            if alarms is None:
-                result = pipeline.run(trace)
-                if cache is not None and key is not None:
-                    cache.put(key, result.alarms)
+                alarms, hit = cache.get_or_detect(pipeline, trace, key)
             else:
-                cache_hits += 1
-                result = pipeline.run_with_alarms(trace, alarms)
+                alarms, hit = pipeline.detect(trace), False
+            result = pipeline.run_with_alarms(trace, alarms)
             warehouse.store_result(date, result, version=version)
             stored += 1
+            cache_hits += hit
             print(
                 f"{date}: {len(result.labels)} labels, "
                 f"{len(result.alarms)} alarms"
-                + (" [cached alarms]" if alarms is not None else ""),
+                + (" [cached alarms]" if hit else ""),
                 file=sys.stderr,
             )
     print(
@@ -698,9 +662,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="process-pool size for --fanout detector/trace (1 = serial)",
+        help="process-pool size; > 1 runs each detector configuration "
+        "as its own pool task (1 = serial)",
     )
-    _add_fanout_option(label)
     _add_pipeline_options(label)
     label.set_defaults(func=_cmd_label)
 
@@ -890,9 +854,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="process-pool size (1 = serial)",
+        help="process-pool size; each day is one pool task (1 = serial)",
     )
-    _add_fanout_option(label_archive)
     label_archive.add_argument(
         "--cache-dir",
         help="directory caching Step 1 alarms keyed by (trace, ensemble)",
@@ -1038,19 +1001,6 @@ def build_parser() -> argparse.ArgumentParser:
     w_recompute.set_defaults(func=_cmd_warehouse_recompute)
 
     return parser
-
-
-def _add_fanout_option(parser: argparse.ArgumentParser) -> None:
-    """The pooled parallelism axis (see ``repro.session.FANOUTS``)."""
-    parser.add_argument(
-        "--fanout",
-        choices=("shard", "detector", "trace"),
-        default="shard",
-        help="unit of pooled parallelism: whole traces (shard, "
-        "default), one task per detector configuration (detector), or "
-        "the configuration list balanced across the pool (trace); all "
-        "modes label byte-identically",
-    )
 
 
 def _add_engine_option(parser: argparse.ArgumentParser) -> None:

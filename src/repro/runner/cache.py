@@ -159,6 +159,21 @@ class AlarmCache:
                 pass
             raise
 
+    def get_or_detect(
+        self, pipeline, trace, key: str
+    ) -> tuple[AlarmTable, bool]:
+        """``(alarms, hit)``: the entry under ``key``, else Step 1.
+
+        A miss runs ``pipeline.detect(trace)`` and stores its table
+        under ``key`` before returning it.
+        """
+        alarms = self.get(key)
+        if alarms is not None:
+            return alarms, True
+        alarms = pipeline.detect(trace)
+        self.put(key, alarms)
+        return alarms, False
+
     def __len__(self) -> int:
         return sum(1 for _ in self.cache_dir.glob("alarms-*.pkl"))
 

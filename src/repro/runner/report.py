@@ -33,9 +33,9 @@ class TraceReport:
     csv_sha256: str = ""
     elapsed: float = 0.0
     error: str = ""
-    #: Worker-side phase wall seconds ("attach", "compute"); the
-    #: session adds its parent-side phases ("export", "merge") when
-    #: profiling.  Empty when the shard was skipped or failed early.
+    #: Worker-side phase wall seconds ("attach", "compute"), summed
+    #: into ``label_traces``' profile next to the parent's "export".
+    #: Empty when the shard was skipped or failed early.
     phases: dict = field(default_factory=dict)
 
     @property

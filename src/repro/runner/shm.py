@@ -405,6 +405,38 @@ class PlaneArena(_Arena):
         return SharedPlanesHandle(name=shm.name, entries=tuple(entries))
 
 
+class ArenaPool:
+    """The recycled arenas of one owner (a session or a stream).
+
+    :meth:`take` lends out a free arena of the asked kind, making one
+    when none is free; :meth:`give` returns it once no task can still
+    read its segment; :meth:`close` unlinks every segment.
+    """
+
+    def __init__(self) -> None:
+        #: Every arena made, lent out or free.
+        self.arenas: list[_Arena] = []
+        self._free: dict[type, list[_Arena]] = {}
+
+    def take(self, kind: type) -> _Arena:
+        free = self._free.get(kind)
+        if free:
+            return free.pop()
+        arena = kind()
+        self.arenas.append(arena)
+        return arena
+
+    def give(self, arena: Optional[_Arena]) -> None:
+        if arena is not None:
+            self._free.setdefault(type(arena), []).append(arena)
+
+    def close(self) -> None:
+        """Unlink every arena's segment (idempotent)."""
+        self._free.clear()
+        while self.arenas:
+            self.arenas.pop().close()
+
+
 def export_table(table: PacketTable) -> SharedTableHandle:
     """Copy ``table`` into a fresh segment the caller owns.
 

@@ -3,16 +3,20 @@
 Two task shapes share the worker process:
 
 * :func:`run_task` labels one whole trace (Steps 1-4 + CSV export) —
-  the shard-mode unit;
+  the unit of ``label_traces`` and ``label_archive``, one task per
+  trace;
 * :func:`run_detect` runs Step 1 for a *subset of detector
-  configurations* against a shared packet table — the intra-trace
-  fan-out unit (``fanout="detector"|"trace"``); the parent merges the
-  per-group alarm tables with
-  :meth:`~repro.core.alarm_table.AlarmTable.concatenate` and runs
-  Steps 2-4 once.
+  configurations* against a shared packet table — the unit that
+  splits one trace.  :func:`detect_groups` is its parent side: it
+  ships one :class:`DetectTask` per configuration group and merges the
+  group alarm tables with
+  :meth:`~repro.core.alarm_table.AlarmTable.concatenate`, for
+  ``label_trace`` (one group per configuration) and for a pooled
+  streamed window (``min(workers, configurations)`` groups); Steps
+  2-4 then run once in the parent.
 
-Both must stay module-level functions (pickled by reference into pool
-workers) and must never raise: every failure is folded into a
+Both tasks must stay module-level functions (pickled by reference into
+pool workers) and must never raise: every failure is folded into a
 ``status="failed"`` report so one bad shard cannot take down a batch.
 
 A task's packets reach the worker in one of three ways:
@@ -35,17 +39,25 @@ from __future__ import annotations
 import hashlib
 import os
 import time
-from dataclasses import dataclass, field
+from concurrent.futures import wait
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
+
+import numpy as np
 
 from repro.ioutil import write_atomic
+from repro.net.table import COLUMNS
 from repro.net.trace import Trace, TraceMetadata
 from repro.runner.config import PipelineConfig
+from repro.runner.pool import WorkerPool
 from repro.runner.report import TraceReport
 from repro.runner.shm import (
+    ArenaPool,
+    PlaneArena,
     SharedPlanesHandle,
     SharedTableHandle,
+    TableArena,
     segment_registry,
 )
 
@@ -103,15 +115,16 @@ def fingerprint_trace(trace: Trace) -> str:
 
     Cache keys for embedded traces must reflect the packets themselves
     — two different traces sharing a name/length/duration must not
-    share Step 1 alarms.
+    share Step 1 alarms.  The digest reads the table's columns (name,
+    dtype and bytes of each), so no ``Packet`` object is built.
     """
+    table = trace.table
     hasher = hashlib.sha256()
-    hasher.update(f"{trace.metadata.name}:{len(trace)}".encode())
-    for pkt in trace:
-        hasher.update(
-            f"{pkt.time!r},{pkt.src},{pkt.dst},{pkt.sport},{pkt.dport},"
-            f"{pkt.proto},{pkt.size},{pkt.tcp_flags},{pkt.icmp_type};".encode()
-        )
+    hasher.update(f"{trace.metadata.name}:{len(table)}".encode())
+    for name in COLUMNS:
+        column = np.ascontiguousarray(getattr(table, name))
+        hasher.update(f";{name}:{column.dtype.str}:".encode())
+        hasher.update(column.data)
     return f"inline:{hasher.hexdigest()[:16]}"
 
 
@@ -167,32 +180,27 @@ def _label_trace(
 
     ``fingerprint`` identifies the trace source for the alarm cache;
     ``None`` means content-derived (embedded/shared traces), computed
-    only when a cache is actually configured — it costs a full packet
-    scan.  ``attach`` is the shared-memory attach time, folded into
+    only when a cache is actually configured — it hashes every column.
+    ``attach`` is the shared-memory attach time, folded into
     the report's phase breakdown.
     """
     from repro.labeling.mawilab import labels_to_csv
     from repro.runner.cache import AlarmCache
 
     pipeline = _pipeline_for(task.config)
-
-    cache = AlarmCache(task.cache_dir) if task.cache_dir else None
-    alarms = None
-    key = ""
-    if cache is not None:
+    compute_started = time.perf_counter()
+    if task.cache_dir:
         if fingerprint is None:
             fingerprint = fingerprint_trace(trace)
         key = AlarmCache.make_key(
             fingerprint, task.date, pipeline.ensemble_fingerprint()
         )
-        alarms = cache.get(key)
-    cache_hit = alarms is not None
-    compute_started = time.perf_counter()
-    if alarms is None:
+        alarms, cache_hit = AlarmCache(task.cache_dir).get_or_detect(
+            pipeline, trace, key
+        )
+    else:
         # Step 1 batch-emits columnarly; the cache stores the table.
-        alarms = pipeline.detect(trace)
-        if cache is not None:
-            cache.put(key, alarms)
+        alarms, cache_hit = pipeline.detect(trace), False
 
     result = pipeline.run_with_alarms(trace, alarms)
     csv_text = labels_to_csv(result.labels)
@@ -223,22 +231,22 @@ def _label_trace(
     )
 
 
-# -- intra-trace detector fan-out --------------------------------------
+# -- one trace split by detector configuration -------------------------
 
 
 @dataclass(frozen=True)
 class DetectTask:
     """Step 1 for a subset of detector configurations on one table.
 
-    The intra-trace fan-out unit: the parent exports one packet table
-    (``shm``; an inline pool passes the ``trace`` itself), slices the
-    ensemble's configuration list into index groups, and ships one
-    ``DetectTask`` per group.  Each worker rebuilds only its
+    The unit that splits one trace: :func:`detect_groups` exports one
+    packet table (``shm``; an inline pool passes the ``trace``
+    itself), and ships one ``DetectTask`` per group of
+    :func:`config_groups`.  Each worker rebuilds only its
     configurations (``config_indices`` into
     ``config.build_pipeline().ensemble`` order), analyzes the shared
     table, and returns its alarms; concatenating group results in
-    group order reproduces ``MAWILabPipeline.detect``'s row order exactly —
-    the byte-identity anchor across fan-out modes.
+    group order reproduces ``MAWILabPipeline.detect``'s row order
+    exactly — the byte-identity anchor for every group count.
 
     ``stream_states``, when given (index-aligned with
     ``config_indices``), switches the configurations into streaming
@@ -276,7 +284,6 @@ class DetectResult:
     #: Updated per-configuration streaming states (streaming tasks).
     states: Optional[tuple[dict, ...]] = None
     n_alarms: int = 0
-    phases: dict = field(default_factory=dict)
     worker_pid: int = 0
 
     @property
@@ -300,7 +307,6 @@ def run_detect(task: DetectTask) -> DetectResult:
 def _run_detect_inner(task: DetectTask) -> DetectResult:
     from repro.core.alarm_table import AlarmTable
 
-    attach_started = time.perf_counter()
     if task.shm is not None:
         trace = Trace.from_table(
             segment_registry().view(task.shm), task.metadata
@@ -319,9 +325,7 @@ def _run_detect_inner(task: DetectTask) -> DetectResult:
         cache = plane_cache_for(trace, pipeline.engine)
         for spec, value in segment_registry().view(task.planes).items():
             cache.seed(spec, value)
-    attach = time.perf_counter() - attach_started
 
-    detect_started = time.perf_counter()
     ensemble = _pipeline_for(task.config).ensemble
     tables = []
     states: Optional[list[dict]] = (
@@ -341,15 +345,99 @@ def _run_detect_inner(task: DetectTask) -> DetectResult:
     # Alarm tables own their arrays (emission re-encodes), so the
     # result outlives the packet-table views safely.
     merged = AlarmTable.concatenate(tables)
-    detect = time.perf_counter() - detect_started
     return DetectResult(
         config_indices=task.config_indices,
         alarms=merged,
         states=tuple(states) if states is not None else None,
         n_alarms=len(merged),
-        phases={
-            "attach": round(attach, 6),
-            "compute": round(detect, 6),
-        },
         worker_pid=os.getpid(),
     )
+
+
+def config_groups(n_configs: int, n_groups: int) -> list[tuple[int, ...]]:
+    """``range(n_configs)`` cut into ``n_groups`` balanced groups.
+
+    Groups are contiguous and in ensemble order, so concatenating their
+    alarm tables in group order reproduces ``MAWILabPipeline.detect``.
+    """
+    n_groups = max(min(n_groups, n_configs), 1)
+    bounds = [round(i * n_configs / n_groups) for i in range(n_groups + 1)]
+    return [
+        tuple(range(lo, hi)) for lo, hi in zip(bounds, bounds[1:]) if hi > lo
+    ]
+
+
+def detect_groups(
+    pool: WorkerPool,
+    arenas: ArenaPool,
+    config: PipelineConfig,
+    trace: Trace,
+    groups: Sequence[tuple[int, ...]],
+    planes=None,
+    stream_states: Optional[Sequence[dict]] = None,
+):
+    """Step 1 of one trace, one :class:`DetectTask` per group.
+
+    The parent side of :func:`run_detect`.  On a parallel pool the
+    trace's table is exported into a :class:`TableArena` taken from
+    ``arenas``, and so are ``planes`` (a filled
+    :class:`~repro.detectors.planes.PlaneCache`) when given, into a
+    :class:`PlaneArena`; an inline pool gets the trace itself.
+    ``stream_states`` (one carried state per configuration, ensemble
+    order) switches the groups to streaming analysis.
+
+    Returns ``(alarms, states)``: the group alarm tables concatenated
+    in group order, and the updated states in the same order (``None``
+    without ``stream_states``).  Raises
+    :class:`~repro.errors.DetectorError` naming every failed group.
+    The arenas go back to ``arenas`` on every path, once no group can
+    still read them.
+    """
+    from repro.core.alarm_table import AlarmTable
+    from repro.errors import DetectorError
+
+    taken: list = []
+    futures: list = []
+    try:
+        common: dict = dict(config=config, metadata=trace.metadata)
+        if pool.parallel:
+            taken.append(arenas.take(TableArena))
+            common["shm"] = taken[-1].export(trace.table)
+            if planes is not None:
+                taken.append(arenas.take(PlaneArena))
+                common["planes"] = taken[-1].export(
+                    planes.exportable_items()
+                )
+        else:
+            common["trace"] = trace
+        for group in groups:
+            states = None
+            if stream_states is not None:
+                states = tuple(stream_states[i] for i in group)
+            futures.append(
+                pool.submit(
+                    run_detect,
+                    DetectTask(
+                        config_indices=group, stream_states=states, **common
+                    ),
+                )
+            )
+        results = [future.result() for future in futures]
+    finally:
+        # Recycle the segments only once no group can still read them.
+        wait(futures)
+        for arena in taken:
+            arenas.give(arena)
+    failed = [result for result in results if not result.ok]
+    if failed:
+        raise DetectorError(
+            "Step 1 failed in "
+            + "; ".join(
+                f"configurations {list(r.config_indices)}: {r.error}"
+                for r in failed
+            )
+        )
+    alarms = AlarmTable.concatenate(result.alarms for result in results)
+    if stream_states is None:
+        return alarms, None
+    return alarms, [state for result in results for state in result.states]

@@ -337,23 +337,18 @@ class ArchiveScheduler:
     def _label_day(self, date: str) -> tuple[bool, str]:
         day = self.archive.day(date)
         pipeline = self.session.pipeline
-        cache_hit = False
-        alarms = None
-        key = None
         if self.cache is not None:
             key = AlarmCache.make_key(
                 self.archive.fingerprint(),
                 date,
                 pipeline.ensemble_fingerprint(),
             )
-            alarms = self.cache.get(key)
-            cache_hit = alarms is not None
-        if alarms is None:
-            result = pipeline.run(day.trace)
-            if self.cache is not None and key is not None:
-                self.cache.put(key, result.alarms)
+            alarms, cache_hit = self.cache.get_or_detect(
+                pipeline, day.trace, key
+            )
         else:
-            result = pipeline.run_with_alarms(day.trace, alarms)
+            alarms, cache_hit = pipeline.detect(day.trace), False
+        result = pipeline.run_with_alarms(day.trace, alarms)
         csv_path = self.database.store_day(date, result)
         if self.warehouse is not None:
             self.warehouse.store_result(

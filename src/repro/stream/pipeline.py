@@ -56,7 +56,8 @@ from repro.net.trace import Trace, TraceMetadata
 from repro.detectors.planes import plane_cache_for
 from repro.runner.config import PipelineConfig
 from repro.runner.pool import WorkerPool
-from repro.runner.shm import PlaneArena, TableArena
+from repro.runner.shm import ArenaPool
+from repro.runner.worker import config_groups, detect_groups
 from repro.stream.planes import StreamingPlanes
 from repro.stream.window import TraceWindow
 
@@ -196,14 +197,15 @@ class StreamingPipeline:
         :func:`repro.engine.resolve_engine`).
     pool:
         Optional persistent :class:`~repro.runner.pool.WorkerPool`.
-        When the pool is parallel, every window's Step 1 fans the
-        detector configurations across its workers against one shared
-        window segment (recycled via a :class:`TableArena`, pinned by
-        the workers' segment registries) — the streaming twin of the
-        session's intra-trace fan-out, and byte-identical to the
-        serial window loop.  Requires ``config`` (workers rebuild
-        their configurations from it) and the default ensemble.  The
-        pool is borrowed, never shut down here.
+        When the pool is parallel, every window's Step 1 runs in
+        ``min(workers, configurations)`` configuration groups against
+        one shared window segment (recycled, and pinned by the
+        workers' segment registries) through
+        :func:`~repro.runner.worker.detect_groups`, as the session's
+        ``label_trace`` does; byte-identical to the serial window
+        loop.  Requires ``config`` (workers rebuild their
+        configurations from it) and the default ensemble.  The pool is
+        borrowed, never shut down here.
     config:
         The :class:`~repro.runner.config.PipelineConfig` describing
         this pipeline, required by ``pool``.
@@ -273,20 +275,12 @@ class StreamingPipeline:
         #: serial windows); the pool's owner shuts it down.
         self.pool = pool if pool is not None and pool.parallel else None
         self._config = config
-        #: Recycled export segment for pooled windows; window fan-out
-        #: is synchronous, so one arena suffices and recycling is safe.
-        self._arena = TableArena() if self.pool is not None else None
-        if self._arena is not None:
-            weakref.finalize(self, TableArena.close, self._arena)
-        #: Recycled export segment for each window's seeded planes
-        #: (pooled vectorized mode only).
-        self._plane_arena = (
-            PlaneArena()
-            if self.pool is not None and self.engine.vectorized
-            else None
-        )
-        if self._plane_arena is not None:
-            weakref.finalize(self, PlaneArena.close, self._plane_arena)
+        #: Recycled export segments for pooled windows (the window's
+        #: table and seeded planes); a window's groups are gathered
+        #: before the next window exports, so one of each suffices.
+        self._arenas = ArenaPool() if self.pool is not None else None
+        if self._arenas is not None:
+            weakref.finalize(self, ArenaPool.close, self._arenas)
         #: Incrementally maintained plane bases: chunk appends grow the
         #: value dictionaries, each window's histograms / sketch
         #: buckets are then derived by searchsorted instead of
@@ -550,70 +544,33 @@ class StreamingPipeline:
         )
 
     def _detect_window_pooled(self, trace: Trace) -> AlarmTable:
-        from repro.runner.worker import DetectTask, run_detect
-
-        n = len(self.detectors)
-        n_groups = max(min(self.pool.workers, n), 1)
-        bounds = [round(i * n / n_groups) for i in range(n_groups + 1)]
-        groups = [
-            tuple(range(lo, hi))
-            for lo, hi in zip(bounds, bounds[1:])
-            if hi > lo
-        ]
-        # One export per window into the recycled arena; workers pin
-        # the mapping, so steady state is a single parent-side memcpy.
-        handle = self._arena.export(trace.table)
-        planes_handle = None
-        if self._plane_arena is not None and self._stream_planes is not None:
-            # Ship the window's seeded base planes next to the table so
-            # every group starts from the shared histograms / buckets
-            # instead of recomputing them per worker.
-            planes_handle = self._plane_arena.export(
-                plane_cache_for(trace, self.engine).exportable_items()
-            )
-        futures = [
-            self.pool.submit(
-                run_detect,
-                DetectTask(
-                    config=self._config,
-                    config_indices=group,
-                    shm=handle,
-                    metadata=self._metadata,
-                    stream_states=tuple(
-                        dict(self.detectors[i].state) for i in group
-                    ),
-                    planes=planes_handle,
-                ),
-            )
-            for group in groups
-        ]
-        # Synchronous barrier: all groups read the segment, so the
-        # next window may recycle the arena only after every result
-        # lands — which gathering here guarantees.
-        results = [future.result() for future in futures]
-        failures = [r for r in results if not r.ok]
-        if failures:
-            raise StreamError(
-                "pooled window detection failed: "
-                + "; ".join(f.error for f in failures)
-            )
-        for group, result in zip(groups, results):
-            for position, index in enumerate(group):
-                wrapper = self.detectors[index]
-                wrapper.state = dict(result.states[position])
-                wrapper.windows_seen += 1
-        return AlarmTable.concatenate(result.alarms for result in results)
+        # The window's seeded base planes ride next to its table, so
+        # every group starts from the shared histograms / buckets.
+        planes = None
+        if self._stream_planes is not None:
+            planes = plane_cache_for(trace, self.engine)
+        alarms, states = detect_groups(
+            self.pool,
+            self._arenas,
+            self._config,
+            trace,
+            config_groups(len(self.detectors), self.pool.workers),
+            planes=planes,
+            stream_states=[wrapper.state for wrapper in self.detectors],
+        )
+        for wrapper, state in zip(self.detectors, states):
+            wrapper.state = state
+            wrapper.windows_seen += 1
+        return alarms
 
     def close(self) -> None:
-        """Unlink the window-export arena (pooled mode; idempotent).
+        """Unlink the window-export arenas (pooled mode; idempotent).
 
         The borrowed pool is *not* shut down — its owner (usually a
         :class:`~repro.session.LabelingSession`) does that.
         """
-        if self._arena is not None:
-            self._arena.close()
-        if self._plane_arena is not None:
-            self._plane_arena.close()
+        if self._arenas is not None:
+            self._arenas.close()
 
     # -- cross-window label merging ------------------------------------
 

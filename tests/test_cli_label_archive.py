@@ -64,19 +64,6 @@ def test_label_archive_explicit_dates_and_workers(out_dir):
     assert (out_dir / "labels-2005-03-02.csv").is_file()
 
 
-def test_label_archive_intra_trace_fanout_matches_shard(tmp_path):
-    """Intra-trace fan-out pregenerates the days (no transport option
-    to pass) and writes the same CSVs as workers regenerating them."""
-    shard, detector = tmp_path / "shard", tmp_path / "detector"
-    assert _label_archive(shard) == 0
-    assert _label_archive(detector, "--fanout", "detector") == 0
-    for date in ("2004-06-01", "2004-07-01"):
-        name = f"labels-{date}.csv"
-        assert (detector / name).read_bytes() == (shard / name).read_bytes()
-    with pytest.raises(SystemExit):
-        _label_archive(tmp_path / "gone", "--transport", "shm")
-
-
 def test_label_archive_resume_skips_existing(out_dir):
     assert _label_archive(out_dir) == 0
     first = (out_dir / "labels-2004-06-01.csv").read_bytes()

@@ -3,7 +3,8 @@
 The architecture contract of ``docs/architecture-fanout.md``: workers
 spawn once and pin attached segments across shards, the parent
 recycles arena segments and double-buffers export against compute,
-intra-trace fan-out modes (``detector`` / ``trace``) label
+both units of pooled work — a trace for ``label_traces``, a detector
+configuration group for ``label_trace`` and streamed windows — label
 byte-identically to the serial run, and every failure mode — bad
 shard, failed detector group, dead worker — tears down without leaked
 ``/dev/shm`` segments.
@@ -11,17 +12,26 @@ shard, failed detector group, dead worker — tears down without leaked
 
 from __future__ import annotations
 
-import itertools
 import os
 import time
+from concurrent.futures import Future
 
 import pytest
 
+from repro.errors import DetectorError
 from repro.labeling.mawilab import labels_to_csv
 from repro.mawi.archive import SyntheticArchive
+from repro.net.trace import Trace
+from repro.runner import worker
+from repro.runner.config import PipelineConfig
 from repro.runner.pool import WorkerPool, parallel_map
-from repro.runner.shm import SegmentRegistry, TableArena, export_table
-from repro.session import FANOUTS, LabelingSession
+from repro.runner.shm import (
+    ArenaPool,
+    SegmentRegistry,
+    TableArena,
+    export_table,
+)
+from repro.session import LabelingSession
 
 DATE = "2004-06-01"
 
@@ -62,6 +72,27 @@ def _die(_: object) -> None:
 
 def _boom(_: object) -> None:
     raise ValueError("boom")
+
+
+def _fail_group(pool: WorkerPool, monkeypatch, first_index: int) -> None:
+    """Make ``pool`` answer the group starting at ``first_index`` with
+    a failed :class:`~repro.runner.worker.DetectResult`."""
+    real_submit = pool.submit
+
+    def submit(fn, task):
+        if task.config_indices[0] != first_index:
+            return real_submit(fn, task)
+        future: Future = Future()
+        future.set_result(
+            worker.DetectResult(
+                config_indices=task.config_indices,
+                status="failed",
+                error="RuntimeError: injected",
+            )
+        )
+        return future
+
+    monkeypatch.setattr(pool, "submit", submit)
 
 
 class TestWorkerPoolPersistence:
@@ -248,21 +279,36 @@ class TestTableArena:
 
 
 class TestFanoutModes:
+    """The two units of pooled work: one trace per task for
+    ``label_traces``, one detector configuration group per task for
+    ``label_trace`` and streamed windows."""
+
     @pytest.mark.parametrize("engine", ["numpy", "python"])
-    def test_csv_identical_across_fanout_modes(
-        self, archive, day_trace, engine
-    ):
-        """The acceptance anchor: every fan-out mode renders the same
-        label CSV on both engines (inline pool — the fan-out code path
-        runs fully, without fork cost)."""
-        shas = set()
-        traces = [day_trace, archive.day("2004-06-02").trace]
-        for fanout in FANOUTS:
-            with LabelingSession(engine=engine, fanout=fanout) as session:
-                batch = session.label_traces(traces)
-            assert all(r.ok for r in batch.reports), (fanout, engine)
-            shas.add(tuple(r.csv_sha256 for r in batch.reports))
-        assert len(shas) == 1
+    def test_csv_identical_across_fanout_modes(self, day_trace, engine):
+        """The acceptance anchor: Step 1 split into one group per
+        configuration labels like the serial run on both engines — on
+        an inline pool (the shared helper runs fully, without fork
+        cost) and on 2 real workers."""
+        with LabelingSession(engine=engine) as serial:
+            want = labels_to_csv(serial.label_trace(day_trace).labels)
+            n = len(serial.pipeline.ensemble)
+            with WorkerPool(workers=1) as inline:
+                alarms, states = worker.detect_groups(
+                    inline,
+                    ArenaPool(),
+                    serial.config,
+                    day_trace,
+                    worker.config_groups(n, n),
+                )
+            assert states is None
+            inline_csv = labels_to_csv(
+                serial.pipeline.run_with_alarms(day_trace, alarms).labels
+            )
+        assert inline_csv == want
+        # A fresh trace object, so no plane computed above is reused.
+        fresh = Trace.from_table(day_trace.table, day_trace.metadata)
+        with LabelingSession(engine=engine, workers=2) as pooled:
+            assert labels_to_csv(pooled.label_trace(fresh).labels) == want
 
     def test_csv_identical_with_real_processes(self, archive, day_trace):
         traces = [day_trace, archive.day("2004-06-02").trace]
@@ -270,82 +316,85 @@ class TestFanoutModes:
             want = [
                 r.csv_sha256 for r in serial.label_traces(traces).reports
             ]
-        with LabelingSession(workers=2, fanout="detector") as session:
+        with LabelingSession(workers=2) as session:
             batch = session.label_traces(traces)
         assert [r.csv_sha256 for r in batch.reports] == want
         assert all(r.ok for r in batch.reports)
 
-    def test_label_trace_fanout_matches_serial(self, day_trace):
+    def test_label_trace_fanout_matches_serial(self, day_trace, monkeypatch):
+        """A pooled ``label_trace`` submits one ``run_detect`` per
+        detector configuration, in ensemble order, and nothing else;
+        a serial one submits nothing."""
+        submitted = []
+        real_submit = WorkerPool.submit
+
+        def spy(pool, fn, item):
+            submitted.append((fn, item))
+            return real_submit(pool, fn, item)
+
+        monkeypatch.setattr(WorkerPool, "submit", spy)
         with LabelingSession() as serial:
             want = labels_to_csv(serial.label_trace(day_trace).labels)
-        with LabelingSession(fanout="trace", workers=2) as session:
+        assert submitted == []
+        with LabelingSession(workers=2) as session:
             got = labels_to_csv(session.label_trace(day_trace).labels)
+            n = len(session.pipeline.ensemble)
         assert got == want
+        assert all(fn is worker.run_detect for fn, _ in submitted)
+        assert [task.config_indices for _, task in submitted] == [
+            (i,) for i in range(n)
+        ]
 
     def test_unknown_fanout_rejected(self):
-        with pytest.raises(ValueError, match="unknown fanout"):
-            LabelingSession(fanout="packet")
+        """The call picks its unit of work; there is no knob left."""
+        with pytest.raises(TypeError):
+            LabelingSession(fanout="shard")
 
     def test_config_groups_cover_ensemble_in_order(self):
-        with LabelingSession(fanout="trace", workers=5) as session:
-            groups = session._config_groups()
-        n = len(session.pipeline.ensemble)
-        flat = [i for group in groups for i in group]
-        assert flat == list(range(n))
-        assert len(groups) == min(5, n)
-        sizes = {len(group) for group in groups}
-        assert max(sizes) - min(sizes) <= 1
+        n = len(PipelineConfig().build_pipeline().ensemble)
+        # One group per configuration (label_trace), and min(workers,
+        # n) balanced groups (a pooled stream window passes workers).
+        assert worker.config_groups(n, n) == [(i,) for i in range(n)]
+        for workers in (2, 5, n + 3):
+            groups = worker.config_groups(n, workers)
+            assert [i for group in groups for i in group] == list(range(n))
+            assert len(groups) == min(workers, n)
+            sizes = {len(group) for group in groups}
+            assert max(sizes) - min(sizes) <= 1
 
     def test_failed_detect_group_fails_only_its_trace(
-        self, archive, day_trace, monkeypatch
+        self, day_trace, monkeypatch
     ):
-        """A failed detector group folds into a failed TraceReport for
-        that trace; the batch (and the session) carry on."""
-        from repro.runner import worker
-
-        bad_date = "2004-06-02"
-        real_run_detect = worker.run_detect
-
-        def failing_run_detect(task):
-            if task.metadata is not None and task.metadata.date == bad_date:
-                return worker.DetectResult(
-                    config_indices=task.config_indices,
-                    status="failed",
-                    error="RuntimeError: injected",
-                )
-            return real_run_detect(task)
-
-        monkeypatch.setattr(worker, "run_detect", failing_run_detect)
-        traces = [day_trace, archive.day(bad_date).trace]
-        with LabelingSession(fanout="detector") as session:
-            batch = session.label_traces(traces)
-        by_date = {r.date: r for r in batch.reports}
-        assert by_date[f"mawi-{DATE}"].ok
-        assert by_date[f"mawi-{bad_date}"].status == "failed"
-        assert "injected" in by_date[f"mawi-{bad_date}"].error
-        assert _shm_segments() == set()
-
-    def test_fanout_uses_alarm_cache(self, archive, tmp_path):
-        cache_dir = str(tmp_path / "cache")
-        trace = archive.day(DATE).trace
-        with LabelingSession(
-            cache_dir=cache_dir, fanout="detector"
-        ) as session:
-            cold = session.label_traces([trace])
-            warm = session.label_traces([trace])
-        assert cold.cache_misses == 1
-        assert warm.cache_hits == 1
-        assert (
-            cold.reports[0].csv_sha256 == warm.reports[0].csv_sha256
-        )
+        """A failed detector group raises a DetectorError naming it out
+        of that ``label_trace`` call only: the arenas go back for reuse,
+        the same session labels the next trace, and close() leaves no
+        segment behind."""
+        before = _shm_segments()
+        session = LabelingSession(workers=2)
+        try:
+            _fail_group(session.pool, monkeypatch, first_index=3)
+            with pytest.raises(
+                DetectorError,
+                match=r"configurations \[3\]: RuntimeError: injected",
+            ):
+                session.label_trace(day_trace)
+            monkeypatch.undo()
+            got = labels_to_csv(session.label_trace(day_trace).labels)
+            want = labels_to_csv(session.pipeline.run(day_trace).labels)
+            assert got == want
+            # The failed call's table and plane arenas were reused.
+            assert len(session._arenas.arenas) == 2
+        finally:
+            session.close()
+        assert _shm_segments() - before == set()
 
 
 class TestInlineSession:
     def test_single_worker_session_creates_no_segment(
         self, day_trace, monkeypatch
     ):
-        """An inline pool hands traces over in-process: no fan-out
-        mode, run mode or streaming window ever creates a segment."""
+        """An inline pool hands traces over in-process: no run mode or
+        streaming window ever creates a segment."""
         from multiprocessing import shared_memory
 
         from repro.stream import chunk_table
@@ -359,17 +408,16 @@ class TestInlineSession:
             real_init(self, name, create, *args, **kwargs)
 
         monkeypatch.setattr(shared_memory.SharedMemory, "__init__", spy)
-        for fanout in FANOUTS:
-            with LabelingSession(workers=1, fanout=fanout) as session:
-                session.label_trace(day_trace)
-                session.label_traces([day_trace])
-                session.label_stream(
-                    chunk_table(day_trace.table, 2048),
-                    window=4.0,
-                    metadata=day_trace.metadata,
-                )
-                assert session._arenas == [], fanout
-            assert created == [], fanout
+        with LabelingSession(workers=1) as session:
+            session.label_trace(day_trace)
+            session.label_traces([day_trace])
+            session.label_stream(
+                chunk_table(day_trace.table, 2048),
+                window=4.0,
+                metadata=day_trace.metadata,
+            )
+            assert session._arenas.arenas == []
+        assert created == []
 
 
 class TestCrashTeardown:
@@ -398,14 +446,19 @@ class TestCrashTeardown:
         assert _shm_segments() - before == set()
 
     def test_close_unlinks_streaming_arena(self, day_trace):
+        from multiprocessing import shared_memory
+
         with LabelingSession(workers=2) as session:
             pipeline = session.streaming_pipeline(window=10.0)
             result = pipeline.run([day_trace.table], metadata=day_trace.metadata)
             assert result.labels
-            name = pipeline._arena.name
-            assert name is not None
+            names = [arena.name for arena in pipeline._arenas.arenas]
+            assert names and None not in names
             pipeline.close()
-            assert pipeline._arena.name is None
+            assert pipeline._arenas.arenas == []
+            for name in names:
+                with pytest.raises(FileNotFoundError):
+                    shared_memory.SharedMemory(name=name)
 
     def test_session_finalizer_cleans_unclosed_session(self, day_trace):
         """An unclosed session's GC finalizer unlinks its arenas."""
@@ -436,6 +489,31 @@ class TestPooledStreaming:
         assert [w.n_new_alarms for w in pooled.windows] == [
             w.n_new_alarms for w in serial.windows
         ]
+
+    def test_failed_window_group_raises_detector_error(
+        self, archive, monkeypatch
+    ):
+        """A failed group of a pooled window raises a DetectorError
+        naming it; the same pipeline labels the rest of the stream in
+        the same arenas, and nothing outlives close()."""
+        from repro.stream import chunk_table
+
+        trace = archive.day("2004-06-03").trace
+        chunks = iter(chunk_table(trace.table, 1024))
+        before = _shm_segments()
+        with LabelingSession(workers=2) as session:
+            pipeline = session.streaming_pipeline(window=4.0, hop=2.0)
+            _fail_group(session.pool, monkeypatch, first_index=0)
+            with pytest.raises(
+                DetectorError, match=r"configurations \[0, .*injected"
+            ):
+                list(pipeline.process(chunks, metadata=trace.metadata))
+            monkeypatch.undo()
+            windows = list(pipeline.process(chunks, metadata=trace.metadata))
+            assert windows and all(w.n_packets for w in windows)
+            assert len(pipeline._arenas.arenas) == 2
+            pipeline.close()
+        assert _shm_segments() - before == set()
 
     def test_pool_requires_config(self):
         from repro.errors import StreamError
@@ -471,18 +549,17 @@ class TestPhaseAccounting:
 
     def test_profile_sums_phases(self, archive, day_trace):
         traces = [day_trace, archive.day("2004-06-02").trace]
-        for workers, fanout in itertools.product((1, 2), ("shard", "detector")):
+        for workers in (1, 2):
             profile: dict = {}
-            with LabelingSession(workers=workers, fanout=fanout) as session:
+            with LabelingSession(workers=workers) as session:
                 session.label_traces(traces, profile=profile)
-            assert {
-                "export", "attach", "compute", "merge", "idle",
-                "wall", "workers", "fanout",
-            } <= set(profile), (workers, fanout)
+            assert set(profile) == {
+                "export", "attach", "compute", "idle", "wall", "workers",
+            }, workers
             assert profile["compute"] > 0
             assert profile["wall"] > 0
-            assert profile["fanout"] == fanout
-            assert all(v >= 0 for k, v in profile.items() if k != "fanout")
+            assert profile["workers"] == workers
+            assert all(v >= 0 for v in profile.values())
 
 
 class TestSignalTeardown:

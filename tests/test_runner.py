@@ -261,22 +261,41 @@ class TestBatchRunner:
         )
         assert pickle.loads(pickle.dumps(task)) == task
 
-    def test_inline_trace_fingerprint_is_content_derived(self, small_archive):
-        from dataclasses import replace
+    def test_inline_trace_fingerprint_is_content_derived(
+        self, small_archive, monkeypatch
+    ):
+        import numpy as np
 
+        from repro.net.table import COLUMNS, PacketTable
         from repro.net.trace import Trace, TraceMetadata
 
         day = small_archive.day(DATES[0])
-        twin = Trace(
-            [replace(p, dport=p.dport ^ 1) for p in day.trace.packets],
-            metadata=TraceMetadata(name=day.trace.metadata.name),
-        )
-        # Same name, packet count and duration — different content must
-        # still produce a different alarm-cache fingerprint.
-        assert len(twin) == len(day.trace)
-        assert worker_module.fingerprint_trace(
-            day.trace
-        ) != worker_module.fingerprint_trace(twin)
-        assert worker_module.fingerprint_trace(
-            day.trace
-        ) == worker_module.fingerprint_trace(day.trace)
+        table = day.trace.table
+        metadata = TraceMetadata(name=day.trace.metadata.name)
+
+        def fingerprint(columns: dict) -> str:
+            trace = Trace.from_table(PacketTable(**columns), metadata)
+            return worker_module.fingerprint_trace(trace)
+
+        def no_packets(trace):
+            raise AssertionError("fingerprint_trace built Packet objects")
+
+        # The digest reads the table's columns, never Packet objects.
+        monkeypatch.setattr(Trace, "packets", property(no_packets))
+        columns = {name: getattr(table, name).copy() for name in COLUMNS}
+        base = fingerprint(columns)
+        # Equal content, built separately: equal fingerprints.
+        assert worker_module.fingerprint_trace(day.trace) == base
+        assert fingerprint({k: v.copy() for k, v in columns.items()}) == base
+        # Same name and packet count: one changed row in any one column
+        # must still change the alarm-cache fingerprint.
+        row = len(table) // 2
+        for name in COLUMNS:
+            column = columns[name].copy()
+            if name == "time":
+                column[row] = np.nextafter(column[row], np.inf)
+            elif name == "proto":  # TCP <-> UDP: both valid
+                column[row] = 17 if column[row] == 6 else 6
+            else:
+                column[row] ^= 1
+            assert fingerprint({**columns, name: column}) != base, name

@@ -181,18 +181,17 @@ class TestEngineAgnosticCache:
             assert all(r.ok for r in batch.reports)
         # At most one arena per shard in flight, and the second batch
         # exported into the first batch's segments.
-        assert 1 <= len(session._arenas) <= len(traces)
-        assert sum(a.allocations for a in session._arenas) == len(
-            session._arenas
-        )
-        names = [a.name for a in session._arenas if a.name]
+        arenas = session._arenas.arenas
+        assert 1 <= len(arenas) <= len(traces)
+        assert sum(a.allocations for a in arenas) == len(arenas)
+        names = [a.name for a in arenas if a.name]
         assert names, "arena should hold a live recycled segment"
         session.close()
         # close() unlinks every arena segment — nothing leaks.
         for name in names:
             with pytest.raises(FileNotFoundError):
                 shared_memory.SharedMemory(name=name)
-        assert session._arenas == []
+        assert session._arenas.arenas == []
 
     def test_engines_emit_identical_alarm_sets(self, day_trace):
         """The premise the shared key rests on, asserted directly."""
