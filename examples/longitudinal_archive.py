@@ -19,7 +19,7 @@ import tempfile
 from repro.eval.metrics import attack_ratio_by_class
 from repro.labeling.heuristics import label_community
 from repro.mawi import SyntheticArchive, era_for_date
-from repro.runner import AlarmCache, PipelineConfig
+from repro.runner import AlarmCache, PipelineConfig, cached_alarms
 from repro.session import LabelingSession
 
 
@@ -59,15 +59,9 @@ def main() -> None:
                 continue
             # Steps 2-4 only: alarms come from the cache Step 1 filled.
             day = archive.day(report.date)
-            alarms = cache.get(
-                AlarmCache.make_key(
-                    archive.fingerprint(),
-                    report.date,
-                    pipeline.ensemble_fingerprint(),
-                )
+            alarms, _hit = cached_alarms(
+                cache, pipeline, day.trace, archive.fingerprint(), report.date
             )
-            if alarms is None:  # cache evicted between runs
-                alarms = pipeline.detect(day.trace)
             result = pipeline.run_with_alarms(day.trace, alarms)
             community_set = result.community_set
             heuristics = [

@@ -441,7 +441,7 @@ def _cmd_warehouse_ingest(args: argparse.Namespace) -> int:
         warehouse_fingerprint,
     )
     from repro.mawi.archive import SyntheticArchive
-    from repro.runner.cache import AlarmCache
+    from repro.runner.cache import AlarmCache, cached_alarms
 
     archive = SyntheticArchive(seed=args.seed, trace_duration=args.duration)
     dates = args.date or _month_dates(args.start, args.months)
@@ -465,13 +465,9 @@ def _cmd_warehouse_ingest(args: argparse.Namespace) -> int:
                 skipped += 1
                 continue
             trace = archive.day(date).trace
-            if cache is not None:
-                key = AlarmCache.make_key(
-                    archive.fingerprint(), date, ensemble_fp
-                )
-                alarms, hit = cache.get_or_detect(pipeline, trace, key)
-            else:
-                alarms, hit = pipeline.detect(trace), False
+            alarms, hit = cached_alarms(
+                cache, pipeline, trace, archive.fingerprint(), date
+            )
             result = pipeline.run_with_alarms(trace, alarms)
             warehouse.store_result(date, result, version=version)
             stored += 1

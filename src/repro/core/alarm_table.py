@@ -14,8 +14,9 @@ A table encoded from alarm objects (:meth:`AlarmTable.from_alarms`)
 seeds its view caches with those very objects, and :meth:`~AlarmTable.take`
 and :meth:`~AlarmTable.concatenate` carry the caches along, so the
 filters and flow keys a detector built are never rebuilt from columns
-downstream.  Only a cold table (unpickled from the cache or a pool
-pipe) materializes views from its columns.
+downstream.  Only a cold table (decoded from an alarm segment of the
+cache or the warehouse, or unpickled from a pool pipe) materializes
+views from its columns.
 
 Layout
 ------
@@ -36,9 +37,10 @@ into flat per-filter / per-flow-key column blocks:
 * flow keys — one row per :class:`~repro.net.flow.FlowKey`
   (src/sport/dst/dport/proto as unsigned columns).
 
-Because every column is a plain array, an alarm table pickles
-compactly (the alarm cache stores these and fan-out workers return
-them) and slices / concatenates without touching Python objects.  Detector and
+Because every column is a plain array, an alarm table spills into a
+warehouse alarm segment (the alarm cache's entries too), pickles
+compactly (fan-out workers return them) and slices / concatenates
+without touching Python objects.  Detector and
 configuration *names* live in small first-appearance-ordered pools;
 the dense coding is computed by the paired ``"alarm_codes"`` engine
 kernels.

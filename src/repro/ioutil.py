@@ -1,12 +1,14 @@
 """Small shared I/O helpers.
 
-:func:`write_atomic` is the repository's one way to publish a file
-other processes may be reading concurrently: the text lands in a
-temporary file in the destination directory and moves into place with
+:func:`write_atomic_bytes` is the repository's one way to publish a
+file other processes may be reading concurrently: the bytes land in a
+temporary file in the destination directory and move into place with
 ``os.replace``, so a reader opening the path sees either the previous
 complete contents or the new complete contents — never a torn write.
-The batch workers' per-day label CSVs, the label database's day files
-and index, and the serve scheduler's journal all go through it.
+:func:`write_atomic` is its UTF-8 text form.  The batch workers'
+per-day label CSVs, the label database's day files, the warehouse's
+segments and manifest, the alarm cache's entries and the serve
+scheduler's journal all go through them.
 """
 
 from __future__ import annotations
@@ -18,11 +20,12 @@ from typing import Union
 
 
 def write_atomic_bytes(path: Union[str, Path], payload: bytes) -> None:
-    """Binary twin of :func:`write_atomic` (tmp file + ``os.replace``).
+    """Write ``payload`` to ``path`` atomically (tmp file + ``os.replace``).
 
-    The warehouse's columnar segment files go through this: a reader
-    memory-mapping the path sees either the previous complete segment
-    or the new complete segment, never a torn one.
+    The temporary file is created in ``path``'s directory so the final
+    rename stays on one filesystem (cross-device renames are copies,
+    not atomic).  On any failure the temporary file is removed and the
+    destination is left untouched.
     """
     path = Path(path)
     fd, tmp_name = tempfile.mkstemp(
@@ -41,24 +44,5 @@ def write_atomic_bytes(path: Union[str, Path], payload: bytes) -> None:
 
 
 def write_atomic(path: Union[str, Path], text: str) -> None:
-    """Write ``text`` to ``path`` atomically (tmp file + ``os.replace``).
-
-    The temporary file is created in ``path``'s directory so the final
-    rename stays on one filesystem (cross-device renames are copies,
-    not atomic).  On any failure the temporary file is removed and the
-    destination is left untouched.
-    """
-    path = Path(path)
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+    """Write ``text`` to ``path`` atomically, UTF-8 encoded."""
+    write_atomic_bytes(path, text.encode("utf-8"))

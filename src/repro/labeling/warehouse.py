@@ -26,7 +26,10 @@ Layout
 Each segment file is ``MWLW`` magic, a little-endian format/u64 header
 length, a JSON descriptor (array names, dtypes, lengths, relative
 offsets, string pools, metadata), then 64-byte-aligned column blocks.
-Segments are published atomically
+The same layout is the one stored form of labels and alarms elsewhere
+too: each :class:`~repro.runner.cache.AlarmCache` entry is an alarm
+segment, and :class:`Segment` parses a byte buffer as well as a
+mapped file.  Segments are published atomically
 (:func:`repro.ioutil.write_atomic_bytes`) and the manifest through
 :func:`repro.ioutil.write_atomic`, so readers never observe a torn
 file; the manifest records every segment's byte size and SHA-256, so a
@@ -40,11 +43,14 @@ constructors accept those views as-is (``np.asarray`` is a no-op for
 matching dtypes).  :meth:`Warehouse.close` drops the handles; the maps
 are read-only, so dropping them is always safe.
 
-Queries (:meth:`Warehouse.query`) push predicates — taxonomy, time
-overlap, rule src/dst/sport/dport — down onto the mapped columns via
-the paired ``"warehouse_select"`` engine kernels and only render the
-matching rows, in the JSON row shape of
-:class:`~repro.labeling.database.LiveLabelIndex`.
+Queries have one path, :func:`select_labels`: predicates — taxonomy,
+time overlap, rule src/dst/sport/dport — are pushed down onto a day's
+label-segment columns via the paired ``"warehouse_select"`` engine
+kernels, and only the matching rows are rendered.
+:meth:`Warehouse.query` feeds it mapped segments;
+:class:`~repro.labeling.database.LiveLabelIndex` feeds it the same
+columns held in memory (:func:`label_segment_columns`) for days that
+are published but not stored.
 
 Delta recompute (:meth:`Warehouse.recompute`): the warehouse
 fingerprint digests (archive, ensemble, configuration).  A heuristics-
@@ -58,21 +64,23 @@ communities) reported.
 
 from __future__ import annotations
 
+import datetime
 import hashlib
 import json
 import os
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from types import SimpleNamespace
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.core.alarm_table import ALL_ARRAYS, AlarmTable
 from repro.engine import EngineSpec, resolve_engine
-from repro.errors import WarehouseError
+from repro.errors import TraceError, WarehouseError
 from repro.ioutil import write_atomic, write_atomic_bytes
-from repro.labeling.database import _address_code, is_iso_day
 from repro.labeling.mawilab import LabelRecord, PipelineResult, labels_to_csv
 from repro.labeling.store import (
     LABEL_BOUND_COLUMNS,
@@ -81,7 +89,7 @@ from repro.labeling.store import (
     taxonomy_counts,
 )
 from repro.labeling.taxonomy import TAXONOMY_ORDER
-from repro.net.addresses import ip_to_str
+from repro.net.addresses import ip_to_int, ip_to_str
 
 _MAGIC = b"MWLW"
 _FORMAT = 1
@@ -103,6 +111,24 @@ _RULE_COLUMNS = (
 
 #: String pools of a label segment (LabelStore attribute names).
 _LABEL_POOLS = ("categories", "details", "detector_names", "annotation_tags")
+
+
+_ISO_DAY = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
+def is_iso_day(date) -> bool:
+    """Whether ``date`` is a ``YYYY-MM-DD`` calendar date string.
+
+    Day files and warehouse segments are named after the date, so
+    nothing else may reach a file path.
+    """
+    if not isinstance(date, str) or not _ISO_DAY.fullmatch(date):
+        return False
+    try:
+        datetime.date.fromisoformat(date)
+    except ValueError:
+        return False
+    return True
 
 
 def warehouse_fingerprint(
@@ -153,15 +179,15 @@ def _sha256_file(path: Path) -> str:
 
 def encode_segment(
     kind: str,
-    arrays: Sequence[tuple[str, np.ndarray]],
-    pools: dict[str, Sequence[str]],
+    arrays: Mapping[str, np.ndarray],
+    pools: Mapping[str, Sequence[str]],
     meta: dict,
 ) -> bytes:
     """Serialize named columns into one segment byte string."""
     descriptors = []
     blobs = []
     offset = 0
-    for name, array in arrays:
+    for name, array in arrays.items():
         array = np.ascontiguousarray(array)
         blob = array.tobytes()
         descriptors.append(
@@ -258,43 +284,45 @@ def _decoding(segment: "Segment", arrays, pools):
 
 
 class Segment:
-    """One opened segment file: mapped column views + pools + meta.
+    """One segment's column views, pools and meta.
 
-    Every malformed header — bad magic, format, JSON or descriptor —
-    raises :class:`~repro.errors.WarehouseError`.
+    ``source`` is a segment file, mapped read-only with ``np.memmap``
+    (the warehouse), or the segment's bytes, viewed in place (the
+    alarm cache's entries); one parser reads both.  Every malformed
+    header — bad magic, format, JSON or descriptor — raises
+    :class:`~repro.errors.WarehouseError`.
     """
 
     __slots__ = ("path", "kind", "arrays", "pools", "meta")
 
-    def __init__(self, path: Union[str, Path], kind: Optional[str] = None):
-        self.path = Path(path)
-        try:
-            size = os.path.getsize(self.path)
-            with open(self.path, "rb") as handle:
-                head = handle.read(16)
-                if len(head) < 16 or head[:4] != _MAGIC:
-                    raise WarehouseError(
-                        f"not a warehouse segment: {self.path}"
-                    )
-                fmt = int.from_bytes(head[4:8], "little")
-                if fmt != _FORMAT:
-                    raise WarehouseError(
-                        f"unsupported segment format {fmt} in {self.path}"
-                    )
-                header_len = int.from_bytes(head[8:16], "little")
-                if 16 + header_len > size:
-                    raise WarehouseError(
-                        f"truncated segment header: {self.path}"
-                    )
-                try:
-                    header = json.loads(handle.read(header_len))
-                except ValueError as exc:
-                    raise WarehouseError(
-                        f"corrupt segment header: {self.path}: {exc}"
-                    ) from exc
-        except OSError as exc:
+    def __init__(
+        self,
+        source: Union[str, Path, bytes],
+        kind: Optional[str] = None,
+    ):
+        if isinstance(source, bytes):
+            self.path = "<in-memory segment>"
+            raw = np.frombuffer(source, dtype=np.uint8)
+        else:
+            self.path = Path(source)
+            raw = _map(self.path)
+        size = len(raw)
+        head = raw[:16].tobytes()
+        if len(head) < 16 or head[:4] != _MAGIC:
+            raise WarehouseError(f"not a warehouse segment: {self.path}")
+        fmt = int.from_bytes(head[4:8], "little")
+        if fmt != _FORMAT:
             raise WarehouseError(
-                f"unreadable segment {self.path}: {exc}"
+                f"unsupported segment format {fmt} in {self.path}"
+            )
+        header_len = int.from_bytes(head[8:16], "little")
+        if 16 + header_len > size:
+            raise WarehouseError(f"truncated segment header: {self.path}")
+        try:
+            header = json.loads(raw[16 : 16 + header_len].tobytes())
+        except ValueError as exc:
+            raise WarehouseError(
+                f"corrupt segment header: {self.path}: {exc}"
             ) from exc
         _check_header(header, self.path)
         self.kind = header["kind"]
@@ -309,7 +337,6 @@ class Segment:
         data_start = 16 + header_len + _pad(16 + header_len)
         if data_start + header["data_bytes"] > size:
             raise WarehouseError(f"truncated segment: {self.path}")
-        raw = np.memmap(self.path, dtype=np.uint8, mode="r")
         self.arrays = {}
         for descriptor in header["arrays"]:
             dtype = np.dtype(descriptor["dtype"])
@@ -320,72 +347,76 @@ class Segment:
             ].view(dtype)
 
 
-def _encode_rule_field(rules, attr: str) -> np.ndarray:
-    return np.fromiter(
-        (
-            -1 if getattr(rule, attr) is None else int(getattr(rule, attr))
-            for rule in rules
-        ),
-        np.int64,
-        count=len(rules),
+def _map(path: Path) -> np.ndarray:
+    """``path`` mapped read-only as bytes (an empty file maps to none)."""
+    try:
+        if os.path.getsize(path) == 0:
+            return np.empty(0, dtype=np.uint8)
+        return np.memmap(path, dtype=np.uint8, mode="r")
+    except OSError as exc:
+        raise WarehouseError(f"unreadable segment {path}: {exc}") from exc
+
+
+def label_segment_columns(
+    store: LabelStore,
+) -> tuple[dict[str, np.ndarray], dict[str, tuple[str, ...]]]:
+    """``(arrays, pools)`` of the label segment holding ``store``.
+
+    The store's own columns, then its summaries' metrics and the flat
+    per-rule columns (``-1`` for a wildcard field), gathered in one
+    pass over the summaries.  :func:`encode_label_segment` writes
+    them; :class:`~repro.labeling.database.LiveLabelIndex` keeps them
+    in memory and queries them like a mapped segment.
+    """
+    n = len(store)
+    degrees: list[float] = []
+    supports: list[float] = []
+    transactions: list[int] = []
+    rule_bounds = np.zeros(n + 1, dtype=np.int64)
+    keys: list[int] = []  # src, sport, dst, dport of each rule in turn
+    rule_support: list[float] = []
+    rule_count: list[int] = []
+    for i, summary in enumerate(store.summaries):
+        degrees.append(summary.rule_degree)
+        supports.append(summary.rule_support)
+        transactions.append(summary.n_transactions)
+        for rule in summary.rules or ():
+            keys += (
+                -1 if rule.src is None else rule.src,
+                -1 if rule.sport is None else rule.sport,
+                -1 if rule.dst is None else rule.dst,
+                -1 if rule.dport is None else rule.dport,
+            )
+            rule_support.append(rule.support)
+            rule_count.append(rule.count)
+        rule_bounds[i + 1] = len(rule_count)
+    key_columns = np.array(keys, dtype=np.int64).reshape(-1, 4).T.copy()
+    arrays = {name: getattr(store, name) for name in LABEL_COLUMNS}
+    arrays.update(
+        (name, getattr(store, name)) for name in LABEL_BOUND_COLUMNS
     )
+    arrays.update(
+        s_rule_degree=np.array(degrees, dtype=np.float64),
+        s_rule_support=np.array(supports, dtype=np.float64),
+        s_n_transactions=np.array(transactions, dtype=np.int64),
+        rule_bounds=rule_bounds,
+        r_record=np.repeat(
+            np.arange(n, dtype=np.int64), np.diff(rule_bounds)
+        ),
+        r_src=key_columns[0],
+        r_sport=key_columns[1],
+        r_dst=key_columns[2],
+        r_dport=key_columns[3],
+        r_support=np.array(rule_support, dtype=np.float64),
+        r_count=np.array(rule_count, dtype=np.int64),
+    )
+    pools = {name: getattr(store, name) for name in _LABEL_POOLS}
+    return arrays, pools
 
 
 def encode_label_segment(store: LabelStore, meta: dict) -> bytes:
     """Spill a :class:`LabelStore` (summaries included) into bytes."""
-    n = len(store)
-    rule_bounds = np.zeros(n + 1, dtype=np.int64)
-    rules = []
-    for i, summary in enumerate(store.summaries):
-        day_rules = list(getattr(summary, "rules", ()) or ())
-        rule_bounds[i + 1] = rule_bounds[i] + len(day_rules)
-        rules.extend(day_rules)
-    m = len(rules)
-    arrays = [(name, getattr(store, name)) for name in LABEL_COLUMNS]
-    arrays += [(name, getattr(store, name)) for name in LABEL_BOUND_COLUMNS]
-    arrays += [
-        (
-            "s_rule_degree",
-            np.fromiter(
-                (s.rule_degree for s in store.summaries), np.float64, count=n
-            ),
-        ),
-        (
-            "s_rule_support",
-            np.fromiter(
-                (s.rule_support for s in store.summaries), np.float64, count=n
-            ),
-        ),
-        (
-            "s_n_transactions",
-            np.fromiter(
-                (s.n_transactions for s in store.summaries),
-                np.int64,
-                count=n,
-            ),
-        ),
-        ("rule_bounds", rule_bounds),
-        (
-            "r_record",
-            np.repeat(
-                np.arange(n, dtype=np.int64), rule_bounds[1:] - rule_bounds[:-1]
-            ),
-        ),
-        ("r_src", _encode_rule_field(rules, "src")),
-        ("r_sport", _encode_rule_field(rules, "sport")),
-        ("r_dst", _encode_rule_field(rules, "dst")),
-        ("r_dport", _encode_rule_field(rules, "dport")),
-        (
-            "r_support",
-            np.fromiter((r.support for r in rules), np.float64, count=m),
-        ),
-        (
-            "r_count",
-            np.fromiter((r.count for r in rules), np.int64, count=m),
-        ),
-    ]
-    pools = {name: getattr(store, name) for name in _LABEL_POOLS}
-    return encode_segment("labels", arrays, pools, meta)
+    return encode_segment("labels", *label_segment_columns(store), meta)
 
 
 def label_store_from_segment(segment: Segment) -> LabelStore:
@@ -443,7 +474,7 @@ def label_store_from_segment(segment: Segment) -> LabelStore:
 
 def encode_alarm_segment(table: AlarmTable, meta: dict) -> bytes:
     """Spill an :class:`AlarmTable` into bytes (all 19 arrays + pools)."""
-    arrays = [(name, getattr(table, name)) for name in ALL_ARRAYS]
+    arrays = {name: getattr(table, name) for name in ALL_ARRAYS}
     pools = {"detectors": table.detectors, "configs": table.configs}
     return encode_segment("alarms", arrays, pools, meta)
 
@@ -799,21 +830,11 @@ class Warehouse:
     ) -> list[dict]:
         """Cross-day label rows matching every given predicate.
 
-        Scans the mapped columns of each day in date order through the
-        ``"warehouse_select"`` kernel and renders only the selected
-        rows (the :class:`LiveLabelIndex` JSON row shape).  ``date``
-        restricts to one day; otherwise ``date_from`` / ``date_to``
-        bound the inclusive ISO date range.
+        Scans the mapped columns of each day in date order through
+        :func:`select_labels`.  ``date`` restricts to one day;
+        otherwise ``date_from`` / ``date_to`` bound the inclusive ISO
+        date range.
         """
-        engine = resolve_engine(engine, what="warehouse")
-        taxonomy_code = None
-        if taxonomy is not None:
-            if taxonomy not in TAXONOMY_ORDER:
-                raise WarehouseError(
-                    f"unknown taxonomy {taxonomy!r}; "
-                    f"known: {list(TAXONOMY_ORDER)}"
-                )
-            taxonomy_code = TAXONOMY_ORDER.index(taxonomy)
         if date is not None:
             dates = [date] if self.has_day(date, version) else []
         else:
@@ -823,36 +844,19 @@ class Warehouse:
                 if (date_from is None or d >= date_from)
                 and (date_to is None or d <= date_to)
             ]
-        select = engine.kernel("warehouse_select")
-        rows: list[dict] = []
-        for day in dates:
-            segment = self.open_labels(day, version)
-            arrays = segment.arrays
-            columns = {
-                "taxonomy_code": arrays["taxonomy_code"],
-                "t0": arrays["t0"],
-                "t1": arrays["t1"],
-                "rule_record": arrays["r_record"],
-                "rule_src": arrays["r_src"],
-                "rule_dst": arrays["r_dst"],
-                "rule_sport": arrays["r_sport"],
-                "rule_dport": arrays["r_dport"],
-            }
-            selected = select(
-                columns,
-                taxonomy_code=taxonomy_code,
-                src=None if src is None else _address_code(src),
-                dst=None if dst is None else _address_code(dst),
-                sport=None if sport is None else int(sport),
-                dport=None if dport is None else int(dport),
-                t0=t0,
-                t1=t1,
-            )
-            for i in selected:
-                rows.append(_segment_row(segment, day, int(i)))
-                if limit is not None and len(rows) >= limit:
-                    return rows
-        return rows
+        segments = ((day, self.open_labels(day, version)) for day in dates)
+        return select_labels(
+            ((day, s.arrays, s.pools) for day, s in segments),
+            taxonomy=taxonomy,
+            src=src,
+            dst=dst,
+            sport=sport,
+            dport=dport,
+            t0=t0,
+            t1=t1,
+            limit=limit,
+            engine=engine,
+        )
 
     def stats(self, version: Optional[str] = None) -> dict:
         """Per-day and total counts, from the manifest alone."""
@@ -935,7 +939,7 @@ class Warehouse:
         """
         import time as _time
 
-        from repro.runner.cache import AlarmCache
+        from repro.runner.cache import AlarmCache, cached_alarms
         from repro.runner.config import PipelineConfig
 
         started = _time.perf_counter()
@@ -976,30 +980,30 @@ class Warehouse:
         )
         for date in dates or self.dates(old_version):
             trace = archive.day(date).trace
-            alarms = None
-            key = AlarmCache.make_key(
-                archive.fingerprint(), date, ensemble_fp
-            )
-            if cache is not None:
-                alarms = cache.get(key)
-                if alarms is not None:
-                    report.cache_hits += 1
-            if (
-                alarms is None
-                and not ensemble_changed
+            # Cache first, then the previous version's alarm segment,
+            # then Step 1; a segment or Step 1 table fills the cache.
+            stored = (
+                not ensemble_changed
                 and old_entry["days"].get(date, {}).get("alarms") is not None
-            ):
-                alarms = self.alarm_table(date, version=old_version)
+            )
+            step1 = pipeline
+            if stored:
+                step1 = SimpleNamespace(
+                    ensemble_fingerprint=pipeline.ensemble_fingerprint,
+                    detect=lambda _trace, date=date: self.alarm_table(
+                        date, version=old_version
+                    ),
+                )
+            alarms, hit = cached_alarms(
+                cache, step1, trace, archive.fingerprint(), date
+            )
+            if hit:
+                report.cache_hits += 1
+            elif stored:
                 report.segment_hits += 1
-                if cache is not None:
-                    cache.put(key, alarms)
-            if alarms is None:
-                result = pipeline.run(trace)
-                report.step1_reruns += 1
-                if cache is not None:
-                    cache.put(key, result.alarms)
             else:
-                result = pipeline.run_with_alarms(trace, alarms)
+                report.step1_reruns += 1
+            result = pipeline.run_with_alarms(trace, alarms)
             self.store_result(date, result, version=new_version)
             report.days.append(
                 self._diff_day(date, old_version, result.label_store())
@@ -1045,16 +1049,88 @@ class Warehouse:
         )
 
 
-def _segment_row(segment: Segment, date: str, index: int) -> dict:
-    """Render one selected row straight from mapped columns.
+# -- the query path (mapped segments and the live index) ----------------
 
-    Shape-identical to
-    :func:`repro.labeling.database._label_row` — the serve layer
-    answers from either source interchangeably — but built from the
-    columns, never through a :class:`LabelRecord`.
+
+def _address_code(value: Union[str, int], error: type[Exception]) -> int:
+    """Normalize a query address (dotted quad or integer) to its code."""
+    if isinstance(value, int):
+        return value
+    text = str(value)
+    try:
+        return ip_to_int(text) if "." in text else int(text)
+    except (TraceError, ValueError) as exc:
+        raise error(f"bad address {value!r}") from exc
+
+
+def select_labels(
+    days: Iterable[tuple[str, Mapping[str, np.ndarray], Mapping]],
+    *,
+    taxonomy: Optional[str] = None,
+    src: Optional[Union[str, int]] = None,
+    dst: Optional[Union[str, int]] = None,
+    sport: Optional[int] = None,
+    dport: Optional[int] = None,
+    t0: Optional[float] = None,
+    t1: Optional[float] = None,
+    limit: Optional[int] = None,
+    engine: EngineSpec = None,
+    error: type[Exception] = WarehouseError,
+) -> list[dict]:
+    """Label rows matching every given predicate, in ``days`` order.
+
+    ``days`` yields ``(date, arrays, pools)``: the columns of one
+    day's label segment, mapped (:class:`Segment`) or in memory
+    (:func:`label_segment_columns`).  Each day is scanned through the
+    ``"warehouse_select"`` kernel and only the selected rows are
+    rendered, one JSON-shaped row per label with its rules nested.
+    ``taxonomy`` is one of the paper's three labels; ``src`` / ``dst``
+    (dotted quad or integer) and ``sport`` / ``dport`` match labels
+    whose concise rules pin that value; ``t0`` / ``t1`` keep labels
+    whose span overlaps ``[t0, t1]``.  An unknown taxonomy or an
+    address that does not parse raises ``error``.
     """
-    arrays = segment.arrays
-    pools = segment.pools
+    engine = resolve_engine(engine, what="warehouse")
+    taxonomy_code = None
+    if taxonomy is not None:
+        if taxonomy not in TAXONOMY_ORDER:
+            raise error(
+                f"unknown taxonomy {taxonomy!r}; "
+                f"known: {list(TAXONOMY_ORDER)}"
+            )
+        taxonomy_code = TAXONOMY_ORDER.index(taxonomy)
+    predicates = dict(
+        taxonomy_code=taxonomy_code,
+        src=None if src is None else _address_code(src, error),
+        dst=None if dst is None else _address_code(dst, error),
+        sport=None if sport is None else int(sport),
+        dport=None if dport is None else int(dport),
+        t0=t0,
+        t1=t1,
+    )
+    select = engine.kernel("warehouse_select")
+    rows: list[dict] = []
+    for date, arrays, pools in days:
+        columns = {
+            "taxonomy_code": arrays["taxonomy_code"],
+            "t0": arrays["t0"],
+            "t1": arrays["t1"],
+            "rule_record": arrays["r_record"],
+            "rule_src": arrays["r_src"],
+            "rule_dst": arrays["r_dst"],
+            "rule_sport": arrays["r_sport"],
+            "rule_dport": arrays["r_dport"],
+        }
+        for i in select(columns, **predicates):
+            rows.append(_segment_row(arrays, pools, date, int(i)))
+            if limit is not None and len(rows) >= limit:
+                return rows
+    return rows
+
+
+def _segment_row(arrays: Mapping, pools: Mapping, date: str, index: int) -> dict:
+    """Render one selected row straight from label-segment columns,
+    never through a :class:`LabelRecord`."""
     lo = int(arrays["detector_bounds"][index])
     hi = int(arrays["detector_bounds"][index + 1])
     rlo = int(arrays["rule_bounds"][index])

@@ -7,7 +7,8 @@ the production machinery for that workload:
 * :class:`~repro.runner.config.PipelineConfig` — a picklable pipeline
   description shared by the CLI and pool workers;
 * :class:`~repro.runner.cache.AlarmCache` — an on-disk Step 1 cache so
-  re-labeling with a different combiner or granularity skips detection;
+  re-labeling with a different combiner or granularity skips detection,
+  entered through :func:`~repro.runner.cache.cached_alarms`;
 * :mod:`~repro.runner.shm` — the zero-copy shared-memory transport:
   packet tables (and feature planes) exported once per trace,
   attached by workers without pickling;
@@ -21,7 +22,7 @@ run, and aggregates the per-trace label counts into a longitudinal
 report.
 """
 
-from repro.runner.cache import AlarmCache
+from repro.runner.cache import AlarmCache, cached_alarms
 from repro.runner.config import PipelineConfig
 from repro.runner.pool import parallel_map
 from repro.runner.report import BatchReport, TraceReport
@@ -35,6 +36,7 @@ __all__ = [
     "SharedTableHandle",
     "TraceReport",
     "TraceTask",
+    "cached_alarms",
     "export_table",
     "parallel_map",
     "run_task",

@@ -4,16 +4,21 @@ Detection dominates pipeline runtime, and its output depends only on
 (trace, ensemble) — not on the combiner, granularity or similarity
 measure.  Caching alarms keyed by ``(archive, trace, ensemble)``
 therefore lets a re-labeling sweep with a different combiner skip
-Step 1 entirely.
+Step 1 entirely.  :func:`cached_alarms` is the one way in: it builds
+the key, answers a hit from the cache and runs (and stores) Step 1 on
+a miss.
 
-Entries are serialized :class:`~repro.core.alarm_table.AlarmTable`
-columns — a handful of NumPy arrays plus two small name pools —
-behind a magic tag and the SHA-256 of the serialized bytes, written
-atomically (temp file + ``os.replace``) so concurrent pool workers
-never observe a torn entry.  :meth:`AlarmCache.get` checks the digest
-before decoding anything: a truncated, bit-flipped, undecodable or
-old-format entry is evicted, counted in :attr:`AlarmCache.evictions`
-and returned as a miss — never as a different alarm table.
+Each entry is an alarm segment — the bytes
+:func:`~repro.labeling.warehouse.encode_alarm_segment` writes for the
+warehouse — behind a magic tag and the SHA-256 of those bytes,
+published with :func:`repro.ioutil.write_atomic_bytes` so concurrent
+pool workers never observe a torn entry.  :meth:`AlarmCache.get`
+checks the digest, then decodes with the warehouse's segment decoder:
+a truncated, bit-flipped, undecodable or old-format entry is evicted,
+counted in :attr:`AlarmCache.evictions` and returned as a miss —
+never as a different alarm table.  Nothing read from the cache is
+unpickled; entries of the older pickle format (``alarms-*.pkl``) are
+never opened.
 
 Cache keys are **engine-agnostic**: the columnar and reference kernels
 are asserted byte-identical by the engine parity suite, so an alarm set
@@ -31,18 +36,26 @@ from __future__ import annotations
 
 import hashlib
 import os
-import pickle
-import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 from repro.core.alarm_table import AlarmTable
+from repro.errors import WarehouseError
+from repro.ioutil import write_atomic_bytes
+from repro.labeling.warehouse import (
+    Segment,
+    alarm_table_from_segment,
+    encode_alarm_segment,
+)
 
-#: Entry layout: this tag, the SHA-256 of the payload, the payload.
-_ENTRY_MAGIC = b"MWAC\x01"
+#: Entry layout: this tag, the SHA-256 of the payload, the payload (an
+#: alarm segment).  Version 1 held a pickle.
+_ENTRY_MAGIC = b"MWAC\x02"
 _DIGEST_BYTES = 32
+#: Entry file names: ``alarms-<key digest>.seg``.
+_ENTRY_GLOB = "alarms-*.seg"
 
 
 @dataclass(frozen=True)
@@ -92,7 +105,7 @@ class AlarmCache:
         return f"alarms-{digest}"
 
     def path_for(self, key: str) -> Path:
-        return self.cache_dir / f"{key}.pkl"
+        return self.cache_dir / f"{key}.seg"
 
     def get(self, key: str) -> Optional[AlarmTable]:
         """Cached alarm table for ``key``, or ``None`` on a miss."""
@@ -120,10 +133,8 @@ class AlarmCache:
         ):
             return self._evict(path)
         try:
-            alarms = pickle.loads(payload)
-        except Exception:  # noqa: BLE001 - counted, evicted, a miss
-            return self._evict(path)
-        if not isinstance(alarms, AlarmTable):
+            alarms = alarm_table_from_segment(Segment(payload, kind="alarms"))
+        except WarehouseError:
             return self._evict(path)
         # Touch on hit: prune() evicts by mtime, making this an LRU.
         try:
@@ -141,46 +152,19 @@ class AlarmCache:
 
     def put(self, key: str, alarms: AlarmTable) -> None:
         """Store an alarm table under ``key`` atomically."""
-        path = self.path_for(key)
-        payload = pickle.dumps(alarms, protocol=pickle.HIGHEST_PROTOCOL)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=self.cache_dir, prefix=f".{key}.", suffix=".tmp"
+        payload = encode_alarm_segment(alarms, {})
+        write_atomic_bytes(
+            self.path_for(key),
+            _ENTRY_MAGIC + hashlib.sha256(payload).digest() + payload,
         )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(_ENTRY_MAGIC)
-                handle.write(hashlib.sha256(payload).digest())
-                handle.write(payload)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-
-    def get_or_detect(
-        self, pipeline, trace, key: str
-    ) -> tuple[AlarmTable, bool]:
-        """``(alarms, hit)``: the entry under ``key``, else Step 1.
-
-        A miss runs ``pipeline.detect(trace)`` and stores its table
-        under ``key`` before returning it.
-        """
-        alarms = self.get(key)
-        if alarms is not None:
-            return alarms, True
-        alarms = pipeline.detect(trace)
-        self.put(key, alarms)
-        return alarms, False
 
     def __len__(self) -> int:
-        return sum(1 for _ in self.cache_dir.glob("alarms-*.pkl"))
+        return sum(1 for _ in self.cache_dir.glob(_ENTRY_GLOB))
 
     def clear(self) -> int:
         """Delete every entry; returns the number removed."""
         removed = 0
-        for path in self.cache_dir.glob("alarms-*.pkl"):
+        for path in self.cache_dir.glob(_ENTRY_GLOB):
             path.unlink(missing_ok=True)
             removed += 1
         return removed
@@ -190,7 +174,7 @@ class AlarmCache:
     def _entries(self) -> list[tuple[float, int, Path]]:
         """(mtime, bytes, path) per entry, least recently used first."""
         entries = []
-        for path in self.cache_dir.glob("alarms-*.pkl"):
+        for path in self.cache_dir.glob(_ENTRY_GLOB):
             try:
                 stat = path.stat()
             except FileNotFoundError:  # pragma: no cover - racing worker
@@ -239,3 +223,31 @@ class AlarmCache:
             kept=len(kept),
             kept_bytes=sum(size for _, size, _ in kept),
         )
+
+
+def cached_alarms(
+    cache: Optional[AlarmCache],
+    pipeline,
+    trace,
+    fingerprint: str,
+    name: str,
+) -> tuple[AlarmTable, bool]:
+    """``(alarms, hit)``: Step 1 of ``trace`` through the alarm cache.
+
+    The key is ``(fingerprint, name, pipeline.ensemble_fingerprint())``,
+    where ``fingerprint`` names the trace source (an archive's
+    fingerprint, or a content digest).  A hit returns the cached table;
+    a miss runs ``pipeline.detect(trace)`` and stores its table.
+    Without a cache (``None``) this is just ``pipeline.detect``.
+    """
+    if cache is None:
+        return pipeline.detect(trace), False
+    key = AlarmCache.make_key(
+        fingerprint, name, pipeline.ensemble_fingerprint()
+    )
+    alarms = cache.get(key)
+    if alarms is not None:
+        return alarms, True
+    alarms = pipeline.detect(trace)
+    cache.put(key, alarms)
+    return alarms, False

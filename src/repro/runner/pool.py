@@ -36,6 +36,7 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     wait,
 )
+from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -164,9 +165,9 @@ class WorkerPool:
 
     The underlying executor is created on first parallel use and kept
     until :meth:`shutdown` (the pool is also a context manager).  A
-    broken pool — a worker died mid-task — is discarded on the way out
-    of the failing call, so the next use respawns cleanly instead of
-    failing forever.
+    worker dying mid-task breaks only the call it served: a broken
+    executor is replaced on the next submission, so the next call
+    respawns cleanly instead of failing.
     """
 
     def __init__(self, workers: int = 1) -> None:
@@ -209,7 +210,13 @@ class WorkerPool:
             except BaseException as exc:  # noqa: BLE001 - mirrored to future
                 future.set_exception(exc)
             return future
-        return self._ensure_executor().submit(fn, item)
+        try:
+            return self._ensure_executor().submit(fn, item)
+        except BrokenProcessPool:
+            # A worker died during an earlier call; that call already
+            # failed, so this one starts on fresh workers.
+            self.shutdown()
+            return self._ensure_executor().submit(fn, item)
 
     def map(
         self,
@@ -267,7 +274,6 @@ class WorkerPool:
         if in_flight is None:
             in_flight = self.workers + 2
         in_flight = max(in_flight, 1)
-        executor = self._ensure_executor()
         slots: dict[Future, int] = {}
         results: dict[int, R] = {}
         submitted = 0
@@ -281,7 +287,7 @@ class WorkerPool:
                     except StopIteration:
                         exhausted = True
                         break
-                    slots[executor.submit(fn, item)] = submitted
+                    slots[self.submit(fn, item)] = submitted
                     submitted += 1
                 if not slots:
                     break
@@ -299,10 +305,8 @@ class WorkerPool:
                             results[index],
                         )
         except BaseException:
-            # A worker death (BrokenProcessPool) poisons the executor;
-            # drop it so the next call respawns instead of rethrowing
-            # forever.  Ordinary task exceptions don't break the pool,
-            # but cancelling the backlog keeps failure prompt.
+            # Cancel the backlog so a failure is prompt; after a worker
+            # death (BrokenProcessPool) the next call respawns.
             self.shutdown()
             raise
         return [results[i] for i in range(submitted)]

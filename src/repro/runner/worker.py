@@ -128,11 +128,6 @@ def fingerprint_trace(trace: Trace) -> str:
     return f"inline:{hasher.hexdigest()[:16]}"
 
 
-# Shared atomic-publish helper; kept under its historical name because
-# callers and tests patch ``worker._write_atomic``.
-_write_atomic = write_atomic
-
-
 def run_task(task: TraceTask) -> TraceReport:
     """Label one trace; never raises (failures become reports)."""
     started = time.perf_counter()
@@ -185,23 +180,16 @@ def _label_trace(
     the report's phase breakdown.
     """
     from repro.labeling.mawilab import labels_to_csv
-    from repro.runner.cache import AlarmCache
+    from repro.runner.cache import AlarmCache, cached_alarms
 
     pipeline = _pipeline_for(task.config)
     compute_started = time.perf_counter()
-    if task.cache_dir:
-        if fingerprint is None:
-            fingerprint = fingerprint_trace(trace)
-        key = AlarmCache.make_key(
-            fingerprint, task.date, pipeline.ensemble_fingerprint()
-        )
-        alarms, cache_hit = AlarmCache(task.cache_dir).get_or_detect(
-            pipeline, trace, key
-        )
-    else:
-        # Step 1 batch-emits columnarly; the cache stores the table.
-        alarms, cache_hit = pipeline.detect(trace), False
-
+    cache = AlarmCache(task.cache_dir) if task.cache_dir else None
+    if cache is not None and fingerprint is None:
+        fingerprint = fingerprint_trace(trace)
+    alarms, cache_hit = cached_alarms(
+        cache, pipeline, trace, fingerprint, task.date
+    )
     result = pipeline.run_with_alarms(trace, alarms)
     csv_text = labels_to_csv(result.labels)
     compute = time.perf_counter() - compute_started
@@ -210,7 +198,7 @@ def _label_trace(
     if task.out_dir:
         out_path = csv_path_for(task.out_dir, task.date)
         out_path.parent.mkdir(parents=True, exist_ok=True)
-        _write_atomic(out_path, csv_text)
+        write_atomic(out_path, csv_text)
         csv_path = str(out_path)
 
     return TraceReport(

@@ -323,7 +323,7 @@ class LabelingService:
     db_root:
         Optional :class:`~repro.labeling.database.LabelDatabase` root;
         when set, each feed's final labels are persisted there on
-        close (atomic day files + index).
+        close (one atomic day file).
     warehouse_root:
         Optional :class:`~repro.labeling.warehouse.Warehouse` root;
         when set, fully-ingested days (scheduler dual-writes, feed
@@ -531,10 +531,9 @@ class LabelingService:
 
     # -- label reads ---------------------------------------------------
     #
-    # The query fast path: a date fully ingested into the warehouse
-    # answers from its memory-mapped columns (no CSV parse, no record
-    # materialization beyond the selected rows); anything else falls
-    # back to the live index of in-flight days.
+    # A date fully ingested into the warehouse answers from its
+    # memory-mapped columns; anything else from the live index of
+    # in-flight days, which holds the same columns in memory.
 
     def _warehouse_version(self) -> str:
         """The warehouse version feed-persisted days land in.
@@ -579,37 +578,25 @@ class LabelingService:
     ) -> list[dict]:
         """Label rows matching the predicates, warehouse-first.
 
-        A named date that is fully ingested scans mmap columns; other
-        dates (and the all-days query) use the live index, which does
-        not support the warehouse-only ``sport`` / ``dport`` filters.
+        A named date that is fully ingested scans its mmap columns;
+        other dates (and the all-days query) use the live index.  Both
+        answer through the warehouse's one query path, so every
+        predicate works on both.
         """
-        from repro.errors import LabelingError
-
+        source = self.index
         if (
             self.warehouse is not None
             and date is not None
             and self.warehouse.has_day(date)
         ):
-            return self.warehouse.query(
-                date=date,
-                taxonomy=taxonomy,
-                src=src,
-                dst=dst,
-                sport=sport,
-                dport=dport,
-                t0=t0,
-                t1=t1,
-                limit=limit,
-            )
-        if sport is not None or dport is not None:
-            raise LabelingError(
-                "sport/dport filters require a warehouse-ingested date"
-            )
-        return self.index.query(
+            source = self.warehouse
+        return source.query(
             date=date,
             taxonomy=taxonomy,
             src=src,
             dst=dst,
+            sport=sport,
+            dport=dport,
             t0=t0,
             t1=t1,
             limit=limit,

@@ -34,7 +34,7 @@ from repro.labeling.warehouse import (
     archive_meta,
     warehouse_fingerprint,
 )
-from repro.runner.cache import AlarmCache
+from repro.runner.cache import AlarmCache, cached_alarms
 from repro.runner.config import PipelineConfig
 from repro.session import LabelingSession
 
@@ -337,17 +337,9 @@ class ArchiveScheduler:
     def _label_day(self, date: str) -> tuple[bool, str]:
         day = self.archive.day(date)
         pipeline = self.session.pipeline
-        if self.cache is not None:
-            key = AlarmCache.make_key(
-                self.archive.fingerprint(),
-                date,
-                pipeline.ensemble_fingerprint(),
-            )
-            alarms, cache_hit = self.cache.get_or_detect(
-                pipeline, day.trace, key
-            )
-        else:
-            alarms, cache_hit = pipeline.detect(day.trace), False
+        alarms, cache_hit = cached_alarms(
+            self.cache, pipeline, day.trace, self.archive.fingerprint(), date
+        )
         result = pipeline.run_with_alarms(day.trace, alarms)
         csv_path = self.database.store_day(date, result)
         if self.warehouse is not None:

@@ -23,13 +23,19 @@ class TestStore:
         assert os.path.exists(
             os.path.join(path, "01_anomalous_suspicious.csv")
         )
-        assert os.path.exists(os.path.join(database.root, "index.csv"))
+        # The day files are the whole database: no index beside them.
+        assert sorted(os.listdir(database.root)) == ["2004"]
 
     def test_index_counts(self, database, pipeline_result):
         summary = database.summary("2004-06-01")
-        assert summary["n_communities"] == len(pipeline_result.labels)
-        assert summary["n_anomalous"] == len(pipeline_result.anomalous())
-        assert summary["n_alarms"] == len(pipeline_result.alarms)
+        assert summary == {
+            "date": "2004-06-01",
+            "n_communities": len(pipeline_result.labels),
+            "n_anomalous": len(pipeline_result.anomalous()),
+            "n_suspicious": len(pipeline_result.suspicious()),
+            "n_notice": len(pipeline_result.notice()),
+            "n_alarms": len(pipeline_result.alarms),
+        }
 
     def test_dates(self, database, pipeline_result):
         assert database.dates() == ["2004-06-01"]
@@ -96,8 +102,8 @@ class TestAtomicWrites:
         self, database, pipeline_result, monkeypatch
     ):
         """A write failing mid-publish (injected at os.replace) must
-        leave the previous day file and index untouched and no tmp
-        litter behind — readers never observe a partial write."""
+        leave the previous day file untouched and no tmp litter
+        behind — readers never observe a partial write."""
         import repro.ioutil as ioutil
 
         day_path = os.path.join(
@@ -105,8 +111,6 @@ class TestAtomicWrites:
         )
         with open(day_path) as handle:
             day_before = handle.read()
-        with open(os.path.join(database.root, "index.csv")) as handle:
-            index_before = handle.read()
 
         def exploding_replace(src, dst):
             raise OSError("disk full")
@@ -118,37 +122,8 @@ class TestAtomicWrites:
 
         with open(day_path) as handle:
             assert handle.read() == day_before
-        with open(os.path.join(database.root, "index.csv")) as handle:
-            assert handle.read() == index_before
         for dirpath, _dirnames, filenames in os.walk(database.root):
             assert not [n for n in filenames if n.endswith(".tmp")], dirpath
-
-    def test_rebuild_index_after_partial_write(
-        self, database, pipeline_result
-    ):
-        """A truncated index (simulating a pre-atomic-write crash) is
-        fully recovered from the day files, counts included."""
-        database.store_day("2004-06-02", pipeline_result)
-        summary_before = database.summary("2004-06-01")
-        index_path = os.path.join(database.root, "index.csv")
-        with open(index_path) as handle:
-            content = handle.read()
-        with open(index_path, "w") as handle:
-            handle.write(content[: len(content) // 2])  # partial write
-
-        rebuilt = database.rebuild_index()
-        assert rebuilt == ["2004-06-01", "2004-06-02"]
-        assert database.dates() == ["2004-06-01", "2004-06-02"]
-        assert database.summary("2004-06-01") == summary_before
-
-    def test_rebuild_index_after_missing_index(
-        self, database, pipeline_result
-    ):
-        os.unlink(os.path.join(database.root, "index.csv"))
-        assert database.dates() == []
-        assert database.rebuild_index() == ["2004-06-01"]
-        summary = database.summary("2004-06-01")
-        assert summary["n_alarms"] == len(pipeline_result.alarms)
 
     def test_multi_day_dates_ordering(self, database, pipeline_result):
         """dates() sorts chronologically however days were stored."""
@@ -160,7 +135,22 @@ class TestAtomicWrites:
             "2004-06-02",
             "2004-12-25",
         ]
-        assert database.rebuild_index() == database.dates()
+
+    def test_dates_ignore_unfinished_and_foreign_files(
+        self, database, pipeline_result
+    ):
+        """dates() lists day files only: a publish's temporary file,
+        files of another name and non-date paths are not days."""
+        month = os.path.join(database.root, "2004", "06")
+        for name in (
+            ".02_anomalous_suspicious.csv.x1.tmp",
+            "03_labels.csv",
+            "xx_anomalous_suspicious.csv",
+        ):
+            with open(os.path.join(month, name), "w") as handle:
+                handle.write("community\n")
+        database.store_day("2004-06-04", pipeline_result)
+        assert database.dates() == ["2004-06-01", "2004-06-04"]
 
 
 class TestLiveLabelIndex:
@@ -212,8 +202,9 @@ class TestLiveLabelIndex:
         assert any(
             row["community"] == record.community_id for row in dotted
         )
-        with pytest.raises(LabelingError, match="address"):
-            index.query(src="not-an-ip")
+        for bad in ("not-an-ip", "10.0.0.300"):
+            with pytest.raises(LabelingError, match="address"):
+                index.query(src=bad)
 
     def test_limit_and_multi_day_order(self, index, pipeline_result):
         index.publish_result("2004-06-02", pipeline_result)

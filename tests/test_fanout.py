@@ -445,6 +445,37 @@ class TestCrashTeardown:
         session.close()
         assert _shm_segments() - before == set()
 
+    def test_dead_detect_worker_breaks_only_its_call(
+        self, archive, day_trace, monkeypatch
+    ):
+        """A worker dying inside ``run_detect`` fails that one
+        ``label_trace``: the same session's next ``label_trace`` and
+        ``label_traces`` run on fresh workers and label like the
+        serial run, and close() leaves no segment behind."""
+        from concurrent.futures.process import BrokenProcessPool
+
+        before = _shm_segments()
+        traces = [day_trace, archive.day("2004-06-02").trace]
+        with LabelingSession() as serial:
+            want = labels_to_csv(serial.label_trace(day_trace).labels)
+            want_batch = [
+                r.csv_sha256 for r in serial.label_traces(traces).reports
+            ]
+        session = LabelingSession(workers=2)
+        try:
+            # Patched before the workers fork, so every worker dies.
+            monkeypatch.setattr(worker, "run_detect", _die)
+            with pytest.raises(BrokenProcessPool):
+                session.label_trace(day_trace)
+            monkeypatch.undo()
+            got = session.label_trace(day_trace)
+            assert labels_to_csv(got.labels) == want
+            batch = session.label_traces(traces)
+            assert [r.csv_sha256 for r in batch.reports] == want_batch
+        finally:
+            session.close()
+        assert _shm_segments() - before == set()
+
     def test_close_unlinks_streaming_arena(self, day_trace):
         from multiprocessing import shared_memory
 

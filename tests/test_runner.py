@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import os
 import pickle
 
 import pytest
@@ -10,6 +12,7 @@ from repro.core.alarm_table import AlarmTable
 from repro.mawi.archive import SyntheticArchive
 from repro.runner import AlarmCache, PipelineConfig, parallel_map
 from repro.runner import worker as worker_module
+from repro.runner.cache import _ENTRY_MAGIC
 from repro.runner.worker import csv_path_for
 from repro.session import LabelingSession
 
@@ -82,9 +85,15 @@ class TestAlarmCache:
         table = AlarmTable.from_alarms(day_alarms)
         cache.put(key, table)
         entry = path.read_bytes()
-        # Garbage, an entry in the old (digest-less) format, every
-        # truncation point on a stride, one-bit and eight-byte flips.
-        corrupted = [b"not a pickle", pickle.dumps(table)]
+        # Garbage, entries in the old formats (digest-less pickle, then
+        # a digest over a pickle), every truncation point on a stride,
+        # one-bit and eight-byte flips.
+        old = pickle.dumps(table)
+        corrupted = [
+            b"not a pickle",
+            old,
+            b"MWAC\x01" + hashlib.sha256(old).digest() + old,
+        ]
         corrupted += [entry[:n] for n in range(0, len(entry), 37)]
         for position in range(0, len(entry), max(len(entry) // 150, 1)):
             flipped = bytearray(entry)
@@ -102,6 +111,34 @@ class TestAlarmCache:
             assert (cache.evictions, cache.misses, cache.hits) == (n, n, 0)
         cache.put(key, table)
         assert cache.get(key) == table
+
+    def test_crafted_entry_never_runs_code(self, tmp_path):
+        """An entry whose envelope and digest are right but whose
+        payload is a pickle is an evicted miss: nothing on disk is
+        unpickled, so the payload's code never runs."""
+        cache = AlarmCache(tmp_path / "cache")
+        key = AlarmCache.make_key("arch", "day", "ens")
+        marker = tmp_path / "ran"
+        payload = pickle.dumps(_Crafted(str(marker)))
+        cache.path_for(key).write_bytes(
+            _ENTRY_MAGIC + hashlib.sha256(payload).digest() + payload
+        )
+        assert cache.get(key) is None
+        assert (cache.evictions, cache.misses) == (1, 1)
+        assert not cache.path_for(key).exists()
+        assert not marker.exists()
+        pickle.loads(payload)  # the payload does run when unpickled
+        assert marker.exists()
+
+
+class _Crafted:
+    """Unpickles into a call that creates the directory ``path``."""
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+
+    def __reduce__(self):
+        return (os.mkdir, (self.path,))
 
 
 class TestBatchRunner:
@@ -131,8 +168,6 @@ class TestBatchRunner:
         batch = _label_archive(small_archive, DATES[:1])
         pipeline = PipelineConfig().build_pipeline()
         result = pipeline.run(small_archive.day(DATES[0]).trace)
-        import hashlib
-
         expected = hashlib.sha256(
             labels_to_csv(result.labels).encode()
         ).hexdigest()

@@ -32,7 +32,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.alarm_table import AlarmTable
-from repro.errors import LabelingError, WarehouseError
+from repro.errors import WarehouseError
 from repro.labeling.database import LiveLabelIndex
 from repro.labeling.heuristics import HeuristicLabel
 from repro.labeling.mawilab import LabelRecord, labels_to_csv
@@ -237,6 +237,9 @@ def test_query_validates_taxonomy_and_respects_limit(
     warehouse.store_day("2004-06-01", result_store)
     with pytest.raises(WarehouseError, match="unknown taxonomy"):
         warehouse.query(taxonomy="bogus")
+    for bad in ("not-an-ip", "10.0.0.300"):
+        with pytest.raises(WarehouseError, match="bad address"):
+            warehouse.query(src=bad)
     rows = warehouse.query(limit=3)
     assert len(rows) == 3
 
@@ -644,8 +647,23 @@ def test_service_answers_labels_from_warehouse(tmp_path, small_archive):
         assert rows and all(row["date"] == date for row in rows)
         rows80 = service.query_labels(date=date, dport=80)
         assert all(row in rows for row in rows80)
-        # sport/dport predicates exist only on the warehouse path.
-        with pytest.raises(LabelingError):
-            service.query_labels(date="1999-01-01", dport=80)
+        # The live index answers through the same query path, so
+        # sport/dport select the same rows on a published-only day.
+        ports = [
+            (name, rule[name])
+            for row in rows
+            for rule in row["rules"]
+            for name in ("sport", "dport")
+            if rule[name] is not None
+        ]
+        assert ports
+        service.index.publish("2004-01-02", service.warehouse.label_store(date))
+        for name, port in ports:
+            stored = service.query_labels(date=date, **{name: port})
+            live = service.query_labels(date="2004-01-02", **{name: port})
+            assert stored and live == [
+                {**row, "date": "2004-01-02"} for row in stored
+            ]
+        assert service.query_labels(date="1999-01-01", dport=80) == []
         csv_text = service.labels_csv(date)
         assert csv_text == Warehouse(tmp_path / "wh").export_csv(date)
