@@ -53,16 +53,29 @@ class BinnedHistogram:
         return int(self.values.nbytes + self.codes.nbytes + self.counts.nbytes)
 
 
+def unique_codes(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(values, codes)`` of a column: its distinct values, ascending,
+    and each row's int64 index into them (one ``np.unique`` pass)."""
+    values, codes = np.unique(column, return_inverse=True)
+    return values, codes.astype(np.int64, copy=False)
+
+
 def binned_value_histogram(
     table: PacketTable,
     feature: str,
     bin_idx: np.ndarray,
     n_bins: int,
+    value_codes: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> BinnedHistogram:
-    """Histogram every time bin of ``feature`` in one vectorized pass."""
-    column = table.column(feature)
-    values, codes = np.unique(column, return_inverse=True)
-    codes = codes.astype(np.int64, copy=False)
+    """Histogram every time bin of ``feature`` in one vectorized pass.
+
+    ``value_codes`` optionally supplies the column's
+    :func:`unique_codes` (the ``value_codes`` feature plane), so
+    callers sharing the coding do not pay for ``np.unique`` twice.
+    """
+    if value_codes is None:
+        value_codes = unique_codes(table.column(feature))
+    values, codes = value_codes
     n_values = len(values)
     if n_values == 0:
         counts = np.zeros((n_bins, 0), dtype=np.int64)

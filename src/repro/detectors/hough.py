@@ -18,14 +18,16 @@ finds both without being told which.
 
 Implementation
 --------------
-1. Quantize packets into an ``(y_bins, x_bins)`` count image per
-   direction; binarize at ``pixel_threshold`` packets per pixel.
+1. Quantize packets into an ``(y_bins, x_bins)`` picture per
+   direction, indexed once as the packets of each pixel (the
+   ``hough_rows`` plane); binarize at ``pixel_threshold`` packets per
+   pixel.
 2. Accumulate the standard (rho, theta) Hough space over lit pixels.
 3. Accept accumulator peaks with at least ``min_votes`` pixels; collect
    the lit pixels within 1 pixel of each accepted line.
-4. Map the pixels of each line back to packets, group them into
-   unidirectional flows and emit one alarm per line carrying that flow
-   set.
+4. Map the pixels of each line back to packets through the index, keep
+   the hosts that drew the line, and emit one alarm per such host
+   carrying its unidirectional flows.
 """
 
 from __future__ import annotations
@@ -59,13 +61,13 @@ class HoughDetector(Detector):
 
     def plane_specs(self) -> tuple:
         p = self.params
-        specs = [("column", "time", None), ("hough_x", p["x_bins"])]
+        specs = [("column", "time", None)]
         for direction in ("src", "dst"):
             seed = p["hash_seed"] + (0 if direction == "src" else 1)
             specs.extend(
                 (
-                    ("column", direction, "uint64"),
-                    ("sketch_buckets", direction, p["y_bins"], seed),
+                    ("value_codes", direction),
+                    ("hough_rows", direction, p["x_bins"], p["y_bins"], seed),
                     (
                         "hough_pixels",
                         direction,
@@ -81,36 +83,18 @@ class HoughDetector(Detector):
     def analyze(self, trace: Trace, planes=None) -> list[Alarm]:
         if len(trace) == 0:
             return []
-        p = self.params
         planes = self._plane_cache(trace, planes)
-        t_start, t_end = trace.start_time, trace.end_time
-        span = max(t_end - t_start, 1e-9)
-        x = planes.get(trace, ("hough_x", p["x_bins"]))
         alarms: list[Alarm] = []
         for direction in ("src", "dst"):
-            seed = p["hash_seed"] + (0 if direction == "src" else 1)
-            y = planes.get(
-                trace, ("sketch_buckets", direction, p["y_bins"], seed)
-            )
-            alarms.extend(
-                self._analyze_picture(
-                    trace, x, y, t_start, span, direction, planes, seed
-                )
-            )
+            alarms.extend(self._analyze_picture(trace, direction, planes))
         return alarms
 
     def _analyze_picture(
-        self,
-        trace: Trace,
-        x: np.ndarray,
-        y: np.ndarray,
-        t_start: float,
-        span: float,
-        direction: str,
-        planes,
-        seed: int,
+        self, trace: Trace, direction: str, planes
     ) -> list[Alarm]:
         p = self.params
+        x_bins = p["x_bins"]
+        seed = p["hash_seed"] + (0 if direction == "src" else 1)
         # The quantized picture and its lit pixels are fixed across
         # tunings (only vote thresholds move) — one plane per direction.
         ys, xs = planes.get(
@@ -118,7 +102,7 @@ class HoughDetector(Detector):
             (
                 "hough_pixels",
                 direction,
-                p["x_bins"],
+                x_bins,
                 p["y_bins"],
                 p["pixel_threshold"],
                 seed,
@@ -126,60 +110,44 @@ class HoughDetector(Detector):
         )
         if ys.size == 0:
             return []
-        lines = hough_lines(
+        vectorized = self.engine.vectorized
+        if vectorized:
+            # A line's packets are its pixels' row ranges in the
+            # picture's pixel index; hosts are split on value codes.
+            rows, offsets = planes.get(
+                trace, ("hough_rows", direction, x_bins, p["y_bins"], seed)
+            )
+            values, codes = planes.get(trace, ("value_codes", direction))
+            times = planes.get(trace, ("column", "time", None))
+        else:
+            x = planes.get(trace, ("hough_x", x_bins))
+            y = planes.get(
+                trace, ("sketch_buckets", direction, p["y_bins"], seed)
+            )
+        t_start = trace.start_time
+        bin_width = max(trace.end_time - t_start, 1e-9) / x_bins
+        alarms: list[Alarm] = []
+        for members in hough_line_members(
             xs, ys, n_thetas=p["n_thetas"], min_votes=p["min_votes"],
             max_lines=p["max_lines"],
-        )
-        alarms: list[Alarm] = []
-        bin_width = span / p["x_bins"]
-        vectorized = self.engine.vectorized
-        for line_pixels in lines:
+        ):
             if vectorized:
-                # Packets whose (y, x) pixel is on the line, via a 2-D
-                # lookup image instead of a per-packet set probe.
-                line_image = np.zeros((p["y_bins"], p["x_bins"]), dtype=bool)
-                line_ys, line_xs = zip(*line_pixels)
-                line_image[list(line_ys), list(line_xs)] = True
-                indices = np.nonzero(line_image[y, x])[0]
+                ranked = self._line_hosts(
+                    _pixel_rows(rows, offsets, ys[members] * x_bins + xs[members]),
+                    values,
+                    codes,
+                )
             else:
-                pixel_set = set(line_pixels)
-                member = np.array(
-                    [(int(yy), int(xx)) in pixel_set for yy, xx in zip(y, x)]
+                ranked = self._line_hosts_reference(
+                    trace, direction, x, y, ys[members], xs[members]
                 )
-                indices = np.nonzero(member)[0]
-            if indices.size == 0:
-                continue
-            # A line pixel aggregates every host hashing to its y bin;
-            # retrieving "the original data" (the cited method's final
-            # step) means keeping only hosts that actually drew the
-            # line.  One alarm per dominant host on the line.
-            cutoff = max(
-                int(p["min_votes"]), int(0.25 * indices.size)
-            )
-            if vectorized:
-                line_keys = trace.table.column(direction)[indices]
-                uniq, first_index, counts = np.unique(
-                    line_keys, return_index=True, return_counts=True
-                )
-                # Count-descending, ties by first appearance — the
-                # stable-sort order of the reference branch below.
-                order = np.lexsort((first_index, -counts))
-                ranked = [
-                    (int(uniq[i]), indices[line_keys == uniq[i]])
-                    for i in order[: p["max_keys_per_line"]]
-                ]
-            else:
-                per_key: dict[int, list[int]] = {}
-                for i in indices:
-                    key = int(getattr(trace[int(i)], direction))
-                    per_key.setdefault(key, []).append(int(i))
-                ranked = sorted(
-                    per_key.items(), key=lambda kv: len(kv[1]), reverse=True
-                )
-            for key, key_indices in ranked[: p["max_keys_per_line"]]:
-                if len(key_indices) < cutoff:
-                    continue
-                x_values = x[key_indices]
+            for key, key_indices in ranked:
+                if vectorized:
+                    x_values = time_pixels(
+                        times[key_indices], t_start, trace.end_time, x_bins
+                    )
+                else:
+                    x_values = x[key_indices]
                 t0 = t_start + int(x_values.min()) * bin_width
                 t1 = t_start + (int(x_values.max()) + 1) * bin_width
                 if not self._is_transient(trace, key, direction, t0, t1):
@@ -206,6 +174,62 @@ class HoughDetector(Detector):
                     )
                 )
         return alarms
+
+    def _line_hosts(
+        self, line_rows: np.ndarray, values: np.ndarray, codes: np.ndarray
+    ) -> list[tuple[int, np.ndarray]]:
+        """The hosts that drew one line, with their rows on it.
+
+        A line pixel aggregates every host hashing to its y bin;
+        retrieving "the original data" (the cited method's final step)
+        means keeping only hosts with at least a quarter of the line's
+        packets (and ``min_votes``), at most ``max_keys_per_line`` of
+        them, count-descending with ties by first packet.
+        """
+        p = self.params
+        cutoff = max(int(p["min_votes"]), int(0.25 * line_rows.size))
+        line_codes = codes[line_rows]
+        counts = np.bincount(line_codes)
+        heavy = np.flatnonzero(counts >= cutoff)
+        if heavy.size == 0:
+            return []
+        host_rows = [line_rows[line_codes == code] for code in heavy]
+        first = [int(r.min()) for r in host_rows]
+        order = np.lexsort((first, -counts[heavy]))
+        return [
+            (int(values[heavy[i]]), host_rows[i])
+            for i in order[: p["max_keys_per_line"]]
+        ]
+
+    def _line_hosts_reference(
+        self,
+        trace: Trace,
+        direction: str,
+        x: np.ndarray,
+        y: np.ndarray,
+        line_ys: np.ndarray,
+        line_xs: np.ndarray,
+    ) -> list[tuple[int, list[int]]]:
+        """:meth:`_line_hosts` by a per-packet pixel probe (the oracle)."""
+        p = self.params
+        pixel_set = set(zip(line_ys.tolist(), line_xs.tolist()))
+        indices = [
+            i for i, (yy, xx) in enumerate(zip(y, x))
+            if (int(yy), int(xx)) in pixel_set
+        ]
+        cutoff = max(int(p["min_votes"]), int(0.25 * len(indices)))
+        per_key: dict[int, list[int]] = {}
+        for i in indices:
+            key = int(getattr(trace[i], direction))
+            per_key.setdefault(key, []).append(i)
+        ranked = sorted(
+            per_key.items(), key=lambda kv: len(kv[1]), reverse=True
+        )
+        return [
+            (key, key_indices)
+            for key, key_indices in ranked[: p["max_keys_per_line"]]
+            if len(key_indices) >= cutoff
+        ]
 
     def _is_transient(
         self, trace: Trace, key: int, direction: str, t0: float, t1: float
@@ -259,19 +283,41 @@ class HoughDetector(Detector):
         return rate_in >= contrast * max(rate_out, 1e-9)
 
 
-def hough_lines(
+def time_pixels(
+    times: np.ndarray, t_start: float, t_end: float, x_bins: int
+) -> np.ndarray:
+    """x (time) pixel of each timestamp in a picture ``x_bins`` wide."""
+    span = max(t_end - t_start, 1e-9)
+    return np.clip(
+        ((times - t_start) / span * x_bins).astype(int), 0, x_bins - 1
+    )
+
+
+def _pixel_rows(
+    rows: np.ndarray, offsets: np.ndarray, pixels: np.ndarray
+) -> np.ndarray:
+    """Concatenated row ranges of ``pixels`` in a ``hough_rows`` index."""
+    starts = offsets[pixels]
+    lengths = offsets[pixels + 1] - starts
+    ends = np.cumsum(lengths)
+    return rows[
+        np.arange(lengths.sum()) + np.repeat(starts - (ends - lengths), lengths)
+    ]
+
+
+def hough_line_members(
     xs: np.ndarray,
     ys: np.ndarray,
     n_thetas: int = 8,
     min_votes: int = 12,
     max_lines: int = 12,
-) -> list[list[tuple[int, int]]]:
+) -> list[np.ndarray]:
     """Standard (rho, theta) Hough transform over lit pixels.
 
     Parameters
     ----------
     xs, ys:
-        Coordinates of lit pixels.
+        Coordinates of lit pixels (non-negative integers).
     n_thetas:
         Number of angle steps over [0, pi).
     min_votes:
@@ -282,46 +328,60 @@ def hough_lines(
 
     Returns
     -------
-    list of pixel lists
-        Each inner list holds the ``(y, x)`` pixels of one detected
-        line.
+    list of int arrays
+        Each array holds the indexes into ``xs``/``ys`` of the pixels
+        of one detected line, ascending.
     """
     if xs.size == 0:
         return []
     thetas = np.linspace(0.0, np.pi, n_thetas, endpoint=False)
-    cos_t = np.cos(thetas)
-    sin_t = np.sin(thetas)
     max_rho = int(np.ceil(np.hypot(xs.max() + 1, ys.max() + 1)))
-    # rho can be negative for theta > pi/2; offset into a non-negative index.
-    rho_offset = max_rho
-    n_rhos = 2 * max_rho + 1
+    # rho = x cos(theta) + y sin(theta), rounded once per pixel; it can
+    # be negative for theta > pi/2, so offset it into a non-negative
+    # index.  ``cells`` flattens (rho, theta) row-major, so argmax over
+    # one round's bincount breaks ties like argmax over the 2-D
+    # accumulator.
+    rho_idx = (
+        np.round(np.outer(xs, np.cos(thetas)) + np.outer(ys, np.sin(thetas)))
+        .astype(int)
+        + max_rho
+    )
+    cells = rho_idx * n_thetas + np.arange(n_thetas)
+    n_cells = (2 * max_rho + 1) * n_thetas
 
     remaining = np.ones(xs.size, dtype=bool)
-    lines: list[list[tuple[int, int]]] = []
+    lines: list[np.ndarray] = []
     for _ in range(max_lines):
-        active = np.nonzero(remaining)[0]
+        active = np.flatnonzero(remaining)
         if active.size < min_votes:
             break
-        accumulator = np.zeros((n_rhos, n_thetas), dtype=int)
-        # Vote: rho = x cos(theta) + y sin(theta), rounded.
-        rho_all = (
-            np.outer(xs[active], cos_t) + np.outer(ys[active], sin_t)
-        )
-        rho_idx = np.round(rho_all).astype(int) + rho_offset
-        for t_i in range(n_thetas):
-            np.add.at(accumulator[:, t_i], rho_idx[:, t_i], 1)
-        peak = np.unravel_index(np.argmax(accumulator), accumulator.shape)
-        votes = accumulator[peak]
-        if votes < min_votes:
+        votes = np.bincount(cells[active].ravel(), minlength=n_cells)
+        peak = int(np.argmax(votes))
+        if votes[peak] < min_votes:
             break
-        rho_i, theta_i = int(peak[0]), int(peak[1])
-        on_line = np.abs(rho_idx[:, theta_i] - rho_i) <= 1
-        members = active[on_line]
+        rho_i, theta_i = divmod(peak, n_thetas)
+        members = active[np.abs(rho_idx[active, theta_i] - rho_i) <= 1]
         if members.size < min_votes:
             break
-        lines.append([(int(ys[i]), int(xs[i])) for i in members])
+        lines.append(members)
         remaining[members] = False
     return lines
+
+
+def hough_lines(
+    xs: np.ndarray,
+    ys: np.ndarray,
+    n_thetas: int = 8,
+    min_votes: int = 12,
+    max_lines: int = 12,
+) -> list[list[tuple[int, int]]]:
+    """:func:`hough_line_members` as the ``(y, x)`` pixels of each line."""
+    return [
+        [(int(ys[i]), int(xs[i])) for i in members]
+        for members in hough_line_members(
+            xs, ys, n_thetas=n_thetas, min_votes=min_votes, max_lines=max_lines
+        )
+    ]
 
 
 #: Tunings for the experiments.

@@ -27,8 +27,14 @@ Plane specs
 ``("bin_members", n_bins)``
     Per-bin packet index lists (arrays on the vectorized engine, lists
     on the reference engine).
+``("value_codes", field)``
+    ``(values, codes)``: the field's distinct values, ascending, and
+    each packet's int64 index into them — the one ``np.unique`` of the
+    column that histograms, sketch buckets and Hough's host split
+    share.
 ``("binned_histogram", field, n_bins)``
-    Dense :class:`~repro.detectors.features.BinnedHistogram`.
+    Dense :class:`~repro.detectors.features.BinnedHistogram` (built on
+    ``value_codes`` by the vectorized kernel).
 ``("binned_counters", field, n_bins)``
     Per-bin ``Counter`` histograms in packet order (reference engine's
     KL/entropy representation; insertion order is load-bearing for
@@ -40,15 +46,24 @@ Plane specs
     Per-bin Shannon entropies.
 ``("sketch_buckets", field, n_sketches, seed)``
     Per-packet sketch bucket of the field hashed with the shared
-    :func:`~repro.detectors.sketch.shared_hasher`.
+    :func:`~repro.detectors.sketch.shared_hasher`.  The hash is
+    elementwise, so the vectorized kernel hashes each distinct value
+    of ``value_codes`` once and gathers by code.
 ``("pca_residual", field, n_sketches, seed, n_bins, n_components)``
     Residual-subspace projection of the sketch/time count matrix.
 ``("gamma_deviations", field, n_sketches, seed, base_window, n_scales)``
     Per-sketch robust deviation of the multi-scale Gamma features.
 ``("hough_x", x_bins)``
-    Per-packet x (time) pixel coordinate.
+    Per-packet x (time) pixel coordinate (reference engine only; the
+    vectorized engine folds it into ``hough_rows``).
+``("hough_rows", field, x_bins, y_bins, seed)``
+    ``(rows, offsets)``: the pixel index of one traffic picture.
+    ``rows`` holds the packet indexes sorted stably by pixel
+    ``y * x_bins + x`` (int32 when they fit), and pixel ``p``'s packets
+    are ``rows[offsets[p]:offsets[p + 1]]``, ascending.
 ``("hough_pixels", field, x_bins, y_bins, pixel_threshold, seed)``
-    ``(ys, xs)`` coordinates of lit pixels of one traffic picture.
+    ``(ys, xs)`` coordinates of lit pixels of one traffic picture (the
+    vectorized kernel reads the pixel counts off ``hough_rows``).
 ``("flow_codes", granularity_name)``
     The trace's :class:`~repro.net.table.FlowTable` from
     :meth:`Trace.flow_table` (already trace-cached; the plane spec
@@ -243,11 +258,19 @@ def _compute_plane(trace, spec: tuple, planes: PlaneCache, vectorized: bool):
         return _time_bins(trace, spec[1], vectorized)
     if kind == "bin_members":
         return _bin_members(trace, spec[1], planes, vectorized)
+    if kind == "value_codes":
+        return _value_codes(trace, spec[1], vectorized)
     if kind == "binned_histogram":
         _, field, n_bins = spec
         bin_idx = planes.get(trace, ("time_bins", n_bins))
         return planes.engine.kernel("binned_histogram")(
-            trace.table, field, np.asarray(bin_idx), n_bins
+            trace.table,
+            field,
+            np.asarray(bin_idx),
+            n_bins,
+            value_codes=(
+                planes.get(trace, ("value_codes", field)) if vectorized else None
+            ),
         )
     if kind == "binned_counters":
         _, field, n_bins = spec
@@ -264,26 +287,34 @@ def _compute_plane(trace, spec: tuple, planes: PlaneCache, vectorized: bool):
         _, field, n_sketches, seed = spec
         from repro.detectors.sketch import shared_hasher
 
-        keys = planes.get(trace, ("column", field, "uint64"))
-        return shared_hasher(n_sketches, seed).buckets(keys)
+        hasher = shared_hasher(n_sketches, seed)
+        if vectorized:
+            values, codes = planes.get(trace, ("value_codes", field))
+            return hasher.buckets(values)[codes]
+        return hasher.buckets(planes.get(trace, ("column", field, "uint64")))
     if kind == "pca_residual":
         return _pca_residual(trace, spec, planes)
     if kind == "gamma_deviations":
         return _gamma_deviations(trace, spec, planes)
     if kind == "hough_x":
-        _, x_bins = spec
+        from repro.detectors.hough import time_pixels
+
         times = planes.get(trace, ("column", "time", None))
-        t_start, t_end = trace.start_time, trace.end_time
-        span = max(t_end - t_start, 1e-9)
-        return np.clip(
-            ((times - t_start) / span * x_bins).astype(int), 0, x_bins - 1
-        )
+        return time_pixels(times, trace.start_time, trace.end_time, spec[1])
+    if kind == "hough_rows":
+        return _hough_rows(trace, spec, planes, vectorized)
     if kind == "hough_pixels":
         _, field, x_bins, y_bins, pixel_threshold, seed = spec
-        x = planes.get(trace, ("hough_x", x_bins))
-        y = planes.get(trace, ("sketch_buckets", field, y_bins, seed))
-        image = np.zeros((y_bins, x_bins), dtype=int)
-        np.add.at(image, (y, x), 1)
+        if vectorized:
+            _, offsets = planes.get(
+                trace, ("hough_rows", field, x_bins, y_bins, seed)
+            )
+            image = np.diff(offsets).reshape(y_bins, x_bins)
+        else:
+            x = planes.get(trace, ("hough_x", x_bins))
+            y = planes.get(trace, ("sketch_buckets", field, y_bins, seed))
+            image = np.zeros((y_bins, x_bins), dtype=int)
+            np.add.at(image, (y, x), 1)
         ys, xs = np.nonzero(image >= pixel_threshold)
         return (ys, xs)
     if kind == "flow_codes":
@@ -308,6 +339,55 @@ def _time_bins(trace, n_bins: int, vectorized: bool) -> np.ndarray:
         ],
         dtype=np.int64,
     )
+
+
+def _value_codes(trace, field: str, vectorized: bool):
+    if vectorized:
+        from repro.detectors.features import unique_codes
+
+        return unique_codes(trace.table.column(field))
+    column = [getattr(pkt, field) for pkt in trace]
+    values = sorted(set(column))
+    code_of = {value: c for c, value in enumerate(values)}
+    return (
+        np.array(values, dtype=trace.table.column(field).dtype),
+        np.array([code_of[v] for v in column], dtype=np.int64),
+    )
+
+
+def _hough_rows(trace, spec: tuple, planes: PlaneCache, vectorized: bool):
+    _, field, x_bins, y_bins, seed = spec
+    n_pixels = x_bins * y_bins
+    if vectorized:
+        from repro.detectors.hough import time_pixels
+        from repro.detectors.sketch import shared_hasher
+
+        values, codes = planes.get(trace, ("value_codes", field))
+        y = shared_hasher(y_bins, seed).buckets(values)[codes]
+        x = time_pixels(
+            planes.get(trace, ("column", "time", None)),
+            trace.start_time,
+            trace.end_time,
+            x_bins,
+        )
+        # A uint16 key (any picture up to 65,536 pixels) sorts by
+        # radix, about 8x faster than int64 keys.
+        pixel = (y * x_bins + x).astype(np.min_scalar_type(n_pixels - 1))
+        rows = np.argsort(pixel, kind="stable")
+        if rows.size <= np.iinfo(np.int32).max:
+            rows = rows.astype(np.int32)
+        counts = np.bincount(pixel, minlength=n_pixels)
+    else:
+        x = planes.get(trace, ("hough_x", x_bins))
+        y = planes.get(trace, ("sketch_buckets", field, y_bins, seed))
+        members: list[list[int]] = [[] for _ in range(n_pixels)]
+        for i, (yy, xx) in enumerate(zip(y, x)):
+            members[int(yy) * x_bins + int(xx)].append(i)
+        rows = np.array([i for m in members for i in m], dtype=np.int64)
+        counts = np.array([len(m) for m in members], dtype=np.int64)
+    offsets = np.zeros(n_pixels + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return rows, offsets
 
 
 def _bin_members(trace, n_bins: int, planes: PlaneCache, vectorized: bool):

@@ -15,9 +15,10 @@ Kernel signatures
     ``(codes, keys)``: dense int64 per-packet flow ids numbered by
     first appearance, plus the code -> FlowKey table (the vectorized
     kernel reads both from a :class:`~repro.net.table.FlowTable`).
-``binned_histogram(table, feature, bin_idx, n_bins)``
+``binned_histogram(table, feature, bin_idx, n_bins, value_codes=None)``
     :class:`~repro.detectors.features.BinnedHistogram` of one feature
-    column per time bin.
+    column per time bin; the vectorized kernel reuses ``value_codes``
+    (the column's ``(values, codes)``) when given.
 ``sketch_buckets(hasher, keys)``
     int64 bucket per key under a
     :class:`~repro.detectors.sketch.SketchHasher`.
@@ -105,15 +106,21 @@ def _flow_codes_python(table, granularity):
 
 
 @NUMPY_ENGINE.register("binned_histogram")
-def _binned_histogram_numpy(table, feature, bin_idx, n_bins):
+def _binned_histogram_numpy(table, feature, bin_idx, n_bins, value_codes=None):
     from repro.detectors.features import binned_value_histogram
 
-    return binned_value_histogram(table, feature, bin_idx, n_bins)
+    return binned_value_histogram(
+        table, feature, bin_idx, n_bins, value_codes=value_codes
+    )
 
 
 @PYTHON_ENGINE.register("binned_histogram")
-def _binned_histogram_python(table, feature, bin_idx, n_bins):
-    """Counter-per-bin reference assembling the same dense struct."""
+def _binned_histogram_python(table, feature, bin_idx, n_bins, value_codes=None):
+    """Counter-per-bin reference assembling the same dense struct.
+
+    ``value_codes`` is accepted for signature parity but deliberately
+    ignored: the oracle codes every packet object itself.
+    """
     from repro.detectors.features import BinnedHistogram
 
     column = [getattr(table.packet(i), feature) for i in range(len(table))]

@@ -1087,10 +1087,13 @@ def select_labels(
     ``taxonomy`` is one of the paper's three labels; ``src`` / ``dst``
     (dotted quad or integer) and ``sport`` / ``dport`` match labels
     whose concise rules pin that value; ``t0`` / ``t1`` keep labels
-    whose span overlaps ``[t0, t1]``.  An unknown taxonomy or an
-    address that does not parse raises ``error``.
+    whose span overlaps ``[t0, t1]``.  ``limit`` caps the rows
+    returned (``0`` returns none).  An unknown taxonomy, an address
+    that does not parse or a negative limit raises ``error``.
     """
     engine = resolve_engine(engine, what="warehouse")
+    if limit is not None and limit < 0:
+        raise error(f"limit= must be a non-negative integer, got {limit}")
     taxonomy_code = None
     if taxonomy is not None:
         if taxonomy not in TAXONOMY_ORDER:
@@ -1110,6 +1113,8 @@ def select_labels(
     )
     select = engine.kernel("warehouse_select")
     rows: list[dict] = []
+    if limit == 0:
+        return rows
     for date, arrays, pools in days:
         columns = {
             "taxonomy_code": arrays["taxonomy_code"],

@@ -1,12 +1,13 @@
 """Incrementally maintained feature-plane bases for streaming windows.
 
 The batch pipeline computes each window's base feature planes — per
-field, the sorted distinct values with per-packet codes
-(:class:`~repro.detectors.features.BinnedHistogram`) and the sketch
-bucket assignment — from scratch with ``np.unique`` and a full
-vectorized hash per window.  Under a sliding window most of that work
-repeats: the set of distinct values a stream has *ever* carried only
-grows, and a value's sketch bucket never changes.
+field, the sorted distinct values with per-packet codes (the
+``value_codes`` plane, on which the
+:class:`~repro.detectors.features.BinnedHistogram` and Hough's pixel
+index build) and the sketch bucket assignment — from scratch with
+``np.unique`` and a hash per window.  Under a sliding window most of
+that work repeats: the set of distinct values a stream has *ever*
+carried only grows, and a value's sketch bucket never changes.
 
 :class:`StreamingPlanes` exploits both facts.  :meth:`append` folds
 each ingested chunk into one growing sorted **value dictionary** per
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.detectors.features import binned_value_histogram
 from repro.detectors.planes import PlaneCache, merge_plane_specs
 from repro.detectors.sketch import shared_hasher
 from repro.net.table import PacketTable
@@ -57,8 +59,8 @@ class StreamingPlanes:
     ----------
     detectors:
         The ensemble whose ``plane_specs()`` decide which fields are
-        tracked and which ``binned_histogram`` / ``sketch_buckets``
-        planes :meth:`seed_window` pre-populates.
+        tracked and which ``value_codes`` / ``binned_histogram`` /
+        ``sketch_buckets`` planes :meth:`seed_window` pre-populates.
     """
 
     def __init__(self, detectors) -> None:
@@ -67,9 +69,11 @@ class StreamingPlanes:
         self._hist_specs = [s for s in specs if s[0] == "binned_histogram"]
         #: ("sketch_buckets", field, n_sketches, seed) specs to seed.
         self._bucket_specs = [s for s in specs if s[0] == "sketch_buckets"]
+        #: Every field with a seeded plane; each gets ("value_codes", field).
         self._fields = sorted(
             {s[1] for s in self._hist_specs}
             | {s[1] for s in self._bucket_specs}
+            | {s[1] for s in specs if s[0] == "value_codes"}
         )
         #: field -> sorted distinct values ever ingested (native dtype).
         self._values: dict[str, np.ndarray] = {}
@@ -175,31 +179,26 @@ class StreamingPlanes:
                 )
                 if bucket_map is not None:
                     cache.seed(spec, bucket_map[stable])
-            hist_specs = [s for s in self._hist_specs if s[1] == field]
-            if not hist_specs:
-                continue
             present = np.zeros(values.size, dtype=bool)
             present[stable] = True
-            window_values = values[present]
             renumber = np.cumsum(present) - 1
-            codes = renumber[stable].astype(np.int64, copy=False)
-            n_values = int(window_values.size)
-            for spec in hist_specs:
+            value_codes = (
+                values[present],
+                renumber[stable].astype(np.int64, copy=False),
+            )
+            cache.seed(("value_codes", field), value_codes)
+            for spec in self._hist_specs:
+                if spec[1] != field:
+                    continue
                 n_bins = spec[2]
-                bin_idx = cache.get(trace, ("time_bins", n_bins))
-                counts = np.bincount(
-                    bin_idx * n_values + codes,
-                    minlength=n_bins * n_values,
-                ).reshape(n_bins, n_values)
-                from repro.detectors.features import BinnedHistogram
-
                 cache.seed(
                     spec,
-                    BinnedHistogram(
-                        feature=field,
-                        values=window_values,
-                        codes=codes,
-                        counts=counts,
+                    binned_value_histogram(
+                        table,
+                        field,
+                        cache.get(trace, ("time_bins", n_bins)),
+                        n_bins,
+                        value_codes=value_codes,
                     ),
                 )
 

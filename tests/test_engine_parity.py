@@ -191,9 +191,11 @@ def feature_plane_inputs(draw):
                 ("column", "time", None),
                 ("time_bins", n_bins),
                 ("bin_members", n_bins),
+                ("value_codes", field),
                 ("binned_histogram", field, n_bins),
                 ("sketch_buckets", field, n_sketches, seed),
                 ("hough_x", n_bins),
+                ("hough_rows", field, n_bins, n_sketches, seed),
                 ("hough_pixels", field, n_bins, n_sketches, 2, seed),
                 ("pca_residual", field, n_sketches, seed, n_bins, 2),
                 ("gamma_deviations", field, n_sketches, seed, 0.5, 2),

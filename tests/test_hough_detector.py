@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.detectors.hough import HoughDetector, hough_lines
+from repro.detectors.hough import HOUGH_TUNINGS, HoughDetector, hough_lines
 from repro.mawi.anomalies import AnomalySpec
 from repro.mawi.generator import WorkloadSpec, generate_trace
 from repro.net.trace import Trace
+from tests.hough_oracle import hough_lines as oracle_hough_lines
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +63,60 @@ class TestHoughLines:
 
     def test_empty_input(self):
         assert hough_lines(np.array([]), np.array([])) == []
+
+
+@st.composite
+def lit_pixels(draw):
+    """Lit pixels in ``np.nonzero`` order: equal-length rows and columns
+    (their accumulator cells tie) over random noise."""
+    width = draw(st.integers(1, 48))
+    height = draw(st.integers(1, 64))
+    pixels = set()
+    length = draw(st.integers(1, max(width, height)))
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.booleans()):
+            y = draw(st.integers(0, height - 1))
+            x0 = draw(st.integers(0, width - 1))
+            pixels.update((y, x) for x in range(x0, min(x0 + length, width)))
+        else:
+            x = draw(st.integers(0, width - 1))
+            y0 = draw(st.integers(0, height - 1))
+            pixels.update((y, x) for y in range(y0, min(y0 + length, height)))
+    pixels.update(
+        draw(
+            st.sets(
+                st.tuples(
+                    st.integers(0, height - 1), st.integers(0, width - 1)
+                ),
+                max_size=120,
+            )
+        )
+    )
+    ys = np.array([y for y, _ in sorted(pixels)], dtype=np.int64)
+    xs = np.array([x for _, x in sorted(pixels)], dtype=np.int64)
+    return xs, ys
+
+
+@given(pixels=lit_pixels())
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_vote_loop_matches_the_2d_accumulator(pixels):
+    """The one-``bincount``-per-round vote loop finds the oracle's lines,
+    in its order, under every tuning."""
+    xs, ys = pixels
+    for overrides in HOUGH_TUNINGS.values():
+        p = {**HoughDetector.default_params(), **overrides}
+        kwargs = dict(
+            n_thetas=p["n_thetas"],
+            min_votes=p["min_votes"],
+            max_lines=p["max_lines"],
+        )
+        assert hough_lines(xs, ys, **kwargs) == oracle_hough_lines(
+            xs, ys, **kwargs
+        )
 
 
 class TestDetection:

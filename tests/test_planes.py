@@ -24,7 +24,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.detectors.gamma import GammaDetector
-from repro.detectors.hough import HoughDetector
+from repro.detectors.hough import HoughDetector, _pixel_rows, time_pixels
 from repro.detectors.kl import KLDetector
 from repro.detectors.pca import PCADetector
 from repro.detectors.planes import (
@@ -166,7 +166,8 @@ def test_exportable_items_skip_object_planes():
     cache.get(trace, ("time_bins", 4))
     cache.get(trace, ("binned_histogram", "src", 4))
     kinds = {spec[0] for spec, _value in cache.exportable_items()}
-    assert kinds == {"time_bins", "binned_histogram"}
+    # The histogram's value codes are a plane of their own, and ship.
+    assert kinds == {"time_bins", "value_codes", "binned_histogram"}
 
 
 def test_plane_cache_for_is_per_trace_and_engine():
@@ -200,6 +201,98 @@ def test_cached_analysis_identical_to_uncached(engine_name, trace):
         assert list(cached) == list(uncached)
     # The sharing actually happened: fewer misses than total requests.
     assert shared.hits > 0 or shared.misses == 0
+
+
+# -- Hough's pixel index ------------------------------------------------
+
+
+@given(trace=traces, data=st.data())
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_hough_rows_index_each_pixel(trace, data):
+    """A set of pixels' rows from the index == a mask over the packets'
+    (y, x), and the lit pixels == those of the ``np.add.at`` image."""
+    field = data.draw(st.sampled_from(["src", "dst"]))
+    x_bins = data.draw(st.integers(1, 6))
+    y_bins = data.draw(st.integers(1, 6))
+    seed = data.draw(st.integers(0, 5))
+    threshold = data.draw(st.integers(1, 3))
+    cache = PlaneCache("numpy")
+    rows, offsets = cache.get(trace, ("hough_rows", field, x_bins, y_bins, seed))
+    x = time_pixels(trace.table.time, trace.start_time, trace.end_time, x_bins)
+    y = shared_hasher(y_bins, seed).buckets(trace.table.column(field))
+
+    pixels = np.array(
+        data.draw(st.lists(st.integers(0, x_bins * y_bins - 1), unique=True)),
+        dtype=np.int64,
+    )
+    mask = np.zeros(y_bins * x_bins, dtype=bool)
+    mask[pixels] = True
+    line_rows = _pixel_rows(rows, offsets, pixels)
+    assert sorted(line_rows.tolist()) == (
+        np.nonzero(mask.reshape(y_bins, x_bins)[y, x])[0].tolist()
+    )
+    # Each pixel's range is ascending, and the gather keeps pixel order.
+    ranges = [rows[offsets[p] : offsets[p + 1]].tolist() for p in pixels]
+    assert all(r == sorted(r) for r in ranges)
+    assert line_rows.tolist() == [i for r in ranges for i in r]
+
+    image = np.zeros((y_bins, x_bins), dtype=int)
+    np.add.at(image, (y, x), 1)
+    ys, xs = cache.get(
+        trace, ("hough_pixels", field, x_bins, y_bins, threshold, seed)
+    )
+    expected_ys, expected_xs = np.nonzero(image >= threshold)
+    assert ys.tolist() == expected_ys.tolist()
+    assert xs.tolist() == expected_xs.tolist()
+
+
+def test_default_ensemble_indexes_each_picture_once(archive_day, monkeypatch):
+    """One default-ensemble pass computes each Hough pixel index and each
+    column's value codes once, and hashes distinct values only."""
+    from repro.detectors import planes as planes_module
+    from repro.detectors.sketch import SketchHasher
+    from repro.labeling.mawilab import MAWILabPipeline
+
+    trace = archive_day.trace
+    computed: list[tuple] = []
+    compute = planes_module._compute_plane
+
+    def recording_compute(trace, spec, planes, vectorized):
+        computed.append(spec)
+        return compute(trace, spec, planes, vectorized)
+
+    hashed: list[np.ndarray] = []
+    buckets = SketchHasher.buckets
+
+    def recording_buckets(self, keys):
+        hashed.append(np.asarray(keys))
+        return buckets(self, keys)
+
+    monkeypatch.setattr(planes_module, "_compute_plane", recording_compute)
+    monkeypatch.setattr(SketchHasher, "buckets", recording_buckets)
+    cache = PlaneCache("numpy")
+    for detector in MAWILabPipeline(engine="numpy").ensemble:
+        detector.analyze_table(trace, planes=cache)
+
+    assert sorted(s[1] for s in computed if s[0] == "hough_rows") == [
+        "dst",
+        "src",
+    ]
+    coded = [s[1] for s in computed if s[0] == "value_codes"]
+    assert sorted(coded) == ["dport", "dst", "sport", "src"]
+    distinct = {
+        field: np.unique(trace.table.column(field)).size
+        for field in ("src", "dst")
+    }
+    assert len(trace) > 4 * max(distinct.values())
+    assert hashed
+    for keys in hashed:
+        assert np.unique(keys).size == keys.size
+        assert keys.size <= max(distinct.values())
 
 
 # -- shared-memory transport -------------------------------------------
@@ -296,9 +389,9 @@ def test_streaming_planes_match_from_scratch(data):
 
     Chunks are appended in arbitrary order, then an arbitrary subset
     of the ingested packets forms a window (modelling any sequence of
-    evictions): the incrementally seeded histograms and bucket
-    assignments must be element- and dtype-identical to what the
-    vectorized ``feature_plane`` kernel computes from scratch.
+    evictions): the incrementally seeded value codes, histograms and
+    bucket assignments must be element- and dtype-identical to what
+    the vectorized ``feature_plane`` kernel computes from scratch.
     """
     engine = get_engine("numpy")
     ensemble = _overlapping_ensemble(engine)
@@ -306,8 +399,13 @@ def test_streaming_planes_match_from_scratch(data):
     specs = [
         spec
         for spec in merge_plane_specs(ensemble)
-        if spec[0] in ("binned_histogram", "sketch_buckets")
+        if spec[0] in ("value_codes", "binned_histogram", "sketch_buckets")
     ]
+    # Hough asks for both address columns' value codes.
+    assert {spec[1] for spec in specs if spec[0] == "value_codes"} == {
+        "src",
+        "dst",
+    }
 
     ingested: list[Packet] = []
     for _ in range(data.draw(st.integers(1, 4))):
@@ -327,13 +425,14 @@ def test_streaming_planes_match_from_scratch(data):
 
     seeded = PlaneCache(engine)
     streaming.seed_window(window, seeded)
+    misses = seeded.misses
     scratch = PlaneCache(engine)
     for spec in specs:
         _assert_planes_equal(
             seeded.get(window, spec), scratch.get(window, spec)
         )
     # Every tracked base plane was seeded, not recomputed.
-    assert all(seeded.get(window, spec) is not None for spec in specs)
+    assert seeded.misses == misses
     counters = streaming.counters()
     assert counters["windows_seeded"] == 1
     assert counters["novel_values"] > 0

@@ -216,6 +216,16 @@ class TestHTTP:
         assert anomalous["count"] == len(pipeline_result.anomalous())
         limited = _get(base, f"/labels?date={DATE}&limit=2")
         assert limited["count"] == 2
+        for path in (f"/labels?date={DATE}&limit=0", "/labels?limit=0"):
+            assert _get(base, path) == {"labels": [], "count": 0}, path
+
+    def test_negative_limit_400(self, served):
+        _, _, base = served
+        for path in (f"/labels?date={DATE}&limit=-1", "/labels?limit=-2"):
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                _get(base, path)
+            assert excinfo.value.code == 400, path
+            assert "limit=" in json.loads(excinfo.value.read())["error"]
 
     def test_labels_src_filter(self, served, pipeline_result):
         from repro.net.addresses import ip_to_str

@@ -244,6 +244,35 @@ def test_query_validates_taxonomy_and_respects_limit(
     assert len(rows) == 3
 
 
+def test_query_limit_zero_returns_nothing_and_negative_raises(
+    warehouse, result_store, pipeline_result, tmp_path, capsys
+):
+    """``limit=0`` selects no row and a negative limit is the query's
+    error, on the warehouse, the live index and the CLI alike."""
+    from repro.cli import main
+    from repro.errors import LabelingError
+
+    warehouse.store_day("2004-06-01", result_store)
+    index = LiveLabelIndex()
+    index.publish("2004-06-01", pipeline_result.labels)
+    for query, error in (
+        (warehouse.query, WarehouseError),
+        (index.query, LabelingError),
+    ):
+        assert query(limit=0) == []
+        assert query(date="2004-06-01", limit=0) == []
+        assert len(query(limit=1)) == 1
+        for bad in (-1, -3):
+            with pytest.raises(error, match="limit="):
+                query(limit=bad)
+    warehouse.close()
+    root = str(warehouse.root)
+    assert main(["warehouse", "query", "--root", root, "--limit", "0"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"n": 0, "rows": []}
+    assert main(["warehouse", "query", "--root", root, "--limit", "-1"]) == 2
+    assert "limit=" in capsys.readouterr().err
+
+
 def test_query_spans_days_in_date_order(warehouse, result_store):
     for date in ("2004-06-02", "2004-06-01"):
         warehouse.store_day(date, result_store)
