@@ -12,9 +12,10 @@ lazily through the table only when object-level code asks for
 :attr:`Community.alarms`; the hot consumers —
 :meth:`Community.detectors` / :meth:`Community.configs` feeding the
 combiner vote tables — read the table's dense code columns directly.
-Likewise, on the columnar engine a community's traffic is a sorted
-code array (:attr:`Community.codes`), and the public
-:attr:`Community.traffic` set is decoded from it on first access.
+Likewise, on the columnar engine and in the streaming engine a
+community's traffic is a sorted code array (:attr:`Community.codes`),
+and the public :attr:`Community.traffic` set is decoded from it on
+first access.
 """
 
 from __future__ import annotations
@@ -48,7 +49,12 @@ class Community:
     codes, decode:
         The traffic as sorted codes of the run's trace (packet rows or
         flow codes) and the function that turns them into the traffic
-        set; given in place of ``traffic`` by a columnar extraction.
+        set; given in place of ``traffic`` by a columnar extraction and
+        by the streaming engine.  A streamed community's flow codes
+        index the window's flow table extended with the flows its
+        alarms carry into the window
+        (:meth:`~repro.net.table.FlowTable.extended`): a code past the
+        window's own flows is a flow with no packet in the window.
     """
 
     __slots__ = (

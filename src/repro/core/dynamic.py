@@ -1,35 +1,43 @@
-"""Incremental similarity graph for the streaming engine.
+"""The similarity graph of the streaming engine's live alarms.
 
-The offline :func:`~repro.core.graph.build_similarity_graph` rebuilds
-the whole graph from every alarm's traffic set.  A sliding-window
-workload instead sees *deltas*: each window contributes a few new
-alarms and retires the ones that slid out.  This module maintains the
-similarity structure under those deltas:
+A sliding window sees its alarm population change by *deltas*: each
+window contributes the alarms detected in it and retires the ones
+that slid out.  :class:`DynamicSimilarityGraph` keeps that population
+as integer traffic:
 
-* an inverted index (traffic element -> live alarm ids) updated per
-  alarm insertion/removal;
-* pairwise intersection counts maintained incrementally, so adding an
-  alarm costs only its own posting-list walks and expiring one costs
-  only the pairs it participated in;
-* :meth:`DynamicSimilarityGraph.build` compacts the live alarms into a
-  :class:`~repro.core.graph.SimilarityGraph` with edges inserted in
-  sorted ``(u, v)`` order — the exact ordered adjacency the offline
-  builders produce, so Louvain tie-breaking (and therefore community
-  numbering) matches the offline pipeline when the window covers the
-  whole trace.
+* one sorted int64 code array per live alarm;
+* one ``(M, 5)`` table of flow key columns that the codes index.
 
-Weights are computed with the scalar similarity measures, which are
-bit-identical to the offline batch variants (see
-``repro.core.similarity``).
+The codes are flow codes of the current window's
+:class:`~repro.net.table.FlowTable`.  When the next window arrives,
+:meth:`DynamicSimilarityGraph.recode` looks up the distinct flows the
+live alarms reference in its flow table, with one
+:meth:`~repro.net.table.FlowTable.lookup`, and moves every array onto
+the new codes with one gather.  A carried flow with no packet in the
+window gets a code past the window's flows: the returned table is the
+window's, :meth:`~repro.net.table.FlowTable.extended` with those flows,
+which have key columns but no rows.  Fresh alarms then join with the
+window's codes, as the columnar extractor hands them over.
+
+:meth:`DynamicSimilarityGraph.build` is one ``"similarity_graph"``
+kernel call over the live arrays, in ascending id order.  It is the
+offline graph of the live alarms by construction: the same nodes,
+weights and ordered adjacency, so Louvain tie-breaking (and therefore
+community numbering) matches the offline pipeline when the window
+covers the whole trace.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Sequence, Tuple
+from typing import Iterable
 
-from repro.core.graph import SimilarityGraph
-from repro.core.similarity import SIMILARITY_MEASURES, SimilarityMeasure
+import numpy as np
+
+from repro.core.graph import SimilarityGraph, resolve_measure
+from repro.core.similarity import SimilarityMeasure
+from repro.engine import EngineSpec, resolve_engine
 from repro.errors import GraphError
+from repro.net.table import FlowTable
 
 
 class DynamicSimilarityGraph:
@@ -47,115 +55,115 @@ class DynamicSimilarityGraph:
     edge_threshold:
         Edges with weight <= this value are dropped, exactly like the
         offline builder.
+    engine:
+        Engine spec (see :func:`repro.engine.resolve_engine`);
+        :meth:`build` runs its ``"similarity_graph"`` kernel.
     """
 
     def __init__(
         self,
         measure: SimilarityMeasure | str = "simpson",
         edge_threshold: float = 0.0,
+        engine: EngineSpec = "auto",
     ) -> None:
-        if isinstance(measure, str):
-            try:
-                self._measure_fn = SIMILARITY_MEASURES[measure]
-            except KeyError as exc:
-                raise GraphError(
-                    f"unknown similarity measure {measure!r}; "
-                    f"known: {sorted(SIMILARITY_MEASURES)}"
-                ) from exc
-        else:
-            self._measure_fn = measure
+        self._measure_fn, self._batch_fn = resolve_measure(measure)
         self.edge_threshold = edge_threshold
+        self.engine = resolve_engine(engine, what="graph")
         self._next_id = 0
-        #: live alarm id -> its (frozen) traffic set.
-        self._traffic: Dict[int, FrozenSet] = {}
-        #: traffic element -> sorted-insertion list of live alarm ids.
-        self._postings: Dict[object, list[int]] = {}
-        #: (u, v) with u < v -> |traffic[u] & traffic[v]|.
-        self._intersections: Dict[Tuple[int, int], int] = {}
+        #: Live alarm id -> its sorted int64 traffic codes, in
+        #: insertion (= ascending id) order.
+        self._codes: dict[int, np.ndarray] = {}
+        #: The flow key columns the codes index.
+        self._keys = np.empty((0, 5), dtype=np.int64)
 
     # -- delta API -----------------------------------------------------
 
-    def add_alarm(self, traffic: Iterable) -> int:
-        """Insert one alarm's traffic set; return its stable id."""
-        alarm_id = self._next_id
-        self._next_id += 1
-        traffic_set = frozenset(traffic)
-        self._traffic[alarm_id] = traffic_set
-        for element in traffic_set:
-            posting = self._postings.setdefault(element, [])
-            for other in posting:
-                pair = (other, alarm_id)
-                self._intersections[pair] = self._intersections.get(pair, 0) + 1
-            posting.append(alarm_id)
-        return alarm_id
+    def add_alarms(self, code_arrays: Iterable[np.ndarray]) -> list[int]:
+        """Insert alarms; return their ids in order.
 
-    def add_alarms(self, traffic_sets: Sequence[Iterable]) -> list[int]:
-        """Insert several alarms; return their ids in order."""
-        return [self.add_alarm(traffic) for traffic in traffic_sets]
+        Each alarm is its traffic as sorted unique codes of the table
+        the last :meth:`recode` returned.
+        """
+        ids = []
+        for codes in code_arrays:
+            self._codes[self._next_id] = np.asarray(codes, dtype=np.int64)
+            ids.append(self._next_id)
+            self._next_id += 1
+        return ids
 
     def expire_alarms(self, alarm_ids: Iterable[int]) -> None:
-        """Remove alarms (and every pair they participated in)."""
+        """Remove alarms."""
         for alarm_id in alarm_ids:
-            traffic = self._traffic.pop(alarm_id, None)
-            if traffic is None:
+            if self._codes.pop(alarm_id, None) is None:
                 raise GraphError(f"alarm {alarm_id} is not live")
-            for element in traffic:
-                posting = self._postings[element]
-                posting.remove(alarm_id)
-                if not posting:
-                    del self._postings[element]
-                for other in posting:
-                    pair = (
-                        (other, alarm_id)
-                        if other < alarm_id
-                        else (alarm_id, other)
-                    )
-                    count = self._intersections[pair] - 1
-                    if count:
-                        self._intersections[pair] = count
-                    else:
-                        del self._intersections[pair]
+
+    def recode(self, flows: FlowTable) -> FlowTable:
+        """Move the live alarms onto the flow codes of a new window.
+
+        Returns ``flows`` extended with the carried flows that have no
+        packet in it (``flows`` itself when every one has).  The live
+        arrays, and the alarms :meth:`add_alarms` inserts next, index
+        the returned table.
+        """
+        arrays = list(self._codes.values())
+        sizes = np.fromiter(map(len, arrays), np.int64, len(arrays))
+        flat = np.concatenate(arrays) if arrays else np.empty(0, np.int64)
+        referenced = np.zeros(len(self._keys), dtype=bool)
+        referenced[flat] = True
+        used = np.flatnonzero(referenced)
+        found = flows.lookup(self._keys[used])
+        absent = found < 0
+        found[absent] = len(flows) + np.arange(int(absent.sum()))
+        extended = (
+            flows.extended(self._keys[used[absent]]) if absent.any() else flows
+        )
+        new_code = np.empty(len(self._keys), dtype=np.int64)
+        new_code[used] = found
+        # One gather moves every array; one sort of (alarm, code) keys
+        # puts each array back in code order.
+        n_codes = len(extended.key_columns)
+        owner = np.repeat(np.arange(len(arrays), dtype=np.int64), sizes)
+        keyed = owner * n_codes + new_code[flat]
+        keyed.sort()
+        keyed -= owner * n_codes
+        for alarm_id, codes in zip(
+            list(self._codes), np.split(keyed, np.cumsum(sizes)[:-1])
+        ):
+            self._codes[alarm_id] = codes
+        self._keys = extended.key_columns
+        return extended
 
     # -- inspection ----------------------------------------------------
 
     @property
     def n_live(self) -> int:
-        return len(self._traffic)
+        return len(self._codes)
 
     def live_ids(self) -> list[int]:
         """Live alarm ids in insertion (= ascending) order."""
-        return sorted(self._traffic)
+        return list(self._codes)
 
-    def traffic_of(self, alarm_id: int) -> FrozenSet:
-        return self._traffic[alarm_id]
-
-    def intersection(self, a: int, b: int) -> int:
-        """Current |traffic[a] & traffic[b]| (0 when disjoint)."""
-        pair = (a, b) if a < b else (b, a)
-        return self._intersections.get(pair, 0)
+    def live_codes(self) -> list[np.ndarray]:
+        """The live alarms' code arrays, in :meth:`live_ids` order."""
+        return list(self._codes.values())
 
     # -- compaction ----------------------------------------------------
 
     def build(self) -> tuple[SimilarityGraph, dict[int, int]]:
-        """Compact the live alarms into a :class:`SimilarityGraph`.
+        """The similarity graph of the live alarms.
 
         Returns ``(graph, node_of)`` where ``node_of`` maps live alarm
-        id -> node index ``0..n-1`` (ascending id order).  Edges are
-        inserted in sorted ``(u, v)`` node order so the adjacency
-        dicts iterate identically to the offline builders'.
+        id -> node index ``0..n-1`` (ascending id order).  One
+        ``"similarity_graph"`` kernel call over the live arrays builds
+        the graph :func:`~repro.core.graph.build_similarity_graph`
+        builds offline from the same alarms, edges inserted in sorted
+        ``(u, v)`` node order.
         """
-        ids = self.live_ids()
-        node_of = {alarm_id: node for node, alarm_id in enumerate(ids)}
-        graph = SimilarityGraph(n_nodes=len(ids))
-        adjacency = graph.adjacency
-        edges = []
-        for (a, b), count in self._intersections.items():
-            weight = self._measure_fn(
-                count, len(self._traffic[a]), len(self._traffic[b])
-            )
-            if weight > self.edge_threshold and weight > 0:
-                edges.append((node_of[a], node_of[b], weight))
-        for u, v, weight in sorted(edges):
-            adjacency[u][v] = weight
-            adjacency[v][u] = weight
+        node_of = {alarm_id: node for node, alarm_id in enumerate(self._codes)}
+        graph = self.engine.kernel("similarity_graph")(
+            self.live_codes(),
+            self._measure_fn,
+            self._batch_fn,
+            self.edge_threshold,
+        )
         return graph, node_of

@@ -296,28 +296,6 @@ class ColumnarTrafficExtraction:
         return np.sort(flows.rows_of(flows.codes_of([traffic])[0])).tolist()
 
 
-def community_codes(communities, trace: Trace, granularity: Granularity) -> list:
-    """Each community's traffic as sorted codes of ``trace``.
-
-    Communities from a columnar extraction carry their codes.  The
-    others, such as the streaming engine's, whose flow keys outlive
-    any one window, are mapped together in one lookup; flows with no
-    packet in ``trace`` are dropped.
-    """
-    codes = [community.codes for community in communities]
-    missing = [i for i, c in enumerate(codes) if c is None]
-    traffic_sets = [communities[i].traffic for i in missing]
-    if granularity is Granularity.PACKET:
-        mapped = [
-            np.array(sorted(traffic), dtype=np.int64) for traffic in traffic_sets
-        ]
-    else:
-        mapped = trace.flow_table(granularity).codes_of(traffic_sets)
-    for i, found in zip(missing, mapped):
-        codes[i] = found
-    return codes
-
-
 class Extraction(NamedTuple):
     """One batch extraction: per-alarm graph input and traffic sets."""
 

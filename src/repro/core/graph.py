@@ -126,21 +126,27 @@ def build_similarity_graph(
     -------
     SimilarityGraph
     """
-    if isinstance(measure, str):
-        try:
-            measure_fn = SIMILARITY_MEASURES[measure]
-        except KeyError as exc:
-            raise GraphError(
-                f"unknown similarity measure {measure!r}; "
-                f"known: {sorted(SIMILARITY_MEASURES)}"
-            ) from exc
-        batch_fn = BATCH_MEASURES.get(measure)
-    else:
-        measure_fn = measure
-        batch_fn = None
-
+    measure_fn, batch_fn = resolve_measure(measure)
     kernel = resolve_engine(engine, what="graph").kernel("similarity_graph")
     return kernel(traffic_sets, measure_fn, batch_fn, edge_threshold)
+
+
+def resolve_measure(measure: SimilarityMeasure | str) -> tuple:
+    """``(measure_fn, batch_fn)`` of a measure name or callable.
+
+    ``batch_fn`` is the named measure's array variant, ``None`` for a
+    callable.  An unknown name raises :class:`GraphError`.
+    """
+    if not isinstance(measure, str):
+        return measure, None
+    try:
+        measure_fn = SIMILARITY_MEASURES[measure]
+    except KeyError as exc:
+        raise GraphError(
+            f"unknown similarity measure {measure!r}; "
+            f"known: {sorted(SIMILARITY_MEASURES)}"
+        ) from exc
+    return measure_fn, BATCH_MEASURES.get(measure)
 
 
 def _build_similarity_graph_python(

@@ -6,8 +6,8 @@ parameter hand-threaded through every module.  An :class:`Engine`
 replaces that convention with one first-class object:
 
 * a **kernel registry** — each operation with paired implementations
-  (filter-mask, flow-coding, feature binning, sketch hashing,
-  similarity graph, heuristics, traffic extraction, rule mining)
+  (flow-coding, feature binning, dominant sketch keys, similarity
+  graph, heuristics, traffic extraction, rule mining)
   registers one kernel per engine, and callers ask
   ``engine.kernel("flow_codes")`` instead of branching on a string;
 * **capability flags** — ``engine.vectorized`` tells a caller whether
@@ -43,7 +43,6 @@ ENGINE_ALIASES = ("auto", "numpy", "python")
 KERNEL_OPS = (
     "flow_codes",
     "binned_histogram",
-    "sketch_buckets",
     "dominant_keys",
     "similarity_graph",
     "community_label",

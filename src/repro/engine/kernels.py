@@ -5,9 +5,9 @@ call.  Production implementations live next to the code they serve
 (:mod:`repro.core.graph`, :mod:`repro.core.extractor`,
 :mod:`repro.detectors.sketch`, ...) and are imported here; the pure
 reference twins that exist *only* as correctness oracles (per-packet
-flow coding, Counter feature binning, scalar sketch hashing) are
-defined inline.  ``tests/test_engine_parity.py`` drives every pair
-through one table-driven hypothesis suite.
+flow coding, Counter feature binning) are defined inline.
+``tests/test_engine_parity.py`` drives every pair through one
+table-driven hypothesis suite.
 
 Kernel signatures
 -----------------
@@ -19,9 +19,6 @@ Kernel signatures
     :class:`~repro.detectors.features.BinnedHistogram` of one feature
     column per time bin; the vectorized kernel reuses ``value_codes``
     (the column's ``(values, codes)``) when given.
-``sketch_buckets(hasher, keys)``
-    int64 bucket per key under a
-    :class:`~repro.detectors.sketch.SketchHasher`.
 ``dominant_keys(keys, mask, hasher, sketch, top, min_fraction)``
     Most frequent keys hashing to ``sketch`` among masked packets.
 ``similarity_graph(traffic_sets, measure_fn, batch_fn, edge_threshold)``
@@ -29,8 +26,9 @@ Kernel signatures
 ``community_label(extractor, communities)``
     Table-1 heuristic labels of every community of one run, in order.
     The vectorized kernel sums per-flow counts over the communities'
-    code arrays with segmented reductions; the reference kernel gathers
-    each community's packet objects.
+    code arrays (:attr:`~repro.core.community.Community.codes`, codes
+    of ``extractor.trace``) with segmented reductions; the reference
+    kernel gathers each community's packet objects.
 ``column_values(trace, field, dtype=None)``
     One packet field as an array (the detectors' feature columns).
 ``traffic_extractor(trace, granularity, engine)``
@@ -142,20 +140,7 @@ def _binned_histogram_python(table, feature, bin_idx, n_bins, value_codes=None):
     )
 
 
-# -- sketch hashing ----------------------------------------------------
-
-
-@NUMPY_ENGINE.register("sketch_buckets")
-def _sketch_buckets_numpy(hasher, keys):
-    return hasher.buckets(keys)
-
-
-@PYTHON_ENGINE.register("sketch_buckets")
-def _sketch_buckets_python(hasher, keys):
-    """Scalar ``bucket`` loop (the uint64-limb arithmetic oracle)."""
-    return np.array(
-        [hasher.bucket(int(key)) for key in np.asarray(keys)], dtype=np.int64
-    )
+# -- dominant sketch keys ----------------------------------------------
 
 
 def _register_sketch_kernels() -> None:
@@ -199,13 +184,12 @@ def _register_graph_kernels() -> None:
 
 @NUMPY_ENGINE.register("community_label")
 def _community_label_numpy(extractor, communities):
-    from repro.core.extractor import community_codes
     from repro.labeling.heuristics import label_code_sets
 
     return label_code_sets(
         extractor.trace,
         extractor.granularity,
-        community_codes(communities, extractor.trace, extractor.granularity),
+        [community.codes for community in communities],
     )
 
 

@@ -27,6 +27,7 @@ Column dtypes
 
 from __future__ import annotations
 
+import copy
 from itertools import chain
 from typing import Iterable, Optional, Sequence
 
@@ -260,10 +261,14 @@ class FlowTable:
     key_columns:
         ``(F, 5)`` int64: each flow's src, sport, dst, dport and proto
         (:class:`FlowKey` field order; canonical endpoint order at
-        biflow granularity).
+        biflow granularity), indexed by code.
 
     :class:`FlowKey` objects are built only on request: :meth:`keys`
     for all flows, :meth:`keys_of` for some.
+
+    :meth:`extended` appends flows with no packet here: they take the
+    codes past the table (``len(table)`` onwards), and have key columns
+    but no rows.
     """
 
     __slots__ = (
@@ -371,7 +376,7 @@ class FlowTable:
         """
         codes = codes.tolist() if isinstance(codes, np.ndarray) else list(codes)
         if self._keys is None:
-            self._keys = [None] * len(self)
+            self._keys = [None] * len(self.key_columns)
         keys = self._keys
         missing = [c for c in codes if keys[c] is None]
         if missing:
@@ -379,6 +384,25 @@ class FlowTable:
             for code, key in zip(missing, built):
                 keys[code] = key
         return [keys[c] for c in codes]
+
+    def extended(self, keys) -> "FlowTable":
+        """This table plus the flows ``keys``, which have no packet here.
+
+        ``keys`` is ``(m, 5)`` like :attr:`key_columns`, none of them a
+        flow of this table.  They take the codes past the table,
+        ``len(self)`` onwards in order, with key columns and empty row
+        ranges.  Every other array is shared: the packets keep their
+        codes, and ``len``, :meth:`keys` and :meth:`lookup` still see
+        the flows with packets only.
+        """
+        table = copy.copy(self)
+        keys = np.asarray(keys, dtype=np.int64).reshape(-1, 5)
+        table.offsets = np.concatenate(
+            [self.offsets, np.full(len(keys), self.offsets[-1])]
+        )
+        table.key_columns = np.concatenate([self.key_columns, keys])
+        table._keys = None
+        return table
 
     def lookup(self, keys) -> np.ndarray:
         """The code of each key; ``-1`` for keys with no packet here.

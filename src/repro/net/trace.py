@@ -112,6 +112,24 @@ class Trace:
             )
         return flows
 
+    def with_flow_table(self, flows: FlowTable) -> "Trace":
+        """A view of this trace whose flow table at
+        ``flows.granularity`` is ``flows``.
+
+        ``flows`` must code this trace's packets, and may extend its
+        own table with flows that have no packet here
+        (:meth:`FlowTable.extended`).  This is how the streaming
+        engine shows Steps 2-4 the flows its live alarms carry into a
+        window.  The view shares the packet table, the packet objects
+        and the flow tables of the other granularity; this trace is
+        not changed.
+        """
+        view = Trace.__new__(Trace)
+        view.__dict__.update(vars(self))
+        view._flow_cache = {}
+        view._flow_tables = {**self._flow_tables, flows.granularity: flows}
+        return view
+
     # -- basic container protocol ------------------------------------
 
     def __len__(self) -> int:

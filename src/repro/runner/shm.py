@@ -162,40 +162,24 @@ def segment_bytes(n_rows: int) -> int:
     return _layout_bytes(_table_layout(n_rows))
 
 
-def _plane_parts(value) -> tuple[str, tuple, list[np.ndarray]]:
-    """Flatten one exportable plane into ``(kind, parts, arrays)``.
+def _plane_items(value) -> tuple[str, list]:
+    """One exportable plane as ``(kind, items)``.
 
-    ``parts`` is the picklable per-item layout — ``("array", dtype_str,
-    shape)`` items consume segment bytes in order, ``("scalar", v)``
-    items ride the handle — and ``arrays`` the matching ndarrays to
-    write.  Kinds: ``"nd"`` (bare array), ``"tuple"`` / ``"list"``
-    (flat containers), ``"hist"`` (BinnedHistogram).
+    ``items`` are the plane's arrays and picklable scalars in order.
+    Kinds: ``"nd"`` (bare array), ``"tuple"`` / ``"list"`` (flat
+    containers), ``"hist"`` (BinnedHistogram: feature name, values,
+    codes, counts).
     """
     if isinstance(value, np.ndarray):
-        return "nd", (("array", value.dtype.str, value.shape),), [value]
+        return "nd", [value]
     if isinstance(value, (tuple, list)):
         kind = "tuple" if isinstance(value, tuple) else "list"
-        parts: list[tuple] = []
-        arrays: list[np.ndarray] = []
-        for item in value:
-            if isinstance(item, np.ndarray):
-                parts.append(("array", item.dtype.str, item.shape))
-                arrays.append(item)
-            else:
-                scalar = item.item() if isinstance(item, np.generic) else item
-                parts.append(("scalar", scalar))
-        return kind, tuple(parts), arrays
+        return kind, [
+            item.item() if isinstance(item, np.generic) else item
+            for item in value
+        ]
     # BinnedHistogram duck-type (feature name + three numeric arrays).
-    return (
-        "hist",
-        (
-            ("scalar", value.feature),
-            ("array", value.values.dtype.str, value.values.shape),
-            ("array", value.codes.dtype.str, value.codes.shape),
-            ("array", value.counts.dtype.str, value.counts.shape),
-        ),
-        [value.values, value.codes, value.counts],
-    )
+    return "hist", [value.feature, value.values, value.codes, value.counts]
 
 
 def _rebuild_plane(kind: str, items: list):
@@ -282,30 +266,32 @@ class SharedTableHandle(_SegmentHandle):
 class SharedPlanesHandle(_SegmentHandle):
     """An exported ``{spec: plane}`` set.
 
-    ``entries`` holds one ``(spec, kind, parts)`` triple per plane;
-    the arrays live in the segment in ``parts`` order, scalars
-    (histogram feature names, tuple members) travel with the handle.
+    ``layout`` is the ``(dtype_str, shape)`` of each distinct array,
+    in segment order.  ``entries`` holds one ``(spec, kind, parts)``
+    triple per plane: an ``("array", i)`` part is the ``i``-th array
+    of the segment, so planes that share an array share its view, and
+    a ``("scalar", v)`` part (histogram feature names, tuple members)
+    travels with the handle.
     """
 
     entries: tuple
+    layout: tuple
 
     def _view(self, shm: shared_memory.SharedMemory) -> dict:
         """Read-only plane views: workers share one physical copy, so
         an in-place mutation must raise rather than corrupt a sibling's
         input (the streaming KL baseline ``.copy()``\\ s first)."""
-        layout = [
-            (np.dtype(part[1]), part[2])
-            for _spec, _kind, parts in self.entries
-            for part in parts
-            if part[0] == "array"
-        ]
-        arrays = iter(_views(shm.buf, layout, writeable=False))
+        arrays = _views(
+            shm.buf,
+            [(np.dtype(dtype), shape) for dtype, shape in self.layout],
+            writeable=False,
+        )
         return {
             spec: _rebuild_plane(
                 kind,
                 [
-                    part[1] if part[0] == "scalar" else next(arrays)
-                    for part in parts
+                    arrays[value] if part == "array" else value
+                    for part, value in parts
                 ],
             )
             for spec, kind, parts in self.entries
@@ -391,18 +377,36 @@ class PlaneArena(_Arena):
     """A recycled segment for successive feature-plane exports."""
 
     def export(self, items) -> SharedPlanesHandle:
-        """Pack ``(spec, value)`` plane pairs into the segment."""
+        """Pack ``(spec, value)`` plane pairs into the segment.
+
+        Each distinct array, by identity, is written once: planes that
+        share one (every binned histogram of a field holds its
+        ``value_codes`` arrays) refer back to it.
+        """
         entries = []
         arrays: list[np.ndarray] = []
+        index_of: dict[int, int] = {}
         for spec, value in items:
-            kind, parts, plane_arrays = _plane_parts(value)
-            entries.append((spec, kind, parts))
-            arrays.extend(plane_arrays)
-        shm = self._segment(
-            _layout_bytes([(array.dtype, array.shape) for array in arrays])
-        )
+            kind, plane_items = _plane_items(value)
+            parts = []
+            for item in plane_items:
+                if not isinstance(item, np.ndarray):
+                    parts.append(("scalar", item))
+                    continue
+                index = index_of.get(id(item))
+                if index is None:
+                    index = index_of[id(item)] = len(arrays)
+                    arrays.append(item)
+                parts.append(("array", index))
+            entries.append((spec, kind, tuple(parts)))
+        layout = [(array.dtype, array.shape) for array in arrays]
+        shm = self._segment(_layout_bytes(layout))
         _write(shm.buf, arrays)
-        return SharedPlanesHandle(name=shm.name, entries=tuple(entries))
+        return SharedPlanesHandle(
+            name=shm.name,
+            entries=tuple(entries),
+            layout=tuple((dtype.str, shape) for dtype, shape in layout),
+        )
 
 
 class ArenaPool:

@@ -172,7 +172,10 @@ class Feed:
     dedicated consumer thread drives the feed's
     :class:`~repro.stream.pipeline.StreamingPipeline` and publishes
     every window commit into the service's live index under
-    :attr:`date`.
+    :attr:`date`.  The consumer records each commit's counters on the
+    feed, which is all :meth:`status` and the service's metrics read,
+    and drops the pipeline when the stream ends: a closed feed keeps
+    its counters, not its window, alarms or detector state.
     """
 
     def __init__(
@@ -190,6 +193,7 @@ class Feed:
         self.window = window
         self.hop = hop
         self.ring = _FeedRing(max_packets=max_ring_packets)
+        #: The feed's pipeline; ``None`` once the stream has ended.
         self.pipeline = service.session.streaming_pipeline(window, hop)
         self.state = "open"
         self.error: Optional[str] = None
@@ -202,6 +206,10 @@ class Feed:
         #: Wall seconds from window emission to queryable labels
         #: (pipeline latency + index publish), per committed window.
         self.commit_latencies: list[float] = []
+        #: The pipeline's own latency, per committed window.
+        self.window_latencies: list[float] = []
+        #: High-water mark of the pipeline's window ring, in packets.
+        self.ring_peak_packets = 0
         self._thread = threading.Thread(
             target=self._run, name=f"feed-{name}", daemon=True
         )
@@ -252,9 +260,11 @@ class Feed:
                 self._publish()
                 publish_seconds = time.perf_counter() - started
                 self.windows += 1
+                self.window_latencies.append(result.latency)
                 self.commit_latencies.append(
                     result.latency + publish_seconds
                 )
+                self.ring_peak_packets = self.pipeline.ring.peak_packets
             self._publish()
             self.state = "closed"
         except Exception as exc:  # noqa: BLE001 - feed isolation
@@ -262,7 +272,9 @@ class Feed:
             self.error = f"{type(exc).__name__}: {exc}"
         finally:
             self.closed_at = time.time()
+            self.ring_peak_packets = self.pipeline.ring.peak_packets
             self.pipeline.close()
+            self.pipeline = None
 
     def _publish(self) -> None:
         store = self.pipeline.merged_label_store()
@@ -290,7 +302,7 @@ class Feed:
                 "pushes_blocked": self.ring.pushes_blocked,
                 "blocked_seconds": round(self.ring.blocked_seconds, 6),
             },
-            "ring_peak_packets": self.pipeline.ring.peak_packets,
+            "ring_peak_packets": self.ring_peak_packets,
         }
 
 
@@ -635,7 +647,7 @@ class LabelingService:
         window_latencies: list[float] = []
         commit_latencies: list[float] = []
         for feed in feeds:
-            window_latencies.extend(feed.pipeline._latencies)
+            window_latencies.extend(feed.window_latencies)
             commit_latencies.extend(feed.commit_latencies)
         return {
             "uptime_seconds": round(time.time() - self.started_at, 3),
@@ -658,7 +670,7 @@ class LabelingService:
                     "depth_packets": feed.ring.depth_packets,
                     "peak_packets": feed.ring.peak_packets,
                     "max_packets": feed.ring.max_packets,
-                    "ring_peak_packets": feed.pipeline.ring.peak_packets,
+                    "ring_peak_packets": feed.ring_peak_packets,
                 }
                 for feed in feeds
             },

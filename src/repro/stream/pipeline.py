@@ -12,15 +12,24 @@ over a sliding window of a packet stream:
    :class:`~repro.detectors.streaming.StreamingDetector` wrappers,
    carrying per-configuration state (sketch hashers, KL histogram
    baselines) across window advances;
-3. **associate** — new alarms join a
-   :class:`~repro.core.dynamic.DynamicSimilarityGraph` incrementally
-   (expired alarms leave it), and Louvain is *warm-started* from the
-   previous window's partition (``louvain(..., seed_partition=...)``)
-   so each window refines the clustering instead of recomputing it;
+3. **associate** — live alarms carry their traffic from window to
+   window as integer flow codes in a
+   :class:`~repro.core.dynamic.DynamicSimilarityGraph`: expired alarms
+   leave it, the survivors move onto the new window's flow codes in
+   one lookup (a carried flow with no packet in the window takes a
+   code past the window's flows), and new alarms join with the
+   window's codes.  Each window builds its graph with the offline
+   ``"similarity_graph"`` kernel, and Louvain is *warm-started* from
+   the previous window's partition (``louvain(...,
+   seed_partition=...)``) so each window refines the clustering
+   instead of recomputing it;
 4. **classify + label** — the offline combiner and Step 4 machinery
-   run unchanged on the live communities, and re-accepted communities
-   from overlapping windows are merged into one label with an extended
-   time span.
+   run unchanged on the live communities, whose traffic is codes of
+   the window's flow table extended with the carried flows
+   (:meth:`~repro.net.trace.Trace.with_flow_table`): the heuristics
+   count no packet for a carried flow, while the rule blocks hold
+   every flow.  Re-accepted communities from overlapping windows are
+   merged into one label with an extended time span.
 
 Parity anchor: when one window covers the whole trace, every stage
 degenerates to its offline twin (empty detector state, cold Louvain
@@ -42,7 +51,7 @@ from repro.core.alarm_table import AlarmTable
 from repro.core.community import CommunitySet
 from repro.core.dynamic import DynamicSimilarityGraph
 from repro.core.estimator import SimilarityEstimator
-from repro.core.extractor import TrafficExtractor
+from repro.core.extractor import TrafficExtractor, TrafficSets
 from repro.core.louvain import louvain
 from repro.detectors.base import Detector
 from repro.detectors.streaming import StreamingDetector, wrap_ensemble
@@ -296,7 +305,7 @@ class StreamingPipeline:
         #: block their reader on a full ring instead of growing it.
         self.ring = TraceWindow(max_packets=max_ring_packets)
         self._graph = DynamicSimilarityGraph(
-            measure=measure, edge_threshold=edge_threshold
+            measure=measure, edge_threshold=edge_threshold, engine=self.engine
         )
         #: Live alarms, columnar: row ``i`` of the table is the alarm
         #: with graph id ``_live_ids[i]``.  Ids are assigned
@@ -447,14 +456,23 @@ class StreamingPipeline:
             # extraction reads the detectors' own flow-key objects.
             fresh = window_alarms.take(np.asarray(fresh_rows, dtype=np.int64))
             n_fresh = len(fresh)
+            # Step 2 on codes: the live alarms move onto this window's
+            # flow codes, and Steps 2-4 read the window through the
+            # extended table.  Fresh alarms join with the window's
+            # codes (the reference extractor's flow keys are looked up
+            # in one call) and batch-append onto the live table.
+            flows = trace.flow_table(self.granularity)
+            extended = self._graph.recode(flows)
             extractor = TrafficExtractor(
-                trace, self.granularity, engine=self.engine
+                trace.with_flow_table(extended),
+                self.granularity,
+                engine=self.engine,
             )
-            # Step 2, incremental: deltas into the live graph; fresh
-            # alarms batch-append onto the live table as one
-            # concatenation.
+            extraction = extractor.extract_all(fresh)
             new_ids = self._graph.add_alarms(
-                extractor.extract_all(fresh).traffic_sets
+                extraction.graph_input
+                if self.engine.vectorized
+                else flows.codes_of(extraction.traffic_sets)
             )
             for key, alarm_id in zip(fresh_keys, new_ids):
                 self._alarm_keys.setdefault(key, []).append(alarm_id)
@@ -480,18 +498,20 @@ class StreamingPipeline:
             for alarm_id in live_ids:
                 self._partition[alarm_id] = partition[node_of[alarm_id]]
             # Steps 3-4: the offline machinery over the live table
-            # (communities are index vectors over its rows).
-            traffic_list = [
-                self._graph.traffic_of(alarm_id) for alarm_id in live_ids
-            ]
+            # (communities are index vectors over its rows) and the
+            # live codes, as a columnar extraction hands them over.
+            traffic = TrafficSets(
+                self._graph.live_codes(),
+                lambda codes: frozenset(extended.keys_of(codes)),
+            )
             communities = SimilarityEstimator._materialize(
-                self._live_table, traffic_list, partition
+                self._live_table, traffic, partition
             )
             n_communities = len(communities)
             community_set = CommunitySet(
                 communities=communities,
                 alarms=self._live_table,
-                traffic_sets=traffic_list,
+                traffic_sets=traffic,
                 granularity=self.granularity,
                 graph=graph,
                 extractor=extractor,
@@ -499,9 +519,6 @@ class StreamingPipeline:
             decisions = self.pipeline.strategy.classify(
                 community_set, self.pipeline.config_names
             )
-            # The communities' flow keys map to window codes inside the
-            # batched heuristics; keys without packets in the window
-            # drop out there, while the rule blocks keep every key.
             labels = self.pipeline._label_all(community_set, decisions)
 
         self._merge_labels(labels)

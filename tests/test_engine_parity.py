@@ -143,16 +143,6 @@ def binning_inputs(draw):
 
 
 @st.composite
-def sketch_inputs(draw):
-    keys = np.array(
-        draw(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=50)),
-        dtype=np.uint64,
-    )
-    hasher = SketchHasher(draw(st.integers(1, 8)), seed=draw(st.integers(0, 5)))
-    return hasher, keys
-
-
-@st.composite
 def dominant_inputs(draw):
     keys = np.array(
         draw(st.lists(st.integers(0, 6), min_size=1, max_size=60)),
@@ -228,10 +218,10 @@ def community_inputs(draw):
     share an alarm or a flow, are empty when they hold no alarm or only
     alarms that designate nothing, and hold one row when their alarms
     designate one packet or flow (one-packet traces included).
-    ``by_codes`` picks how the vectorized kernel gets them: with the
-    extraction's code arrays, or as traffic sets it maps itself, the
-    streaming engine's way; such sets may also hold a flow with no
-    packet in the trace.
+    ``past_the_table`` gives them, at flow granularity and on both
+    engines, codes of the trace's flow table extended with one flow
+    that has no packet in the trace, the streaming engine's way; every
+    community holds that flow's code, past the table's own flows.
     """
     trace, alarms = draw(traces_and_alarms())
     ids = st.integers(0, len(alarms) - 1)
@@ -404,11 +394,6 @@ def _run_binned_histogram(engine, payload):
     )
 
 
-def _run_sketch_buckets(engine, payload):
-    hasher, keys = payload
-    return engine.kernel("sketch_buckets")(hasher, keys).tolist()
-
-
 def _run_dominant_keys(engine, payload):
     keys, mask, hasher, sketch, top = payload
     return dominant_keys(keys, mask, hasher, sketch, top=top, engine=engine)
@@ -453,13 +438,34 @@ def _run_extractor(engine, payload):
 
 
 def _run_community_label(engine, payload):
-    trace, alarms, granularity, groups, by_codes = payload
+    trace, alarms, granularity, groups, past_the_table = payload
+    past_the_table = past_the_table and granularity is not Granularity.PACKET
+    if past_the_table:
+        flows = trace.flow_table(granularity)
+        extended = flows.extended([uniflow_key(trace[0])._replace(src=999)])
+        trace = trace.with_flow_table(extended)
     extractor = TrafficExtractor(trace, granularity, engine=engine)
     sets = extractor.extract_all(alarms).traffic_sets
     table = AlarmTable.from_alarms(alarms)
+    if past_the_table:
+        member_codes = flows.codes_of(list(sets))
     communities = []
     for community_id, ids in enumerate(groups):
-        if by_codes and engine.vectorized:
+        if past_the_table:
+            codes = np.union1d(
+                np.concatenate(
+                    [member_codes[i] for i in ids] + [np.empty(0, np.int64)]
+                ),
+                [len(flows)],
+            )
+            community = Community(
+                community_id,
+                ids,
+                table,
+                codes=codes,
+                decode=lambda codes: frozenset(extended.keys_of(codes)),
+            )
+        elif engine.vectorized:
             codes = np.unique(
                 np.concatenate([sets.codes[i] for i in ids] + [np.empty(0)])
             ).astype(np.int64)
@@ -468,8 +474,6 @@ def _run_community_label(engine, payload):
             )
         else:
             traffic = frozenset().union(*(sets[i] for i in ids))
-            if not by_codes and granularity is not Granularity.PACKET:
-                traffic |= {uniflow_key(trace[0])._replace(src=999)}
             community = Community(community_id, ids, table, traffic=traffic)
         communities.append(community)
     return engine.kernel("community_label")(extractor, communities)
@@ -550,7 +554,6 @@ KERNEL_CASES = [
         _run_flow_codes,
     ),
     KernelCase("binned_histogram", binning_inputs(), _run_binned_histogram),
-    KernelCase("sketch_buckets", sketch_inputs(), _run_sketch_buckets),
     KernelCase("dominant_keys", dominant_inputs(), _run_dominant_keys),
     KernelCase("similarity_graph", graph_inputs(), _run_similarity_graph),
     KernelCase(

@@ -1,5 +1,6 @@
 """Unit tests for the traffic extractor."""
 
+import numpy as np
 import pytest
 
 from repro.core.extractor import TrafficExtractor
@@ -195,9 +196,21 @@ class TestWindowEdges:
         from repro.core.community import Community
 
         absent = FlowKey(src=7, sport=443, dst=8, dport=80, proto=6)
+        # A flow carried into the window: its code lies past the
+        # window's flows, in the extended table.
+        flows = edge_trace.flow_table(Granularity.UNIFLOW).extended([absent])
         table = AlarmTable.from_alarms([flow_key_alarm(absent, 0.0, 1.0)])
-        community = Community(0, (0,), table, traffic=frozenset({absent}))
-        record = label_one_community(edge_trace, engine, community)
+        community = Community(
+            0,
+            (0,),
+            table,
+            codes=np.array([len(flows)]),
+            decode=lambda codes: frozenset(flows.keys_of(codes)),
+        )
+        assert community.traffic == {absent}
+        record = label_one_community(
+            edge_trace.with_flow_table(flows), engine, community
+        )
         assert (record.heuristic.category, record.heuristic.detail) == (
             "unknown",
             "Unknown",

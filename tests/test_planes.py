@@ -333,6 +333,52 @@ def test_plane_export_attach_roundtrip(tiny_trace):
                 _assert_planes_equal(planes[spec], value)
 
 
+def test_plane_export_writes_each_array_once(archive_day):
+    """The default ensemble's histograms share their field's
+    ``value_codes`` arrays: the export writes every distinct array once,
+    and the attached histograms share the attached codes."""
+    from repro.detectors.registry import default_ensemble
+    from repro.runner.shm import _array_bytes, _layout_bytes
+
+    cache = PlaneCache("numpy")
+    for spec in merge_plane_specs(default_ensemble(engine="numpy")):
+        cache.get(archive_day.trace, spec)
+    items = cache.exportable_items()
+    with PlaneArena() as arena:
+        handle = arena.export(items)
+        with handle.attach() as planes:
+            for spec, value in items:
+                _assert_planes_equal(planes[spec], value)
+            histograms = [
+                (spec, plane)
+                for spec, plane in planes.items()
+                if spec[0] == "binned_histogram"
+            ]
+            assert histograms
+            for spec, histogram in histograms:
+                values, codes = planes[("value_codes", spec[1])]
+                assert np.shares_memory(histogram.values, values)
+                assert np.shares_memory(histogram.codes, codes)
+        distinct = {
+            id(array): array
+            for _spec, value in items
+            for array in _plane_arrays(value)
+        }
+        layout = [(np.dtype(dtype), shape) for dtype, shape in handle.layout]
+        assert _layout_bytes(layout) == sum(
+            _array_bytes(array.dtype, array.shape)
+            for array in distinct.values()
+        )
+
+
+def _plane_arrays(value) -> list[np.ndarray]:
+    if isinstance(value, np.ndarray):
+        return [value]
+    if hasattr(value, "counts"):  # BinnedHistogram
+        return [value.values, value.codes, value.counts]
+    return [item for item in value if isinstance(item, np.ndarray)]
+
+
 def test_attached_planes_are_read_only(tiny_trace):
     items = _computed_cache(tiny_trace).exportable_items()
     with PlaneArena() as arena:

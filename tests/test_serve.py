@@ -458,6 +458,38 @@ class TestServiceLifecycle:
         assert service.health()["status"] == "degraded"
         service.shutdown()
 
+    def test_closed_feed_releases_its_pipeline(self, archive_day):
+        """A closed feed drops its pipeline (window ring, live alarms,
+        detector state) and keeps reporting what the pipeline measured:
+        the ring peak and every window's latency."""
+        import gc
+        import weakref
+
+        duration = archive_day.trace.duration
+        with LabelingService(window=duration / 4, hop=duration / 8) as service:
+            feed = service.open_feed("gone", date="2004-06-14")
+            ring = feed.pipeline.ring
+            latencies = feed.pipeline._latencies
+            pipeline = weakref.ref(feed.pipeline)
+            for chunk in chunk_table(archive_day.trace.table, 4096):
+                service.push("gone", chunk)
+            service.close_feed("gone")
+            gc.collect()
+            assert pipeline() is None
+            server = LabelServer(service).start_background()
+            try:
+                base = f"http://127.0.0.1:{server.port}"
+                (status,) = _get(base, "/feeds")["feeds"]
+                metrics = _get(base, "/metrics")
+            finally:
+                server.stop_background()
+        assert len(latencies) > 1
+        assert status["ring_peak_packets"] == ring.peak_packets > 0
+        assert metrics["queues"]["gone"]["ring_peak_packets"] == ring.peak_packets
+        assert feed.window_latencies == latencies
+        assert status["windows"] == len(latencies)
+        assert metrics["latency"]["windows_measured"] == len(latencies)
+
     def test_close_feed_persists_day(self, tmp_path, archive_day):
         from repro.labeling.database import LabelDatabase
 

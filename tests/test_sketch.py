@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.detectors.sketch import SketchHasher, dominant_keys, sketch_time_matrix
 from repro.errors import DetectorError
@@ -25,12 +27,17 @@ class TestSketchHasher:
         keys = list(range(200))
         assert [a.bucket(k) for k in keys] != [b.bucket(k) for k in keys]
 
-    def test_buckets_vectorized_matches_scalar(self):
-        hasher = SketchHasher(8, seed=3)
-        keys = np.array([1, 2, 3, 4, 1 << 31], dtype=np.uint64)
-        vector = hasher.buckets(keys)
-        scalar = [hasher.bucket(int(k)) for k in keys]
-        assert list(vector) == scalar
+    @given(
+        keys=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=50),
+        n_sketches=st.integers(1, 8),
+        seed=st.integers(0, 5),
+    )
+    @example(keys=[1, 2, 3, 4, 1 << 31], n_sketches=8, seed=3)
+    def test_buckets_vectorized_matches_scalar(self, keys, n_sketches, seed):
+        hasher = SketchHasher(n_sketches, seed=seed)
+        vector = hasher.buckets(np.array(keys, dtype=np.uint64))
+        scalar = [hasher.bucket(k) for k in keys]
+        assert vector.tolist() == scalar
 
     def test_roughly_uniform(self):
         hasher = SketchHasher(4, seed=7)

@@ -9,6 +9,8 @@ Louvain warm start and the cross-window label merging.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.dynamic import DynamicSimilarityGraph
 from repro.core.graph import SimilarityGraph, build_similarity_graph
@@ -16,6 +18,8 @@ from repro.core.louvain import louvain, modularity
 from repro.errors import GraphError, StreamError
 from repro.labeling.mawilab import labels_to_csv
 from repro.net.flow import Granularity
+from repro.net.packet import PROTO_TCP, PROTO_UDP, Packet
+from repro.net.trace import Trace
 from repro.stream import StreamingPipeline, chunk_table
 
 
@@ -24,33 +28,23 @@ from repro.stream import StreamingPipeline, chunk_table
 
 class TestDynamicGraph:
     def test_matches_offline_builder(self):
-        sets = [
-            frozenset({"a", "b", "c"}),
-            frozenset({"b", "c", "d"}),
-            frozenset({"x"}),
-            frozenset({"c", "x"}),
-        ]
+        arrays = [_codes(0, 1, 2), _codes(1, 2, 3), _codes(9), _codes(2, 9)]
         dynamic = DynamicSimilarityGraph(measure="simpson")
-        dynamic.add_alarms(sets)
+        dynamic.add_alarms(arrays)
         graph, node_of = dynamic.build()
-        reference = build_similarity_graph(sets, engine="python")
+        reference = build_similarity_graph(_sets(arrays), engine="python")
         assert node_of == {0: 0, 1: 1, 2: 2, 3: 3}
         assert _ordered(graph) == _ordered(reference)
 
     def test_expiry_equals_rebuild_without_expired(self):
-        sets = [
-            frozenset({1, 2, 3}),
-            frozenset({2, 3}),
-            frozenset({3, 4}),
-            frozenset({4, 5}),
-        ]
+        arrays = [_codes(1, 2, 3), _codes(2, 3), _codes(3, 4), _codes(4, 5)]
         dynamic = DynamicSimilarityGraph(measure="jaccard")
-        ids = dynamic.add_alarms(sets)
+        ids = dynamic.add_alarms(arrays)
         dynamic.expire_alarms([ids[1]])
         graph, node_of = dynamic.build()
-        survivors = [sets[0], sets[2], sets[3]]
+        survivors = [arrays[0], arrays[2], arrays[3]]
         reference = build_similarity_graph(
-            survivors, measure="jaccard", engine="python"
+            _sets(survivors), measure="jaccard", engine="python"
         )
         assert graph.n_nodes == 3
         assert _ordered(graph) == _ordered(reference)
@@ -60,32 +54,22 @@ class TestDynamicGraph:
     def test_interleaved_deltas_match_final_population(self):
         rng = np.random.default_rng(3)
         dynamic = DynamicSimilarityGraph(measure="simpson")
-        live: dict[int, frozenset] = {}
+        live: dict[int, np.ndarray] = {}
         for step in range(60):
             if live and rng.random() < 0.35:
                 victim = int(rng.choice(sorted(live)))
                 dynamic.expire_alarms([victim])
                 del live[victim]
             else:
-                traffic = frozenset(
-                    int(v) for v in rng.integers(0, 12, rng.integers(1, 6))
-                )
-                live[dynamic.add_alarm(traffic)] = traffic
+                codes = np.unique(rng.integers(0, 12, rng.integers(1, 6)))
+                (alarm_id,) = dynamic.add_alarms([codes])
+                live[alarm_id] = codes
         graph, node_of = dynamic.build()
         ordered_ids = sorted(live)
         reference = build_similarity_graph(
-            [live[i] for i in ordered_ids], engine="python"
+            _sets([live[i] for i in ordered_ids]), engine="python"
         )
         assert _ordered(graph) == _ordered(reference)
-
-    def test_intersection_accessor(self):
-        dynamic = DynamicSimilarityGraph()
-        a = dynamic.add_alarm({1, 2, 3})
-        b = dynamic.add_alarm({2, 3, 4})
-        assert dynamic.intersection(a, b) == 2
-        assert dynamic.intersection(b, a) == 2
-        dynamic.expire_alarms([a])
-        assert dynamic.intersection(a, b) == 0
 
     def test_expire_unknown_raises(self):
         dynamic = DynamicSimilarityGraph()
@@ -95,6 +79,114 @@ class TestDynamicGraph:
     def test_unknown_measure_raises(self):
         with pytest.raises(GraphError):
             DynamicSimilarityGraph(measure="nope")
+
+
+def _codes(*codes: int) -> np.ndarray:
+    return np.array(codes, dtype=np.int64)
+
+
+def _sets(arrays) -> list[frozenset]:
+    return [frozenset(codes.tolist()) for codes in arrays]
+
+
+#: A small flow universe: (src, sport, dst, dport, proto) per flow.
+_flows = st.lists(
+    st.tuples(
+        st.integers(0, 3),
+        st.integers(0, 2),
+        st.integers(0, 3),
+        st.integers(0, 2),
+        st.sampled_from([PROTO_TCP, PROTO_UDP]),
+    ),
+    min_size=1,
+    max_size=10,
+    unique=True,
+)
+
+
+@given(
+    universe=_flows,
+    granularity=st.sampled_from([Granularity.UNIFLOW, Granularity.BIFLOW]),
+    measure=st.sampled_from(["simpson", "jaccard", "constant"]),
+    engine=st.sampled_from(["numpy", "python"]),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_carried_codes_track_their_flows(
+    universe, granularity, measure, engine, data
+):
+    """Random windows over a small flow universe, each with a random
+    subset of the flows present, random expiries and fresh alarms over
+    the window's flows: after every window the graph is the offline
+    graph of the live alarms' flow-key sets, every live alarm decodes
+    to the set it was added with, and a code lies past the window's
+    flows exactly when its flow has no packet in the window, which
+    the extended table gives no rows."""
+    dynamic = DynamicSimilarityGraph(measure=measure, engine=engine)
+    live: dict[int, frozenset] = {}
+    for _window in range(data.draw(st.integers(1, 5), label="windows")):
+        present = data.draw(
+            st.lists(
+                st.sampled_from(universe), min_size=1, unique=True
+            ),
+            label="present",
+        )
+        packets = [
+            Packet(
+                time=float(t), src=src, sport=sport, dst=dst, dport=dport,
+                proto=proto, size=60,
+            )
+            for t, (src, sport, dst, dport, proto) in enumerate(
+                present + present[: len(present) // 2]
+            )
+        ]
+        flows = Trace(packets).flow_table(granularity)
+        victims = data.draw(
+            st.lists(st.sampled_from(sorted(live)), unique=True)
+            if live
+            else st.just([]),
+            label="expired",
+        )
+        dynamic.expire_alarms(victims)
+        for victim in victims:
+            del live[victim]
+        extended = dynamic.recode(flows)
+        fresh = [
+            np.array(sorted(codes), dtype=np.int64)
+            for codes in data.draw(
+                st.lists(
+                    st.sets(st.integers(0, len(flows) - 1)), max_size=4
+                ),
+                label="fresh",
+            )
+        ]
+        for alarm_id, codes in zip(dynamic.add_alarms(fresh), fresh):
+            live[alarm_id] = frozenset(flows.keys_of(codes))
+
+        graph, node_of = dynamic.build()
+        ids = sorted(live)
+        reference = build_similarity_graph(
+            [live[i] for i in ids], measure=measure, engine="python"
+        )
+        assert _ordered(graph) == _ordered(reference)
+        assert dynamic.live_ids() == ids
+        assert node_of == {alarm_id: node for node, alarm_id in enumerate(ids)}
+        window_keys = set(flows.keys())
+        assert extended.key_columns[: len(flows)].tolist() == (
+            flows.key_columns.tolist()
+        )
+        for alarm_id, codes in zip(ids, dynamic.live_codes()):
+            assert codes.tolist() == sorted(set(codes.tolist()))
+            keys = extended.keys_of(codes)
+            assert frozenset(keys) == live[alarm_id]
+            for code, key in zip(codes.tolist(), keys):
+                assert (code >= len(flows)) == (key not in window_keys)
+        past = np.arange(len(flows), len(extended.key_columns))
+        assert extended.rows_of(past).size == 0
+        assert len(extended) == len(flows)
+        assert extended.lookup(extended.key_columns[past]).tolist() == (
+            [-1] * len(past)
+        )
 
 
 def _ordered(graph: SimilarityGraph):
