@@ -55,7 +55,17 @@ class BinnedHistogram:
 
 def unique_codes(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(values, codes)`` of a column: its distinct values, ascending,
-    and each row's int64 index into them (one ``np.unique`` pass)."""
+    and each row's int64 index into them.
+
+    A ``uint16`` column (the ports) is coded by one ``bincount`` over
+    its 65,536 possible values, several times faster than the
+    ``np.unique`` sort every other column takes; both give the same
+    values, dtype included, and the same codes.
+    """
+    if column.dtype == np.uint16:
+        present = np.bincount(column, minlength=1 << 16) > 0
+        code_of = np.cumsum(present, dtype=np.int64) - 1
+        return np.flatnonzero(present).astype(np.uint16), code_of[column]
     values, codes = np.unique(column, return_inverse=True)
     return values, codes.astype(np.int64, copy=False)
 

@@ -28,9 +28,18 @@ Implementation
 4. Map the pixels of each line back to packets through the index, keep
    the hosts that drew the line, and emit one alarm per such host
    carrying its unidirectional flows.
+
+The tunings differ only in ``min_votes`` and ``max_lines``, which
+decide where steps 2-3 stop, and in the host cutoff of step 4.  So a
+picture's lines are found once, as one :class:`LineSequence` (the
+``hough_lines`` plane) whose prefixes are the tunings' lines, and each
+line's ranked hosts, with their windows, packet counts and flows, are
+worked out once for all tunings.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,131 +102,83 @@ class HoughDetector(Detector):
         self, trace: Trace, direction: str, planes
     ) -> list[Alarm]:
         p = self.params
-        x_bins = p["x_bins"]
         seed = p["hash_seed"] + (0 if direction == "src" else 1)
-        # The quantized picture and its lit pixels are fixed across
-        # tunings (only vote thresholds move) — one plane per direction.
-        ys, xs = planes.get(
+        # The picture and its line sequence are fixed across tunings
+        # (only the vote thresholds move): one plane per direction.
+        lines = planes.get(
             trace,
             (
-                "hough_pixels",
+                "hough_lines",
                 direction,
-                x_bins,
+                p["x_bins"],
                 p["y_bins"],
                 p["pixel_threshold"],
                 seed,
+                p["n_thetas"],
             ),
         )
-        if ys.size == 0:
-            return []
-        vectorized = self.engine.vectorized
-        if vectorized:
-            # A line's packets are its pixels' row ranges in the
-            # picture's pixel index; hosts are split on value codes.
-            rows, offsets = planes.get(
-                trace, ("hough_rows", direction, x_bins, p["y_bins"], seed)
-            )
-            values, codes = planes.get(trace, ("value_codes", direction))
-            times = planes.get(trace, ("column", "time", None))
-        else:
-            x = planes.get(trace, ("hough_x", x_bins))
-            y = planes.get(
-                trace, ("sketch_buckets", direction, p["y_bins"], seed)
-            )
-        t_start = trace.start_time
-        bin_width = max(trace.end_time - t_start, 1e-9) / x_bins
         alarms: list[Alarm] = []
-        for members in hough_line_members(
-            xs, ys, n_thetas=p["n_thetas"], min_votes=p["min_votes"],
-            max_lines=p["max_lines"],
+        for r, members in enumerate(
+            lines.lines(p["min_votes"], p["max_lines"])
         ):
-            if vectorized:
-                ranked = self._line_hosts(
-                    _pixel_rows(rows, offsets, ys[members] * x_bins + xs[members]),
-                    values,
-                    codes,
+            line = lines.hosts.get(r)
+            if line is None:
+                line = lines.hosts[r] = self._line_hosts(
+                    trace, direction, planes, lines.ys[members], lines.xs[members]
                 )
-            else:
-                ranked = self._line_hosts_reference(
-                    trace, direction, x, y, ys[members], xs[members]
-                )
-            for key, key_indices in ranked:
-                if vectorized:
-                    x_values = time_pixels(
-                        times[key_indices], t_start, trace.end_time, x_bins
+            n_rows, ranked = line
+            for host in tuning_hosts(
+                ranked, n_rows, p["min_votes"], p["max_keys_per_line"]
+            ):
+                if host.extent is None:
+                    host.extent = self._host_extent(
+                        trace, direction, planes, host
                     )
-                else:
-                    x_values = x[key_indices]
-                t0 = t_start + int(x_values.min()) * bin_width
-                t1 = t_start + (int(x_values.max()) + 1) * bin_width
-                if not self._is_transient(trace, key, direction, t0, t1):
+                t0, t1, total, inside = host.extent
+                if not self._is_transient(trace, t0, t1, total, inside):
                     continue
-                if vectorized:
-                    flow_table = planes.get(
-                        trace, ("flow_codes", Granularity.UNIFLOW.name)
-                    )
-                    flows = frozenset(
-                        flow_table.keys_of(
-                            np.unique(flow_table.codes[key_indices])
-                        )
-                    )
-                else:
-                    flows = frozenset(
-                        uniflow_key(trace[i]) for i in key_indices
-                    )
+                if host.flows is None:
+                    host.flows = self._host_flows(trace, planes, host)
                 alarms.append(
                     self._alarm(
-                        t0,
-                        t1,
-                        flow_keys=flows,
-                        score=float(len(key_indices)),
+                        t0, t1, flow_keys=host.flows, score=float(len(host.rows))
                     )
                 )
         return alarms
 
     def _line_hosts(
-        self, line_rows: np.ndarray, values: np.ndarray, codes: np.ndarray
-    ) -> list[tuple[int, np.ndarray]]:
-        """The hosts that drew one line, with their rows on it.
-
-        A line pixel aggregates every host hashing to its y bin;
-        retrieving "the original data" (the cited method's final step)
-        means keeping only hosts with at least a quarter of the line's
-        packets (and ``min_votes``), at most ``max_keys_per_line`` of
-        them, count-descending with ties by first packet.
-        """
-        p = self.params
-        cutoff = max(int(p["min_votes"]), int(0.25 * line_rows.size))
-        line_codes = codes[line_rows]
-        counts = np.bincount(line_codes)
-        heavy = np.flatnonzero(counts >= cutoff)
-        if heavy.size == 0:
-            return []
-        host_rows = [line_rows[line_codes == code] for code in heavy]
-        first = [int(r.min()) for r in host_rows]
-        order = np.lexsort((first, -counts[heavy]))
-        return [
-            (int(values[heavy[i]]), host_rows[i])
-            for i in order[: p["max_keys_per_line"]]
-        ]
-
-    def _line_hosts_reference(
         self,
         trace: Trace,
         direction: str,
-        x: np.ndarray,
-        y: np.ndarray,
+        planes,
         line_ys: np.ndarray,
         line_xs: np.ndarray,
-    ) -> list[tuple[int, list[int]]]:
-        """:meth:`_line_hosts` by a per-packet pixel probe (the oracle)."""
+    ) -> tuple[int, list[LineHost]]:
+        """The packet count of one line and its ranked hosts.
+
+        The vectorized engine reads the line's packets off the
+        picture's pixel index and splits hosts on value codes
+        (:func:`rank_line_hosts`); the reference engine probes each
+        packet's pixel.
+        """
         p = self.params
+        x_bins = p["x_bins"]
+        seed = p["hash_seed"] + (0 if direction == "src" else 1)
+        if self.engine.vectorized:
+            rows, offsets = planes.get(
+                trace, ("hough_rows", direction, x_bins, p["y_bins"], seed)
+            )
+            values, codes = planes.get(trace, ("value_codes", direction))
+            line_rows = _pixel_rows(rows, offsets, line_ys * x_bins + line_xs)
+            return line_rows.size, rank_line_hosts(line_rows, values, codes)
+        x = planes.get(trace, ("hough_x", x_bins))
+        y = planes.get(trace, ("sketch_buckets", direction, p["y_bins"], seed))
         pixel_set = set(zip(line_ys.tolist(), line_xs.tolist()))
         indices = [
             i for i, (yy, xx) in enumerate(zip(y, x))
             if (int(yy), int(xx)) in pixel_set
         ]
-        cutoff = max(int(p["min_votes"]), int(0.25 * len(indices)))
+        floor = max(1, int(0.25 * len(indices)))
         per_key: dict[int, list[int]] = {}
         for i in indices:
             key = int(getattr(trace[i], direction))
@@ -225,23 +186,72 @@ class HoughDetector(Detector):
         ranked = sorted(
             per_key.items(), key=lambda kv: len(kv[1]), reverse=True
         )
-        return [
-            (key, key_indices)
-            for key, key_indices in ranked[: p["max_keys_per_line"]]
-            if len(key_indices) >= cutoff
+        return len(indices), [
+            LineHost(key, key_indices)
+            for key, key_indices in ranked
+            if len(key_indices) >= floor
         ]
 
-    def _is_transient(
-        self, trace: Trace, key: int, direction: str, t0: float, t1: float
-    ) -> bool:
-        """True when the host's activity is concentrated in [t0, t1).
+    def _host_extent(
+        self, trace: Trace, direction: str, planes, host: LineHost
+    ) -> tuple[float, float, int, int]:
+        """``(t0, t1, total, inside)`` of one host on one line.
 
-        The cited detector adapts its time interval and does not report
-        hosts whose picture line merely reflects a steady baseline
-        (every busy server is a permanent line).  We keep a line only
-        when the host's packet rate inside the line's window exceeds
-        ``line_contrast`` times its rate outside — i.e. the activity is
-        transient or bursty, not an always-on baseline.
+        ``[t0, t1)`` spans the x pixels of the host's packets on the
+        line; ``total`` counts the host's packets in the trace and
+        ``inside`` those in ``[t0, t1)``.
+        """
+        x_bins = self.params["x_bins"]
+        t_start = trace.start_time
+        bin_width = max(trace.end_time - t_start, 1e-9) / x_bins
+        if self.engine.vectorized:
+            times = planes.get(trace, ("column", "time", None))
+            x_values = time_pixels(
+                times[host.rows], t_start, trace.end_time, x_bins
+            )
+        else:
+            x_values = planes.get(trace, ("hough_x", x_bins))[host.rows]
+        t0 = t_start + int(x_values.min()) * bin_width
+        t1 = t_start + (int(x_values.max()) + 1) * bin_width
+        if self.engine.vectorized:
+            on_host = trace.table.column(direction) == host.key
+            time = trace.table.time
+            total = int(on_host.sum())
+            inside = int((on_host & (time >= t0) & (time < t1)).sum())
+            return t0, t1, total, inside
+        total = inside = 0
+        for pkt in trace:
+            if getattr(pkt, direction) != host.key:
+                continue
+            total += 1
+            if t0 <= pkt.time < t1:
+                inside += 1
+        return t0, t1, total, inside
+
+    def _host_flows(self, trace: Trace, planes, host: LineHost) -> frozenset:
+        """The unidirectional flows of a host's packets on a line."""
+        if self.engine.vectorized:
+            flow_table = planes.get(
+                trace, ("flow_codes", Granularity.UNIFLOW.name)
+            )
+            return frozenset(
+                flow_table.keys_of(np.unique(flow_table.codes[host.rows]))
+            )
+        return frozenset(uniflow_key(trace[i]) for i in host.rows)
+
+    def _is_transient(
+        self, trace: Trace, t0: float, t1: float, total: int, inside: int
+    ) -> bool:
+        """True when a host's activity is concentrated in [t0, t1).
+
+        ``total`` counts the host's packets in the trace and ``inside``
+        those in ``[t0, t1)``.  The cited detector adapts its time
+        interval and does not report hosts whose picture line merely
+        reflects a steady baseline (every busy server is a permanent
+        line).  We keep a line only when the host's packet rate inside
+        the line's window exceeds ``line_contrast`` times its rate
+        outside — i.e. the activity is transient or bursty, not an
+        always-on baseline.
 
         Lines covering (nearly) the whole trace are kept when the host
         is intense enough to dominate its picture row; steady
@@ -251,36 +261,62 @@ class HoughDetector(Detector):
         span = max(trace.end_time - trace.start_time, 1e-9)
         window = max(t1 - t0, 1e-9)
         outside = span - window
-        if self.engine.vectorized:
-            host = trace.table.column(direction) == key
-            if outside <= span * 0.1:
-                return (
-                    int(host.sum()) >= self.params["whole_trace_min_packets"]
-                )
-            time = trace.table.time
-            total = int(host.sum())
-            inside = int((host & (time >= t0) & (time < t1)).sum())
-        else:
-            if outside <= span * 0.1:
-                # Whole-trace line: no outside baseline to compare
-                # against; treat as transient only if clearly heavy.
-                count = sum(
-                    1 for pkt in trace if getattr(pkt, direction) == key
-                )
-                return count >= self.params["whole_trace_min_packets"]
-            inside = 0
-            total = 0
-            for pkt in trace:
-                if getattr(pkt, direction) != key:
-                    continue
-                total += 1
-                if t0 <= pkt.time < t1:
-                    inside += 1
+        if outside <= span * 0.1:
+            # Whole-trace line: no outside baseline to compare
+            # against; treat as transient only if clearly heavy.
+            return total >= self.params["whole_trace_min_packets"]
         if total == 0:
             return False
         rate_in = inside / window
         rate_out = (total - inside) / outside
         return rate_in >= contrast * max(rate_out, 1e-9)
+
+
+@dataclass(eq=False)
+class LineHost:
+    """One host that drew a line, shared by the picture's tunings.
+
+    ``rows`` are the host's packets on the line.  ``extent`` (see
+    :meth:`HoughDetector._host_extent`) and ``flows`` are filled the
+    first time a tuning keeps the host.
+    """
+
+    key: int
+    rows: np.ndarray | list[int]
+    extent: tuple[float, float, int, int] | None = None
+    flows: frozenset | None = None
+
+
+def rank_line_hosts(
+    line_rows: np.ndarray, values: np.ndarray, codes: np.ndarray
+) -> list[LineHost]:
+    """The hosts that drew one line, with their rows on it.
+
+    A line pixel aggregates every host hashing to its y bin;
+    retrieving "the original data" (the cited method's final step)
+    means keeping hosts with at least a quarter of the line's packets,
+    count-descending with ties by first packet.  Every tuning's cutoff
+    (:func:`tuning_hosts`) is at least this one, and the hosts that
+    pass a higher cutoff are a prefix of the ranking.
+    """
+    floor = max(1, int(0.25 * line_rows.size))
+    line_codes = codes[line_rows]
+    counts = np.bincount(line_codes)
+    heavy = np.flatnonzero(counts >= floor)
+    host_rows = [line_rows[line_codes == code] for code in heavy]
+    first = [int(r.min()) for r in host_rows]
+    order = np.lexsort((first, -counts[heavy]))
+    return [LineHost(int(values[heavy[i]]), host_rows[i]) for i in order]
+
+
+def tuning_hosts(
+    ranked: list[LineHost], n_rows: int, min_votes: int, max_keys: int
+) -> list[LineHost]:
+    """The ranked hosts one tuning keeps on a line of ``n_rows`` packets:
+    at most ``max_keys``, each with at least ``min_votes`` and a
+    quarter of the line's packets."""
+    cutoff = max(int(min_votes), int(0.25 * n_rows))
+    return [host for host in ranked[:max_keys] if len(host.rows) >= cutoff]
 
 
 def time_pixels(
@@ -303,6 +339,91 @@ def _pixel_rows(
     return rows[
         np.arange(lengths.sum()) + np.repeat(starts - (ends - lengths), lengths)
     ]
+
+
+class LineSequence:
+    """The lines of one traffic picture, in the order the vote loop
+    finds them.
+
+    Each round of the standard (rho, theta) Hough transform votes with
+    the lit pixels no earlier line claimed, takes the strongest
+    accumulator cell, and claims the pixels within 1 of its rho as the
+    round's line.  Nothing in a round depends on ``min_votes`` or
+    ``max_lines``: they only decide where a tuning stops, at the first
+    round whose peak votes fall below ``min_votes`` (a round's active
+    pixels and line pixels are never fewer than its votes), or after
+    ``max_lines`` rounds.  The stop test is monotone in ``min_votes``,
+    so every tuning's lines are a prefix of one sequence, which
+    :meth:`lines` extends on demand.  ``hosts`` holds what the detector
+    derives from each line, by round, for the tunings that read the
+    line after it.
+    """
+
+    def __init__(self, xs: np.ndarray, ys: np.ndarray, n_thetas: int = 8) -> None:
+        self.xs = xs
+        self.ys = ys
+        self.hosts: dict[int, tuple] = {}
+        #: ``(peak votes, line pixels)`` of each round.
+        self._rounds: list[tuple[int, np.ndarray]] = []
+        if xs.size == 0:
+            return
+        thetas = np.linspace(0.0, np.pi, n_thetas, endpoint=False)
+        max_rho = int(np.ceil(np.hypot(xs.max() + 1, ys.max() + 1)))
+        # rho = x cos(theta) + y sin(theta), rounded once per pixel; it
+        # can be negative for theta > pi/2, so offset it into a
+        # non-negative index.  ``cells`` flattens (rho, theta)
+        # row-major, so argmax over one round's bincount breaks ties
+        # like argmax over the 2-D accumulator.  The sequence lives as
+        # long as its trace's planes, so cells are int32 when they fit.
+        rho_idx = (
+            np.round(np.outer(xs, np.cos(thetas)) + np.outer(ys, np.sin(thetas)))
+            .astype(int)
+            + max_rho
+        )
+        self._n_thetas = n_thetas
+        self._n_cells = (2 * max_rho + 1) * n_thetas
+        self._cells = rho_idx * n_thetas + np.arange(n_thetas)
+        if self._n_cells <= np.iinfo(np.int32).max:
+            self._cells = self._cells.astype(np.int32)
+        self._remaining = np.ones(xs.size, dtype=bool)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the vote arrays, which the plane cache counts."""
+        if self.xs.size == 0:
+            return 0
+        return int(self._cells.nbytes + self._remaining.nbytes)
+
+    def lines(self, min_votes: int, max_lines: int) -> list[np.ndarray]:
+        """The lines one tuning reports, strongest first.
+
+        Each array holds the indexes into ``xs``/``ys`` of one line's
+        pixels, ascending; a pixel claimed by a stronger line does not
+        vote again.
+        """
+        if self.xs.size == 0:
+            return []
+        lines: list[np.ndarray] = []
+        for r in range(max_lines):
+            if r == len(self._rounds):
+                self._vote()
+            votes, members = self._rounds[r]
+            if votes < min_votes:
+                break
+            lines.append(members)
+        return lines
+
+    def _vote(self) -> None:
+        """Run the next round over the pixels no line claimed yet."""
+        active = np.flatnonzero(self._remaining)
+        votes = np.bincount(self._cells[active].ravel(), minlength=self._n_cells)
+        peak = int(np.argmax(votes))
+        # At one theta, cells one rho apart are n_thetas apart: the
+        # line is the pixels within 1 of the peak's rho.
+        at_theta = self._cells[active, peak % self._n_thetas]
+        members = active[np.abs(at_theta - peak) <= self._n_thetas]
+        self._remaining[members] = False
+        self._rounds.append((int(votes[peak]), members))
 
 
 def hough_line_members(
@@ -330,42 +451,9 @@ def hough_line_members(
     -------
     list of int arrays
         Each array holds the indexes into ``xs``/``ys`` of the pixels
-        of one detected line, ascending.
+        of one detected line, ascending (:meth:`LineSequence.lines`).
     """
-    if xs.size == 0:
-        return []
-    thetas = np.linspace(0.0, np.pi, n_thetas, endpoint=False)
-    max_rho = int(np.ceil(np.hypot(xs.max() + 1, ys.max() + 1)))
-    # rho = x cos(theta) + y sin(theta), rounded once per pixel; it can
-    # be negative for theta > pi/2, so offset it into a non-negative
-    # index.  ``cells`` flattens (rho, theta) row-major, so argmax over
-    # one round's bincount breaks ties like argmax over the 2-D
-    # accumulator.
-    rho_idx = (
-        np.round(np.outer(xs, np.cos(thetas)) + np.outer(ys, np.sin(thetas)))
-        .astype(int)
-        + max_rho
-    )
-    cells = rho_idx * n_thetas + np.arange(n_thetas)
-    n_cells = (2 * max_rho + 1) * n_thetas
-
-    remaining = np.ones(xs.size, dtype=bool)
-    lines: list[np.ndarray] = []
-    for _ in range(max_lines):
-        active = np.flatnonzero(remaining)
-        if active.size < min_votes:
-            break
-        votes = np.bincount(cells[active].ravel(), minlength=n_cells)
-        peak = int(np.argmax(votes))
-        if votes[peak] < min_votes:
-            break
-        rho_i, theta_i = divmod(peak, n_thetas)
-        members = active[np.abs(rho_idx[active, theta_i] - rho_i) <= 1]
-        if members.size < min_votes:
-            break
-        lines.append(members)
-        remaining[members] = False
-    return lines
+    return LineSequence(xs, ys, n_thetas).lines(min_votes, max_lines)
 
 
 def hough_lines(

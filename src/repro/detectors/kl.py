@@ -29,6 +29,7 @@ Algorithm
 from __future__ import annotations
 
 from collections import Counter
+from itertools import repeat
 
 import numpy as np
 
@@ -408,12 +409,12 @@ def _dense_bin_counter(histogram: BinnedHistogram, b: int) -> Counter:
     Content-equal to the reference engine's per-bin Counter, which is all
     the baseline consumers (:func:`_symmetric_kl`,
     :func:`_grown_values`) depend on — neither reads insertion order of
-    the *previous* histogram.
+    the *previous* histogram.  Keys are in ascending value order.
     """
     row = histogram.counts[b]
-    present = np.nonzero(row)[0]
+    present = np.flatnonzero(row)
     return Counter(
-        {int(histogram.values[c]): int(row[c]) for c in present}
+        dict(zip(histogram.values[present].tolist(), row[present].tolist()))
     )
 
 
@@ -443,20 +444,27 @@ def _grown_values_vs_baseline(
 
 
 def _symmetric_kl(prev: Counter, curr: Counter, smoothing: float) -> float:
-    """Symmetrized, smoothed KL divergence between two histograms."""
+    """Symmetrized, smoothed KL divergence between two histograms.
+
+    Bit-identical to a scalar loop over the key union that accumulates
+    ``p log(p/q)`` and ``q log(q/p)`` term by term
+    (``tests/kl_oracle.py``): the terms are the same IEEE operations
+    taken elementwise, in the order the key union iterates, and each
+    sum is ``cumsum``'s strictly left-to-right accumulation (``sum``
+    would add pairwise).
+    """
     if not prev or not curr:
         return 0.0
     keys = set(prev) | set(curr)
     n_prev = sum(prev.values())
     n_curr = sum(curr.values())
     k = len(keys)
-    d_pq = 0.0
-    d_qp = 0.0
-    for key in keys:
-        p = (prev.get(key, 0) + smoothing) / (n_prev + smoothing * k)
-        q = (curr.get(key, 0) + smoothing) / (n_curr + smoothing * k)
-        d_pq += p * np.log(p / q)
-        d_qp += q * np.log(q / p)
+    p = np.fromiter(map(prev.get, keys, repeat(0)), dtype=np.float64, count=k)
+    q = np.fromiter(map(curr.get, keys, repeat(0)), dtype=np.float64, count=k)
+    p = (p + smoothing) / (n_prev + smoothing * k)
+    q = (q + smoothing) / (n_curr + smoothing * k)
+    d_pq = np.cumsum(p * np.log(p / q))[-1]
+    d_qp = np.cumsum(q * np.log(q / p))[-1]
     return float(d_pq + d_qp) / 2.0
 
 

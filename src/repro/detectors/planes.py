@@ -3,11 +3,11 @@
 Every detector configuration derives the same handful of per-trace
 feature arrays — header columns, sketch bucket assignments, per-time-bin
 value histograms, and the per-family statistics built on top of them
-(PCA residual matrices, Gamma deviation vectors, Hough lit pixels, KL
-divergence series).  The paper's ensemble deliberately runs many
-configurations of the same four detectors, so without sharing each
-*plane* is recomputed once per configuration even though its value
-depends only on the trace and a small parameter key.
+(PCA residual matrices, Gamma deviation vectors, Hough lit pixels and
+line sequences, KL divergence series).  The paper's ensemble
+deliberately runs many configurations of the same four detectors, so
+without sharing each *plane* is recomputed once per configuration even
+though its value depends only on the trace and a small parameter key.
 
 A :class:`PlaneCache` memoizes those planes keyed by their true
 parameters (a "spec" tuple such as ``("sketch_buckets", "src", 16, 11)``)
@@ -64,6 +64,13 @@ Plane specs
 ``("hough_pixels", field, x_bins, y_bins, pixel_threshold, seed)``
     ``(ys, xs)`` coordinates of lit pixels of one traffic picture (the
     vectorized kernel reads the pixel counts off ``hough_rows``).
+``("hough_lines", field, x_bins, y_bins, pixel_threshold, seed, n_thetas)``
+    The :class:`~repro.detectors.hough.LineSequence` of one picture's
+    lit pixels: the lines of the Hough vote loop in the order it finds
+    them, grown on demand.  Each tuning's lines are a prefix of it, and
+    it keeps each line's ranked hosts, so the tunings find lines and
+    hosts once.  It is mutable, so it is never exported; its ``nbytes``
+    counts its vote arrays.
 ``("flow_codes", granularity_name)``
     The trace's :class:`~repro.net.table.FlowTable` from
     :meth:`Trace.flow_table` (already trace-cached; the plane spec
@@ -97,8 +104,11 @@ _MISSING = object()
 
 #: Plane kinds never exported over shared memory: either trivially
 #: recomputable from the already-shared packet table ("column",
-#: "flow_codes"), or non-numeric ("binned_counters" carries Counters).
-EXPORT_SKIP_KINDS = frozenset({"column", "flow_codes", "binned_counters"})
+#: "flow_codes"), or non-numeric ("binned_counters" carries Counters,
+#: "hough_lines" is a line sequence grown on demand).
+EXPORT_SKIP_KINDS = frozenset(
+    {"column", "flow_codes", "binned_counters", "hough_lines"}
+)
 
 
 def plane_nbytes(value) -> int:
@@ -125,8 +135,9 @@ class PlaneCache:
         identical values.
     enabled:
         ``False`` turns the cache into a pass-through that recomputes
-        every request — the uncached baseline of the bench detect leg
-        and the parity tests.
+        every request — the uncached baseline of
+        ``benchmarks/test_plane_cache_speedup.py`` and the parity
+        tests.
     """
 
     def __init__(self, engine: EngineSpec = "auto", enabled: bool = True) -> None:
@@ -317,6 +328,11 @@ def _compute_plane(trace, spec: tuple, planes: PlaneCache, vectorized: bool):
             np.add.at(image, (y, x), 1)
         ys, xs = np.nonzero(image >= pixel_threshold)
         return (ys, xs)
+    if kind == "hough_lines":
+        from repro.detectors.hough import LineSequence
+
+        ys, xs = planes.get(trace, ("hough_pixels", *spec[1:6]))
+        return LineSequence(xs, ys, spec[6])
     if kind == "flow_codes":
         from repro.net.flow import Granularity
 

@@ -77,7 +77,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.core.alarm_table import ALL_ARRAYS, AlarmTable
+from repro.core.alarm_table import ALL_ARRAYS, AlarmTable, _ragged_take
 from repro.engine import EngineSpec, resolve_engine
 from repro.errors import TraceError, WarehouseError
 from repro.ioutil import write_atomic, write_atomic_bytes
@@ -1126,51 +1126,75 @@ def select_labels(
             "rule_sport": arrays["r_sport"],
             "rule_dport": arrays["r_dport"],
         }
-        for i in select(columns, **predicates):
-            rows.append(_segment_row(arrays, pools, date, int(i)))
-            if limit is not None and len(rows) >= limit:
-                return rows
+        selected = select(columns, **predicates)
+        if limit is not None:
+            selected = selected[: limit - len(rows)]
+        rows += _segment_rows(arrays, pools, date, selected)
+        if limit is not None and len(rows) >= limit:
+            return rows
     return rows
 
 
-def _segment_row(arrays: Mapping, pools: Mapping, date: str, index: int) -> dict:
-    """Render one selected row straight from label-segment columns,
-    never through a :class:`LabelRecord`."""
-    lo = int(arrays["detector_bounds"][index])
-    hi = int(arrays["detector_bounds"][index + 1])
-    rlo = int(arrays["rule_bounds"][index])
-    rhi = int(arrays["rule_bounds"][index + 1])
+def _segment_rows(
+    arrays: Mapping, pools: Mapping, date: str, index: np.ndarray
+) -> list[dict]:
+    """Render selected rows straight from label-segment columns, never
+    through a :class:`LabelRecord`.
 
-    def opt_addr(column: str, j: int) -> Optional[str]:
-        value = int(arrays[column][j])
-        return None if value < 0 else ip_to_str(value)
+    Each column is read with one gather over the selected rows, and the
+    rule columns with one gather over the rows' concatenated rule
+    ranges, so a mapped segment is never indexed one element at a time.
+    """
+    rule_bounds, rule_rows = _ragged_take(arrays["rule_bounds"], index)
 
-    def opt_port(column: str, j: int) -> Optional[int]:
-        value = int(arrays[column][j])
-        return None if value < 0 else value
+    def gather(column: str, rows: np.ndarray) -> list:
+        return arrays[column][rows].tolist()
 
-    return {
-        "date": date,
-        "community": int(arrays["community_id"][index]),
-        "taxonomy": TAXONOMY_ORDER[int(arrays["taxonomy_code"][index])],
-        "heuristic_category": pools["categories"][
-            int(arrays["category_code"][index])
-        ],
-        "heuristic_detail": pools["details"][
-            int(arrays["detail_code"][index])
-        ],
-        "t0": float(arrays["t0"][index]),
-        "t1": float(arrays["t1"][index]),
-        "n_alarms": int(arrays["n_alarms"][index]),
-        "detectors": list(pools["detector_names"][lo:hi]),
-        "rules": [
-            {
-                "src": opt_addr("r_src", j),
-                "sport": opt_port("r_sport", j),
-                "dst": opt_addr("r_dst", j),
-                "dport": opt_port("r_dport", j),
-                "support": float(arrays["r_support"][j]),
-            }
-            for j in range(rlo, rhi)
-        ],
-    }
+    rules = [
+        {
+            "src": None if src < 0 else ip_to_str(src),
+            "sport": None if sport < 0 else sport,
+            "dst": None if dst < 0 else ip_to_str(dst),
+            "dport": None if dport < 0 else dport,
+            "support": support,
+        }
+        for src, sport, dst, dport, support in zip(
+            gather("r_src", rule_rows),
+            gather("r_sport", rule_rows),
+            gather("r_dst", rule_rows),
+            gather("r_dport", rule_rows),
+            gather("r_support", rule_rows),
+        )
+    ]
+    categories, details = pools["categories"], pools["details"]
+    detector_names = pools["detector_names"]
+    return [
+        {
+            "date": date,
+            "community": community,
+            "taxonomy": TAXONOMY_ORDER[taxonomy],
+            "heuristic_category": categories[category],
+            "heuristic_detail": details[detail],
+            "t0": t0,
+            "t1": t1,
+            "n_alarms": n_alarms,
+            "detectors": list(detector_names[lo:hi]),
+            "rules": rules[rule_lo:rule_hi],
+        }
+        for (
+            community, taxonomy, category, detail, t0, t1, n_alarms, lo, hi,
+            rule_lo, rule_hi,
+        ) in zip(
+            gather("community_id", index),
+            gather("taxonomy_code", index),
+            gather("category_code", index),
+            gather("detail_code", index),
+            gather("t0", index),
+            gather("t1", index),
+            gather("n_alarms", index),
+            gather("detector_bounds", index),
+            gather("detector_bounds", index + 1),
+            rule_bounds[:-1].tolist(),
+            rule_bounds[1:].tolist(),
+        )
+    ]

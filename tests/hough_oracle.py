@@ -1,11 +1,15 @@
-"""Hough vote loop with a 2-D accumulator: the reference for the detector.
+"""Hough references for the detector: one tuning at a time.
 
-This is :func:`repro.detectors.hough.hough_lines` as it was before the
-detector rounded every lit pixel's rho once and accumulated each round
-with one ``bincount``: each round recomputes the rho of the remaining
-pixels and adds their votes into a ``(rho, theta)`` accumulator with
-``np.add.at``, one theta at a time.  ``tests/test_hough_detector.py``
-checks that the detector finds the same lines, in the same order.
+:func:`hough_lines` is :func:`repro.detectors.hough.hough_lines` as it
+was before the detector rounded every lit pixel's rho once and
+accumulated each round with one ``bincount``: each round recomputes the
+rho of the remaining pixels and adds their votes into a ``(rho, theta)``
+accumulator with ``np.add.at``, one theta at a time.
+:func:`line_hosts` is the detector's host split as it was before the
+tunings shared one ranking per line: it applies one tuning's cutoff
+and host budget directly.  ``tests/test_hough_detector.py`` checks
+that the detector finds the same lines, in the same order, and keeps
+the same hosts, under every tuning.
 """
 
 from __future__ import annotations
@@ -76,3 +80,33 @@ def hough_lines(
         lines.append([(int(ys[i]), int(xs[i])) for i in members])
         remaining[members] = False
     return lines
+
+
+def line_hosts(
+    line_rows: np.ndarray,
+    values: np.ndarray,
+    codes: np.ndarray,
+    min_votes: int,
+    max_keys_per_line: int,
+) -> list[tuple[int, np.ndarray]]:
+    """The hosts that drew one line, with their rows on it.
+
+    A line pixel aggregates every host hashing to its y bin;
+    retrieving "the original data" (the cited method's final step)
+    means keeping only hosts with at least a quarter of the line's
+    packets (and ``min_votes``), at most ``max_keys_per_line`` of
+    them, count-descending with ties by first packet.
+    """
+    cutoff = max(int(min_votes), int(0.25 * line_rows.size))
+    line_codes = codes[line_rows]
+    counts = np.bincount(line_codes)
+    heavy = np.flatnonzero(counts >= cutoff)
+    if heavy.size == 0:
+        return []
+    host_rows = [line_rows[line_codes == code] for code in heavy]
+    first = [int(r.min()) for r in host_rows]
+    order = np.lexsort((first, -counts[heavy]))
+    return [
+        (int(values[heavy[i]]), host_rows[i])
+        for i in order[:max_keys_per_line]
+    ]

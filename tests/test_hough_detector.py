@@ -5,11 +5,21 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.detectors.hough import HOUGH_TUNINGS, HoughDetector, hough_lines
+from repro.detectors import hough as hough_module
+from repro.detectors.hough import (
+    HOUGH_TUNINGS,
+    HoughDetector,
+    LineSequence,
+    hough_lines,
+    rank_line_hosts,
+    tuning_hosts,
+)
+from repro.detectors.planes import PlaneCache
 from repro.mawi.anomalies import AnomalySpec
 from repro.mawi.generator import WorkloadSpec, generate_trace
 from repro.net.trace import Trace
 from tests.hough_oracle import hough_lines as oracle_hough_lines
+from tests.hough_oracle import line_hosts as oracle_line_hosts
 
 
 @pytest.fixture(scope="module")
@@ -97,26 +107,264 @@ def lit_pixels(draw):
     return xs, ys
 
 
-@given(pixels=lit_pixels())
+def _tunings(data, budget_key: str, budget: st.SearchStrategy) -> list:
+    """Every ``HOUGH_TUNINGS`` entry's ``(min_votes, budget)`` plus
+    random ones, in a drawn order."""
+    default = HoughDetector.default_params()
+    params = [{**default, **overrides} for overrides in HOUGH_TUNINGS.values()]
+    tunings = [(p["min_votes"], p[budget_key]) for p in params]
+    tunings += data.draw(
+        st.lists(
+            st.tuples(st.integers(1, 3) | st.integers(1, 40), budget),
+            max_size=4,
+        )
+    )
+    return data.draw(st.permutations(tunings))
+
+
+@given(pixels=lit_pixels(), data=st.data())
 @settings(
     max_examples=150,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-def test_vote_loop_matches_the_2d_accumulator(pixels):
+def test_vote_loop_matches_the_2d_accumulator(pixels, data):
     """The one-``bincount``-per-round vote loop finds the oracle's lines,
-    in its order, under every tuning."""
+    in its order, under every tuning: run alone (``hough_lines``) or
+    read, in any order, as a prefix of one sequence the tunings share."""
     xs, ys = pixels
-    for overrides in HOUGH_TUNINGS.values():
-        p = {**HoughDetector.default_params(), **overrides}
-        kwargs = dict(
-            n_thetas=p["n_thetas"],
-            min_votes=p["min_votes"],
-            max_lines=p["max_lines"],
+    n_thetas = data.draw(
+        st.sampled_from([HoughDetector.default_params()["n_thetas"], 1, 5, 12])
+    )
+    sequence = LineSequence(xs, ys, n_thetas)
+    for min_votes, max_lines in _tunings(data, "max_lines", st.integers(0, 25)):
+        kwargs = dict(n_thetas=n_thetas, min_votes=min_votes, max_lines=max_lines)
+        expected = oracle_hough_lines(xs, ys, **kwargs)
+        assert hough_lines(xs, ys, **kwargs) == expected
+        assert [
+            [(int(ys[i]), int(xs[i])) for i in members]
+            for members in sequence.lines(min_votes, max_lines)
+        ] == expected
+
+
+@st.composite
+def line_packets(draw):
+    """``(line_rows, values, codes)``: a line's packet rows, in no
+    particular order, over a column of ``codes``.  Hosts draw their
+    line counts from a few sizes, so equal counts (ranked by first
+    packet) are common."""
+    n_hosts = draw(st.integers(1, 8))
+    per_host = draw(
+        st.lists(
+            st.sampled_from([0, 1, 3, 8, 20, 40]),
+            min_size=n_hosts,
+            max_size=n_hosts,
         )
-        assert hough_lines(xs, ys, **kwargs) == oracle_hough_lines(
-            xs, ys, **kwargs
+    )
+    line_codes = np.repeat(np.arange(n_hosts), per_host)
+    n_packets = line_codes.size + draw(st.integers(0, 40))
+    codes = np.array(
+        draw(
+            st.lists(
+                st.integers(0, n_hosts - 1),
+                min_size=n_packets,
+                max_size=n_packets,
+            )
+        ),
+        dtype=np.int64,
+    )
+    rows = np.array(draw(st.permutations(range(n_packets))), dtype=np.int64)
+    line_rows = rows[: line_codes.size]
+    codes[line_rows] = draw(st.permutations(line_codes.tolist()))
+    values = np.array(
+        sorted(
+            draw(
+                st.sets(
+                    st.integers(0, 2**32 - 1),
+                    min_size=n_hosts,
+                    max_size=n_hosts,
+                )
+            )
+        ),
+        dtype=np.uint32,
+    )
+    return line_rows, values, codes
+
+
+@given(packets=line_packets(), data=st.data())
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_tunings_keep_prefixes_of_one_host_ranking(packets, data):
+    """One ranking per line, cut by each tuning in any order, keeps the
+    hosts the per-tuning host split keeps, with the same rows."""
+    line_rows, values, codes = packets
+    ranked = rank_line_hosts(line_rows, values, codes)
+    for min_votes, max_keys in _tunings(
+        data, "max_keys_per_line", st.integers(0, 5)
+    ):
+        kept = tuning_hosts(ranked, line_rows.size, min_votes, max_keys)
+        expected = oracle_line_hosts(
+            line_rows, values, codes, min_votes, max_keys
         )
+        assert [(h.key, h.rows.tolist()) for h in kept] == [
+            (key, rows.tolist()) for key, rows in expected
+        ]
+
+
+def test_small_lines_keep_single_packet_hosts():
+    """Lines of 1-7 packets, where a quarter of the packets rounds down
+    to at most one: a one-vote tuning keeps hosts with one packet."""
+    values = np.array([5, 6, 7], dtype=np.uint32)
+    for line_codes in ([0], [0, 1], [1, 0, 2], [0, 0, 1, 2], [2, 1, 1, 0, 0, 0, 2]):
+        codes = np.array(line_codes, dtype=np.int64)
+        line_rows = np.arange(codes.size)[::-1].copy()
+        ranked = rank_line_hosts(line_rows, values, codes)
+        for min_votes, max_keys in ((1, 1), (1, 3), (2, 2)):
+            kept = tuning_hosts(ranked, line_rows.size, min_votes, max_keys)
+            expected = oracle_line_hosts(
+                line_rows, values, codes, min_votes, max_keys
+            )
+            assert [(h.key, h.rows.tolist()) for h in kept] == [
+                (key, rows.tolist()) for key, rows in expected
+            ]
+
+
+class TestSharedTunings:
+    """The three tunings of one trace find lines and hosts once."""
+
+    @pytest.mark.parametrize("engine", ["numpy", "python"])
+    def test_shared_planes_match_a_fresh_run_per_tuning(self, scan_trace, engine):
+        trace, _ = scan_trace
+        fresh = {
+            tuning: HoughDetector(tuning=tuning, engine=engine).analyze(
+                trace, planes=PlaneCache(engine, enabled=False)
+            )
+            for tuning in HOUGH_TUNINGS
+        }
+        assert any(fresh.values())
+        shared = PlaneCache(engine)
+        # The most conservative tuning first: the sequence must grow
+        # for the tunings after it.
+        for tuning in reversed(list(HOUGH_TUNINGS)):
+            alarms = HoughDetector(tuning=tuning, engine=engine).analyze(
+                trace, planes=shared
+            )
+            assert alarms == fresh[tuning]
+
+    def test_engines_agree_on_every_tuning(self, scan_trace):
+        trace, _ = scan_trace
+        for tuning in HOUGH_TUNINGS:
+            assert HoughDetector(tuning=tuning, engine="numpy").analyze(
+                trace
+            ) == HoughDetector(tuning=tuning, engine="python").analyze(trace)
+
+    def test_engines_rank_and_measure_hosts_alike(self, scan_trace):
+        """Every line's ranked hosts, their windows, packet counts and
+        flows: the pixel index and value codes against the reference
+        engine's per-packet probes."""
+        trace, _ = scan_trace
+        detectors = {
+            engine: HoughDetector(tuning="sensitive", engine=engine)
+            for engine in ("numpy", "python")
+        }
+        caches = {engine: PlaneCache(engine) for engine in detectors}
+        p = detectors["numpy"].params
+        compared = 0
+        for direction in ("src", "dst"):
+            seed = p["hash_seed"] + (0 if direction == "src" else 1)
+            spec = (
+                "hough_lines", direction, p["x_bins"], p["y_bins"],
+                p["pixel_threshold"], seed, p["n_thetas"],
+            )
+            found = {}
+            for engine, detector in detectors.items():
+                lines = caches[engine].get(trace, spec)
+                found[engine] = []
+                for members in lines.lines(p["min_votes"], p["max_lines"]):
+                    n_rows, ranked = detector._line_hosts(
+                        trace, direction, caches[engine],
+                        lines.ys[members], lines.xs[members],
+                    )
+                    found[engine].append(
+                        (
+                            n_rows,
+                            [
+                                (
+                                    host.key,
+                                    sorted(np.asarray(host.rows).tolist()),
+                                    detector._host_extent(
+                                        trace, direction, caches[engine], host
+                                    ),
+                                    detector._host_flows(
+                                        trace, caches[engine], host
+                                    ),
+                                )
+                                for host in ranked
+                            ],
+                        )
+                    )
+                    compared += len(ranked)
+            assert found["numpy"] == found["python"]
+        assert compared > 0
+
+    def test_alarm_flows_hold_the_hosts_line_packets(self, scan_trace):
+        """Each alarm's flows share its host and carry at least its
+        ``score`` packets (the host's packets on the line) inside
+        ``[t0, t1)``."""
+        trace, _ = scan_trace
+        table = trace.table
+        for tuning in HOUGH_TUNINGS:
+            alarms = HoughDetector(tuning=tuning).analyze(trace)
+            assert alarms
+            for alarm in alarms:
+                hosts = [
+                    {getattr(key, field) for key in alarm.flow_keys}
+                    for field in ("src", "dst")
+                ]
+                assert min(len(h) for h in hosts) == 1
+                assert len(alarm.flow_keys) <= alarm.score
+                inside = (table.time >= alarm.t0) & (table.time < alarm.t1)
+                on_flows = np.zeros(len(table), dtype=bool)
+                for key in alarm.flow_keys:
+                    on_flows |= (
+                        (table.src == key.src)
+                        & (table.dst == key.dst)
+                        & (table.sport == key.sport)
+                        & (table.dport == key.dport)
+                        & (table.proto == key.proto)
+                    )
+                assert int((inside & on_flows).sum()) >= alarm.score
+
+    def test_each_round_and_ranking_runs_once(self, scan_trace, monkeypatch):
+        trace, _ = scan_trace
+        counts = {"rounds": 0, "rankings": 0}
+        vote = LineSequence._vote
+        rank = hough_module.rank_line_hosts
+
+        def counting_vote(self):
+            counts["rounds"] += 1
+            vote(self)
+
+        def counting_rank(*args):
+            counts["rankings"] += 1
+            return rank(*args)
+
+        monkeypatch.setattr(LineSequence, "_vote", counting_vote)
+        monkeypatch.setattr(hough_module, "rank_line_hosts", counting_rank)
+        HoughDetector(tuning="sensitive").analyze(
+            trace, planes=PlaneCache("numpy")
+        )
+        alone = dict(counts)
+        counts.update(rounds=0, rankings=0)
+        shared = PlaneCache("numpy")
+        for tuning in HOUGH_TUNINGS:
+            HoughDetector(tuning=tuning).analyze(trace, planes=shared)
+        # The sensitive tuning reads furthest; its siblings add nothing.
+        assert alone["rankings"] > 0
+        assert counts == alone
 
 
 class TestDetection:

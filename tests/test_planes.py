@@ -23,6 +23,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.detectors.features import unique_codes
 from repro.detectors.gamma import GammaDetector
 from repro.detectors.hough import HoughDetector, _pixel_rows, time_pixels
 from repro.detectors.kl import KLDetector
@@ -31,6 +32,7 @@ from repro.detectors.planes import (
     PlaneCache,
     merge_plane_specs,
     plane_cache_for,
+    plane_nbytes,
 )
 from repro.detectors.sketch import shared_hasher
 from repro.engine import get_engine
@@ -170,6 +172,21 @@ def test_exportable_items_skip_object_planes():
     assert kinds == {"time_bins", "value_codes", "binned_histogram"}
 
 
+def test_line_sequence_plane_is_never_exported(archive_day):
+    """A picture's line sequence is grown on demand by the tunings: the
+    planes it reads ship, the sequence itself does not, and its vote
+    arrays count in the cache's bytes."""
+    trace = archive_day.trace
+    cache = PlaneCache("numpy")
+    HoughDetector(tuning="optimal").analyze(trace, planes=cache)
+    sequences = [v for s, v in cache._planes.items() if s[0] == "hough_lines"]
+    assert len(sequences) == 2
+    assert all(plane_nbytes(sequence) > 0 for sequence in sequences)
+    kinds = {spec[0] for spec, _value in cache.exportable_items()}
+    assert "hough_lines" not in kinds
+    assert {"hough_rows", "hough_pixels", "value_codes"} <= kinds
+
+
 def test_plane_cache_for_is_per_trace_and_engine():
     trace = Trace([_packet(0.0, 1, 2, 1, 2, PROTO_TCP, 80, 16)])
     other = Trace([_packet(0.0, 1, 2, 1, 2, PROTO_TCP, 80, 16)])
@@ -201,6 +218,29 @@ def test_cached_analysis_identical_to_uncached(engine_name, trace):
         assert list(cached) == list(uncached)
     # The sharing actually happened: fewer misses than total requests.
     assert shared.hits > 0 or shared.misses == 0
+
+
+# -- value codes -------------------------------------------------------
+
+
+port_columns = st.one_of(
+    st.lists(st.sampled_from([0, 1, 80, 65534, 65535]) | st.integers(0, 65535)),
+    st.integers(0, 65535).flatmap(lambda v: st.lists(st.just(v), max_size=20)),
+).map(lambda values: np.array(values, dtype=np.uint16))
+
+
+@given(column=port_columns)
+@settings(max_examples=200, deadline=None)
+def test_port_value_codes_match_np_unique(column):
+    """A ``uint16`` column coded by one ``bincount`` gives the values,
+    dtype included, and the codes of ``np.unique`` — empty and
+    single-value columns too."""
+    values, codes = unique_codes(column)
+    expected_values, expected_codes = np.unique(column, return_inverse=True)
+    assert values.dtype == expected_values.dtype == np.uint16
+    assert codes.dtype == np.int64
+    np.testing.assert_array_equal(values, expected_values)
+    np.testing.assert_array_equal(codes, expected_codes)
 
 
 # -- Hough's pixel index ------------------------------------------------

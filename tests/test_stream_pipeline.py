@@ -485,6 +485,91 @@ class TestKLBaselineCarry:
         _assert_same_alarms(results["numpy"], results["python"])
 
 
+@pytest.fixture(scope="module")
+def gapped_day():
+    """An archive day with packets cut from 10 s to 19 s after its
+    first, except the gap's first two: streamed in 4 s windows with a
+    2 s hop, one window holds 2 packets and the next two hold none."""
+    from repro.mawi.archive import SyntheticArchive
+
+    trace = SyntheticArchive(seed=2010, trace_duration=30.0).day(
+        "2003-12-22"
+    ).trace
+    time = trace.table.time
+    start = float(time.min())
+    in_gap = np.flatnonzero((time >= start + 10) & (time < start + 19))
+    keep = np.setdiff1d(np.arange(len(trace)), in_gap[2:])
+    return trace.table.take(keep), trace.metadata
+
+
+class TestSparseWindow:
+    """A window too small for KL (under 4 packets) and two empty ones:
+    KL returns early and keeps the baseline it carried into the gap."""
+
+    def test_engines_and_pool_write_the_same_labels(self, gapped_day):
+        from repro.session import LabelingSession
+
+        table, metadata = gapped_day
+        csvs = {}
+        for engine in ("numpy", "python"):
+            result = StreamingPipeline(window=4.0, hop=2.0, engine=engine).run(
+                chunk_table(table, 500), metadata=metadata
+            )
+            csvs[engine] = result.to_csv()
+            assert [w.n_packets for w in result.windows][4:9] == [
+                433, 2, 0, 0, 320,
+            ]
+            assert len(result.labels) == 382
+        with LabelingSession(workers=2) as session:
+            pipeline = session.streaming_pipeline(window=4.0, hop=2.0)
+            csvs["pool"] = pipeline.run(
+                chunk_table(table, 500), metadata=metadata
+            ).to_csv()
+            pipeline.close()
+        assert csvs["numpy"] == csvs["python"] == csvs["pool"]
+
+    @pytest.mark.parametrize("engine", ["numpy", "python"])
+    def test_kl_baseline_carries_across_the_gap(self, gapped_day, engine):
+        """The sparse and the empty windows leave every KL tuning's
+        baseline as the window before the gap left it, its last time
+        bin, and the window after the gap replaces it."""
+        from repro.detectors.planes import PlaneCache
+
+        table, metadata = gapped_day
+        pipeline = StreamingPipeline(window=4.0, hop=2.0, engine=engine)
+        kl = [w for w in pipeline.detectors if w.detector.name == "kl"]
+        assert len(kl) == 3
+        seen = [
+            (window, [w.state["baseline"] for w in kl],
+             [w.state["baseline_block"] for w in kl])
+            for window in pipeline.process(chunk_table(table, 500), metadata)
+        ]
+        sizes = [window.n_packets for window, _, _ in seen]
+        first = sizes.index(433)
+        assert sizes[first : first + 5] == [433, 2, 0, 0, 320]
+        window, baselines, blocks = seen[first]
+        for _, gap_baselines, gap_blocks in seen[first + 1 : first + 4]:
+            assert all(a is b for a, b in zip(gap_baselines, baselines))
+            assert all(a is b for a, b in zip(gap_blocks, blocks))
+        _, after, _ = seen[first + 4]
+        assert all(a is not b for a, b in zip(after, baselines))
+
+        rows = np.flatnonzero(
+            (table.time >= window.t0) & (table.time < window.t1)
+        )
+        before_gap = Trace.from_table(table.take(rows))
+        n_bins = kl[0].detector.params["n_bins"]
+        cache = PlaneCache("python")
+        last_bin = {
+            feature: cache.get(before_gap, ("binned_counters", feature, n_bins))[-1]
+            for feature in ("src", "dst", "sport", "dport")
+        }
+        assert sum(last_bin["src"].values()) > 0
+        for baseline, block in zip(baselines, blocks):
+            assert baseline == last_bin
+            assert len(block) == sum(last_bin["src"].values())
+
+
 _STEADY_SRC, _SERVER, _BURST_SRC = 0x0A000001, 0x0B000001, 0x0A0B0C0D
 
 
