@@ -22,8 +22,9 @@ Algorithm
    such value, and run the modified Apriori on them; emit one alarm
    per mined maximal rule.  The miner reads the selected rows as an
    integer block sliced from the packet table (the engine's
-   ``"frequent_itemsets"`` kernel), and the lift filter counts the
-   previous bin's matches with one mask per rule.
+   ``"maximal_itemsets"`` kernel, which ranks the rules and cuts them
+   at ``max_rules_per_bin``), and the lift filter counts the previous
+   bin's matches with one mask per rule.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from repro.detectors.base import Alarm, Detector
 from repro.detectors.features import BinnedHistogram, first_appearance_order
 from repro.net.trace import Trace
 from repro.rules.columnar import itemset_mask
-from repro.rules.itemsets import itemset_to_rule, packet_block, ranked_maximal
+from repro.rules.itemsets import itemset_to_rule, packet_block
 
 _FEATURES = ("src", "dst", "sport", "dport")
 
@@ -334,12 +335,12 @@ class KLDetector(Detector):
         without one.
         """
         p = self.params
-        result = self.engine.kernel("frequent_itemsets")(
-            block, p["rule_support_pct"]
+        itemsets, _covered = self.engine.kernel("maximal_itemsets")(
+            block, p["rule_support_pct"], p["max_rules_per_bin"]
         )
         n_prev = 0 if previous is None else len(previous)
         alarms = []
-        for itemset in ranked_maximal(result, limit=p["max_rules_per_bin"]):
+        for itemset in itemsets:
             rule = itemset_to_rule(
                 itemset.items, count=itemset.count, support=itemset.support
             )

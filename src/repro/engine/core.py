@@ -52,7 +52,7 @@ KERNEL_OPS = (
     "label_assign",
     "feature_plane",
     "warehouse_select",
-    "frequent_itemsets",
+    "maximal_itemsets",
 )
 
 

@@ -45,13 +45,17 @@ Kernel signatures
     for index-aligned decision columns; ``NaN`` relative distance
     means "no metric, approximate from mu" exactly like
     :func:`repro.labeling.taxonomy.assign_taxonomy`.
-``frequent_itemsets(block, min_support_pct=20.0, max_size=4)``
-    :class:`~repro.rules.apriori.AprioriResult` of an ``(n, 4)`` int64
-    block of src, sport, dst and dport values (KL's rule extraction
-    and Step 4's community rules): itemsets, counts, supports and
-    order are the same on every engine.  The reference kernel is
-    Apriori over one transaction per row; the vectorized kernel counts
-    every field subset by grouping packed integer keys.
+``maximal_itemsets(block, min_support_pct=20.0, limit=None)``
+    ``(itemsets, covered)`` of an ``(n, 4)`` int64 block of src,
+    sport, dst and dport values (KL's rule extraction and Step 4's
+    community rules): ``itemsets`` are the ranked maximal frequent
+    itemsets cut at ``limit``
+    (:func:`~repro.rules.itemsets.ranked_maximal`), with the same
+    counts, supports and order on every engine, and ``covered`` is the
+    number of rows at least one of them matches.  The reference kernel
+    is Apriori over one transaction per row; the vectorized kernel
+    counts every field subset of the block's distinct coded rows
+    (:mod:`repro.rules.columnar`).
 ``feature_plane(trace, spec, planes)``
     One derived feature plane of a trace (column, time-bin index,
     binned histogram, sketch buckets, per-family statistics...), keyed
@@ -408,19 +412,22 @@ def _warehouse_select_python(
 # -- rule mining -------------------------------------------------------
 
 
-@PYTHON_ENGINE.register("frequent_itemsets")
-def _frequent_itemsets_python(block, min_support_pct=20.0, max_size=4):
-    """Breadth-first Apriori over the block's transactions (the oracle)."""
-    from repro.rules.apriori import apriori
-    from repro.rules.itemsets import transactions_from_block
+@PYTHON_ENGINE.register("maximal_itemsets")
+def _maximal_itemsets_python(block, min_support_pct=20.0, limit=None):
+    """Breadth-first Apriori over the block's transactions, ranked and
+    cut, and a subset test per transaction (the oracle)."""
+    from repro.rules.apriori import apriori, covered_count
+    from repro.rules.itemsets import ranked_maximal, transactions_from_block
 
-    return apriori(transactions_from_block(block), min_support_pct, max_size)
+    transactions = transactions_from_block(block)
+    itemsets = ranked_maximal(apriori(transactions, min_support_pct), limit)
+    return itemsets, covered_count(transactions, itemsets)
 
 
 def _register_rule_kernels() -> None:
-    from repro.rules.columnar import frequent_itemsets
+    from repro.rules.columnar import maximal_itemsets
 
-    NUMPY_ENGINE.register("frequent_itemsets", frequent_itemsets)
+    NUMPY_ENGINE.register("maximal_itemsets", maximal_itemsets)
 
 
 # -- traffic extraction ------------------------------------------------

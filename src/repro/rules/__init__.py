@@ -11,13 +11,15 @@ The paper uses association rules in two places:
 Both read the traffic as an ``(n, 4)`` integer block of src, sport,
 dst and dport values (:func:`~repro.rules.itemsets.packet_block`,
 :func:`~repro.rules.itemsets.flow_block`) and mine it through the
-engine's ``"frequent_itemsets"`` kernel, with the paper's modification
+engine's ``"maximal_itemsets"`` kernel, with the paper's modification
 that minimum support ``s`` is a *percentage* of the transactions rather
-than an absolute count.  The reference kernel is
-:func:`~repro.rules.apriori.apriori`, a breadth-first Apriori over one
-transaction per row; the columnar kernel
-(:mod:`repro.rules.columnar`) counts every field subset of the block
-at once and returns the same itemsets.
+than an absolute count.  Both read only the ranked maximal itemsets
+(:func:`~repro.rules.itemsets.ranked_maximal`) and, for Step 4, the
+rows they cover, which is what the kernel returns.  The reference
+kernel is :func:`~repro.rules.apriori.apriori`, a breadth-first
+Apriori over one transaction per row; the columnar kernel
+(:mod:`repro.rules.columnar`) counts every field subset of the
+block's distinct coded rows and returns the same itemsets.
 """
 
 from repro.rules.apriori import AprioriResult, FrequentItemset, apriori

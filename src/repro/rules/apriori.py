@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Hashable, Iterable, Sequence
 
@@ -143,8 +142,8 @@ def min_support_count(
         )
     if max_size < 1:
         raise RuleMiningError(f"max_size must be at least 1, got {max_size}")
-    exact = Fraction(min_support_pct) * n_transactions / 100
-    return max(1, -(-exact.numerator // exact.denominator))
+    numerator, denominator = float(min_support_pct).as_integer_ratio()
+    return max(1, -(-numerator * n_transactions // (100 * denominator)))
 
 
 def ordered_result(counts: Iterable, n: int) -> AprioriResult:
@@ -196,9 +195,17 @@ def coverage(
     """
     if not transactions:
         return 0.0
-    sets = [frozenset(t) for t in transactions]
+    return covered_count(transactions, itemsets) / len(transactions)
+
+
+def covered_count(
+    transactions: Sequence[Iterable[Item]],
+    itemsets: Sequence[FrequentItemset],
+) -> int:
+    """Number of transactions matched by at least one itemset."""
     rule_items = [s.items for s in itemsets]
-    covered = sum(
-        1 for t in sets if any(items <= t for items in rule_items)
+    return sum(
+        1
+        for t in map(frozenset, transactions)
+        if any(items <= t for items in rule_items)
     )
-    return covered / len(sets)

@@ -1,151 +1,269 @@
-"""Frequent 4-tuple itemsets and rule matches over an integer block.
+"""Ranked maximal 4-tuple itemsets of a block, mined from its distinct rows.
 
-The columnar twin of :func:`~repro.rules.apriori.apriori` for the one
-shape this package mines: a block (see :mod:`repro.rules.itemsets`)
-whose rows hold one value per field.  An itemset is then a set of
-fields with one value each, so instead of growing candidates level by
-level, :func:`mine_block` counts every field subset of every row at
-once:
+The numpy engine's ``"maximal_itemsets"`` kernel:
+``ranked_maximal(apriori(transactions_from_block(block), s), limit)``
+and the number of rows those itemsets cover, for the one shape this
+package mines — a block (see :mod:`repro.rules.itemsets`) whose rows
+hold one 32-bit value per field.  An itemset is then a set of fields
+with one value each, and its count is the number of rows carrying
+those values, so :func:`maximal_itemsets` works on the block's
+distinct rows instead of growing candidates level by level.  Each
+step is exact:
 
-1. one sort codes each field's values; only values frequent on their
-   own can be part of a frequent itemset, so each field's frequent
-   values get codes ``0..m-1`` and all its other values share code
-   ``m``;
-2. one ``(n, 4) @ (4, k)`` product packs each row's codes into one
-   integer key per field subset (at most 15 of them);
-3. one sort counts the keys.  Keys with a count at or above the
-   threshold and no shared "other" code are exactly the frequent
-   itemsets Apriori finds, with the same counts.
+1. Values seen fewer times than the minimum count
+   (:func:`~repro.rules.apriori.min_support_count`) become a wildcard
+   (``None``).  No frequent itemset holds such a value, so no frequent
+   count changes.
+2. Identical coded rows are grouped with their multiplicities.  There
+   are few: blocks of 64 rows or more have 1-9 distinct coded rows on
+   the benchmark's stream pass.
+3. Each distinct row adds its multiplicity to every subset of its
+   frequent fields (at most 15): every frequent itemset, with its
+   exact count.
+4. An itemset is maximal unless it is the one-field-shorter projection
+   of another frequent itemset: a larger frequent superset has a
+   frequent superset exactly one field larger (support is monotone).
+5. The maximal itemsets sort by (-size, -count, the rendered
+   ``<src, sport, dst, dport>`` tuple with -1 for wildcards), which is
+   :func:`~repro.rules.itemsets.ranked_maximal`'s order, so cutting at
+   ``limit`` keeps the same itemsets.
+6. The covered rows are the multiplicities of the distinct rows that
+   match a kept itemset.
+7. At a minimum count of 1 every value is frequent and every row is a
+   frequent 4-tuple, so the maximal itemsets are the distinct rows and
+   their counts are the multiplicities.
 
-The result is the same :class:`~repro.rules.apriori.AprioriResult` —
-itemsets, counts, supports and order.  A rule's matches are one
-equality mask per field (:func:`itemset_mask`).
+Steps 1-2 code small blocks in plain Python and larger ones with NumPy
+(:data:`NUMPY_CODING_ROWS`); steps 3-7 are one path.  A rule's matches
+in another block are one equality mask per field (:func:`itemset_mask`).
 """
 
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from collections import Counter
+from itertools import combinations, repeat
+from operator import itemgetter
+from typing import Optional
 
 import numpy as np
 
-from repro.rules.apriori import (
-    AprioriResult,
-    FrequentItemset,
-    apriori,
-    coverage,
-    min_support_count,
-    ordered_result,
-)
-from repro.rules.itemsets import FIELDS, transactions_from_block
+from repro.rules.apriori import FrequentItemset, min_support_count
+from repro.rules.itemsets import FIELDS
 
-#: Blocks with fewer rows go to the reference miner and coverage: the
-#: columnar path costs a fixed ~140 us of NumPy calls.  Measured on a
-#: 2-vCPU VM (Python 3.11.7, NumPy 2.4.6) over the 332 Step 4
-#: communities of the benchmark's 12 archive days (median 8 flows, a
-#: quarter of them 1, two thirds under 32): mining plus rule support
-#: took 64-113 us with Apriori against 131-207 us columnar at 1-24
-#: rows, the two were within 30% either way at 24-48 rows, and the
-#: columnar path won 1.7x at 64 rows, 2.6x at 128 and 6.3x at 512.
-SMALL_BLOCK = 32
+#: Blocks with at least this many rows code their rows with NumPy, the
+#: others in plain Python.  Measured on a 2-vCPU VM (Python 3.11.7,
+#: NumPy 2.4.6, one pinned CPU) over the 332 Step 4 blocks of the
+#: benchmark's 12 archive days (median 8 rows, a quarter of them 1):
+#: steps 1-2 took 4-50 us a block in Python against 46-58 us with
+#: NumPy under 64 rows, and 75-517 us against 59-104 us from 64 rows
+#: up (the stream pass's 514 blocks cross over at 48-64 rows too).  The
+#: whole phase took 20-22 ms with this cut, 31-37 ms with NumPy coding
+#: at every size and 48-52 ms with Python coding at every size.
+NUMPY_CODING_ROWS = 64
 
+_WIDTH = len(FIELDS)
 _FIELD_INDEX = {field: j for j, field in enumerate(FIELDS)}
 
-#: Every non-empty field subset, smallest first.
+
+def _projector(fields) -> itemgetter:
+    """A distinct row's projection onto ``fields``.
+
+    Rows and itemset keys are ``(src, sport, dst, dport, None)``
+    tuples; a field outside ``fields`` reads the trailing ``None``.
+    """
+    return itemgetter(
+        *(j if j in fields else _WIDTH for j in range(_WIDTH)), _WIDTH
+    )
+
+
+#: By the bit mask of a row's frequent fields: a projector onto each
+#: non-empty subset of them, with that subset's mask.
 _SUBSETS = tuple(
-    subset
-    for size in range(1, len(FIELDS) + 1)
-    for subset in combinations(range(len(FIELDS)), size)
+    tuple(
+        (sum(1 << j for j in subset), _projector(subset))
+        for size in range(1, _WIDTH + 1)
+        for subset in combinations(
+            [j for j in range(_WIDTH) if mask >> j & 1], size
+        )
+    )
+    for mask in range(1 << _WIDTH)
+)
+
+#: By the bit mask of an itemset's fields: a projector onto each of
+#: its one-field-shorter subsets (none for single fields: the empty
+#: itemset is never counted).
+_SHORTER = tuple(
+    tuple(
+        _projector([j for j in range(_WIDTH) if mask >> j & 1 and j != drop])
+        for drop in range(_WIDTH)
+        if mask >> drop & 1
+    )
+    if mask & (mask - 1)
+    else ()
+    for mask in range(1 << _WIDTH)
 )
 
 #: Field ``j``'s values are tagged with ``j`` above their 32 bits, so
-#: one sort codes all four fields.
-_FIELD_TAGS = np.arange(len(FIELDS), dtype=np.int64) << 32
+#: one sort counts all four fields.
+_FIELD_TAGS = np.arange(_WIDTH, dtype=np.int64) << 32
 
 
-def frequent_itemsets(
-    block, min_support_pct: float = 20.0, max_size: int = 4
-) -> AprioriResult:
-    """The numpy engine's ``"frequent_itemsets"`` kernel.
+def maximal_itemsets(
+    block, min_support_pct: float = 20.0, limit: Optional[int] = None
+) -> tuple[list[FrequentItemset], int]:
+    """Ranked maximal frequent itemsets of a block, and the rows they cover.
 
-    :func:`mine_block`, except that blocks under :data:`SMALL_BLOCK`
-    rows go to :func:`~repro.rules.apriori.apriori`.
-    """
-    if len(block) < SMALL_BLOCK:
-        return apriori(transactions_from_block(block), min_support_pct, max_size)
-    return mine_block(block, min_support_pct, max_size)
-
-
-def mine_block(
-    block, min_support_pct: float = 20.0, max_size: int = 4
-) -> AprioriResult:
-    """Every frequent itemset of an ``(n, 4)`` block of 32-bit values.
-
-    Same parameters, errors and result as
-    :func:`~repro.rules.apriori.apriori` over
-    :func:`~repro.rules.itemsets.transactions_from_block`.
+    ``(itemsets, covered)``: ``itemsets`` equals
+    ``ranked_maximal(apriori(transactions_from_block(block),
+    min_support_pct), limit)`` — the same itemsets, counts, supports
+    and order — and ``covered`` is the number of rows that at least
+    one of them matches.  Raises
+    :class:`~repro.errors.RuleMiningError` for a support outside
+    (0, 100], like Apriori.
     """
     block = np.asarray(block, dtype=np.int64)
     n = len(block)
-    min_count = min_support_count(n, min_support_pct, max_size)
+    min_count = min_support_count(n, min_support_pct, _WIDTH)
     if n == 0:
-        return AprioriResult(itemsets=[], n_transactions=0)
-    items, inverse, counts = np.unique(
-        (block | _FIELD_TAGS).ravel(), return_inverse=True, return_counts=True
-    )
-    field = items >> 32
-    frequent = counts >= min_count
-    values = (items[frequent] & 0xFFFFFFFF).tolist()
-    n_frequent = np.bincount(field[frequent], minlength=len(FIELDS))
-    offsets = np.concatenate(([0], np.cumsum(n_frequent)[:-1]))
-    code = np.cumsum(frequent) - 1 - offsets[field]
-    offsets = offsets.tolist()
-    code[~frequent] = n_frequent[field[~frequent]]
-    codes = code[inverse].reshape(n, len(FIELDS))
+        return [], 0
+    if n < NUMPY_CODING_ROWS:
+        rows = _distinct_rows_python(block, min_count)
+    else:
+        rows = _distinct_rows_numpy(block, min_count)
+    return _rank(rows, n, min_count, limit)
 
-    subsets = [
-        subset
-        for subset in _SUBSETS
-        if len(subset) <= max_size and all(n_frequent[j] for j in subset)
+
+def _distinct_rows_python(block: np.ndarray, min_count: int) -> Counter:
+    """Steps 1-2 in plain Python: ``{row: multiplicity}``."""
+    columns = list(zip(*block.tolist()))
+    if min_count > 1:
+        for j, column in enumerate(columns):
+            counts = Counter(column)
+            if min(counts.values()) < min_count:
+                columns[j] = [
+                    value if counts[value] >= min_count else None
+                    for value in column
+                ]
+    return Counter(zip(*columns, repeat(None)))
+
+
+def _distinct_rows_numpy(block: np.ndarray, min_count: int) -> Counter:
+    """Steps 1-2 with NumPy: ``{row: multiplicity}``."""
+    n = len(block)
+    tagged = block | _FIELD_TAGS
+    ordered = np.sort(tagged, axis=None)
+    # A value is frequent when the copy min_count - 1 places after its
+    # first one in sorted order is the same value.
+    reach = n * _WIDTH - (min_count - 1)
+    frequent = ordered[:reach][ordered[:reach] == ordered[min_count - 1 :]]
+    if not len(frequent):
+        return Counter({(None,) * (_WIDTH + 1): n})
+    frequent = frequent[
+        np.concatenate(([True], frequent[1:] != frequent[:-1]))
     ]
-    if not subsets:
-        return AprioriResult(itemsets=[], n_transactions=n)
-    radix = [int(m) + 1 for m in n_frequent]
-    span = math.prod(radix)
-    if span * len(subsets) >= 1 << 63:
-        # Too many frequent values for int64 keys (a support far below
-        # 1 % of a large block): fall back to the reference miner.
-        return apriori(transactions_from_block(block), min_support_pct, max_size)
-    weights = np.array([math.prod(radix[:j]) for j in range(len(FIELDS))])
-    members = np.zeros((len(FIELDS), len(subsets)), dtype=np.int64)
-    for s, subset in enumerate(subsets):
-        members[list(subset), s] = 1
-    keys = codes @ (members * weights[:, None])
-    keys += np.arange(len(subsets), dtype=np.int64) * span
-    keys, key_counts = np.unique(keys, return_counts=True)
-    kept = key_counts >= min_count
-    keys, key_counts = keys[kept], key_counts[kept]
-
-    digits = (keys % span)[:, None] // weights % np.array(radix)
-    subset_of = keys // span
-    found = []
-    for s, row, count in zip(
-        subset_of.tolist(), digits.tolist(), key_counts.tolist()
-    ):
-        fields = subsets[s]
-        # A digit equal to the field's radix - 1 is the shared code of
-        # its infrequent values: not an itemset.
-        if any(row[j] == radix[j] - 1 for j in fields):
-            continue
-        found.append(
-            (
-                frozenset(
-                    (FIELDS[j], values[offsets[j] + row[j]]) for j in fields
-                ),
-                count,
-            )
+    # Field j's frequent values take codes 0..m_j-1 and its other
+    # values share the wildcard code m_j.
+    offsets = np.searchsorted(frequent, _FIELD_TAGS)
+    wildcard = np.diff(np.append(offsets, len(frequent)))
+    index = np.searchsorted(frequent, tagged)
+    padded = np.append(frequent, -1)
+    codes = np.where(padded[index] == tagged, index - offsets, wildcard)
+    radix = (wildcard + 1).tolist()
+    if math.prod(radix) < 1 << 63:
+        weights = np.array(
+            [math.prod(radix[j + 1 :]) for j in range(_WIDTH)], dtype=np.int64
         )
-    return ordered_result(found, n)
+        keys = np.sort(codes @ weights)
+        starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        distinct = keys[starts, None] // weights % np.array(radix)
+    else:
+        # The packed key would overflow int64: group by a sort on the
+        # code columns instead.
+        codes = codes[np.lexsort(codes.T[::-1])]
+        starts = np.flatnonzero(
+            np.concatenate(([True], (codes[1:] != codes[:-1]).any(axis=1)))
+        )
+        distinct = codes[starts]
+    multiplicity = np.diff(np.append(starts, n)).tolist()
+    values = (padded[distinct + offsets] & 0xFFFFFFFF).tolist()
+    wild = (distinct == wildcard).tolist()
+    return Counter(
+        {
+            (*(None if w else v for v, w in zip(row, wild_row)), None): m
+            for row, wild_row, m in zip(values, wild, multiplicity)
+        }
+    )
+
+
+def _rank(
+    rows: Counter, n: int, min_count: int, limit: Optional[int]
+) -> tuple[list[FrequentItemset], int]:
+    """Steps 3-7 over the distinct coded rows ``{row: multiplicity}``."""
+    if min_count == 1:
+        # Step 7: every row is a frequent 4-tuple, so the distinct rows
+        # are the maximal itemsets (and no two of them tie).
+        found = sorted(rows.items(), key=lambda rm: (-rm[1], rm[0]))[:limit]
+        covered = sum(m for _row, m in found)
+    else:
+        # Step 3: the count of every subset of each row's frequent
+        # fields, by the subset's field mask.
+        counts: list[dict] = [{} for _ in _SUBSETS]
+        projections = []
+        for row, m in rows.items():
+            mask = sum(1 << j for j in range(_WIDTH) if row[j] is not None)
+            keys = []
+            for subset, project in _SUBSETS[mask]:
+                key = project(row)
+                table = counts[subset]
+                table[key] = table.get(key, 0) + m
+                keys.append(key)
+            projections.append((keys, m))
+        # Step 4: a frequent itemset is maximal unless it is the
+        # one-field-shorter projection of another.
+        frequent = [
+            (mask, key, count)
+            for mask, table in enumerate(counts)
+            for key, count in table.items()
+            if count >= min_count
+        ]
+        shadowed = {
+            project(key)
+            for mask, key, _count in frequent
+            for project in _SHORTER[mask]
+        }
+        # Step 5: rank, then cut.
+        found = sorted(
+            ((key, count) for _mask, key, count in frequent if key not in shadowed),
+            key=_rank_key,
+        )[:limit]
+        # Step 6: the rows that carry a kept itemset.
+        kept = {key for key, _count in found}
+        covered = sum(m for keys, m in projections if not kept.isdisjoint(keys))
+    itemsets = [
+        FrequentItemset(
+            items=frozenset(
+                item for item in zip(FIELDS, key) if item[1] is not None
+            ),
+            count=count,
+            support=count / n,
+        )
+        for key, count in found
+    ]
+    return itemsets, covered
+
+
+def _rank_key(found: tuple) -> tuple:
+    """(-size, -count, the ``<src, sport, dst, dport>`` values with -1
+    for wildcards): :func:`~repro.rules.itemsets.ranked_maximal`'s
+    order."""
+    key, count = found
+    values = key[:_WIDTH]
+    return (
+        values.count(None) - _WIDTH,
+        -count,
+        tuple(-1 if value is None else value for value in values),
+    )
 
 
 def itemset_mask(block, items) -> np.ndarray:
@@ -154,18 +272,3 @@ def itemset_mask(block, items) -> np.ndarray:
     for field, value in items:
         mask &= block[:, _FIELD_INDEX[field]] == value
     return mask
-
-
-def block_coverage(block, itemsets: list[FrequentItemset]) -> float:
-    """Fraction of ``block``'s rows matched by at least one itemset.
-
-    :func:`~repro.rules.apriori.coverage` over the block's
-    transactions: the paper's rule support, as one mask per rule.
-    """
-    n = len(block)
-    if n < SMALL_BLOCK:
-        return coverage(transactions_from_block(block), itemsets)
-    covered = np.zeros(n, dtype=bool)
-    for itemset in itemsets:
-        covered |= itemset_mask(block, itemset.items)
-    return int(np.count_nonzero(covered)) / n

@@ -19,14 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.engine import EngineSpec, resolve_engine
-from repro.rules.apriori import coverage
-from repro.rules.columnar import block_coverage
-from repro.rules.itemsets import (
-    Rule,
-    itemset_to_rule,
-    ranked_maximal,
-    transactions_from_block,
-)
+from repro.rules.itemsets import Rule, itemset_to_rule
 
 
 @dataclass
@@ -67,18 +60,17 @@ def summarize_transactions(
         Keep at most this many rules (most specific first) — large
         communities can otherwise produce rule floods.
     engine:
-        Engine whose ``"frequent_itemsets"`` kernel mines the rules; a
-        vectorized engine also measures the rule support with masks.
+        Engine whose ``"maximal_itemsets"`` kernel mines the rules and
+        counts the rows they cover, the rule support.
     """
     engine = resolve_engine(engine, what="rule miner")
     block = np.asarray(block, dtype=np.int64).reshape(-1, 4)
     n = len(block)
     if n == 0:
         return CommunitySummary()
-    result = engine.kernel("frequent_itemsets")(block, min_support_pct)
-    # One ranked cut yields both the rules and the itemsets whose
-    # coverage is the rule support.
-    itemsets = ranked_maximal(result, limit=max_rules)
+    itemsets, covered = engine.kernel("maximal_itemsets")(
+        block, min_support_pct, max_rules
+    )
     if not itemsets:
         return CommunitySummary(n_transactions=n)
     rules = [
@@ -86,13 +78,9 @@ def summarize_transactions(
         for s in itemsets
     ]
     degree = sum(rule.degree for rule in rules) / len(rules)
-    if engine.vectorized:
-        support = block_coverage(block, itemsets)
-    else:
-        support = coverage(transactions_from_block(block), itemsets)
     return CommunitySummary(
         rules=rules,
         rule_degree=degree,
-        rule_support=support * 100.0,
+        rule_support=covered / n * 100.0,
         n_transactions=n,
     )

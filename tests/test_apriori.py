@@ -76,18 +76,26 @@ class TestBasics:
 
         from repro.engine import get_engine
 
-        kernel = get_engine(engine).kernel("frequent_itemsets")
+        kernel = get_engine(engine).kernel("maximal_itemsets")
         block = np.zeros((rows * 5, 4), dtype=np.int64)
         block[: rows * 4, 0] = 7
-        result = kernel(block, 20.1, 1)
-        assert [s.items for s in result.itemsets] == [
-            frozenset({(f, 0)}) for f in ("dport", "dst", "sport")
-        ] + [frozenset({("src", 7)})]
-        for max_size in (0, -1):
+        heavy = frozenset({("src", 7), ("sport", 0), ("dst", 0), ("dport", 0)})
+        light = frozenset({("src", 0), ("sport", 0), ("dst", 0), ("dport", 0)})
+        # 20.1 % of the rows is more than the `rows` rows with src 0.
+        itemsets, covered = kernel(block, 20.1)
+        assert [s.items for s in itemsets] == [heavy]
+        assert covered == rows * 4
+        itemsets, covered = kernel(block, 20.0)
+        assert [(s.items, s.count) for s in itemsets] == [
+            (heavy, rows * 4),
+            (light, rows),
+        ]
+        assert covered == rows * 5
+        for pct in (0.0, -1.0, 100.5):
             with pytest.raises(RuleMiningError):
-                kernel(block, 20.0, max_size)
+                kernel(block, pct)
         with pytest.raises(RuleMiningError):
-            kernel(block, 0.0, 4)
+            kernel(block[:0], 0.0)
 
     def test_max_size_limits_itemsets(self):
         transactions = [("a", "b", "c", "d")] * 5

@@ -14,8 +14,11 @@ Adding a kernel = adding one row to ``KERNEL_CASES``.
 """
 
 import dataclasses
+import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,9 +37,15 @@ from repro.net.flow import FlowKey, Granularity, uniflow_key
 from repro.net.packet import PROTO_ICMP, PROTO_TCP, PROTO_UDP, Packet
 from repro.net.table import COLUMNS, PacketTable, flow_codes
 from repro.net.trace import Trace, merge_traces
-from repro.rules.apriori import apriori, coverage
-from repro.rules.columnar import block_coverage, itemset_mask, mine_block
-from repro.rules.itemsets import ranked_maximal, transactions_from_block
+from repro.rules import columnar
+from repro.rules.apriori import (
+    FrequentItemset,
+    apriori,
+    coverage,
+    min_support_count,
+)
+from repro.rules.columnar import NUMPY_CODING_ROWS
+from repro.rules.itemsets import FIELDS, ranked_maximal, transactions_from_block
 
 # -- strategies -------------------------------------------------------
 #
@@ -341,15 +350,31 @@ def warehouse_select_inputs(draw):
 
 @st.composite
 def itemset_inputs(draw):
-    """A rule-mining block, a support percentage and a size cap.
+    """A rule-mining block, a support percentage and a rule limit.
 
-    0 to a few hundred rows drawn from a small alphabet (so itemsets
-    are frequent), optionally repeating a few rows, copying sport into
-    dport (equal values in different fields) or using the extreme
-    address and port values.
+    0 to a few hundred rows, on both sides of the numpy kernel's
+    coding cut, drawn from a small alphabet (so itemsets are
+    frequent), optionally repeating a few rows, copying sport into
+    dport (equal values in different fields), using the extreme
+    address and port values, or giving one field a distinct value per
+    row (no frequent value above one row's support).  Or 21-40
+    distinct rows twice each at a support of at most two rows: more
+    maximal itemsets than any rule limit keeps.
     """
-    n = draw(st.sampled_from([0, 1, 2, 5, 31, 32, 33]) | st.integers(0, 300))
+    cut = NUMPY_CODING_ROWS
+    limit = draw(st.sampled_from([None, 0, 1, 6, 20]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.integers(0, 7)) == 0:
+        k = draw(st.integers(21, 40))
+        rows = rng.integers(0, 2**16, size=(k, 4))
+        rows[:, 0] = rng.permutation(k)
+        block = np.repeat(rows, 2, axis=0)
+        pct = draw(st.floats(min_value=0.01, max_value=100.0 / k))
+        return block, pct, limit
+    n = draw(
+        st.sampled_from([0, 1, 2, 5, 6, 31, 32, cut - 1, cut, cut + 1])
+        | st.integers(0, 300)
+    )
     block = rng.integers(0, draw(st.integers(1, 6)), size=(n, 4))
     if n and draw(st.booleans()):
         block = block[rng.integers(0, min(n, 3), size=n)]
@@ -358,11 +383,13 @@ def itemset_inputs(draw):
     if draw(st.booleans()):
         block[:, 0] = np.where(block[:, 0] % 2, 0xFFFFFFFF, block[:, 0])
         block[:, 1] = np.where(block[:, 1] % 2, 0xFFFF, block[:, 1])
+    if draw(st.booleans()):
+        block[:, draw(st.integers(0, 3))] = rng.permutation(n)
     pct = draw(
         st.sampled_from([10.0, 15.0, 20.0, 25.0, 100.0])
         | st.floats(min_value=0.01, max_value=100.0)
     )
-    return block, pct, draw(st.integers(1, 4))
+    return block, pct, limit
 
 
 # -- the parity table --------------------------------------------------
@@ -517,15 +544,9 @@ def _run_warehouse_select(engine, payload):
     return engine.kernel("warehouse_select")(columns, **predicates).tolist()
 
 
-def _run_frequent_itemsets(engine, payload):
-    block, pct, max_size = payload
-    result = engine.kernel("frequent_itemsets")(block, pct, max_size)
-    rules = ranked_maximal(result, limit=20)
-    if engine.vectorized:
-        support = block_coverage(block, rules)
-    else:
-        support = coverage(transactions_from_block(block), rules)
-    return result, support
+def _run_maximal_itemsets(engine, payload):
+    block, pct, limit = payload
+    return engine.kernel("maximal_itemsets")(block, pct, limit)
 
 
 def _run_label_assign(engine, payload):
@@ -583,7 +604,7 @@ KERNEL_CASES = [
         warehouse_select_inputs(),
         _run_warehouse_select,
     ),
-    KernelCase("frequent_itemsets", itemset_inputs(), _run_frequent_itemsets),
+    KernelCase("maximal_itemsets", itemset_inputs(), _run_maximal_itemsets),
 ]
 
 
@@ -655,19 +676,58 @@ def test_trace_flows_match_reference_aggregation(packet_list):
 @given(itemset_inputs())
 @settings(suppress_health_check=[HealthCheck.too_slow], deadline=None)
 def test_columnar_miner_matches_apriori_at_every_size(payload):
-    """The columnar miner and rule masks, below the kernel's small-
-    block cut too: same itemsets, counts, supports and order as
-    Apriori, same rule support as the reference coverage."""
-    block, pct, max_size = payload
+    """The columnar miner, with its rows coded by NumPy and by plain
+    Python at every block size: the ranked maximal itemsets Apriori
+    finds (same itemsets, counts, supports and order), and the rows
+    they cover by the reference coverage."""
+    block, pct, limit = payload
     transactions = transactions_from_block(block)
-    result = mine_block(block, pct, max_size)
-    assert result == apriori(transactions, pct, max_size)
-    rules = ranked_maximal(result, limit=20)
-    covered = np.zeros(len(block), dtype=bool)
-    for itemset in rules:
-        covered |= itemset_mask(block, itemset.items)
-    expected = coverage(transactions, rules)
-    assert (covered.sum() / len(block) if len(block) else 0.0) == expected
+    if len(block):
+        # Steps 1-2: each coder groups the rows on their frequent
+        # values, an infrequent one read as a wildcard.
+        min_count = min_support_count(len(block), pct, len(FIELDS))
+        counts = [Counter(column) for column in block.T.tolist()]
+        rows = Counter(
+            (*(v if counts[j][v] >= min_count else None for j, v in enumerate(row)), None)
+            for row in block.tolist()
+        )
+        assert columnar._distinct_rows_python(block, min_count) == rows
+        assert columnar._distinct_rows_numpy(block, min_count) == rows
+    expected = ranked_maximal(apriori(transactions, pct), limit)
+    for cut in (0, len(block) + 1):
+        with mock.patch.object(columnar, "NUMPY_CODING_ROWS", cut):
+            itemsets, covered = columnar.maximal_itemsets(block, pct, limit)
+        assert itemsets == expected
+        assert type(covered) is int
+        assert (covered / len(block) if len(block) else 0.0) == coverage(
+            transactions, itemsets
+        )
+
+
+def test_columnar_miner_groups_rows_whose_packed_keys_overflow():
+    """56,000 distinct values in every field: the product of the field
+    radices passes 2**63, so the rows are grouped by a sort on their
+    code columns.  At one row's support every distinct row is a rule,
+    repeated rows first."""
+    n = 56_000
+    rng = np.random.default_rng(7)
+    block = np.stack([rng.permutation(n) for _ in FIELDS], axis=1)
+    block[:, 2] |= 0xFFFF0000
+    block = np.concatenate([block, block[[40_000, 17, 40_000, 123]]])
+    assert math.prod([n + 1] * 4) >= 1 << 63
+    rows = Counter(map(tuple, block.tolist()))
+    ranked = sorted(rows.items(), key=lambda row: (-row[1], row[0]))
+    itemsets, covered = columnar.maximal_itemsets(block, 0.001, 20)
+    assert itemsets == [
+        FrequentItemset(
+            frozenset(zip(FIELDS, row)), count, count / len(block)
+        )
+        for row, count in ranked[:20]
+    ]
+    assert [s.count for s in itemsets[:3]] == [3, 2, 2]
+    assert covered == 3 + 2 + 2 + 17
+    itemsets, covered = columnar.maximal_itemsets(block, 0.001)
+    assert len(itemsets) == n and covered == len(block)
 
 
 def test_flow_codes_of_empty_and_one_row_tables():

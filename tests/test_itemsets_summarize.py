@@ -1,10 +1,14 @@
 """Unit tests for repro.rules.itemsets and repro.rules.summarize."""
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.net.flow import FlowKey
 from repro.net.table import PacketTable
-from repro.rules.apriori import apriori
+from repro.rules.apriori import apriori, coverage
+from repro.rules.columnar import NUMPY_CODING_ROWS
 from repro.rules.itemsets import (
     Rule,
     flow_block,
@@ -13,7 +17,7 @@ from repro.rules.itemsets import (
     ranked_maximal,
     transactions_from_block,
 )
-from repro.rules.summarize import summarize_transactions
+from repro.rules.summarize import CommunitySummary, summarize_transactions
 from tests.conftest import make_packet
 
 
@@ -122,6 +126,115 @@ class TestSummarize:
         packets = [make_packet()] * 5
         summary = summarize_transactions(_block(packets))
         assert "[100%]" in summary.describe()
+
+
+def _reference_summary(block, pct, max_rules):
+    """Step 4's summary from the oracle functions: Apriori's ranked
+    maximal itemsets and the reference coverage."""
+    transactions = transactions_from_block(block)
+    if not transactions:
+        return CommunitySummary()
+    itemsets = ranked_maximal(apriori(transactions, pct), max_rules)
+    if not itemsets:
+        return CommunitySummary(n_transactions=len(transactions))
+    rules = [
+        itemset_to_rule(s.items, count=s.count, support=s.support)
+        for s in itemsets
+    ]
+    return CommunitySummary(
+        rules=rules,
+        rule_degree=sum(rule.degree for rule in rules) / len(rules),
+        rule_support=coverage(transactions, itemsets) * 100.0,
+        n_transactions=len(transactions),
+    )
+
+
+@st.composite
+def summary_inputs(draw):
+    """A community block on either side of the numpy coding cut, a
+    support and a rule budget."""
+    n = draw(
+        st.sampled_from([1, 3, 5, 7, 25, NUMPY_CODING_ROWS - 1, NUMPY_CODING_ROWS])
+        | st.integers(0, 200)
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    block = rng.integers(0, draw(st.integers(1, 8)), size=(n, 4))
+    if n and draw(st.booleans()):
+        block = block[rng.integers(0, min(n, 4), size=n)]
+    if draw(st.booleans()):
+        block[:, 0] |= 0xFFFFFF00
+    pct = draw(
+        st.sampled_from([10.0, 15.0, 20.0, 25.0, 20.1])
+        | st.floats(min_value=0.01, max_value=100.0)
+    )
+    return block, pct, draw(st.sampled_from([0, 1, 6, 20]))
+
+
+@given(summary_inputs())
+@settings(suppress_health_check=[HealthCheck.too_slow], deadline=None)
+def test_summaries_are_equal_across_engines(payload):
+    """Whole summaries, floats included: the numpy engine, the python
+    engine and the oracle's rule support ``coverage(...) * 100.0``."""
+    block, pct, max_rules = payload
+    numpy_summary = summarize_transactions(block, pct, max_rules, engine="numpy")
+    python_summary = summarize_transactions(block, pct, max_rules, engine="python")
+    assert numpy_summary == python_summary
+    assert numpy_summary == _reference_summary(block, pct, max_rules)
+
+
+def _summary_cases():
+    wide = np.tile([[5, 80, 0xFFFFFFFF, 1000]], (90, 1))
+    wide[:, 3] = np.arange(90)  # dport: no value is frequent
+    server = [[9, 53, 1000 + i, 2000 + i] for i in range(70)]
+    return {
+        # 20 % of 5 rows is one row: each distinct row is a rule, the
+        # repeated one first with its count.
+        "duplicate": (
+            [[1, 2, 3, 4], [1, 2, 3, 4], [5, 6, 7, 8], [9, 9, 9, 9], [1, 2, 3, 5]],
+            20.0,
+            20,
+            [((1, 2, 3, 4), 2)] + [(row, 1) for row in ((1, 2, 3, 5), (5, 6, 7, 8), (9, 9, 9, 9))],
+            100.0,
+        ),
+        # 25 distinct rules at 1 %; the 20-rule cut covers 80 %.
+        "cut": (
+            [[i, i, i, i] for i in range(25)],
+            1.0,
+            20,
+            [((i, i, i, i), 1) for i in range(20)],
+            80.0,
+        ),
+        "unique_field": (wide, 20.0, 20, [((5, 80, 0xFFFFFFFF, None), 90)], 100.0),
+        "max_values": (
+            [[0xFFFFFFFF, 0xFFFF, 0xFFFFFFFF, 0xFFFF]] * 70 + [[0, 0, 0, 0]] * 30,
+            25.0,
+            20,
+            [((0xFFFFFFFF, 0xFFFF, 0xFFFFFFFF, 0xFFFF), 70), ((0, 0, 0, 0), 30)],
+            100.0,
+        ),
+        # The more specific rule ranks first though it counts fewer
+        # rows; the two-rule cut keeps both.
+        "size_first": (
+            [[1, 2, 3, 4]] * 30 + server,
+            25.0,
+            2,
+            [((1, 2, 3, 4), 30), ((9, 53, None, None), 70)],
+            100.0,
+        ),
+    }
+
+
+@pytest.mark.parametrize("engine", ["numpy", "python"])
+@pytest.mark.parametrize("case", sorted(_summary_cases()))
+def test_summary_cases(case, engine):
+    block, pct, max_rules, rules, rule_support = _summary_cases()[case]
+    block = np.asarray(block, dtype=np.int64)
+    summary = summarize_transactions(block, pct, max_rules, engine=engine)
+    assert [
+        ((r.src, r.sport, r.dst, r.dport), r.count) for r in summary.rules
+    ] == rules
+    assert summary.rule_support == rule_support
+    assert summary == _reference_summary(block, pct, max_rules)
 
 
 def test_label_csv_does_not_depend_on_string_hashing(tmp_path):
