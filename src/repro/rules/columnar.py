@@ -33,16 +33,16 @@ step is exact:
    frequent 4-tuple, so the maximal itemsets are the distinct rows and
    their counts are the multiplicities.
 
-Steps 1-2 code small blocks in plain Python and larger ones with NumPy
-(:data:`NUMPY_CODING_ROWS`); steps 3-7 are one path.  A rule's matches
-in another block are one equality mask per field (:func:`itemset_mask`).
+Steps 1-2 code the rows with NumPy and steps 3-7 run in plain Python
+over the distinct rows.  A rule's matches in another block are one
+equality mask per field (:func:`itemset_mask`).
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from itertools import combinations, repeat
+from itertools import combinations
 from operator import itemgetter
 from typing import Optional
 
@@ -50,17 +50,6 @@ import numpy as np
 
 from repro.rules.apriori import FrequentItemset, min_support_count
 from repro.rules.itemsets import FIELDS
-
-#: Blocks with at least this many rows code their rows with NumPy, the
-#: others in plain Python.  Measured on a 2-vCPU VM (Python 3.11.7,
-#: NumPy 2.4.6, one pinned CPU) over the 332 Step 4 blocks of the
-#: benchmark's 12 archive days (median 8 rows, a quarter of them 1):
-#: steps 1-2 took 4-50 us a block in Python against 46-58 us with
-#: NumPy under 64 rows, and 75-517 us against 59-104 us from 64 rows
-#: up (the stream pass's 514 blocks cross over at 48-64 rows too).  The
-#: whole phase took 20-22 ms with this cut, 31-37 ms with NumPy coding
-#: at every size and 48-52 ms with Python coding at every size.
-NUMPY_CODING_ROWS = 64
 
 _WIDTH = len(FIELDS)
 _FIELD_INDEX = {field: j for j, field in enumerate(FIELDS)}
@@ -127,29 +116,11 @@ def maximal_itemsets(
     min_count = min_support_count(n, min_support_pct, _WIDTH)
     if n == 0:
         return [], 0
-    if n < NUMPY_CODING_ROWS:
-        rows = _distinct_rows_python(block, min_count)
-    else:
-        rows = _distinct_rows_numpy(block, min_count)
-    return _rank(rows, n, min_count, limit)
+    return _rank(_distinct_rows(block, min_count), n, min_count, limit)
 
 
-def _distinct_rows_python(block: np.ndarray, min_count: int) -> Counter:
-    """Steps 1-2 in plain Python: ``{row: multiplicity}``."""
-    columns = list(zip(*block.tolist()))
-    if min_count > 1:
-        for j, column in enumerate(columns):
-            counts = Counter(column)
-            if min(counts.values()) < min_count:
-                columns[j] = [
-                    value if counts[value] >= min_count else None
-                    for value in column
-                ]
-    return Counter(zip(*columns, repeat(None)))
-
-
-def _distinct_rows_numpy(block: np.ndarray, min_count: int) -> Counter:
-    """Steps 1-2 with NumPy: ``{row: multiplicity}``."""
+def _distinct_rows(block: np.ndarray, min_count: int) -> Counter:
+    """Steps 1-2: ``{row: multiplicity}``."""
     n = len(block)
     tagged = block | _FIELD_TAGS
     ordered = np.sort(tagged, axis=None)
@@ -202,7 +173,12 @@ def _rank(
     """Steps 3-7 over the distinct coded rows ``{row: multiplicity}``."""
     if min_count == 1:
         # Step 7: every row is a frequent 4-tuple, so the distinct rows
-        # are the maximal itemsets (and no two of them tie).
+        # are the maximal itemsets (and no two of them tie).  Steps 3-6
+        # give the same result from 15 subsets a distinct row: on the
+        # 153 of the archive phase's 332 Step 4 blocks that take this
+        # branch they took 23-24 ms against 12-13 ms, and on 56,004
+        # rows of 56,000 distinct values a field 2.8 s and 334 MB
+        # against 0.3 s and 80 MB (one pinned CPU of a 2-vCPU VM).
         found = sorted(rows.items(), key=lambda rm: (-rm[1], rm[0]))[:limit]
         covered = sum(m for _row, m in found)
     else:

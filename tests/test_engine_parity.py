@@ -18,7 +18,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -44,7 +43,6 @@ from repro.rules.apriori import (
     coverage,
     min_support_count,
 )
-from repro.rules.columnar import NUMPY_CODING_ROWS
 from repro.rules.itemsets import FIELDS, ranked_maximal, transactions_from_block
 
 # -- strategies -------------------------------------------------------
@@ -352,16 +350,14 @@ def warehouse_select_inputs(draw):
 def itemset_inputs(draw):
     """A rule-mining block, a support percentage and a rule limit.
 
-    0 to a few hundred rows, on both sides of the numpy kernel's
-    coding cut, drawn from a small alphabet (so itemsets are
-    frequent), optionally repeating a few rows, copying sport into
+    0 to a few hundred rows drawn from a small alphabet (so itemsets
+    are frequent), optionally repeating a few rows, copying sport into
     dport (equal values in different fields), using the extreme
     address and port values, or giving one field a distinct value per
     row (no frequent value above one row's support).  Or 21-40
     distinct rows twice each at a support of at most two rows: more
     maximal itemsets than any rule limit keeps.
     """
-    cut = NUMPY_CODING_ROWS
     limit = draw(st.sampled_from([None, 0, 1, 6, 20]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.integers(0, 7)) == 0:
@@ -372,7 +368,7 @@ def itemset_inputs(draw):
         pct = draw(st.floats(min_value=0.01, max_value=100.0 / k))
         return block, pct, limit
     n = draw(
-        st.sampled_from([0, 1, 2, 5, 6, 31, 32, cut - 1, cut, cut + 1])
+        st.sampled_from([0, 1, 2, 5, 6, 31, 32, 63, 64, 65])
         | st.integers(0, 300)
     )
     block = rng.integers(0, draw(st.integers(1, 6)), size=(n, 4))
@@ -676,32 +672,32 @@ def test_trace_flows_match_reference_aggregation(packet_list):
 @given(itemset_inputs())
 @settings(suppress_health_check=[HealthCheck.too_slow], deadline=None)
 def test_columnar_miner_matches_apriori_at_every_size(payload):
-    """The columnar miner, with its rows coded by NumPy and by plain
-    Python at every block size: the ranked maximal itemsets Apriori
-    finds (same itemsets, counts, supports and order), and the rows
-    they cover by the reference coverage."""
+    """The columnar miner at every block size: the ranked maximal
+    itemsets Apriori finds (same itemsets, counts, supports and order),
+    and the rows they cover by the reference coverage and by the rule
+    masks."""
     block, pct, limit = payload
     transactions = transactions_from_block(block)
     if len(block):
-        # Steps 1-2: each coder groups the rows on their frequent
-        # values, an infrequent one read as a wildcard.
+        # Steps 1-2: the rows grouped on their frequent values, an
+        # infrequent one read as a wildcard.
         min_count = min_support_count(len(block), pct, len(FIELDS))
         counts = [Counter(column) for column in block.T.tolist()]
         rows = Counter(
             (*(v if counts[j][v] >= min_count else None for j, v in enumerate(row)), None)
             for row in block.tolist()
         )
-        assert columnar._distinct_rows_python(block, min_count) == rows
-        assert columnar._distinct_rows_numpy(block, min_count) == rows
-    expected = ranked_maximal(apriori(transactions, pct), limit)
-    for cut in (0, len(block) + 1):
-        with mock.patch.object(columnar, "NUMPY_CODING_ROWS", cut):
-            itemsets, covered = columnar.maximal_itemsets(block, pct, limit)
-        assert itemsets == expected
-        assert type(covered) is int
-        assert (covered / len(block) if len(block) else 0.0) == coverage(
-            transactions, itemsets
-        )
+        assert columnar._distinct_rows(block, min_count) == rows
+    itemsets, covered = columnar.maximal_itemsets(block, pct, limit)
+    assert itemsets == ranked_maximal(apriori(transactions, pct), limit)
+    assert type(covered) is int
+    assert (covered / len(block) if len(block) else 0.0) == coverage(
+        transactions, itemsets
+    )
+    mask = np.zeros(len(block), dtype=bool)
+    for itemset in itemsets:
+        mask |= columnar.itemset_mask(block, itemset.items)
+    assert int(mask.sum()) == covered
 
 
 def test_columnar_miner_groups_rows_whose_packed_keys_overflow():

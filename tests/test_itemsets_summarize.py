@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.net.flow import FlowKey
 from repro.net.table import PacketTable
 from repro.rules.apriori import apriori, coverage
-from repro.rules.columnar import NUMPY_CODING_ROWS
 from repro.rules.itemsets import (
     Rule,
     flow_block,
@@ -151,12 +150,8 @@ def _reference_summary(block, pct, max_rules):
 
 @st.composite
 def summary_inputs(draw):
-    """A community block on either side of the numpy coding cut, a
-    support and a rule budget."""
-    n = draw(
-        st.sampled_from([1, 3, 5, 7, 25, NUMPY_CODING_ROWS - 1, NUMPY_CODING_ROWS])
-        | st.integers(0, 200)
-    )
+    """A community block, a support and a rule budget."""
+    n = draw(st.sampled_from([1, 3, 5, 6, 7, 25, 64]) | st.integers(0, 200))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     block = rng.integers(0, draw(st.integers(1, 8)), size=(n, 4))
     if n and draw(st.booleans()):
