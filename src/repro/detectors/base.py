@@ -117,11 +117,13 @@ class Detector(abc.ABC):
         self, tuning: str = "optimal", engine: EngineSpec = "auto", **params
     ) -> None:
         self.tuning = tuning
-        #: Feature-path engine: a vectorized engine reads the trace's
-        #: columnar table, the reference engine scans packet objects.
-        #: All engines emit identical alarms; the engine is
-        #: deliberately *not* a detector parameter so it never enters
-        #: ensemble fingerprints or alarm-cache keys derived from them.
+        #: Kernel engine: it picks the kernels (feature planes, rule
+        #: mining, ...) the one analysis calls; the vectorized kernels
+        #: read the trace's columnar table, the reference kernels scan
+        #: packet objects.  All engines emit identical alarms, scores
+        #: included; the engine is deliberately *not* a detector
+        #: parameter so it never enters ensemble fingerprints or
+        #: alarm-cache keys derived from them.
         try:
             self.engine = resolve_engine(engine, what=self.name)
         except EngineError as exc:
@@ -201,12 +203,11 @@ class Detector(abc.ABC):
         """Feature-plane specs this configuration derives from a trace.
 
         Used by the fan-out parent to precompute and export the
-        ensemble's shared planes, and by the streaming engine to know
-        which histogram/bucket planes to maintain incrementally.  The
-        specs follow the vectorized engine's plane usage (the export
-        and streaming paths are vectorized-only); the reference engine
-        simply recomputes.  Detectors without shareable planes return
-        an empty tuple.
+        ensemble's shared planes (on every engine), and by the
+        streaming engine to know which histogram/bucket planes to
+        maintain incrementally (vectorized engine only; the reference
+        engine recomputes each window).  Detectors without shareable
+        planes return an empty tuple.
         """
         return ()
 

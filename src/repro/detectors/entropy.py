@@ -31,8 +31,6 @@ Algorithm
 
 from __future__ import annotations
 
-from collections import Counter
-
 import numpy as np
 
 from repro.detectors.base import Alarm, Detector
@@ -44,17 +42,13 @@ _FEATURES = ("src", "dst", "sport", "dport")
 _FILTER_FIELD = {"src": "src", "dst": "dst", "sport": "sport", "dport": "dport"}
 
 
-def shannon_entropy(counts: Counter) -> float:
-    """Shannon entropy (bits) of a histogram; 0 for empty input."""
-    total = sum(counts.values())
-    if total == 0:
-        return 0.0
-    probabilities = np.array(list(counts.values()), dtype=float) / total
-    return float(-(probabilities * np.log2(probabilities)).sum())
-
-
 def _entropy_series(counts: np.ndarray) -> np.ndarray:
-    """Per-bin Shannon entropies of a dense histogram matrix."""
+    """Per-bin Shannon entropies (bits) of a dense histogram matrix.
+
+    Each bin sums its probabilities pairwise in value order, so it
+    agrees with ``tests/entropy_oracle.py``'s Counter entropy to the
+    last few ulps, not bit for bit.
+    """
     n_bins = counts.shape[0]
     entropies = np.zeros(n_bins)
     totals = counts.sum(axis=1)
@@ -104,55 +98,17 @@ class EntropyDetector(Detector):
         return tuple(specs)
 
     def analyze(self, trace: Trace, planes=None) -> list[Alarm]:
+        """Dense histograms and entropies, on every engine.
+
+        The bin members, histograms and entropy series are shared
+        feature planes (the histograms are the KL detector's, so the two
+        families share them), which the engine's ``feature_plane``
+        kernel builds.  ``tests/entropy_oracle.py`` keeps the Counter
+        reference this path is tested against.
+        """
         if len(trace) < 8:
             return []
         planes = self._plane_cache(trace, planes)
-        if self.engine.vectorized:
-            return self._analyze_numpy(trace, planes)
-        return self._analyze_python(trace, planes)
-
-    def _analyze_python(self, trace: Trace, planes) -> list[Alarm]:
-        """Reference path: Counter histograms, packet-by-packet."""
-        p = self.params
-        t_start, t_end = trace.start_time, trace.end_time
-        span = max(t_end - t_start, 1e-9)
-        n_bins = p["n_bins"]
-        bins = planes.get(trace, ("bin_members", n_bins))
-
-        alarms: list[Alarm] = []
-        bin_width = span / n_bins
-        for feature in _FEATURES:
-            histograms = planes.get(
-                trace, ("binned_counters", feature, n_bins)
-            )
-            entropies = planes.get(
-                trace, ("entropy_series", feature, n_bins)
-            )
-            deviations = _entropy_deviations(entropies)
-            for b in np.nonzero(np.abs(deviations) > p["threshold"])[0]:
-                b = int(b)
-                if not bins[b]:
-                    continue
-                t0 = t_start + b * bin_width
-                t1 = t0 + bin_width
-                values = self._responsible_values(
-                    histograms, b, falling=deviations[b] < 0
-                )
-                alarms.extend(
-                    self._value_alarms(feature, values, t0, t1, deviations[b])
-                )
-        return alarms
-
-    def _analyze_numpy(self, trace: Trace, planes) -> list[Alarm]:
-        """Columnar path: dense histograms + vectorized entropies.
-
-        Value selections are integer-identical to
-        :meth:`_analyze_python`; entropy floats can differ in the last
-        ulp because the reference sums probabilities in Counter
-        insertion order.  The bin assignment, histograms and entropy
-        series are shared feature planes (identical to the KL
-        detector's histogram planes, so the two families share them).
-        """
         p = self.params
         t_start, t_end = trace.start_time, trace.end_time
         span = max(t_end - t_start, 1e-9)
@@ -187,7 +143,7 @@ class EntropyDetector(Detector):
     def _value_alarms(
         self, feature: str, values, t0: float, t1: float, deviation: float
     ) -> list[Alarm]:
-        """One alarm per responsible value (shared by both engines)."""
+        """One alarm per responsible value."""
         return [
             self._alarm(
                 t0,
@@ -211,11 +167,12 @@ class EntropyDetector(Detector):
         members: np.ndarray,
         falling: bool,
     ) -> list:
-        """Dense twin of :meth:`_responsible_values`.
+        """Values explaining an entropy drop (concentration) or rise.
 
-        Same ordering semantics: ``most_common`` ties break by first
-        appearance within the bin; "fresh" dispersion values sort by
-        (count, value) descending.
+        A drop reports the bin's most frequent values, ties by first
+        appearance within the bin (``Counter.most_common`` order); a
+        rise reports the heavy values absent from the neighbouring
+        bins, by (count, value) descending.
         """
         top = self.params["top_values"]
         counts = histogram.counts
@@ -235,27 +192,6 @@ class EntropyDetector(Detector):
         fresh_values = histogram.values[fresh_codes].astype(np.int64)
         order = np.lexsort((-fresh_values, -fresh_counts))[:top]
         return [int(v) for v in fresh_values[order]]
-
-    def _responsible_values(self, histograms, b: int, falling: bool) -> list:
-        """Values explaining an entropy drop (concentration) or rise."""
-        top = self.params["top_values"]
-        current = histograms[b]
-        if falling:
-            # Concentration: the dominant values.
-            return [value for value, _count in current.most_common(top)]
-        # Dispersion: heavy values absent from the neighbouring bins.
-        neighbours: Counter = Counter()
-        if b > 0:
-            neighbours += histograms[b - 1]
-        if b + 1 < len(histograms):
-            neighbours += histograms[b + 1]
-        fresh = [
-            (count, value)
-            for value, count in current.items()
-            if value not in neighbours
-        ]
-        fresh.sort(reverse=True)
-        return [value for _count, value in fresh[:top]]
 
 
 #: Tunings mirroring the paper's optimal/sensitive/conservative scheme.

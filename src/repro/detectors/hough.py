@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.detectors.base import Alarm, Detector
-from repro.net.flow import Granularity, uniflow_key
+from repro.net.flow import Granularity
 from repro.net.trace import Trace
 
 
@@ -156,41 +156,20 @@ class HoughDetector(Detector):
     ) -> tuple[int, list[LineHost]]:
         """The packet count of one line and its ranked hosts.
 
-        The vectorized engine reads the line's packets off the
-        picture's pixel index and splits hosts on value codes
-        (:func:`rank_line_hosts`); the reference engine probes each
-        packet's pixel.
+        Reads the line's packets off the picture's pixel index and
+        splits hosts on value codes (:func:`rank_line_hosts`).
+        ``tests/hough_oracle.py`` keeps the per-packet pixel probe this
+        is tested against.
         """
         p = self.params
         x_bins = p["x_bins"]
         seed = p["hash_seed"] + (0 if direction == "src" else 1)
-        if self.engine.vectorized:
-            rows, offsets = planes.get(
-                trace, ("hough_rows", direction, x_bins, p["y_bins"], seed)
-            )
-            values, codes = planes.get(trace, ("value_codes", direction))
-            line_rows = _pixel_rows(rows, offsets, line_ys * x_bins + line_xs)
-            return line_rows.size, rank_line_hosts(line_rows, values, codes)
-        x = planes.get(trace, ("hough_x", x_bins))
-        y = planes.get(trace, ("sketch_buckets", direction, p["y_bins"], seed))
-        pixel_set = set(zip(line_ys.tolist(), line_xs.tolist()))
-        indices = [
-            i for i, (yy, xx) in enumerate(zip(y, x))
-            if (int(yy), int(xx)) in pixel_set
-        ]
-        floor = max(1, int(0.25 * len(indices)))
-        per_key: dict[int, list[int]] = {}
-        for i in indices:
-            key = int(getattr(trace[i], direction))
-            per_key.setdefault(key, []).append(i)
-        ranked = sorted(
-            per_key.items(), key=lambda kv: len(kv[1]), reverse=True
+        rows, offsets = planes.get(
+            trace, ("hough_rows", direction, x_bins, p["y_bins"], seed)
         )
-        return len(indices), [
-            LineHost(key, key_indices)
-            for key, key_indices in ranked
-            if len(key_indices) >= floor
-        ]
+        values, codes = planes.get(trace, ("value_codes", direction))
+        line_rows = _pixel_rows(rows, offsets, line_ys * x_bins + line_xs)
+        return line_rows.size, rank_line_hosts(line_rows, values, codes)
 
     def _host_extent(
         self, trace: Trace, direction: str, planes, host: LineHost
@@ -204,40 +183,22 @@ class HoughDetector(Detector):
         x_bins = self.params["x_bins"]
         t_start = trace.start_time
         bin_width = max(trace.end_time - t_start, 1e-9) / x_bins
-        if self.engine.vectorized:
-            times = planes.get(trace, ("column", "time", None))
-            x_values = time_pixels(
-                times[host.rows], t_start, trace.end_time, x_bins
-            )
-        else:
-            x_values = planes.get(trace, ("hough_x", x_bins))[host.rows]
+        times = planes.get(trace, ("column", "time", None))
+        x_values = time_pixels(times[host.rows], t_start, trace.end_time, x_bins)
         t0 = t_start + int(x_values.min()) * bin_width
         t1 = t_start + (int(x_values.max()) + 1) * bin_width
-        if self.engine.vectorized:
-            on_host = trace.table.column(direction) == host.key
-            time = trace.table.time
-            total = int(on_host.sum())
-            inside = int((on_host & (time >= t0) & (time < t1)).sum())
-            return t0, t1, total, inside
-        total = inside = 0
-        for pkt in trace:
-            if getattr(pkt, direction) != host.key:
-                continue
-            total += 1
-            if t0 <= pkt.time < t1:
-                inside += 1
+        on_host = trace.table.column(direction) == host.key
+        time = trace.table.time
+        total = int(on_host.sum())
+        inside = int((on_host & (time >= t0) & (time < t1)).sum())
         return t0, t1, total, inside
 
     def _host_flows(self, trace: Trace, planes, host: LineHost) -> frozenset:
         """The unidirectional flows of a host's packets on a line."""
-        if self.engine.vectorized:
-            flow_table = planes.get(
-                trace, ("flow_codes", Granularity.UNIFLOW.name)
-            )
-            return frozenset(
-                flow_table.keys_of(np.unique(flow_table.codes[host.rows]))
-            )
-        return frozenset(uniflow_key(trace[i]) for i in host.rows)
+        flow_table = planes.get(trace, ("flow_codes", Granularity.UNIFLOW.name))
+        return frozenset(
+            flow_table.keys_of(np.unique(flow_table.codes[host.rows]))
+        )
 
     def _is_transient(
         self, trace: Trace, t0: float, t1: float, total: int, inside: int
@@ -282,7 +243,7 @@ class LineHost:
     """
 
     key: int
-    rows: np.ndarray | list[int]
+    rows: np.ndarray
     extent: tuple[float, float, int, int] | None = None
     flows: frozenset | None = None
 

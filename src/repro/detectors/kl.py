@@ -76,10 +76,7 @@ class KLDetector(Detector):
     def analyze(self, trace: Trace, planes=None) -> list[Alarm]:
         if len(trace) < 4:
             return []
-        planes = self._plane_cache(trace, planes)
-        if self.engine.vectorized:
-            return self._analyze_numpy(trace, planes)
-        return self._analyze_python(trace, planes)
+        return self._analyze(trace, self._plane_cache(trace, planes))
 
     def analyze_stream(
         self, trace: Trace, state: dict, planes=None
@@ -101,26 +98,15 @@ class KLDetector(Detector):
         """
         if len(trace) < 4:
             return []
-        planes = self._plane_cache(trace, planes)
-        baseline = state.get("baseline")
-        baseline_block = state.get("baseline_block")
-        if self.engine.vectorized:
-            return self._analyze_numpy(
-                trace,
-                planes,
-                baseline=baseline,
-                baseline_block=baseline_block,
-                carry=state,
-            )
-        return self._analyze_python(
+        return self._analyze(
             trace,
-            planes,
-            baseline=baseline,
-            baseline_block=baseline_block,
+            self._plane_cache(trace, planes),
+            baseline=state.get("baseline"),
+            baseline_block=state.get("baseline_block"),
             carry=state,
         )
 
-    def _analyze_python(
+    def _analyze(
         self,
         trace: Trace,
         planes,
@@ -128,112 +114,15 @@ class KLDetector(Detector):
         baseline_block: np.ndarray | None = None,
         carry: dict | None = None,
     ) -> list[Alarm]:
-        """Reference path: Counter histograms, packet-by-packet."""
-        p = self.params
-        t_start, t_end = trace.start_time, trace.end_time
-        span = max(t_end - t_start, 1e-9)
-        n_bins = p["n_bins"]
+        """Dense per-bin histograms over the table, on every engine.
 
-        # Per-bin packet index lists (a shared feature plane).
-        bins = planes.get(trace, ("bin_members", n_bins))
-
-        # Per-feature divergence series.
-        divergences: dict[str, np.ndarray] = {}
-        histograms: dict[str, list[Counter]] = {}
-        for feature in _FEATURES:
-            hists = planes.get(
-                trace, ("binned_counters", feature, n_bins)
-            )
-            histograms[feature] = hists
-            series = planes.get(
-                trace,
-                ("kl_divergence", feature, n_bins, p["smoothing"]),
-            )
-            base = baseline.get(feature) if baseline else None
-            if base:
-                # The cached series is shared across configurations —
-                # copy before rewriting bin 0 against the carried
-                # cross-window baseline.
-                series = series.copy()
-                series[0] = _symmetric_kl(base, hists[0], p["smoothing"])
-            divergences[feature] = series
-        if carry is not None:
-            carry["baseline"] = {
-                feature: histograms[feature][n_bins - 1]
-                for feature in _FEATURES
-            }
-            carry["baseline_block"] = packet_block(
-                trace.table, np.asarray(bins[n_bins - 1], dtype=np.int64)
-            )
-
-        alarms: list[Alarm] = []
-        bin_width = span / n_bins
-        for feature in _FEATURES:
-            series = divergences[feature]
-            cut = _robust_cut(series, p["threshold"])
-            for b in np.nonzero(series > cut)[0]:
-                b = int(b)
-                if not bins[b]:
-                    continue
-                # Bin 0 is only selectable with a carried baseline:
-                # the previous window's last bin plays "bin -1".
-                prev_hist = (
-                    baseline[feature] if b == 0 else histograms[feature][b - 1]
-                )
-                values = _grown_values(
-                    prev_hist,
-                    histograms[feature][b],
-                    top=p["top_values"],
-                )
-                if not values:
-                    continue
-                selected = [
-                    i for i in bins[b] if getattr(trace[i], feature) in values
-                ]
-                if not selected:
-                    continue
-                t0 = t_start + b * bin_width
-                t1 = t0 + bin_width
-                previous = (
-                    baseline_block
-                    if b == 0
-                    else packet_block(
-                        trace.table, np.asarray(bins[b - 1], dtype=np.int64)
-                    )
-                )
-                alarms.extend(
-                    self._mine_alarms(
-                        packet_block(
-                            trace.table, np.asarray(selected, dtype=np.int64)
-                        ),
-                        previous,
-                        t0,
-                        t1,
-                        float(series[b]),
-                    )
-                )
-        return _dedupe(alarms)
-
-    def _analyze_numpy(
-        self,
-        trace: Trace,
-        planes,
-        baseline: dict[str, Counter] | None = None,
-        baseline_block: np.ndarray | None = None,
-        carry: dict | None = None,
-    ) -> list[Alarm]:
-        """Columnar path: dense per-bin histograms over the table.
-
-        Bin assignment, histogram counting (``np.add.at`` over
-        ``(time bin, value code)``), divergence series and
-        grown-value ranking are all vectorized, and the rule miner
-        reads the anomalous bins as blocks sliced from the table: no
-        packet object is built.
-        Selections are integer-identical to :meth:`_analyze_python`
-        (divergence *values* may differ in the last float ulp because
-        the reference accumulates in set-iteration order).  The bin
-        assignment, histograms and divergence series are shared feature
-        planes — the tunings only move thresholds and rule budgets.
+        The bin members, histograms and divergence series are shared
+        feature planes, which the engine's ``feature_plane`` kernel
+        builds; the tunings only move thresholds and rule budgets.
+        Grown-value ranking is vectorized, and the rule miner reads the
+        anomalous bins as blocks sliced from the table: no packet
+        object is built.  ``tests/kl_oracle.py`` keeps the Counter
+        reference this path is tested against.
         """
         p = self.params
         table = trace.table
@@ -365,8 +254,10 @@ class KLDetector(Detector):
 def _divergence_series(counts: np.ndarray, smoothing: float) -> np.ndarray:
     """Symmetrized KL between consecutive rows of a dense histogram.
 
-    Vectorized twin of :func:`_symmetric_kl` (restricted per bin pair
-    to the union support, exactly like the Counter key union).
+    Each bin pair is restricted to the values either bin holds, the
+    key union of :func:`_symmetric_kl`, and summed pairwise in value
+    order, so it agrees with ``tests/kl_oracle.py``'s scalar loop to
+    the last few ulps, not bit for bit.
     """
     n_bins = counts.shape[0]
     series = np.zeros(n_bins)
@@ -390,10 +281,9 @@ def _grown_values_dense(
 ) -> np.ndarray:
     """Value codes whose probability grew most into bin ``b``.
 
-    Dense twin of :func:`_grown_values`: same deltas (identical float
-    divisions), same rank order (delta descending, ties by first
-    appearance within the bin — ``Counter`` insertion order), same
-    slice-then-filter semantics.
+    Ranked by delta descending, ties by first appearance within the
+    bin; the first ``top`` are kept if their delta is positive (the
+    Counter reference is ``tests/kl_oracle.py``'s ``grown_values``).
     """
     counts = histogram.counts
     n_prev = max(int(counts[b - 1].sum()), 1)
@@ -407,10 +297,10 @@ def _grown_values_dense(
 def _dense_bin_counter(histogram: BinnedHistogram, b: int) -> Counter:
     """One dense histogram row as a Counter (for baseline carry).
 
-    Content-equal to the reference engine's per-bin Counter, which is all
-    the baseline consumers (:func:`_symmetric_kl`,
-    :func:`_grown_values`) depend on — neither reads insertion order of
-    the *previous* histogram.  Keys are in ascending value order.
+    A streamed bin 0 is scored and ranked against the previous
+    window's last row in this form (:func:`_symmetric_kl`,
+    :func:`_grown_values_vs_baseline`); both read counts by key, never
+    the insertion order.  Keys are in ascending value order.
     """
     row = histogram.counts[b]
     present = np.flatnonzero(row)
@@ -427,9 +317,9 @@ def _grown_values_vs_baseline(
 ) -> np.ndarray:
     """Value codes of bin 0 whose probability grew over the baseline.
 
-    Cross-window twin of :func:`_grown_values_dense`: the "previous
-    bin" is the carried baseline Counter instead of a dense row.  Same
-    deltas, same (delta descending, first-appearance) ranking.
+    :func:`_grown_values_dense` across windows: the "previous bin" is
+    the carried baseline Counter instead of a dense row.  Same deltas,
+    same (delta descending, first-appearance) ranking.
     """
     counts = histogram.counts
     n_prev = max(sum(baseline.values()), 1)
@@ -447,6 +337,7 @@ def _grown_values_vs_baseline(
 def _symmetric_kl(prev: Counter, curr: Counter, smoothing: float) -> float:
     """Symmetrized, smoothed KL divergence between two histograms.
 
+    Scores a streamed bin 0 against the carried baseline.
     Bit-identical to a scalar loop over the key union that accumulates
     ``p log(p/q)`` and ``q log(q/p)`` term by term
     (``tests/kl_oracle.py``): the terms are the same IEEE operations
@@ -475,17 +366,6 @@ def _robust_cut(series: np.ndarray, threshold: float) -> float:
     mad = float(np.median(np.abs(series - median)))
     scale = 1.4826 * mad if mad > 0 else float(series.std()) or 1.0
     return median + threshold * scale
-
-
-def _grown_values(prev: Counter, curr: Counter, top: int) -> set:
-    """Values whose probability grew the most between two bins."""
-    n_prev = max(sum(prev.values()), 1)
-    n_curr = max(sum(curr.values()), 1)
-    growth = {
-        key: curr[key] / n_curr - prev.get(key, 0) / n_prev for key in curr
-    }
-    ranked = sorted(growth.items(), key=lambda kv: kv[1], reverse=True)
-    return {key for key, delta in ranked[:top] if delta > 0}
 
 
 def _dedupe(alarms: list[Alarm]) -> list[Alarm]:

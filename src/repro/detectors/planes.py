@@ -15,7 +15,8 @@ so N configurations sharing a plane compute it once.  Computation is
 dispatched through the engine's ``"feature_plane"`` kernel — the
 vectorized kernel reads the columnar table, the reference kernel scans
 packet objects — so cached and uncached analysis stay byte-identical
-per engine.
+per engine.  Both kernels return the same types, so each detector
+reads its planes one way on every engine.
 
 Plane specs
 -----------
@@ -25,8 +26,7 @@ Plane specs
 ``("time_bins", n_bins)``
     Per-packet time-bin index (the KL/entropy ``np.minimum`` binning).
 ``("bin_members", n_bins)``
-    Per-bin packet index lists (arrays on the vectorized engine, lists
-    on the reference engine).
+    Per-bin packet indexes, one int64 array per bin, ascending.
 ``("value_codes", field)``
     ``(values, codes)``: the field's distinct values, ascending, and
     each packet's int64 index into them — the one ``np.unique`` of the
@@ -35,15 +35,15 @@ Plane specs
 ``("binned_histogram", field, n_bins)``
     Dense :class:`~repro.detectors.features.BinnedHistogram` (built on
     ``value_codes`` by the vectorized kernel).
-``("binned_counters", field, n_bins)``
-    Per-bin ``Counter`` histograms in packet order (reference engine's
-    KL/entropy representation; insertion order is load-bearing for
-    ``most_common`` tie-breaking).
 ``("kl_divergence", field, n_bins, smoothing)``
-    Per-bin symmetrized-KL series.  Consumers that overwrite entries
-    (the streaming baseline rewrite of bin 0) must ``.copy()`` first.
+    Per-bin symmetrized-KL series of the ``binned_histogram`` counts
+    (:func:`~repro.detectors.kl._divergence_series`, on every engine).
+    Consumers that overwrite entries (the streaming baseline rewrite
+    of bin 0) must ``.copy()`` first.
 ``("entropy_series", field, n_bins)``
-    Per-bin Shannon entropies.
+    Per-bin Shannon entropies of the ``binned_histogram`` counts
+    (:func:`~repro.detectors.entropy._entropy_series`, on every
+    engine).
 ``("sketch_buckets", field, n_sketches, seed)``
     Per-packet sketch bucket of the field hashed with the shared
     :func:`~repro.detectors.sketch.shared_hasher`.  The hash is
@@ -54,8 +54,9 @@ Plane specs
 ``("gamma_deviations", field, n_sketches, seed, base_window, n_scales)``
     Per-sketch robust deviation of the multi-scale Gamma features.
 ``("hough_x", x_bins)``
-    Per-packet x (time) pixel coordinate (reference engine only; the
-    vectorized engine folds it into ``hough_rows``).
+    Per-packet x (time) pixel coordinate (the reference kernel's
+    input to ``hough_rows`` and ``hough_pixels``; the vectorized kernel
+    folds it into ``hough_rows``).
 ``("hough_rows", field, x_bins, y_bins, seed)``
     ``(rows, offsets)``: the pixel index of one traffic picture.
     ``rows`` holds the packet indexes sorted stably by pixel
@@ -92,7 +93,6 @@ arrays, mostly O(n_packets)); caches die with their trace.
 from __future__ import annotations
 
 import weakref
-from collections import Counter
 from typing import Iterable
 
 import numpy as np
@@ -104,11 +104,9 @@ _MISSING = object()
 
 #: Plane kinds never exported over shared memory: either trivially
 #: recomputable from the already-shared packet table ("column",
-#: "flow_codes"), or non-numeric ("binned_counters" carries Counters,
-#: "hough_lines" is a line sequence grown on demand).
-EXPORT_SKIP_KINDS = frozenset(
-    {"column", "flow_codes", "binned_counters", "hough_lines"}
-)
+#: "flow_codes"), or mutable ("hough_lines" is a line sequence grown
+#: on demand).
+EXPORT_SKIP_KINDS = frozenset({"column", "flow_codes", "hough_lines"})
 
 
 def plane_nbytes(value) -> int:
@@ -283,17 +281,18 @@ def _compute_plane(trace, spec: tuple, planes: PlaneCache, vectorized: bool):
                 planes.get(trace, ("value_codes", field)) if vectorized else None
             ),
         )
-    if kind == "binned_counters":
-        _, field, n_bins = spec
-        members = planes.get(trace, ("bin_members", n_bins))
-        return [
-            Counter(getattr(trace[int(i)], field) for i in members[b])
-            for b in range(n_bins)
-        ]
     if kind == "kl_divergence":
-        return _kl_divergence(trace, spec, planes, vectorized)
+        from repro.detectors.kl import _divergence_series
+
+        _, field, n_bins, smoothing = spec
+        histogram = planes.get(trace, ("binned_histogram", field, n_bins))
+        return _divergence_series(histogram.counts, smoothing)
     if kind == "entropy_series":
-        return _entropy_series_plane(trace, spec, planes, vectorized)
+        from repro.detectors.entropy import _entropy_series
+
+        _, field, n_bins = spec
+        histogram = planes.get(trace, ("binned_histogram", field, n_bins))
+        return _entropy_series(histogram.counts)
     if kind == "sketch_buckets":
         _, field, n_sketches, seed = spec
         from repro.detectors.sketch import shared_hasher
@@ -413,38 +412,7 @@ def _bin_members(trace, n_bins: int, planes: PlaneCache, vectorized: bool):
     bins: list[list[int]] = [[] for _ in range(n_bins)]
     for i, b in enumerate(bin_idx):
         bins[int(b)].append(i)
-    return bins
-
-
-def _kl_divergence(trace, spec: tuple, planes: PlaneCache, vectorized: bool):
-    _, field, n_bins, smoothing = spec
-    if vectorized:
-        from repro.detectors.kl import _divergence_series
-
-        histogram = planes.get(trace, ("binned_histogram", field, n_bins))
-        return _divergence_series(histogram.counts, smoothing)
-    from repro.detectors.kl import _symmetric_kl
-
-    hists = planes.get(trace, ("binned_counters", field, n_bins))
-    series = np.zeros(n_bins)
-    for b in range(1, n_bins):
-        series[b] = _symmetric_kl(hists[b - 1], hists[b], smoothing)
-    return series
-
-
-def _entropy_series_plane(
-    trace, spec: tuple, planes: PlaneCache, vectorized: bool
-):
-    _, field, n_bins = spec
-    if vectorized:
-        from repro.detectors.entropy import _entropy_series
-
-        histogram = planes.get(trace, ("binned_histogram", field, n_bins))
-        return _entropy_series(histogram.counts)
-    from repro.detectors.entropy import shannon_entropy
-
-    hists = planes.get(trace, ("binned_counters", field, n_bins))
-    return np.array([shannon_entropy(h) for h in hists])
+    return tuple(np.array(members, dtype=np.int64) for members in bins)
 
 
 def _pca_residual(trace, spec: tuple, planes: PlaneCache) -> np.ndarray:

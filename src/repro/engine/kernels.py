@@ -5,7 +5,9 @@ call.  Production implementations live next to the code they serve
 (:mod:`repro.core.graph`, :mod:`repro.core.extractor`,
 :mod:`repro.detectors.sketch`, ...) and are imported here; the pure
 reference twins that exist *only* as correctness oracles (per-packet
-flow coding, Counter feature binning) are defined inline.
+flow coding, Counter feature binning) are defined inline.  Step 1
+runs one data path on both engines, and the python engine only swaps
+in these reference kernels.
 ``tests/test_engine_parity.py`` drives every pair through one
 table-driven hypothesis suite.
 
@@ -61,9 +63,14 @@ Kernel signatures
     binned histogram, sketch buckets, per-family statistics...), keyed
     by its parameter ``spec`` tuple and memoized in the
     :class:`~repro.detectors.planes.PlaneCache` passed as ``planes``
-    (sub-planes are fetched through it).  The vectorized kernel reads
-    the columnar table; the reference kernel scans packet objects for
-    the engine-split plane kinds.
+    (sub-planes are fetched through it).  Both kernels return the same
+    plane types.  The vectorized kernel reads the columnar table; the
+    reference kernel builds the per-packet kinds (time bins, bin
+    members, value codes, binned histograms, sketch buckets and Hough's
+    ``hough_x``, ``hough_rows`` and ``hough_pixels``) from packet
+    objects, and both derive the statistics planes (KL divergence and
+    entropy series, PCA residuals, Gamma deviations, Hough line
+    sequences) from those with the same shared code.
 """
 
 from __future__ import annotations
@@ -120,6 +127,7 @@ def _binned_histogram_numpy(table, feature, bin_idx, n_bins, value_codes=None):
 def _binned_histogram_python(table, feature, bin_idx, n_bins, value_codes=None):
     """Counter-per-bin reference assembling the same dense struct.
 
+    One pass over the packet objects fills every bin's Counter.
     ``value_codes`` is accepted for signature parity but deliberately
     ignored: the oracle codes every packet object itself.
     """
@@ -129,11 +137,11 @@ def _binned_histogram_python(table, feature, bin_idx, n_bins, value_codes=None):
     values = sorted(set(column))
     code_of = {value: c for c, value in enumerate(values)}
     codes = np.array([code_of[v] for v in column], dtype=np.int64)
+    histograms = [Counter() for _ in range(n_bins)]
+    for value, b in zip(column, bin_idx.tolist()):
+        histograms[b][value] += 1
     counts = np.zeros((n_bins, len(values)), dtype=np.int64)
-    for b in range(n_bins):
-        histogram = Counter(
-            value for value, in_bin in zip(column, bin_idx == b) if in_bin
-        )
+    for b, histogram in enumerate(histograms):
         for value, count in histogram.items():
             counts[b, code_of[value]] = count
     return BinnedHistogram(

@@ -218,16 +218,11 @@ class LabelingSession:
         """
         if not self.pool.parallel:
             return self.pipeline.run(trace, annotations=annotations)
-        planes = None
-        if self.engine.vectorized:
-            from repro.detectors.planes import (
-                merge_plane_specs,
-                plane_cache_for,
-            )
+        from repro.detectors.planes import merge_plane_specs, plane_cache_for
 
-            planes = plane_cache_for(trace, self.engine)
-            for spec in merge_plane_specs(self.pipeline.ensemble):
-                planes.get(trace, spec)
+        planes = plane_cache_for(trace, self.engine)
+        for spec in merge_plane_specs(self.pipeline.ensemble):
+            planes.get(trace, spec)
         n_configs = len(self.pipeline.ensemble)
         alarms, _ = worker.detect_groups(
             self.pool,

@@ -36,9 +36,8 @@ address field, in practice the stream's address diversity), not by its
 length — the same bound the offline trace pays for one ``np.unique``.
 
 Only vectorized-engine planes are maintained; the reference engine's
-Counter-based planes depend on packet order inside the window and are
-recomputed per window (they are the correctness oracle, not the fast
-path).
+kernels build each window's planes from its packet objects (they are
+the correctness oracle, not the fast path).
 """
 
 from __future__ import annotations

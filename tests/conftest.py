@@ -8,6 +8,9 @@ integration coverage.
 
 from __future__ import annotations
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from repro.detectors.registry import default_ensemble, run_ensemble
@@ -48,6 +51,36 @@ def make_packet(
     )
 
 
+def assert_alarms_match_oracle(got, expected, rel: float = 1e-12) -> None:
+    """Alarms equal under ``==`` but for ``score``, and each score
+    within a relative ``rel`` of its reference's: an oracle that sums
+    in another order than the detector agrees to the last few ulps."""
+    assert [dataclasses.replace(a, score=0.0) for a in got] == [
+        dataclasses.replace(a, score=0.0) for a in expected
+    ]
+    for a, e in zip(got, expected):
+        assert a.score == pytest.approx(e.score, rel=rel, abs=0.0)
+
+
+def dense_histogram(bins: list[list[int]]):
+    """A dense histogram of per-bin value lists (each in packet order),
+    and each bin's member rows: the planes the KL and entropy rankings
+    read, for values drawn as plain lists."""
+    from repro.detectors.features import BinnedHistogram
+
+    column = [value for values in bins for value in values]
+    values = np.array(sorted(set(column)), dtype=np.uint16)
+    codes = np.searchsorted(values, column).astype(np.int64)
+    counts = np.zeros((len(bins), len(values)), dtype=np.int64)
+    members, start = [], 0
+    for b, bin_values in enumerate(bins):
+        rows = np.arange(start, start + len(bin_values))
+        start += len(bin_values)
+        np.add.at(counts[b], codes[rows], 1)
+        members.append(rows)
+    return BinnedHistogram("dport", values, codes, counts), members
+
+
 @pytest.fixture
 def tiny_trace() -> Trace:
     """Ten packets over two flows plus one ICMP packet."""
@@ -85,6 +118,14 @@ def archive():
 def archive_day(archive):
     """One deterministic archive day with injected anomalies."""
     return archive.day("2004-06-01")
+
+
+@pytest.fixture(scope="session")
+def benchmark_day():
+    """The benchmark's archive day 2005-02-28 (``benchmarks/perf``'s
+    corpus seed), on which the KL and entropy tunings raise alarms in
+    several bins."""
+    return SyntheticArchive(seed=2010, trace_duration=30.0).day("2005-02-28")
 
 
 @pytest.fixture(scope="session")

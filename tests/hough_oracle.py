@@ -10,11 +10,21 @@ tunings shared one ranking per line: it applies one tuning's cutoff
 and host budget directly.  ``tests/test_hough_detector.py`` checks
 that the detector finds the same lines, in the same order, and keeps
 the same hosts, under every tuning.
+
+:func:`probe_line_hosts`, :func:`host_extent` and :func:`host_flows`
+are the detector's line, host and flow reads as the python engine ran
+them before both engines shared the pixel index: each packet's pixel
+is probed against the line's pixel set, each host's packets are
+counted packet by packet, and each row gets its own flow key.  The
+same tests check every line's hosts, windows, packet counts and flows
+against them, on both engines.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from repro.net.flow import uniflow_key
 
 
 def hough_lines(
@@ -110,3 +120,64 @@ def line_hosts(
         (int(values[heavy[i]]), host_rows[i])
         for i in order[:max_keys_per_line]
     ]
+
+
+def packet_pixels(
+    trace, direction: str, x_bins: int, y_bins: int, seed: int
+) -> list[tuple[int, int]]:
+    """Each packet's ``(y, x)`` pixel in one traffic picture."""
+    from repro.detectors.sketch import shared_hasher
+
+    t_start = trace.start_time
+    span = max(trace.end_time - t_start, 1e-9)
+    keys = np.array([getattr(pkt, direction) for pkt in trace], dtype=np.uint64)
+    ys = shared_hasher(y_bins, seed).buckets(keys)
+    return [
+        (int(y), min(max(int((pkt.time - t_start) / span * x_bins), 0), x_bins - 1))
+        for y, pkt in zip(ys, trace)
+    ]
+
+
+def probe_line_hosts(
+    trace, direction: str, pixels: list[tuple[int, int]], line_pixels
+) -> tuple[int, list[tuple[int, list[int]]]]:
+    """The packet count of one line and its ranked ``(host, rows)``.
+
+    ``pixels`` are :func:`packet_pixels`; a host is kept when it holds
+    at least a quarter of the line's packets, count-descending with
+    ties by first packet.
+    """
+    pixel_set = set(line_pixels)
+    indices = [i for i, pixel in enumerate(pixels) if pixel in pixel_set]
+    floor = max(1, int(0.25 * len(indices)))
+    per_key: dict[int, list[int]] = {}
+    for i in indices:
+        per_key.setdefault(int(getattr(trace[i], direction)), []).append(i)
+    ranked = sorted(per_key.items(), key=lambda kv: len(kv[1]), reverse=True)
+    return len(indices), [(key, rows) for key, rows in ranked if len(rows) >= floor]
+
+
+def host_extent(
+    trace, direction: str, pixels: list[tuple[int, int]], key: int, rows,
+    x_bins: int,
+) -> tuple[float, float, int, int]:
+    """``(t0, t1, total, inside)`` of one host on one line, counted
+    packet by packet."""
+    t_start = trace.start_time
+    bin_width = max(trace.end_time - t_start, 1e-9) / x_bins
+    xs = [pixels[i][1] for i in rows]
+    t0 = t_start + min(xs) * bin_width
+    t1 = t_start + (max(xs) + 1) * bin_width
+    total = inside = 0
+    for pkt in trace:
+        if getattr(pkt, direction) != key:
+            continue
+        total += 1
+        if t0 <= pkt.time < t1:
+            inside += 1
+    return t0, t1, total, inside
+
+
+def host_flows(trace, rows) -> frozenset:
+    """The unidirectional flow of each of ``rows``."""
+    return frozenset(uniflow_key(trace[int(i)]) for i in rows)

@@ -167,14 +167,11 @@ def dominant_inputs(draw):
 
 @st.composite
 def feature_plane_inputs(draw):
-    """A trace plus one engine-split-safe feature-plane spec.
+    """A trace plus one feature-plane spec.
 
-    ``kl_divergence`` and ``entropy_series`` are deliberately absent:
-    their engines sum in different orders (dense rows vs Counter
-    insertion), so their floats agree only to the last ulp — exactly
-    like the detector paths they serve.  Every kind here is either
-    engine-split with exact integer/bool outputs or computed by shared
-    vectorized helpers on both engines.
+    Every kind here is either engine-split with exact integer outputs
+    or computed by shared vectorized helpers from such planes on both
+    engines, so the two kernels agree exactly, floats included.
     """
     trace = draw(traces)
     n_bins = draw(st.integers(2, 6))
@@ -190,6 +187,8 @@ def feature_plane_inputs(draw):
                 ("bin_members", n_bins),
                 ("value_codes", field),
                 ("binned_histogram", field, n_bins),
+                ("kl_divergence", field, n_bins, 1e-4),
+                ("entropy_series", field, n_bins),
                 ("sketch_buckets", field, n_sketches, seed),
                 ("hough_x", n_bins),
                 ("hough_rows", field, n_bins, n_sketches, seed),

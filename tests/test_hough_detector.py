@@ -18,8 +18,14 @@ from repro.detectors.planes import PlaneCache
 from repro.mawi.anomalies import AnomalySpec
 from repro.mawi.generator import WorkloadSpec, generate_trace
 from repro.net.trace import Trace
-from tests.hough_oracle import hough_lines as oracle_hough_lines
-from tests.hough_oracle import line_hosts as oracle_line_hosts
+from tests import hough_oracle as oracle
+
+
+@pytest.fixture(scope="module")
+def short_day():
+    from repro.mawi.archive import SyntheticArchive
+
+    return SyntheticArchive(seed=7, trace_duration=12.0).day("2004-06-01").trace
 
 
 @pytest.fixture(scope="module")
@@ -139,7 +145,7 @@ def test_vote_loop_matches_the_2d_accumulator(pixels, data):
     sequence = LineSequence(xs, ys, n_thetas)
     for min_votes, max_lines in _tunings(data, "max_lines", st.integers(0, 25)):
         kwargs = dict(n_thetas=n_thetas, min_votes=min_votes, max_lines=max_lines)
-        expected = oracle_hough_lines(xs, ys, **kwargs)
+        expected = oracle.hough_lines(xs, ys, **kwargs)
         assert hough_lines(xs, ys, **kwargs) == expected
         assert [
             [(int(ys[i]), int(xs[i])) for i in members]
@@ -206,7 +212,7 @@ def test_tunings_keep_prefixes_of_one_host_ranking(packets, data):
         data, "max_keys_per_line", st.integers(0, 5)
     ):
         kept = tuning_hosts(ranked, line_rows.size, min_votes, max_keys)
-        expected = oracle_line_hosts(
+        expected = oracle.line_hosts(
             line_rows, values, codes, min_votes, max_keys
         )
         assert [(h.key, h.rows.tolist()) for h in kept] == [
@@ -224,12 +230,56 @@ def test_small_lines_keep_single_packet_hosts():
         ranked = rank_line_hosts(line_rows, values, codes)
         for min_votes, max_keys in ((1, 1), (1, 3), (2, 2)):
             kept = tuning_hosts(ranked, line_rows.size, min_votes, max_keys)
-            expected = oracle_line_hosts(
+            expected = oracle.line_hosts(
                 line_rows, values, codes, min_votes, max_keys
             )
             assert [(h.key, h.rows.tolist()) for h in kept] == [
                 (key, rows.tolist()) for key, rows in expected
             ]
+
+
+def _check_lines_against_probe(trace, engine: str) -> int:
+    """Compare every line's hosts, extents and flows with the oracle's
+    per-packet probes; the number of hosts compared."""
+    detector = HoughDetector(tuning="sensitive", engine=engine)
+    planes = PlaneCache(engine)
+    p = detector.params
+    compared = 0
+    for direction in ("src", "dst"):
+        seed = p["hash_seed"] + (0 if direction == "src" else 1)
+        pixels = oracle.packet_pixels(
+            trace, direction, p["x_bins"], p["y_bins"], seed
+        )
+        lines = planes.get(
+            trace,
+            (
+                "hough_lines", direction, p["x_bins"], p["y_bins"],
+                p["pixel_threshold"], seed, p["n_thetas"],
+            ),
+        )
+        for members in lines.lines(p["min_votes"], p["max_lines"]):
+            line_ys, line_xs = lines.ys[members], lines.xs[members]
+            n_rows, ranked = detector._line_hosts(
+                trace, direction, planes, line_ys, line_xs
+            )
+            expected_rows, expected = oracle.probe_line_hosts(
+                trace, direction, pixels, zip(line_ys.tolist(), line_xs.tolist())
+            )
+            assert n_rows == expected_rows
+            assert [
+                (host.key, sorted(host.rows.tolist())) for host in ranked
+            ] == expected
+            for host in ranked:
+                assert detector._host_extent(
+                    trace, direction, planes, host
+                ) == oracle.host_extent(
+                    trace, direction, pixels, host.key, host.rows, p["x_bins"]
+                )
+                assert detector._host_flows(
+                    trace, planes, host
+                ) == oracle.host_flows(trace, host.rows)
+            compared += len(ranked)
+    return compared
 
 
 class TestSharedTunings:
@@ -261,54 +311,39 @@ class TestSharedTunings:
                 trace
             ) == HoughDetector(tuning=tuning, engine="python").analyze(trace)
 
-    def test_engines_rank_and_measure_hosts_alike(self, scan_trace):
+    def test_engines_rank_and_measure_hosts_alike(self, scan_trace, short_day):
         """Every line's ranked hosts, their windows, packet counts and
-        flows: the pixel index and value codes against the reference
-        engine's per-packet probes."""
-        trace, _ = scan_trace
-        detectors = {
-            engine: HoughDetector(tuning="sensitive", engine=engine)
-            for engine in ("numpy", "python")
-        }
-        caches = {engine: PlaneCache(engine) for engine in detectors}
-        p = detectors["numpy"].params
-        compared = 0
-        for direction in ("src", "dst"):
-            seed = p["hash_seed"] + (0 if direction == "src" else 1)
-            spec = (
-                "hough_lines", direction, p["x_bins"], p["y_bins"],
-                p["pixel_threshold"], seed, p["n_thetas"],
-            )
-            found = {}
-            for engine, detector in detectors.items():
-                lines = caches[engine].get(trace, spec)
-                found[engine] = []
-                for members in lines.lines(p["min_votes"], p["max_lines"]):
-                    n_rows, ranked = detector._line_hosts(
-                        trace, direction, caches[engine],
-                        lines.ys[members], lines.xs[members],
-                    )
-                    found[engine].append(
-                        (
-                            n_rows,
-                            [
-                                (
-                                    host.key,
-                                    sorted(np.asarray(host.rows).tolist()),
-                                    detector._host_extent(
-                                        trace, direction, caches[engine], host
-                                    ),
-                                    detector._host_flows(
-                                        trace, caches[engine], host
-                                    ),
-                                )
-                                for host in ranked
-                            ],
-                        )
-                    )
-                    compared += len(ranked)
-            assert found["numpy"] == found["python"]
-        assert compared > 0
+        flows, read through the pixel index and value codes on both
+        engines, against the per-packet probes of
+        ``tests/hough_oracle.py``.  On the short day some hosts send a
+        packet at exactly the end of their line's window, which
+        ``[t0, t1)`` leaves out."""
+        for engine in ("numpy", "python"):
+            for trace in (scan_trace[0], short_day):
+                assert _check_lines_against_probe(trace, engine) > 0
+
+    @pytest.mark.parametrize("engine", ["numpy", "python"])
+    def test_host_window_is_half_open(self, engine):
+        """A host packet at exactly ``t1`` counts towards ``total`` but
+        not ``inside``."""
+        from repro.detectors.hough import LineHost
+        from tests.conftest import make_packet
+
+        # 30 s over 48 pixels: 0.625 s a pixel, so the line's pixel 16
+        # is [10.0, 10.625) exactly.
+        host = 0x0A0000AA
+        trace = Trace(
+            [make_packet(time=0.0)]
+            + [make_packet(time=t, src=host) for t in (10.0, 10.3, 10.625, 20.0)]
+            + [make_packet(time=30.0)]
+        )
+        detector = HoughDetector(engine=engine)
+        rows = np.array([1, 2])
+        assert [trace[i].time for i in rows] == [10.0, 10.3]
+        extent = detector._host_extent(
+            trace, "src", PlaneCache(engine), LineHost(host, rows)
+        )
+        assert extent == (10.0, 10.625, 4, 2)
 
     def test_alarm_flows_hold_the_hosts_line_packets(self, scan_trace):
         """Each alarm's flows share its host and carry at least its

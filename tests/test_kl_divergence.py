@@ -1,10 +1,12 @@
-"""KL's array divergence against its scalar reference, bit for bit.
+"""KL's array divergences against their scalar reference.
 
-:func:`repro.detectors.kl._symmetric_kl` computes both divergence terms
-as arrays over the key union and sums each left to right;
-``tests/kl_oracle.py`` keeps the scalar loop it replaced.  Scores,
-cuts and the alarms chosen from them depend on the exact float, so the
-two are compared with ``==``, never approximately.
+:func:`repro.detectors.kl._symmetric_kl` (a streamed bin 0's score)
+computes both divergence terms as arrays over the key union and sums
+each left to right; ``tests/kl_oracle.py`` keeps the scalar loop it
+replaced.  The two are compared with ``==``, never approximately.
+:func:`repro.detectors.kl._divergence_series` (every other bin, on
+every engine) sums pairwise in value order instead, so its rows are
+held to a relative 1e-12 of the same loop.
 """
 
 from __future__ import annotations
@@ -12,12 +14,19 @@ from __future__ import annotations
 from collections import Counter
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.detectors.features import binned_value_histogram
-from repro.detectors.kl import _FEATURES, _dense_bin_counter, _symmetric_kl
+from repro.detectors.kl import (
+    _FEATURES,
+    _dense_bin_counter,
+    _divergence_series,
+    _symmetric_kl,
+)
 from repro.detectors.planes import PlaneCache
+from tests.kl_oracle import bin_counters
 from tests.kl_oracle import symmetric_kl as oracle_symmetric_kl
 
 keys = st.one_of(st.integers(0, 65535), st.integers(0, 2**32 - 1))
@@ -77,14 +86,14 @@ def test_small_histograms_equal_the_scalar_loop():
 
 
 def test_every_bin_pair_of_a_day_equals_the_scalar_loop(archive_day):
-    """Consecutive bins of every feature histogram of a real day, as
-    the reference engine's divergence plane and a streamed bin 0 see
-    them."""
+    """Consecutive bins of every feature histogram of a real day, as a
+    streamed bin 0 sees them: dense rows as Counters."""
     trace = archive_day.trace
-    cache = PlaneCache("python")
+    cache = PlaneCache("numpy")
     compared = 0
     for feature in _FEATURES:
-        hists = cache.get(trace, ("binned_counters", feature, 12))
+        histogram = cache.get(trace, ("binned_histogram", feature, 12))
+        hists = [_dense_bin_counter(histogram, b) for b in range(12)]
         for prev, curr in zip(hists, hists[1:]):
             for smoothing in (1e-6, 1e-4, 1e-2):
                 assert _symmetric_kl(prev, curr, smoothing) == (
@@ -114,3 +123,27 @@ def test_dense_bin_counter_keeps_keys_counts_and_order(archive_day):
             assert all(
                 type(k) is int and type(v) is int for k, v in got.items()
             )
+
+
+@pytest.mark.parametrize("source", ["archive_day", "benchmark_day"])
+def test_divergence_series_rows_match_the_scalar_loop(
+    archive_day, benchmark_day, source
+):
+    """Every row of the dense divergence series (the ``kl_divergence``
+    plane) of a real day, against the scalar loop over the day's
+    per-bin Counters: within a relative 1e-12 (the largest error
+    measured on 13 days was 2.7e-14)."""
+    trace = (archive_day if source == "archive_day" else benchmark_day).trace
+    cache = PlaneCache("numpy")
+    compared = 0
+    for feature in _FEATURES:
+        counts = cache.get(trace, ("binned_histogram", feature, 12)).counts
+        hists = bin_counters(trace, feature, 12)
+        for smoothing in (1e-6, 1e-4, 1e-2):
+            series = _divergence_series(counts, smoothing)
+            assert series[0] == 0.0
+            for b in range(1, 12):
+                expected = oracle_symmetric_kl(hists[b - 1], hists[b], smoothing)
+                assert series[b] == pytest.approx(expected, rel=1e-12, abs=0.0)
+                compared += 1
+    assert compared == 4 * 11 * 3

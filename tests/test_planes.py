@@ -363,6 +363,33 @@ def _computed_cache(trace) -> PlaneCache:
     return cache
 
 
+@pytest.mark.parametrize("engine", ["numpy", "python"])
+def test_both_engines_export_the_whole_plane_union(archive_day, engine):
+    """Every plane of the ensemble's union (entropy included) is an
+    array on both engines, so a pooled ``label_trace`` ships all of it
+    but the kinds that never ship, and workers attach equal planes."""
+    from repro.detectors.entropy import ENTROPY_TUNINGS, EntropyDetector
+    from repro.detectors.planes import EXPORT_SKIP_KINDS
+    from repro.detectors.registry import default_ensemble
+
+    trace = archive_day.trace
+    cache = PlaneCache(engine)
+    ensemble = default_ensemble(engine=engine) + [
+        EntropyDetector(tuning=t, engine=engine, **p)
+        for t, p in ENTROPY_TUNINGS.items()
+    ]
+    for spec in merge_plane_specs(ensemble):
+        cache.get(trace, spec)
+    items = cache.exportable_items()
+    assert {spec for spec, _ in items} == {
+        spec for spec in cache._planes if spec[0] not in EXPORT_SKIP_KINDS
+    }
+    with PlaneArena() as arena:
+        with arena.export(items).attach() as planes:
+            for spec, value in items:
+                _assert_planes_equal(planes[spec], value)
+
+
 def test_plane_export_attach_roundtrip(tiny_trace):
     items = _computed_cache(tiny_trace).exportable_items()
     assert items

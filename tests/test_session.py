@@ -113,7 +113,61 @@ class TestSessionConfig:
             session.export(labels, fmt="yaml")
 
 
+def _step1_pipeline(engine: str):
+    """A pipeline of every KL, entropy and Hough configuration."""
+    from repro.detectors.entropy import ENTROPY_TUNINGS, EntropyDetector
+    from repro.detectors.hough import HOUGH_TUNINGS, HoughDetector
+    from repro.detectors.kl import KL_TUNINGS, KLDetector
+    from repro.labeling.mawilab import MAWILabPipeline
+
+    return MAWILabPipeline(
+        ensemble=[
+            cls(tuning=tuning, engine=engine, **params)
+            for cls, tunings in (
+                (KLDetector, KL_TUNINGS),
+                (EntropyDetector, ENTROPY_TUNINGS),
+                (HoughDetector, HOUGH_TUNINGS),
+            )
+            for tuning, params in tunings.items()
+        ],
+        engine=engine,
+    )
+
+
 class TestEngineAgnosticCache:
+    def test_scores_agree_across_engines_and_through_the_cache(self, tmp_path):
+        """On the benchmark's archive day 2005-02-28 every KL, entropy
+        and Hough configuration emits the same alarms on both engines,
+        scores included, so an alarm-cache entry written by a numpy run
+        is what the python engine computes."""
+        from repro.runner.cache import AlarmCache, cached_alarms
+
+        day_archive = SyntheticArchive(seed=2010, trace_duration=30.0)
+        trace = day_archive.day("2005-02-28").trace
+        pipelines = {
+            engine: _step1_pipeline(engine) for engine in ("numpy", "python")
+        }
+        raised = set()
+        for fast, reference in zip(*(p.ensemble for p in pipelines.values())):
+            alarms = fast.analyze(trace)
+            assert alarms == reference.analyze(trace), fast.config_name
+            raised.update(a.config for a in alarms)
+        assert {"kl/optimal", "kl/sensitive", "entropy/optimal"} <= raised
+
+        cache = AlarmCache(tmp_path / "cache")
+        fingerprint = day_archive.fingerprint()
+        written, hit = cached_alarms(
+            cache, pipelines["numpy"], trace, fingerprint, "2005-02-28"
+        )
+        assert not hit
+        key = AlarmCache.make_key(
+            fingerprint, "2005-02-28", pipelines["python"].ensemble_fingerprint()
+        )
+        entry = cache.get(key)
+        assert entry is not None
+        assert list(entry) == list(pipelines["python"].detect(trace))
+        assert list(entry) == list(written)
+
     def test_cache_written_under_one_engine_hits_under_the_other(
         self, archive, tmp_path
     ):
