@@ -24,7 +24,7 @@ from benchmarks.conftest import GRANULARITY_DATES, run_once
 from repro.eval.metrics import cdf_points
 from repro.eval.report import format_table
 from repro.net.flow import Granularity
-from repro.rules.itemsets import traffic_block
+from repro.rules.itemsets import code_block
 from repro.rules.summarize import summarize_transactions
 
 GRANULARITIES = (Granularity.PACKET, Granularity.UNIFLOW, Granularity.BIFLOW)
@@ -32,14 +32,12 @@ GRANULARITIES = (Granularity.PACKET, Granularity.UNIFLOW, Granularity.BIFLOW)
 
 def _summaries(community_set):
     """Rule summaries of non-single communities."""
-    table = community_set.extractor.trace.table
+    trace = community_set.extractor.trace
     summaries = []
     for community in community_set.non_single():
-        if not community.traffic:
+        if not community.codes.size:
             continue
-        block = traffic_block(
-            community.traffic, community_set.granularity, table
-        )
+        block = code_block(community.codes, community_set.granularity, trace)
         summaries.append(summarize_transactions(block))
     return summaries
 

@@ -14,7 +14,7 @@ from repro.detectors import default_ensemble, run_ensemble
 from repro.mawi import SyntheticArchive
 from repro.net.flow import Granularity
 from repro.rules import summarize_transactions
-from repro.rules.itemsets import traffic_block
+from repro.rules.itemsets import code_block
 
 
 def main() -> None:
@@ -40,10 +40,10 @@ def main() -> None:
         community_set = estimator.build(day.trace, alarms)
         degrees, supports = [], []
         for community in community_set.non_single():
-            if not community.traffic:
+            if not community.codes.size:
                 continue
-            block = traffic_block(
-                community.traffic, granularity, community_set.extractor.trace.table
+            block = code_block(
+                community.codes, granularity, community_set.extractor.trace
             )
             summary = summarize_transactions(block)
             degrees.append(summary.rule_degree)

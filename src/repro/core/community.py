@@ -12,10 +12,9 @@ lazily through the table only when object-level code asks for
 :attr:`Community.alarms`; the hot consumers —
 :meth:`Community.detectors` / :meth:`Community.configs` feeding the
 combiner vote tables — read the table's dense code columns directly.
-Likewise, on the columnar engine and in the streaming engine a
-community's traffic is a sorted code array (:attr:`Community.codes`),
-and the public :attr:`Community.traffic` set is decoded from it on
-first access.
+Likewise, on every engine a community's traffic is a sorted code
+array (:attr:`Community.codes`), and the public
+:attr:`Community.traffic` set is decoded from it on first access.
 """
 
 from __future__ import annotations
@@ -41,17 +40,14 @@ class Community:
     table:
         The run's :class:`~repro.core.alarm_table.AlarmTable`;
         ``alarm_ids`` index its rows.
-    traffic:
-        Union of the members' extracted traffic sets (packet indices or
-        flow keys, per the estimator's granularity).
     t0, t1:
         Envelope of the member alarms' time windows.
     codes, decode:
-        The traffic as sorted codes of the run's trace (packet rows or
-        flow codes) and the function that turns them into the traffic
-        set; given in place of ``traffic`` by a columnar extraction and
-        by the streaming engine.  A streamed community's flow codes
-        index the window's flow table extended with the flows its
+        The union of the members' traffic as sorted codes of the run's
+        trace (packet rows or flow codes), and the function that turns
+        them into the public traffic set (packet indices or flow keys,
+        per the estimator's granularity).  A streamed community's flow
+        codes index the window's flow table extended with the flows its
         alarms carry into the window
         (:meth:`~repro.net.table.FlowTable.extended`): a code past the
         window's own flows is a flow with no packet in the window.
@@ -73,11 +69,11 @@ class Community:
         id: int,
         alarm_ids: tuple[int, ...],
         table: AlarmTable,
-        traffic: FrozenSet = frozenset(),
         t0: float = 0.0,
         t1: float = 0.0,
-        codes: Optional[np.ndarray] = None,
-        decode: Optional[Callable[[np.ndarray], FrozenSet]] = None,
+        *,
+        codes: np.ndarray,
+        decode: Callable[[np.ndarray], FrozenSet],
     ) -> None:
         self.id = id
         self.alarm_ids = tuple(alarm_ids)
@@ -85,7 +81,7 @@ class Community:
         self.t0 = t0
         self.t1 = t1
         self.codes = codes
-        self._traffic = traffic if codes is None else None
+        self._traffic: Optional[FrozenSet] = None
         self._decode = decode
 
     @property
@@ -137,7 +133,10 @@ class CommunitySet:
     """Output of one similarity-estimator run on one trace.
 
     ``alarms`` is the run's alarm population; every community's
-    ``alarm_ids`` index its rows.
+    ``alarm_ids`` index its rows.  ``traffic_sets`` holds each alarm's
+    traffic set, index-aligned with those rows (a
+    :class:`~repro.core.extractor.TrafficSets` over the extraction's
+    code arrays, decoded on access).
     """
 
     communities: list[Community]

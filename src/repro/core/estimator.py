@@ -11,9 +11,9 @@ Orchestrates Step 2 of the paper's method:
    communities; alarms left alone become *single communities*.
 
 The alarms travel as one :class:`~repro.core.alarm_table.AlarmTable`
-on every engine, and communities are index vectors over it.  The
-engine only picks the kernels: the extraction strategy (and with it
-the graph input it hands over) and the similarity-graph kernel.
+on every engine, and communities are index vectors over it whose
+traffic is sorted code arrays.  The engine only picks the kernels: the
+extraction strategy and the similarity-graph kernel.
 """
 
 from __future__ import annotations
@@ -111,16 +111,15 @@ class SimilarityEstimator:
     @staticmethod
     def _materialize(
         table: AlarmTable,
-        traffic_sets: Sequence,
+        traffic_sets: TrafficSets,
         partition: dict[int, int],
     ) -> list[Community]:
         """Build Community objects from the Louvain partition.
 
         Communities stay index vectors over the table: their time
         envelopes come from vectorized column reductions and their
-        member alarms are lazy table views.  Over
-        :class:`~repro.core.extractor.TrafficSets` their traffic is the
-        union of the members' code arrays, decoded only on access.
+        member alarms are lazy table views.  Their traffic is the union
+        of the members' code arrays, decoded only on access.
         """
         members: dict[int, list[int]] = {}
         for alarm_id, label in partition.items():
@@ -128,17 +127,6 @@ class SimilarityEstimator:
         communities: list[Community] = []
         for new_id, label in enumerate(sorted(members)):
             alarm_ids = tuple(sorted(members[label]))
-            if isinstance(traffic_sets, TrafficSets):
-                traffic = dict(
-                    codes=traffic_sets.union(alarm_ids),
-                    decode=traffic_sets.decode,
-                )
-            else:
-                traffic = dict(
-                    traffic=frozenset().union(
-                        *(traffic_sets[i] for i in alarm_ids)
-                    )
-                )
             ids = np.fromiter(alarm_ids, np.int64, count=len(alarm_ids))
             communities.append(
                 Community(
@@ -147,7 +135,8 @@ class SimilarityEstimator:
                     table=table,
                     t0=float(table.t0[ids].min()),
                     t1=float(table.t1[ids].max()),
-                    **traffic,
+                    codes=traffic_sets.union(alarm_ids),
+                    decode=traffic_sets.decode,
                 )
             )
         return communities

@@ -14,23 +14,24 @@ Two interchangeable strategies implement the retrieval, registered as
 the per-engine ``"traffic_extractor"`` kernels.  Each implements one
 method, ``extract_table``, which reads an
 :class:`~repro.core.alarm_table.AlarmTable` and returns an
-:class:`Extraction`: the engine's similarity-graph input together with
-the public traffic sets.
+:class:`Extraction`: per alarm, a sorted array of integer codes
+(packet rows, or flow codes of the trace's
+:class:`~repro.net.table.FlowTable`), and a :class:`TrafficSets` over
+them.  The codes feed the similarity graph, the communities, the
+Table-1 heuristics and the rule blocks on every engine;
+:class:`TrafficSets` builds the public sets from them only for the
+elements a caller reads.
 
-* :class:`ColumnarTrafficExtraction` — traffic is a sorted array of
-  integer codes per alarm: packet rows, or flow codes of the trace's
-  :class:`~repro.net.table.FlowTable`.  Each filter is evaluated over
+* :class:`ColumnarTrafficExtraction` — each filter is evaluated over
   the rows of its time window only, found with one ``searchsorted``
   on the time-sorted trace; every flow key of the table is mapped to
   its uniflow code in one vectorized lookup, and its rows come from
-  the flow table's code -> rows index.  The codes feed the similarity
-  graph, the communities, the Table-1 heuristics and the rule blocks
-  directly; :class:`TrafficSets` builds the public sets from them
-  only for the elements a caller reads.
+  the flow table's code -> rows index.
 * :class:`ReferenceTrafficExtraction` — the original per-packet
-  predicate loop, kept as the readable reference; its traffic sets are
-  also its graph input.  The engine parity suite asserts both
-  strategies extract identical traffic sets.
+  predicate loop, kept as the readable reference; its per-packet flow
+  keys are coded with one :meth:`~repro.net.table.FlowTable.codes_of`
+  call.  The engine parity suite asserts both strategies extract
+  identical codes.
 
 Both keep one window rule: flow-key traffic includes packets at
 exactly the alarm's ``t1`` when that is the trace's last timestamp,
@@ -101,8 +102,8 @@ class TrafficSets(Sequence):
         return np.unique(np.concatenate([self.codes[i] for i in ids]))
 
 
-class ReferenceTrafficExtraction:
-    """Pure-Python extraction strategy (the correctness oracle)."""
+class _ExtractionStrategy:
+    """What both extraction strategies share: the code decoder."""
 
     def __init__(
         self, trace: Trace, granularity: Granularity, engine: Engine
@@ -110,6 +111,25 @@ class ReferenceTrafficExtraction:
         self.trace = trace
         self.granularity = granularity
         self.engine = engine
+
+    def traffic_of(self, codes: np.ndarray) -> FrozenSet:
+        """The public traffic set of a code array."""
+        if self.granularity is Granularity.PACKET:
+            return frozenset(codes.tolist())
+        return frozenset(self.trace.flow_table(self.granularity).keys_of(codes))
+
+
+class ReferenceTrafficExtraction(_ExtractionStrategy):
+    """Pure-Python extraction strategy (the correctness oracle).
+
+    Finds each alarm's packets with per-packet predicates, then hands
+    over the same codes as :class:`ColumnarTrafficExtraction`.
+    """
+
+    def __init__(
+        self, trace: Trace, granularity: Granularity, engine: Engine
+    ) -> None:
+        super().__init__(trace, granularity, engine)
         # Per-packet flow keys (lazy by granularity need).
         self._uniflow_of: list[FlowKey] = [uniflow_key(p) for p in trace]
         if granularity is Granularity.BIFLOW:
@@ -140,18 +160,28 @@ class ReferenceTrafficExtraction:
                         indices.add(i)
         return indices
 
-    def _traffic(self, alarm: Alarm) -> FrozenSet:
-        indices = self._packet_indices(alarm)
-        if self.granularity is Granularity.PACKET:
-            return frozenset(indices)
-        if self.granularity is Granularity.UNIFLOW:
-            return frozenset(self._uniflow_of[i] for i in indices)
-        return frozenset(self._biflow_of[i] for i in indices)
+    def extract_table(
+        self, table: AlarmTable
+    ) -> tuple[list[np.ndarray], TrafficSets]:
+        """Per-row code arrays and their traffic sets.
 
-    def extract_table(self, table: AlarmTable) -> tuple[list, list[FrozenSet]]:
-        """Traffic sets of every row; they double as the graph input."""
-        traffic_sets = [self._traffic(table.alarm(i)) for i in range(len(table))]
-        return traffic_sets, traffic_sets
+        Each row's packets come from the per-packet loop; at packet
+        granularity they are its codes, otherwise their flow keys are
+        coded, every row at once.
+        """
+        packets = [self._packet_indices(table.alarm(i)) for i in range(len(table))]
+        if self.granularity is Granularity.PACKET:
+            codes = [np.array(sorted(rows), dtype=np.int64) for rows in packets]
+        else:
+            key_of = (
+                self._uniflow_of
+                if self.granularity is Granularity.UNIFLOW
+                else self._biflow_of
+            )
+            codes = self.trace.flow_table(self.granularity).codes_of(
+                [{key_of[i] for i in rows} for rows in packets]
+            )
+        return codes, TrafficSets(codes, self.traffic_of)
 
     def packets_of(self, traffic: FrozenSet) -> list[int]:
         if self.granularity is Granularity.PACKET:
@@ -168,22 +198,14 @@ class ReferenceTrafficExtraction:
         )
 
 
-class ColumnarTrafficExtraction:
+class ColumnarTrafficExtraction(_ExtractionStrategy):
     """Vectorized extraction strategy over the trace's packet table."""
 
     def __init__(
         self, trace: Trace, granularity: Granularity, engine: Engine
     ) -> None:
-        self.trace = trace
-        self.granularity = granularity
-        self.engine = engine
+        super().__init__(trace, granularity, engine)
         self._scratch = engine.scratch()
-
-    def traffic_of(self, codes: np.ndarray) -> FrozenSet:
-        """The public traffic set of a code array."""
-        if self.granularity is Granularity.PACKET:
-            return frozenset(codes.tolist())
-        return frozenset(self.trace.flow_table(self.granularity).keys_of(codes))
 
     def extract_table(
         self, table: AlarmTable
@@ -297,24 +319,24 @@ class ColumnarTrafficExtraction:
 
 
 class Extraction(NamedTuple):
-    """One batch extraction: per-alarm graph input and traffic sets."""
+    """One batch extraction: per-alarm codes and traffic sets."""
 
-    #: What the engine's ``"similarity_graph"`` kernel ingests, one
-    #: element per alarm (code arrays on the columnar engine, the
-    #: traffic sets themselves on the reference engine).
-    graph_input: list
-    #: The public per-alarm traffic sets (packet indices or flow keys):
-    #: a :class:`TrafficSets` over the code arrays on the columnar
-    #: engine, a list on the reference engine.
-    traffic_sets: Sequence[FrozenSet]
+    #: One sorted int64 code array per alarm (packet rows, or flow
+    #: codes of the trace's flow table): what the
+    #: ``"similarity_graph"`` kernel ingests, on every engine.
+    graph_input: list[np.ndarray]
+    #: The public per-alarm traffic sets (packet indices or flow keys),
+    #: decoded from ``graph_input`` on access.
+    traffic_sets: TrafficSets
 
 
 class TrafficExtractor:
     """Extracts, per alarm, the associated traffic set.
 
-    The extractor precomputes per-packet flow keys (or, on a
-    vectorized engine, reads the trace's cached flow tables) so that
-    each alarm extraction costs only its own time window.
+    Every engine hands over the same sorted code arrays; the engine's
+    ``"traffic_extractor"`` kernel only decides how they are found
+    (per-packet predicates, or the trace's cached flow tables and
+    ``searchsorted`` row ranges).
 
     Parameters
     ----------
@@ -325,7 +347,7 @@ class TrafficExtractor:
     engine:
         Engine spec (see :func:`repro.engine.resolve_engine`); the
         engine's ``"traffic_extractor"`` kernel picks the strategy.
-        All strategies produce identical traffic sets.
+        All strategies produce identical codes.
     """
 
     def __init__(

@@ -101,7 +101,7 @@ def build_similarity_graph(
     ----------
     traffic_sets:
         One traffic set per alarm (index-aligned with alarm ids).
-        Either Python sets of hashable elements or — as the columnar
+        Either Python sets of hashable elements or — as every
         extractor hands over in ``TrafficExtractor.extract_all(...)
         .graph_input`` — NumPy arrays of unique integer codes, which
         the vectorized kernel ingests without any per-element Python

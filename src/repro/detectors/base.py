@@ -203,11 +203,8 @@ class Detector(abc.ABC):
         """Feature-plane specs this configuration derives from a trace.
 
         Used by the fan-out parent to precompute and export the
-        ensemble's shared planes (on every engine), and by the
-        streaming engine to know which histogram/bucket planes to
-        maintain incrementally (vectorized engine only; the reference
-        engine recomputes each window).  Detectors without shareable
-        planes return an empty tuple.
+        ensemble's shared planes (on every engine).  Detectors without
+        shareable planes return an empty tuple.
         """
         return ()
 

@@ -164,7 +164,7 @@ class PlaneCache:
         return value
 
     def seed(self, spec: tuple, value) -> None:
-        """Pre-populate one plane (shm import, streaming delta update)."""
+        """Pre-populate one plane (a worker attaching exported planes)."""
         if spec not in self._planes:
             self.nbytes += plane_nbytes(value)
         self._planes[spec] = value

@@ -5,8 +5,8 @@ call.  Production implementations live next to the code they serve
 (:mod:`repro.core.graph`, :mod:`repro.core.extractor`,
 :mod:`repro.detectors.sketch`, ...) and are imported here; the pure
 reference twins that exist *only* as correctness oracles (per-packet
-flow coding, Counter feature binning) are defined inline.  Step 1
-runs one data path on both engines, and the python engine only swaps
+flow coding, Counter feature binning) are defined inline.  Steps 1-4
+run one data path on both engines, and the python engine only swaps
 in these reference kernels.
 ``tests/test_engine_parity.py`` drives every pair through one
 table-driven hypothesis suite.
@@ -27,17 +27,21 @@ Kernel signatures
     The alarm similarity graph (Step 2).
 ``community_label(extractor, communities)``
     Table-1 heuristic labels of every community of one run, in order.
-    The vectorized kernel sums per-flow counts over the communities'
-    code arrays (:attr:`~repro.core.community.Community.codes`, codes
-    of ``extractor.trace``) with segmented reductions; the reference
-    kernel gathers each community's packet objects.
+    Every community carries its traffic as a code array
+    (:attr:`~repro.core.community.Community.codes`, codes of
+    ``extractor.trace``).  The vectorized kernel sums per-flow counts
+    over them with segmented reductions; the reference kernel gathers
+    each community's packet objects.
 ``column_values(trace, field, dtype=None)``
     One packet field as an array (the detectors' feature columns).
 ``traffic_extractor(trace, granularity, engine)``
-    Factory for the per-engine traffic-extraction strategy object.  The
-    vectorized strategy evaluates each alarm over its time window's
-    row range and returns sorted code arrays, decoded to public traffic
-    sets only on access; the reference strategy loops over packets.
+    Factory for the per-engine traffic-extraction strategy object.
+    Both strategies return the same sorted code arrays per alarm
+    (packet rows, or flow codes of the trace's flow table), decoded to
+    public traffic sets only on access.  The vectorized strategy
+    evaluates each alarm over its time window's row range; the
+    reference strategy loops over packets and codes their flow keys
+    with one :meth:`~repro.net.table.FlowTable.codes_of` call.
 ``alarm_codes(names)``
     ``(codes, pool)``: dense int32 codes for a sequence of detector /
     configuration names, numbered by first appearance — the coding

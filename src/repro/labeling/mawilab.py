@@ -35,7 +35,7 @@ from repro.labeling.heuristics import HeuristicLabel, label_communities
 from repro.labeling.taxonomy import assign_taxonomy_batch
 from repro.net.flow import Granularity
 from repro.net.trace import Trace
-from repro.rules.itemsets import code_block, traffic_block
+from repro.rules.itemsets import code_block
 from repro.rules.summarize import CommunitySummary, summarize_transactions
 
 
@@ -265,8 +265,8 @@ class MAWILabPipeline:
         Taxonomies come from one ``"label_assign"`` kernel call over
         the decision columns and the Table-1 heuristics from one
         ``"community_label"`` call.  Rules are mined per community
-        from its block: gathered from the trace's flow table when the
-        community carries codes, built from its traffic set otherwise.
+        from its block, gathered by its codes from the trace's packet
+        table or flow table.
         """
         from repro.core.annotations import ANNOTATION_DETECTOR, community_tags
 
@@ -279,10 +279,7 @@ class MAWILabPipeline:
         for community, decision, taxonomy, heuristic in zip(
             communities, decisions, taxonomies, heuristics
         ):
-            if community.codes is None:
-                block = traffic_block(community.traffic, granularity, trace.table)
-            else:
-                block = code_block(community.codes, granularity, trace)
+            block = code_block(community.codes, granularity, trace)
             labels.append(
                 LabelRecord(
                     community_id=community.id,

@@ -43,21 +43,8 @@ def flow_block(flows: Iterable[FlowKey]) -> np.ndarray:
     return np.ascontiguousarray(keys[:, : len(FIELDS)])
 
 
-def traffic_block(traffic, granularity: Granularity, table) -> np.ndarray:
-    """The block of an extracted traffic set (e.g. a community's).
-
-    At packet granularity ``traffic`` holds row indices into ``table``;
-    otherwise it holds flow keys.  Row order is unspecified: nothing
-    mined from a block depends on it.
-    """
-    if granularity is Granularity.PACKET:
-        rows = np.fromiter(traffic, dtype=np.int64, count=len(traffic))
-        return packet_block(table, rows)
-    return flow_block(traffic)
-
-
 def code_block(codes, granularity: Granularity, trace) -> np.ndarray:
-    """The block of a code array (see :func:`traffic_block`).
+    """The block of a code array (e.g. a community's traffic).
 
     At packet granularity ``codes`` are rows of ``trace``; otherwise
     they are flow codes, and the block gathers the flow table's key

@@ -11,18 +11,20 @@ over a sliding window of a packet stream:
 2. **detect** — the ensemble runs as
    :class:`~repro.detectors.streaming.StreamingDetector` wrappers,
    carrying per-configuration state (sketch hashers, KL histogram
-   baselines) across window advances;
+   baselines) across window advances; each window is a trace of its
+   own, whose feature planes the ``"feature_plane"`` kernels compute
+   into its trace-attached cache, as for any offline trace;
 3. **associate** — live alarms carry their traffic from window to
    window as integer flow codes in a
    :class:`~repro.core.dynamic.DynamicSimilarityGraph`: expired alarms
    leave it, the survivors move onto the new window's flow codes in
    one lookup (a carried flow with no packet in the window takes a
-   code past the window's flows), and new alarms join with the
-   window's codes.  Each window builds its graph with the offline
-   ``"similarity_graph"`` kernel, and Louvain is *warm-started* from
-   the previous window's partition (``louvain(...,
-   seed_partition=...)``) so each window refines the clustering
-   instead of recomputing it;
+   code past the window's flows), and new alarms join with the codes
+   the window's extraction hands over, on every engine.  Each window
+   builds its graph with the offline ``"similarity_graph"`` kernel,
+   and Louvain is *warm-started* from the previous window's partition
+   (``louvain(..., seed_partition=...)``) so each window refines the
+   clustering instead of recomputing it;
 4. **classify + label** — the offline combiner and Step 4 machinery
    run unchanged on the live communities, whose traffic is codes of
    the window's flow table extended with the carried flows
@@ -62,12 +64,10 @@ from repro.labeling.store import LabelStore
 from repro.net.flow import Granularity
 from repro.net.table import PacketTable
 from repro.net.trace import Trace, TraceMetadata
-from repro.detectors.planes import plane_cache_for
 from repro.runner.config import PipelineConfig
 from repro.runner.pool import WorkerPool
 from repro.runner.shm import ArenaPool
 from repro.runner.worker import config_groups, detect_groups
-from repro.stream.planes import StreamingPlanes
 from repro.stream.window import TraceWindow
 
 
@@ -285,21 +285,11 @@ class StreamingPipeline:
         self.pool = pool if pool is not None and pool.parallel else None
         self._config = config
         #: Recycled export segments for pooled windows (the window's
-        #: table and seeded planes); a window's groups are gathered
-        #: before the next window exports, so one of each suffices.
+        #: table); a window's groups are gathered before the next
+        #: window exports, so one suffices.
         self._arenas = ArenaPool() if self.pool is not None else None
         if self._arenas is not None:
             weakref.finalize(self, ArenaPool.close, self._arenas)
-        #: Incrementally maintained plane bases: chunk appends grow the
-        #: value dictionaries, each window's histograms / sketch
-        #: buckets are then derived by searchsorted instead of
-        #: recomputed from scratch (vectorized engine only; the
-        #: reference engine recomputes — it is the oracle).
-        self._stream_planes = (
-            StreamingPlanes(self.pipeline.ensemble)
-            if self.engine.vectorized
-            else None
-        )
         #: ``max_ring_packets`` caps the ring (see
         #: :meth:`TraceWindow.has_room`): the serving layer's feeds
         #: block their reader on a full ring instead of growing it.
@@ -353,8 +343,6 @@ class StreamingPipeline:
             if len(chunk) == 0:
                 continue
             self.ring.extend(chunk)
-            if self._stream_planes is not None:
-                self._stream_planes.append(chunk)
             if next_emit is None:
                 next_emit = self.ring.t_min + self.window
             while self.ring.t_max >= next_emit:
@@ -387,8 +375,6 @@ class StreamingPipeline:
         started = _time.perf_counter()
         window_t0 = window_end - self.window
         self.ring.evict_before(window_t0)
-        if self._stream_planes is not None:
-            self._stream_planes.evict_before(window_t0)
         table = self.ring.table()
         in_window = (
             table.time <= window_end if inclusive else table.time < window_end
@@ -419,14 +405,6 @@ class StreamingPipeline:
         n_communities = 0
         n_fresh = 0
         if len(trace):
-            if self._stream_planes is not None:
-                # Seed the window trace's plane cache from the
-                # incrementally maintained dictionaries; detectors (and
-                # pooled workers, via the plane export below) resolve
-                # the same cache and skip the from-scratch unique/hash.
-                self._stream_planes.seed_window(
-                    trace, plane_cache_for(trace, self.engine)
-                )
             # Step 1, stateful: every configuration sees the window.
             window_alarms = self._detect_window(trace)
             # Cross-window alarm dedup: a re-detection in an
@@ -458,21 +436,17 @@ class StreamingPipeline:
             n_fresh = len(fresh)
             # Step 2 on codes: the live alarms move onto this window's
             # flow codes, and Steps 2-4 read the window through the
-            # extended table.  Fresh alarms join with the window's
-            # codes (the reference extractor's flow keys are looked up
-            # in one call) and batch-append onto the live table.
-            flows = trace.flow_table(self.granularity)
-            extended = self._graph.recode(flows)
+            # extended table.  Fresh alarms join with the codes their
+            # extraction hands over and batch-append onto the live
+            # table.
+            extended = self._graph.recode(trace.flow_table(self.granularity))
             extractor = TrafficExtractor(
                 trace.with_flow_table(extended),
                 self.granularity,
                 engine=self.engine,
             )
-            extraction = extractor.extract_all(fresh)
             new_ids = self._graph.add_alarms(
-                extraction.graph_input
-                if self.engine.vectorized
-                else flows.codes_of(extraction.traffic_sets)
+                extractor.extract_all(fresh).graph_input
             )
             for key, alarm_id in zip(fresh_keys, new_ids):
                 self._alarm_keys.setdefault(key, []).append(alarm_id)
@@ -499,7 +473,7 @@ class StreamingPipeline:
                 self._partition[alarm_id] = partition[node_of[alarm_id]]
             # Steps 3-4: the offline machinery over the live table
             # (communities are index vectors over its rows) and the
-            # live codes, as a columnar extraction hands them over.
+            # live codes, as an extraction hands them over.
             traffic = TrafficSets(
                 self._graph.live_codes(),
                 lambda codes: frozenset(extended.keys_of(codes)),
@@ -561,18 +535,14 @@ class StreamingPipeline:
         )
 
     def _detect_window_pooled(self, trace: Trace) -> AlarmTable:
-        # The window's seeded base planes ride next to its table, so
-        # every group starts from the shared histograms / buckets.
-        planes = None
-        if self._stream_planes is not None:
-            planes = plane_cache_for(trace, self.engine)
+        # Only the window's table is exported: each group computes the
+        # planes its configurations read.
         alarms, states = detect_groups(
             self.pool,
             self._arenas,
             self._config,
             trace,
             config_groups(len(self.detectors), self.pool.workers),
-            planes=planes,
             stream_states=[wrapper.state for wrapper in self.detectors],
         )
         for wrapper, state in zip(self.detectors, states):

@@ -3,6 +3,7 @@
 Includes the paper's Fig. 2 worked example.
 """
 
+import numpy as np
 import pytest
 
 from repro.core.alarm_table import AlarmTable
@@ -40,6 +41,8 @@ def make_community(config_names, community_id=0):
         id=community_id,
         alarm_ids=tuple(range(len(table))),
         table=table,
+        codes=np.empty(0, dtype=np.int64),
+        decode=frozenset,
     )
 
 

@@ -165,40 +165,48 @@ def dominant_inputs(draw):
     )
 
 
+def _plane_specs(field, n_bins, n_sketches, seed):
+    """One spec of every plane kind the parity suite compares."""
+    return [
+        ("column", field, "uint64"),
+        ("column", "time", None),
+        ("time_bins", n_bins),
+        ("bin_members", n_bins),
+        ("value_codes", field),
+        ("binned_histogram", field, n_bins),
+        ("kl_divergence", field, n_bins, 1e-4),
+        ("entropy_series", field, n_bins),
+        ("sketch_buckets", field, n_sketches, seed),
+        ("hough_x", n_bins),
+        ("hough_rows", field, n_bins, n_sketches, seed),
+        ("hough_pixels", field, n_bins, n_sketches, 2, seed),
+        ("pca_residual", field, n_sketches, seed, n_bins, 2),
+        ("gamma_deviations", field, n_sketches, seed, 0.5, 2),
+    ]
+
+
+#: Every plane kind of :func:`_plane_specs`.
+PLANE_KINDS = sorted({spec[0] for spec in _plane_specs("src", 2, 1, 0)})
+
+
 @st.composite
-def feature_plane_inputs(draw):
-    """A trace plus one feature-plane spec.
+def feature_plane_inputs(draw, kind=None):
+    """A trace plus one feature-plane spec (of ``kind`` when given).
 
     Every kind here is either engine-split with exact integer outputs
     or computed by shared vectorized helpers from such planes on both
     engines, so the two kernels agree exactly, floats included.
     """
     trace = draw(traces)
-    n_bins = draw(st.integers(2, 6))
-    field = draw(st.sampled_from(["src", "dst", "sport", "dport"]))
-    n_sketches = draw(st.integers(1, 6))
-    seed = draw(st.integers(0, 5))
-    spec = draw(
-        st.sampled_from(
-            [
-                ("column", field, "uint64"),
-                ("column", "time", None),
-                ("time_bins", n_bins),
-                ("bin_members", n_bins),
-                ("value_codes", field),
-                ("binned_histogram", field, n_bins),
-                ("kl_divergence", field, n_bins, 1e-4),
-                ("entropy_series", field, n_bins),
-                ("sketch_buckets", field, n_sketches, seed),
-                ("hough_x", n_bins),
-                ("hough_rows", field, n_bins, n_sketches, seed),
-                ("hough_pixels", field, n_bins, n_sketches, 2, seed),
-                ("pca_residual", field, n_sketches, seed, n_bins, 2),
-                ("gamma_deviations", field, n_sketches, seed, 0.5, 2),
-            ]
-        )
+    specs = _plane_specs(
+        field=draw(st.sampled_from(["src", "dst", "sport", "dport"])),
+        n_bins=draw(st.integers(2, 6)),
+        n_sketches=draw(st.integers(1, 6)),
+        seed=draw(st.integers(0, 5)),
     )
-    return trace, spec
+    return trace, draw(
+        st.sampled_from([s for s in specs if kind in (None, s[0])])
+    )
 
 
 traffic_sets = st.lists(
@@ -432,27 +440,12 @@ def _run_similarity_graph(engine, payload):
     return _ordered_adjacency(graph)
 
 
-def _codes_of(trace, granularity, sets):
-    """Sorted traffic codes of public traffic sets."""
-    if granularity is Granularity.PACKET:
-        return [sorted(traffic) for traffic in sets]
-    return [
-        codes.tolist()
-        for codes in trace.flow_table(granularity).codes_of(list(sets))
-    ]
-
-
 def _run_extractor(engine, payload):
     trace, alarms, granularity = payload
     extractor = TrafficExtractor(trace, granularity, engine=engine)
-    graph_input, sets = extractor.extract_all(alarms)
-    codes = (
-        [c.tolist() for c in graph_input]
-        if engine.vectorized
-        else _codes_of(trace, granularity, sets)
-    )
+    codes, sets = extractor.extract_all(alarms)
     return (
-        codes,
+        [(str(c.dtype), c.tolist()) for c in codes],
         list(sets),
         [extractor.extract(alarm) for alarm in alarms],
         [extractor.packets_of(traffic) for traffic in sets],
@@ -461,43 +454,27 @@ def _run_extractor(engine, payload):
 
 def _run_community_label(engine, payload):
     trace, alarms, granularity, groups, past_the_table = payload
-    past_the_table = past_the_table and granularity is not Granularity.PACKET
-    if past_the_table:
+    carried = np.empty(0, dtype=np.int64)
+    if past_the_table and granularity is not Granularity.PACKET:
         flows = trace.flow_table(granularity)
         extended = flows.extended([uniflow_key(trace[0])._replace(src=999)])
         trace = trace.with_flow_table(extended)
+        carried = np.array([len(flows)], dtype=np.int64)
     extractor = TrafficExtractor(trace, granularity, engine=engine)
     sets = extractor.extract_all(alarms).traffic_sets
     table = AlarmTable.from_alarms(alarms)
-    if past_the_table:
-        member_codes = flows.codes_of(list(sets))
-    communities = []
-    for community_id, ids in enumerate(groups):
-        if past_the_table:
-            codes = np.union1d(
-                np.concatenate(
-                    [member_codes[i] for i in ids] + [np.empty(0, np.int64)]
-                ),
-                [len(flows)],
-            )
-            community = Community(
-                community_id,
-                ids,
-                table,
-                codes=codes,
-                decode=lambda codes: frozenset(extended.keys_of(codes)),
-            )
-        elif engine.vectorized:
-            codes = np.unique(
-                np.concatenate([sets.codes[i] for i in ids] + [np.empty(0)])
-            ).astype(np.int64)
-            community = Community(
-                community_id, ids, table, codes=codes, decode=sets.decode
-            )
-        else:
-            traffic = frozenset().union(*(sets[i] for i in ids))
-            community = Community(community_id, ids, table, traffic=traffic)
-        communities.append(community)
+    communities = [
+        Community(
+            community_id,
+            ids,
+            table,
+            codes=np.unique(
+                np.concatenate([sets.codes[i] for i in ids] + [carried])
+            ),
+            decode=sets.decode,
+        )
+        for community_id, ids in enumerate(groups)
+    ]
     return engine.kernel("community_label")(extractor, communities)
 
 
@@ -621,6 +598,24 @@ def test_kernel_parity(case, data):
     assert pairs, f"no engine pair registered for {case.op!r}"
     for vectorized, reference in pairs:
         assert case.run(vectorized, payload) == case.run(reference, payload)
+
+
+@pytest.mark.parametrize("kind", PLANE_KINDS)
+@given(data=st.data())
+@settings(
+    max_examples=40,
+    suppress_health_check=[HealthCheck.too_slow],
+    deadline=None,
+)
+def test_feature_plane_parity_per_kind(kind, data):
+    """Every plane kind on its own examples: the ``feature_plane`` row
+    above draws one kind per example, so each kind would meet only a
+    few traces a run."""
+    payload = data.draw(feature_plane_inputs(kind))
+    for vectorized, reference in engine_pairs("feature_plane"):
+        assert _run_feature_plane(vectorized, payload) == _run_feature_plane(
+            reference, payload
+        )
 
 
 @given(traces, filters, st.none() | _times, st.none() | _times)

@@ -1,5 +1,6 @@
 """Unit tests for the similarity estimator and the community model."""
 
+import numpy as np
 import pytest
 
 from repro.core.alarm_table import AlarmTable
@@ -80,7 +81,11 @@ class TestCommunityModel:
     def test_is_single(self):
         a = alarm("x/0", src=1)
         community = Community(
-            id=0, alarm_ids=(0,), table=AlarmTable.from_alarms([a])
+            id=0,
+            alarm_ids=(0,),
+            table=AlarmTable.from_alarms([a]),
+            codes=np.empty(0, dtype=np.int64),
+            decode=frozenset,
         )
         assert community.is_single
 

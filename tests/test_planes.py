@@ -1,6 +1,6 @@
-"""The shared feature-plane cache: sharing, parity, transport, streaming.
+"""The shared feature-plane cache: sharing, parity, transport.
 
-Four angles on :mod:`repro.detectors.planes`:
+Three angles on :mod:`repro.detectors.planes`:
 
 * **cache mechanics** — hit/miss/seed/export accounting, and the
   module-level :func:`~repro.detectors.sketch.shared_hasher` memo that
@@ -10,10 +10,7 @@ Four angles on :mod:`repro.detectors.planes`:
   identical to fully uncached analysis, on both engines;
 * **shared-memory transport** — planes exported through a
   :class:`~repro.runner.shm.PlaneArena` attach element-identical and
-  read-only;
-* **streaming planes** (hypothesis) — incrementally maintained
-  dictionaries seed window planes element-identical to the
-  from-scratch kernels after arbitrary append/window sequences.
+  read-only.
 """
 
 from __future__ import annotations
@@ -39,7 +36,6 @@ from repro.engine import get_engine
 from repro.net.packet import PROTO_ICMP, PROTO_TCP, PROTO_UDP, Packet
 from repro.net.trace import Trace
 from repro.runner.shm import PlaneArena, segment_registry
-from repro.stream.planes import StreamingPlanes
 
 # -- strategies (the parity suite's small alphabets) -------------------
 
@@ -486,79 +482,3 @@ def test_plane_arena_grows_for_bigger_exports(tiny_trace):
         arena.export(small)
         arena.export(big)
         assert arena.allocations == 2
-
-
-# -- streaming incremental planes --------------------------------------
-
-
-@given(data=st.data())
-@settings(
-    max_examples=20,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-def test_streaming_planes_match_from_scratch(data):
-    """Seeded window planes == from-scratch kernels, any append order.
-
-    Chunks are appended in arbitrary order, then an arbitrary subset
-    of the ingested packets forms a window (modelling any sequence of
-    evictions): the incrementally seeded value codes, histograms and
-    bucket assignments must be element- and dtype-identical to what
-    the vectorized ``feature_plane`` kernel computes from scratch.
-    """
-    engine = get_engine("numpy")
-    ensemble = _overlapping_ensemble(engine)
-    streaming = StreamingPlanes(ensemble)
-    specs = [
-        spec
-        for spec in merge_plane_specs(ensemble)
-        if spec[0] in ("value_codes", "binned_histogram", "sketch_buckets")
-    ]
-    # Hough asks for both address columns' value codes.
-    assert {spec[1] for spec in specs if spec[0] == "value_codes"} == {
-        "src",
-        "dst",
-    }
-
-    ingested: list[Packet] = []
-    for _ in range(data.draw(st.integers(1, 4))):
-        chunk = data.draw(packet_lists)
-        streaming.append(Trace(chunk).table)
-        ingested.extend(chunk)
-
-    keep = data.draw(
-        st.lists(
-            st.integers(0, len(ingested) - 1),
-            min_size=1,
-            max_size=len(ingested),
-            unique=True,
-        )
-    )
-    window = Trace([ingested[i] for i in keep])
-
-    seeded = PlaneCache(engine)
-    streaming.seed_window(window, seeded)
-    misses = seeded.misses
-    scratch = PlaneCache(engine)
-    for spec in specs:
-        _assert_planes_equal(
-            seeded.get(window, spec), scratch.get(window, spec)
-        )
-    # Every tracked base plane was seeded, not recomputed.
-    assert seeded.misses == misses
-    counters = streaming.counters()
-    assert counters["windows_seeded"] == 1
-    assert counters["novel_values"] > 0
-    assert streaming.nbytes() > 0
-
-
-def test_streaming_evict_is_noop():
-    ensemble = [KLDetector(engine="numpy")]
-    streaming = StreamingPlanes(ensemble)
-    table = Trace(
-        [_packet(float(i), i % 3, 1, 1, 2, PROTO_UDP, 90, 0) for i in range(9)]
-    ).table
-    streaming.append(table)
-    before = streaming.nbytes()
-    streaming.evict_before(5.0)
-    assert streaming.nbytes() == before
