@@ -35,8 +35,8 @@ Subpackages
     benchmarking against the produced labels.
 ``repro.engine``
     The execution-engine layer: per-engine kernel registries
-    (vectorized NumPy vs pure-Python reference), capability flags and
-    scratch allocators, replacing ad-hoc backend switches.
+    (vectorized NumPy vs pure-Python reference) and capability flags,
+    replacing ad-hoc backend switches.
 ``repro.session``
     :class:`~repro.session.LabelingSession` — the single orchestrator
     exposing offline, archive/batch (shared-memory fan-out) and

@@ -22,11 +22,18 @@ Table-1 heuristics and the rule blocks on every engine;
 :class:`TrafficSets` builds the public sets from them only for the
 elements a caller reads.
 
-* :class:`ColumnarTrafficExtraction` — each filter is evaluated over
-  the rows of its time window only, found with one ``searchsorted``
-  on the time-sorted trace; every flow key of the table is mapped to
-  its uniflow code in one vectorized lookup, and its rows come from
-  the flow table's code -> rows index.
+* :class:`ColumnarTrafficExtraction` — one batched pass over the
+  alarm table.  Each packet column that is some filter's first tested
+  field gets one sorted index of ``value << 32 | row``, so two
+  ``searchsorted`` calls bound every filter's candidate rows inside its
+  time window, and the filter's other tests run on those rows only.
+  Every flow key of the table maps to its uniflow code in one lookup,
+  and its candidates are its flow's rows from the flow table's code ->
+  rows index.  Each alarm's candidate count is known before anything
+  is gathered, so the pass takes consecutive slices of alarms under
+  one fixed budget (:data:`SLICE_ROWS`); a slice's codes are one sort
+  and dedupe of ``alarm * width + code`` keys, and each alarm's array
+  is a read-only slice of the result.
 * :class:`ReferenceTrafficExtraction` — the original per-packet
   predicate loop, kept as the readable reference; its per-packet flow
   keys are coded with one :meth:`~repro.net.table.FlowTable.codes_of`
@@ -50,14 +57,204 @@ from repro.detectors.base import Alarm
 from repro.engine import Engine, EngineSpec, resolve_engine
 from repro.errors import TraceError
 from repro.net.flow import FlowKey, Granularity, biflow_key, uniflow_key
+from repro.net.table import PacketTable
 from repro.net.trace import Trace
 
 #: Filter fields in :class:`~repro.core.alarm_table.AlarmTable` column
 #: order (``f_src``, ``f_dst``, ...).
 _FILTER_FIELDS = ("src", "dst", "sport", "dport", "proto")
 
+#: Candidate rows one slice of alarms gathers at most: the rows that
+#: pass each filter's first test inside its window, and the rows of
+#: each flow key's flow.  An alarm over budget is a slice of its own.
+SLICE_ROWS = 1 << 14
+
+_ROW_BITS = np.uint64(32)
+
 _NO_ROWS = np.empty(0, dtype=np.int64)
 _NO_ROWS.flags.writeable = False
+
+
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique(values)`` by one sort and a neighbour test."""
+    values = np.sort(values)
+    if len(values) > 1:
+        keep = np.empty(len(values), dtype=bool)
+        keep[0] = True
+        np.not_equal(values[1:], values[:-1], out=keep[1:])
+        values = values[keep]
+    return values
+
+
+def _runs(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ranges ``[starts[k], stops[k])`` end to end, and the ``k``
+    of each element."""
+    sizes = stops - starts
+    run = np.repeat(np.arange(len(sizes)), sizes)
+    before = np.cumsum(sizes) - sizes
+    return np.arange(len(run), dtype=np.int64) + (starts - before)[run], run
+
+
+def _value_rows(
+    column: np.ndarray, value: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of ``column`` sorted by value, then row (``uint32``),
+    and where the rows holding ``value[k]`` in ``[lo[k], hi[k])`` start
+    and stop in them.
+
+    The search runs over the column's value index, the sorted
+    ``value << 32 | row`` of every row; only its low words, the rows,
+    are kept.
+    """
+    index = column.astype(np.uint64)
+    index <<= _ROW_BITS
+    # Row numbers a slice at a time: no second n-row array.
+    for first in range(0, len(column), SLICE_ROWS):
+        last = min(first + SLICE_ROWS, len(column))
+        index[first:last] |= np.arange(first, last, dtype=np.uint64)
+    index.sort()
+    key = value.astype(np.uint64) << _ROW_BITS
+    start = np.searchsorted(index, key | lo.astype(np.uint64))
+    stop = np.searchsorted(index, key | hi.astype(np.uint64))
+    return index.astype(np.uint32), start, stop
+
+
+class _FilterCandidates:
+    """The rows each filter of an alarm table may match.
+
+    A filter's first tested field (in :data:`_FILTER_FIELDS` order)
+    picks its candidates from that column's value index, the sorted
+    ``value << 32 | row`` of every packet: two ``searchsorted`` calls
+    bound the rows holding the value inside the filter's window.  A
+    filter that tests no field takes its whole window.  The other
+    tests run on the candidates only, when a slice is taken.  Rows are
+    numbered in 32 bits.
+    """
+
+    def __init__(self, table: AlarmTable, packets: PacketTable) -> None:
+        time = packets.time
+        # Every filter's window [t0, t1): its own bounds, else its
+        # alarm's; two searchsorted calls bound all their row ranges.
+        owner = np.repeat(np.arange(len(table)), np.diff(table.filter_bounds))
+        t0s = np.where(np.isnan(table.f_t0), table.t0[owner], table.f_t0)
+        t1s = np.where(np.isnan(table.f_t1), table.t1[owner], table.f_t1)
+        empty = np.flatnonzero(t1s < t0s)
+        if empty.size:
+            # Mirror Trace.time_slice on the reference path.
+            j = int(empty[0])
+            raise TraceError(f"empty interval [{float(t0s[j])}, {float(t1s[j])})")
+        lo = np.searchsorted(time, t0s)
+        hi = np.searchsorted(time, t1s)
+        # ``-1`` in a filter column is the wildcard ``None``.
+        values = np.stack(
+            [table.column(f"f_{name}").astype(np.int64) for name in _FILTER_FIELDS]
+        )
+        tested = values >= 0
+        first = np.where(tested.any(axis=0), tested.argmax(axis=0), -1)
+        # Candidates as positions: rows for a filter without tests,
+        # else places in its first field's rows sorted by value.
+        self.starts, self.stops = lo.copy(), hi.copy()
+        self.rows_by_value: dict[int, np.ndarray] = {}
+        for field, name in enumerate(_FILTER_FIELDS):
+            picked = np.flatnonzero(first == field)
+            if not picked.size:
+                continue
+            column = packets.column(name)
+            value = values[field, picked]
+            # A value its column cannot hold matches nothing.
+            fits = value <= np.iinfo(column.dtype).max
+            self.rows_by_value[field], start, stop = _value_rows(
+                column, np.where(fits, value, 0), lo[picked], hi[picked]
+            )
+            self.starts[picked] = start
+            self.stops[picked] = np.where(fits, stop, start)
+        self.packets = packets
+        self.values = values
+        self.first = first
+        self.more = tested & (np.arange(len(_FILTER_FIELDS))[:, None] != first)
+        self.bounds = table.filter_bounds
+        self.owner = owner
+        cumulative = np.zeros(len(owner) + 1, dtype=np.int64)
+        np.cumsum(self.stops - self.starts, out=cumulative[1:])
+        self.per_alarm = np.diff(cumulative[self.bounds])
+
+    def take(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """The matching rows of alarms ``i..j-1``' filters, and the
+        alarm of each (int64 both; a row repeats across filters)."""
+        first_filter, stop_filter = int(self.bounds[i]), int(self.bounds[j])
+        group = self.first[first_filter:stop_filter]
+        rows, of = [], []
+        for field in np.unique(group).tolist():
+            picked = np.flatnonzero(group == field) + first_filter
+            at, run = _runs(self.starts[picked], self.stops[picked])
+            if field >= 0:
+                at = self.rows_by_value[field][at].astype(np.int64)
+            rows.append(at)
+            of.append(picked[run])
+        rows = np.concatenate(rows) if rows else _NO_ROWS
+        of = np.concatenate(of) if of else _NO_ROWS
+        keep = None
+        for field, name in enumerate(_FILTER_FIELDS):
+            at = np.flatnonzero(self.more[field, of])
+            if not at.size:
+                continue
+            hit = self.packets.column(name)[rows[at]] == self.values[field, of[at]]
+            if keep is None:
+                keep = np.ones(len(rows), dtype=bool)
+            keep[at[~hit]] = False
+        if keep is not None:
+            rows, of = rows[keep], of[keep]
+        return rows, self.owner[of]
+
+
+class _FlowKeyCandidates:
+    """The rows of each alarm's flow keys that fall in its window.
+
+    All flow keys of the table map to uniflow codes in one
+    :meth:`~repro.net.table.FlowTable.lookup`, and a key's candidates
+    are its flow's rows.  A flow-key window ending at the trace's last
+    timestamp includes the packets there.
+    """
+
+    def __init__(self, table: AlarmTable, trace: Trace) -> None:
+        self.bounds = table.flow_bounds
+        self.per_alarm = np.zeros(len(table), dtype=np.int64)
+        if not self.bounds[-1]:
+            return
+        time = trace.table.time
+        self.flows = trace.flow_table(Granularity.UNIFLOW)
+        self.codes = self.flows.lookup(
+            np.stack([table.column(name) for name in FLOW_COLUMNS], axis=1)
+        )
+        found = self.codes >= 0
+        offsets = self.flows.offsets
+        self.runs = np.zeros(len(self.codes), dtype=np.int64)
+        self.runs[found] = (
+            offsets[self.codes[found] + 1] - offsets[self.codes[found]]
+        )
+        cumulative = np.zeros(len(self.runs) + 1, dtype=np.int64)
+        np.cumsum(self.runs, out=cumulative[1:])
+        self.per_alarm = np.diff(cumulative[self.bounds])
+        self.owner = np.repeat(np.arange(len(table)), np.diff(self.bounds))
+        self.lo = np.searchsorted(time, table.t0)
+        self.hi = np.searchsorted(time, table.t1)
+        if len(time):
+            at_end = table.t1 == time[-1]
+            self.lo[at_end] = np.minimum(self.lo, self.hi)[at_end]
+            self.hi[at_end] = len(time)
+
+    def take(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """The windowed rows of alarms ``i..j-1``' flow keys, and the
+        alarm of each (int64 both)."""
+        first_key, stop_key = int(self.bounds[i]), int(self.bounds[j])
+        if first_key == stop_key:
+            return _NO_ROWS, _NO_ROWS
+        keys = slice(first_key, stop_key)
+        found = self.codes[keys] >= 0
+        rows = self.flows.rows_of(self.codes[keys][found])
+        owner = np.repeat(self.owner[keys][found], self.runs[keys][found])
+        keep = (rows >= self.lo[owner]) & (rows < self.hi[owner])
+        return rows[keep], owner[keep]
 
 
 class TrafficSets(Sequence):
@@ -99,7 +296,7 @@ class TrafficSets(Sequence):
         """Sorted codes of the union of elements ``ids``."""
         if len(ids) == 1:
             return self.codes[ids[0]]
-        return np.unique(np.concatenate([self.codes[i] for i in ids]))
+        return _sorted_unique(np.concatenate([self.codes[i] for i in ids]))
 
 
 class _ExtractionStrategy:
@@ -201,12 +398,6 @@ class ReferenceTrafficExtraction(_ExtractionStrategy):
 class ColumnarTrafficExtraction(_ExtractionStrategy):
     """Vectorized extraction strategy over the trace's packet table."""
 
-    def __init__(
-        self, trace: Trace, granularity: Granularity, engine: Engine
-    ) -> None:
-        super().__init__(trace, granularity, engine)
-        self._scratch = engine.scratch()
-
     def extract_table(
         self, table: AlarmTable
     ) -> tuple[list[np.ndarray], TrafficSets]:
@@ -218,98 +409,47 @@ class ColumnarTrafficExtraction(_ExtractionStrategy):
         codes (flow ids, or packet indices at packet granularity) of
         row ``i``: the integer alphabet the ``"similarity_graph"``
         kernel consumes without per-element Python work.
-        """
-        time = self.trace.table.time
-        # Every filter's window [t0, t1): its own bounds, else its
-        # alarm's; two searchsorted calls bound all their row ranges.
-        owner = np.repeat(np.arange(len(table)), np.diff(table.filter_bounds))
-        t0s = np.where(np.isnan(table.f_t0), table.t0[owner], table.f_t0)
-        t1s = np.where(np.isnan(table.f_t1), table.t1[owner], table.f_t1)
-        empty = np.flatnonzero(t1s < t0s)
-        if empty.size:
-            # Mirror Trace.time_slice on the reference path.
-            j = int(empty[0])
-            raise TraceError(f"empty interval [{float(t0s[j])}, {float(t1s[j])})")
-        filter_lo = np.searchsorted(time, t0s).tolist()
-        filter_hi = np.searchsorted(time, t1s).tolist()
-        tests = self._filter_tests(table)
-        flow_bounds = table.flow_bounds.tolist()
-        if flow_bounds[-1]:
-            uniflows = self.trace.flow_table(Granularity.UNIFLOW)
-            key_codes = uniflows.lookup(
-                np.stack([table.column(name) for name in FLOW_COLUMNS], axis=1)
-            )
-            key_lo = np.searchsorted(time, table.t0).tolist()
-            key_hi = np.searchsorted(time, table.t1).tolist()
-            # A flow-key window ending at the trace's last timestamp
-            # includes the packets there.
-            at_end = (table.t1 == time[-1]).tolist() if len(time) else []
-        filter_bounds = table.filter_bounds.tolist()
-        traffic_codes = (
-            None
-            if self.granularity is Granularity.PACKET
-            else self.trace.flow_table(self.granularity).codes
-        )
-        codes = []
-        for i in range(len(table)):
-            windows = [
-                (filter_lo[j], filter_hi[j], tests[j])
-                for j in range(filter_bounds[i], filter_bounds[i + 1])
-                if filter_hi[j] > filter_lo[j]
-            ]
-            rows = _NO_ROWS
-            if flow_bounds[i + 1] > flow_bounds[i]:
-                wanted = key_codes[flow_bounds[i] : flow_bounds[i + 1]]
-                wanted = wanted[wanted >= 0]
-                if wanted.size:
-                    lo, hi = key_lo[i], key_hi[i]
-                    if at_end[i]:
-                        lo, hi = min(lo, hi), len(time)
-                    rows = uniflows.rows_of(wanted)
-                    rows = rows[(rows >= lo) & (rows < hi)]
-            bounds = [(lo, hi) for lo, hi, _ in windows]
-            if rows.size:
-                bounds.append((int(rows.min()), int(rows.max()) + 1))
-            if not bounds:
-                codes.append(_NO_ROWS)
-                continue
-            start = min(lo for lo, _ in bounds)
-            stop = max(hi for _, hi in bounds)
-            mask = self._scratch.zeros(stop - start, dtype=bool)
-            for lo, hi, window_tests in windows:
-                window = mask[lo - start : hi - start]
-                if not window_tests:
-                    window[:] = True
-                    continue
-                (column, value), *more = window_tests
-                hits = column[lo:hi] == value
-                for column, value in more:
-                    hits &= column[lo:hi] == value
-                window |= hits
-            mask[rows - start] = True
-            codes.append(
-                np.flatnonzero(mask) + start
-                if traffic_codes is None
-                else np.unique(traffic_codes[start:stop][mask])
-            )
-        return codes, TrafficSets(codes, self.traffic_of)
 
-    def _filter_tests(self, table: AlarmTable) -> list[list[tuple]]:
-        """The ``(column, value)`` tests of each filter row.
-
-        ``-1`` in a filter column is the wildcard ``None``.
+        Every alarm's candidate count is known before any packet row
+        is gathered, so the alarms are taken in consecutive slices of
+        at most :data:`SLICE_ROWS` candidates; an alarm over that
+        budget is a slice of its own.
         """
         packets = self.trace.table
-        return [
-            [
-                (packets.column(name), value)
-                for name, value in zip(_FILTER_FIELDS, row)
-                if value >= 0
-            ]
-            for row in zip(
-                *(table.column(f"f_{name}").tolist() for name in _FILTER_FIELDS)
+        n_alarms = len(table)
+        filters = _FilterCandidates(table, packets)
+        flow_keys = _FlowKeyCandidates(table, self.trace)
+        count = np.zeros(n_alarms + 1, dtype=np.int64)
+        np.cumsum(filters.per_alarm + flow_keys.per_alarm, out=count[1:])
+        if self.granularity is Granularity.PACKET:
+            traffic_codes, width = None, len(packets)
+        else:
+            flows = self.trace.flow_table(self.granularity)
+            traffic_codes, width = flows.codes, len(flows)
+        codes: list[np.ndarray] = []
+        i = 0
+        while i < n_alarms:
+            j = int(np.searchsorted(count, count[i] + SLICE_ROWS, side="right"))
+            j = max(i + 1, j - 1)
+            filter_rows, filter_owner = filters.take(i, j)
+            key_rows, key_owner = flow_keys.take(i, j)
+            rows = np.concatenate([filter_rows, key_rows])
+            keys = rows if traffic_codes is None else traffic_codes[rows]
+            keys += (np.concatenate([filter_owner, key_owner]) - i) * width
+            keys = _sorted_unique(keys)
+            bounds = np.searchsorted(
+                keys, np.arange(j - i + 1, dtype=np.int64) * width
             )
-        ]
+            keys -= np.repeat(
+                np.arange(j - i, dtype=np.int64) * width, np.diff(bounds)
+            )
+            keys.flags.writeable = False
+            bounds = bounds.tolist()
+            codes.extend(
+                keys[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])
+            )
+            i = j
+        return codes, TrafficSets(codes, self.traffic_of)
 
     def packets_of(self, traffic: FrozenSet) -> list[int]:
         if self.granularity is Granularity.PACKET:

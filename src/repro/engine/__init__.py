@@ -1,4 +1,4 @@
-"""Execution-engine layer: kernel registries, capabilities, scratch.
+"""Execution-engine layer: kernel registries and capabilities.
 
 Public face of :mod:`repro.engine.core`.  Everything that used to take
 a loose ``backend: str`` parameter now takes an *engine spec* — an
@@ -17,7 +17,6 @@ from repro.engine.core import (
     PYTHON_ENGINE,
     Engine,
     EngineSpec,
-    ScratchAllocator,
     auto_engine,
     available_engines,
     engine_pairs,
@@ -35,7 +34,6 @@ __all__ = [
     "Engine",
     "EngineError",
     "EngineSpec",
-    "ScratchAllocator",
     "auto_engine",
     "available_engines",
     "engine_pairs",

@@ -11,10 +11,7 @@ replaces that convention with one first-class object:
   registers one kernel per engine, and callers ask
   ``engine.kernel("flow_codes")`` instead of branching on a string;
 * **capability flags** — ``engine.vectorized`` tells a caller whether
-  columnar array paths are available without naming any engine;
-* **per-engine scratch allocators** — :meth:`Engine.scratch` hands out
-  a :class:`ScratchAllocator` whose buffers are reused across calls of
-  a hot kernel instead of reallocated.
+  columnar array paths are available without naming any engine.
 
 Engines are process-wide singletons addressed by name (``"numpy"``,
 ``"python"``); :func:`resolve_engine` accepts a name, the ``"auto"``
@@ -28,8 +25,6 @@ pool workers.
 from __future__ import annotations
 
 from typing import Callable, Iterator, Optional, Union
-
-import numpy as np
 
 from repro.errors import EngineError
 
@@ -56,39 +51,8 @@ KERNEL_OPS = (
 )
 
 
-class ScratchAllocator:
-    """Reusable array buffers for one component's hot loop.
-
-    ``zeros(n, dtype)`` returns a zeroed length-``n`` array, reusing
-    (and re-zeroing) the previously returned buffer of the same dtype
-    when it is large enough.  The returned array is only valid until
-    the next ``zeros`` call with the same dtype — callers must consume
-    it before asking again, which is exactly the per-alarm mask pattern
-    of the columnar traffic extractor.
-
-    Allocators are deliberately *not* shared between components: each
-    owner calls :meth:`Engine.scratch` once and keeps its own instance,
-    so there is no cross-thread or cross-component aliasing.
-    """
-
-    __slots__ = ("_buffers",)
-
-    def __init__(self) -> None:
-        self._buffers: dict[str, np.ndarray] = {}
-
-    def zeros(self, n: int, dtype=bool) -> np.ndarray:
-        dtype = np.dtype(dtype)
-        buffer = self._buffers.get(dtype.str)
-        if buffer is None or len(buffer) < n:
-            buffer = np.zeros(max(n, 1), dtype=dtype)
-            self._buffers[dtype.str] = buffer
-        else:
-            buffer[:n] = 0
-        return buffer[:n]
-
-
 class Engine:
-    """One named execution engine: kernels + capabilities + scratch.
+    """One named execution engine: kernels + capabilities.
 
     Parameters
     ----------
@@ -151,12 +115,6 @@ class Engine:
         """Registered operation names, sorted."""
         _ensure_kernels()
         return tuple(sorted(self._kernels))
-
-    # -- scratch -------------------------------------------------------
-
-    def scratch(self) -> ScratchAllocator:
-        """A fresh scratch allocator for one component's hot loop."""
-        return ScratchAllocator()
 
     # -- identity ------------------------------------------------------
 

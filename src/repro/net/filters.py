@@ -27,13 +27,27 @@ from repro.net.packet import Packet
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.table import PacketTable
 
+#: The exclusive upper bound of each header field: the width of its
+#: packet column (``uint32`` addresses, ``uint16`` ports, ``uint8``
+#: protocol).
+_FIELD_LIMITS = {
+    "src": 1 << 32,
+    "dst": 1 << 32,
+    "sport": 1 << 16,
+    "dport": 1 << 16,
+    "proto": 1 << 8,
+}
+
 
 @dataclass(frozen=True)
 class FeatureFilter:
     """A partial match over packet header fields and time.
 
     ``None`` fields are wildcards.  ``t0``/``t1`` bound the half-open
-    interval ``[t0, t1)``; both default to unbounded.
+    interval ``[t0, t1)``; both default to unbounded.  Header fields
+    must fit their packet columns, or :class:`ValueError` is raised:
+    addresses in ``[0, 2**32)``, ports in ``[0, 2**16)``, the protocol
+    in ``[0, 2**8)``.
     """
 
     src: Optional[int] = None
@@ -43,6 +57,14 @@ class FeatureFilter:
     proto: Optional[int] = None
     t0: Optional[float] = None
     t1: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        for field, limit in _FIELD_LIMITS.items():
+            value = getattr(self, field)
+            if value is not None and not 0 <= value < limit:
+                raise ValueError(
+                    f"FeatureFilter {field}={value!r} is outside [0, {limit})"
+                )
 
     def matches(self, packet: Packet) -> bool:
         """True if the packet satisfies every non-wildcard field."""

@@ -87,30 +87,3 @@ class TestIdentity:
         clone = pickle.loads(pickle.dumps(detector))
         assert clone.engine is get_engine("python")
         assert clone.params == detector.params
-
-
-class TestScratch:
-    def test_zeros_reuses_buffer_for_same_dtype(self):
-        scratch = get_engine("numpy").scratch()
-        first = scratch.zeros(16)
-        first[:] = True
-        second = scratch.zeros(16)
-        assert not second.any()
-
-    def test_distinct_dtypes_do_not_alias(self):
-        import numpy as np
-
-        scratch = get_engine("numpy").scratch()
-        mask = scratch.zeros(8, dtype=bool)
-        counts = scratch.zeros(8, dtype=np.int64)
-        mask[:] = True
-        assert not counts.any()
-        assert counts.dtype == np.int64
-
-    def test_grows_when_needed(self):
-        scratch = get_engine("numpy").scratch()
-        small = scratch.zeros(4)
-        big = scratch.zeros(64)
-        assert len(small) == 4
-        assert len(big) == 64
-        assert not big.any()

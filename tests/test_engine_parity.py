@@ -24,13 +24,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core import extractor as extraction
 from repro.core.alarm_table import AlarmTable
 from repro.core.community import Community
 from repro.core.extractor import TrafficExtractor
 from repro.core.graph import build_similarity_graph
 from repro.detectors.base import Alarm
 from repro.detectors.sketch import SketchHasher, dominant_keys
-from repro.engine import KERNEL_OPS, engine_pairs, get_engine
+from repro.engine import KERNEL_OPS, engine_pairs
 from repro.net.filters import FeatureFilter
 from repro.net.flow import FlowKey, Granularity, uniflow_key
 from repro.net.packet import PROTO_ICMP, PROTO_TCP, PROTO_UDP, Packet
@@ -98,14 +99,24 @@ filters = st.builds(
 )
 
 
+#: Filters that test no header field: their whole window matches.
+wildcard_filters = st.builds(
+    FeatureFilter,
+    t0=st.none() | st.floats(min_value=0.0, max_value=5.0, allow_nan=False),
+    t1=st.none() | st.floats(min_value=5.0, max_value=10.0, allow_nan=False),
+)
+
+
 @st.composite
-def traces_and_alarms(draw):
+def traces_and_alarms(draw, max_alarms=4):
     trace = draw(traces)
     alarms = []
-    for _ in range(draw(st.integers(1, 4))):
+    for _ in range(draw(st.integers(1, max_alarms))):
         t0 = draw(st.floats(min_value=0.0, max_value=5.0, allow_nan=False))
         t1 = draw(st.floats(min_value=5.0, max_value=11.0, allow_nan=False))
-        alarm_filters = tuple(draw(st.lists(filters, max_size=2)))
+        alarm_filters = tuple(
+            draw(st.lists(filters | wildcard_filters, max_size=2))
+        )
         if draw(st.booleans()):
             # A window ending at the trace's last timestamp: flow keys
             # include the packets there, filters do not.
@@ -618,6 +629,29 @@ def test_feature_plane_parity_per_kind(kind, data):
         )
 
 
+@pytest.mark.parametrize("budget", [1, 7, extraction.SLICE_ROWS])
+@given(data=st.data())
+@settings(
+    max_examples=40,
+    suppress_health_check=[HealthCheck.too_slow],
+    deadline=None,
+)
+def test_traffic_extractor_parity_in_slices(budget, data):
+    """The ``traffic_extractor`` row on its own examples: tables of up
+    to 30 alarms (wildcard-only and two-filter alarms, present and
+    absent flow keys, windows ending at the trace's end), taken one
+    alarm a slice, in slices of at most 7 candidate rows, and in the
+    default slices."""
+    trace, alarms = data.draw(traces_and_alarms(max_alarms=30))
+    payload = (trace, alarms, data.draw(st.sampled_from(list(Granularity))))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(extraction, "SLICE_ROWS", budget)
+        for vectorized, reference in engine_pairs("traffic_extractor"):
+            assert _run_extractor(vectorized, payload) == _run_extractor(
+                reference, payload
+            )
+
+
 @given(traces, filters, st.none() | _times, st.none() | _times)
 @settings(suppress_health_check=[HealthCheck.too_slow], deadline=None)
 def test_filter_mask_matches_per_packet_loop(trace, feature_filter, t0, t1):
@@ -738,15 +772,6 @@ def test_flow_codes_of_empty_and_one_row_tables():
 def test_engine_pairs_exist_for_all_ops():
     for op in KERNEL_OPS:
         assert list(engine_pairs(op)), op
-
-
-def test_scratch_buffers_are_reused_and_rezeroed():
-    scratch = get_engine("numpy").scratch()
-    first = scratch.zeros(8, dtype=bool)
-    first[:] = True
-    second = scratch.zeros(4, dtype=bool)
-    assert not second.any()
-    assert second.base is first.base or second.base is first
 
 
 # -- trace algebra (streaming relies on it) ----------------------------

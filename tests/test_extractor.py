@@ -1,12 +1,17 @@
 """Unit tests for the traffic extractor."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.core.alarm_table import ALL_ARRAYS, AlarmTable
 from repro.core.extractor import TrafficExtractor
 from repro.detectors.base import Alarm
+from repro.errors import TraceError
 from repro.net.filters import FeatureFilter
 from repro.net.flow import FlowKey, Granularity, biflow_key, uniflow_key
+from repro.net.table import PacketTable
 from repro.net.trace import Trace
 from tests.conftest import make_packet
 
@@ -192,7 +197,6 @@ class TestWindowEdges:
     def test_community_of_keys_absent_from_the_window_labels_unknown(
         self, edge_trace, engine
     ):
-        from repro.core.alarm_table import AlarmTable
         from repro.core.community import Community
 
         absent = FlowKey(src=7, sport=443, dst=8, dport=80, proto=6)
@@ -239,3 +243,117 @@ class TestWindowEdges:
         (rule,) = record.summary.rules
         assert (rule.src, rule.sport, rule.dst, rule.dport) == (1, 100, 2, 80)
         assert rule.support == 1.0 and record.summary.rule_support == 100.0
+
+
+# -- filter values, windows and memory -----------------------------------
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("src", -1),
+        ("dst", 1 << 32),
+        ("sport", -2),
+        ("dport", 1 << 31),
+        ("proto", 40000),
+    ],
+)
+def test_filter_field_outside_its_column_raises(field, value):
+    with pytest.raises(ValueError, match=field):
+        FeatureFilter(**{field: value})
+
+
+@pytest.mark.parametrize("engine", ["numpy", "python"])
+class TestFilterValues:
+    def test_largest_field_values_match_their_packet(self, engine):
+        top = dict(src=(1 << 32) - 1, dst=(1 << 32) - 1, sport=65535, dport=65535)
+        trace = Trace(
+            [
+                make_packet(time=0.0, **top),
+                make_packet(time=1.0, src=1, dst=2, sport=65534, dport=65534),
+            ]
+        )
+        extractor = TrafficExtractor(trace, Granularity.PACKET, engine=engine)
+        for field, value in top.items():
+            assert extractor.extract(alarm_for(**{field: value})) == {0}, field
+        assert extractor.extract(alarm_for(proto=255)) == frozenset()
+
+    def test_inverted_filter_window_raises(self, two_flow_trace, engine):
+        extractor = TrafficExtractor(two_flow_trace, Granularity.PACKET, engine=engine)
+        alarm = Alarm(
+            detector="t",
+            config="t/x",
+            t0=0.0,
+            t1=10.0,
+            filters=(FeatureFilter(src=1), FeatureFilter(t0=4.0, t1=2.0)),
+        )
+        with pytest.raises(TraceError, match=r"empty interval \[4\.0, 2\.0\)"):
+            extractor.extract(alarm)
+
+
+@pytest.mark.parametrize(
+    "field, held, value",
+    [
+        ("src", 1, (1 << 32) + 1),
+        ("dst", 2, (1 << 32) + 2),
+        ("sport", 100, (1 << 16) + 100),
+        ("proto", 6, (1 << 8) + 6),
+    ],
+)
+def test_column_value_no_packet_can_hold_matches_nothing(
+    two_flow_trace, field, held, value
+):
+    """A cold table (rebuilt from columns, as a segment decode does) may
+    hold a filter value its packet column cannot; it matches nothing,
+    not the packets that hold the value's low bits."""
+    table = AlarmTable.from_alarms([alarm_for(**{field: held})] * 2)
+    columns = {name: table.column(name).copy() for name in ALL_ARRAYS}
+    columns[f"f_{field}"][1] = value
+    cold = AlarmTable(
+        **columns, detectors=table.detectors, configs=table.configs
+    )
+    extractor = TrafficExtractor(two_flow_trace, Granularity.PACKET, engine="numpy")
+    matched, nothing = extractor.extract_all(cold).graph_input
+    assert matched.size and nothing.size == 0
+
+
+def test_extraction_peak_does_not_grow_with_alarms():
+    """Whole-trace ``proto=6`` alarms each match every tenth of 100,000
+    rows; the batched pass takes them in slices of bounded size, so its
+    tracemalloc peak stays under one bound for 60 and for 600 alarms."""
+    n = 100_000
+    rows = np.arange(n)
+    packets = PacketTable(
+        time=rows * 1e-3,
+        src=rows % 8,
+        dst=rows // 8 % 8,
+        sport=np.full(n, 1234),
+        dport=np.full(n, 80),
+        proto=np.where(rows % 10 == 0, 6, 17),
+        size=np.full(n, 100),
+        tcp_flags=np.zeros(n),
+        icmp_type=np.zeros(n),
+    )
+    trace = Trace.from_table(packets)
+    trace.flow_table(Granularity.UNIFLOW)
+    alarm = Alarm(
+        detector="t",
+        config="t/x",
+        t0=0.0,
+        t1=float(n),
+        filters=(FeatureFilter(proto=6),),
+    )
+    peaks = []
+    for count in (60, 600):
+        table = AlarmTable.from_alarms([alarm] * count)
+        extractor = TrafficExtractor(trace, Granularity.UNIFLOW, engine="numpy")
+        tracemalloc.start()
+        try:
+            codes = extractor.extract_all(table).graph_input
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        (expected,) = extractor.extract_all([alarm]).graph_input
+        assert len(codes) == count
+        assert all(np.array_equal(c, expected) for c in codes)
+    assert max(peaks) < 8 << 20, peaks

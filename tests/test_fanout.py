@@ -669,19 +669,19 @@ except KeyboardInterrupt:
 
         signum = getattr(signal_mod, signame)
         before = _shm_segments()
-        process = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, "-c", script], stdout=subprocess.PIPE
-        )
-        try:
-            line = process.stdout.readline().decode()
-            assert line.strip() == "READY"
-            assert _shm_segments() - before  # child's arena is live
-            process.send_signal(signum)
-            returncode = process.wait(timeout=60)
-        finally:
-            if process.poll() is None:
-                process.kill()
-                process.wait()
+        ) as process:
+            try:
+                line = process.stdout.readline().decode()
+                assert line.strip() == "READY"
+                assert _shm_segments() - before  # child's arena is live
+                process.send_signal(signum)
+                returncode = process.wait(timeout=60)
+            finally:
+                if process.poll() is None:
+                    process.kill()
+                    process.wait()
         if signame == "SIGTERM":
             # Cleanup ran, then the default disposition was restored
             # and the signal re-raised: conventional signal death.

@@ -10,6 +10,8 @@ cleanly.
 from __future__ import annotations
 
 import asyncio
+import contextlib
+import io
 import json
 import socket
 import threading
@@ -49,8 +51,24 @@ def served(archive_day, pipeline_result):
     service.shutdown()
 
 
+@contextlib.contextmanager
+def _urlopen(request, timeout: float):
+    """``urlopen`` that closes the connection of an error response: the
+    :class:`~urllib.error.HTTPError` it raises holds the body in memory."""
+    try:
+        response = urllib.request.urlopen(request, timeout=timeout)
+    except urllib.error.HTTPError as exc:
+        with exc:
+            body = exc.read()
+        raise urllib.error.HTTPError(
+            exc.url, exc.code, exc.msg, exc.headers, io.BytesIO(body)
+        ) from None
+    with response:
+        yield response
+
+
 def _get(base: str, path: str):
-    with urllib.request.urlopen(base + path, timeout=30) as response:
+    with _urlopen(base + path, timeout=30) as response:
         body = response.read().decode()
         if response.headers.get("Content-Type") == "text/csv":
             return body
@@ -64,7 +82,7 @@ def _post(base: str, path: str, payload: dict) -> dict:
         headers={"Content-Type": "application/json"},
         method="POST",
     )
-    with urllib.request.urlopen(request, timeout=60) as response:
+    with _urlopen(request, timeout=60) as response:
         return json.load(response)
 
 
@@ -578,7 +596,7 @@ def _post_raw(base: str, path: str, body: bytes):
     """(status, JSON payload) of one POST, 4xx/5xx included."""
     request = urllib.request.Request(base + path, data=body, method="POST")
     try:
-        with urllib.request.urlopen(request, timeout=60) as response:
+        with _urlopen(request, timeout=60) as response:
             return response.status, json.load(response)
     except urllib.error.HTTPError as exc:
         return exc.code, json.load(exc)

@@ -91,7 +91,8 @@ class TestCLI:
             )
             == 0
         )
-        events = json.load(open(truth))
+        with open(truth) as fh:
+            events = json.load(fh)
         assert events[0]["kind"] == "sasser"
         assert events[0]["n_packets"] > 0
 
@@ -116,7 +117,8 @@ class TestCLI:
             main(["label", pcap_file, "--format", "xml", "--out", out_path])
             == 0
         )
-        content = open(out_path).read()
+        with open(out_path) as fh:
+            content = fh.read()
         assert content.startswith("<?xml")
         assert "<admd" in content
 
