@@ -53,7 +53,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 import numpy as np
 
 from repro.detectors.base import Alarm
-from repro.net.filters import FeatureFilter
+from repro.net.filters import FIELD_LIMITS, FeatureFilter
 from repro.net.flow import FlowKey
 
 #: Per-alarm numeric columns (length n).
@@ -220,6 +220,16 @@ class AlarmTable:
             for name in block:
                 if len(getattr(self, name)) != total:
                     raise ValueError(f"column {name!r} length mismatch")
+        # A filter value is -1 (the wildcard) or one its packet column
+        # can hold, as in every table encoded from FeatureFilters.
+        for field, limit in FIELD_LIMITS.items():
+            column = getattr(self, "f_" + field)
+            if column.size and (
+                int(column.min()) < -1 or int(column.max()) >= limit
+            ):
+                raise ValueError(
+                    f"column 'f_{field}' holds a value outside [-1, {limit})"
+                )
         if n:
             if self.det_code.size and int(self.det_code.max(initial=-1)) >= len(
                 self.detectors

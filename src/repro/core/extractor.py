@@ -159,15 +159,12 @@ class _FilterCandidates:
             picked = np.flatnonzero(first == field)
             if not picked.size:
                 continue
-            column = packets.column(name)
-            value = values[field, picked]
-            # A value its column cannot hold matches nothing.
-            fits = value <= np.iinfo(column.dtype).max
+            # The alarm table admits only values the column can hold.
             self.rows_by_value[field], start, stop = _value_rows(
-                column, np.where(fits, value, 0), lo[picked], hi[picked]
+                packets.column(name), values[field, picked], lo[picked], hi[picked]
             )
             self.starts[picked] = start
-            self.stops[picked] = np.where(fits, stop, start)
+            self.stops[picked] = stop
         self.packets = packets
         self.values = values
         self.first = first

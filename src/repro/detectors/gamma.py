@@ -57,7 +57,6 @@ class GammaDetector(Detector):
             seed = p["hash_seed"] + (0 if direction == "src" else 1)
             specs.extend(
                 (
-                    ("column", direction, "uint64"),
                     ("sketch_buckets", direction, p["n_sketches"], seed),
                     (
                         "gamma_deviations",
@@ -77,18 +76,11 @@ class GammaDetector(Detector):
         alarms: list[Alarm] = []
         planes = self._plane_cache(trace, planes)
         for direction in ("src", "dst"):
-            keys = planes.get(trace, ("column", direction, "uint64"))
-            alarms.extend(
-                self._analyze_direction(trace, keys, direction, planes)
-            )
+            alarms.extend(self._analyze_direction(trace, direction, planes))
         return alarms
 
     def _analyze_direction(
-        self,
-        trace: Trace,
-        keys: np.ndarray,
-        direction: str,
-        planes,
+        self, trace: Trace, direction: str, planes
     ) -> list[Alarm]:
         p = self.params
         seed = p["hash_seed"] + (0 if direction == "src" else 1)
@@ -108,26 +100,17 @@ class GammaDetector(Detector):
                 p["n_scales"],
             ),
         )
-        mask_all = np.ones(len(trace), dtype=bool)
-
         alarms: list[Alarm] = []
-        anomalous = np.nonzero(deviations > p["threshold"])[0]
-        buckets = (
-            planes.get(
-                trace, ("sketch_buckets", direction, p["n_sketches"], seed)
-            )
-            if anomalous.size
-            else None
-        )
-        for sketch in anomalous:
+        for sketch in np.nonzero(deviations > p["threshold"])[0]:
             ips = dominant_keys(
-                keys,
-                mask_all,
+                trace,
+                direction,
+                range(len(trace)),
                 hasher,
                 int(sketch),
                 top=p["max_ips_per_sketch"],
                 engine=self.engine,
-                buckets=buckets,
+                planes=planes,
             )
             for ip in ips:
                 if direction == "src":

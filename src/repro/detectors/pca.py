@@ -58,7 +58,6 @@ class PCADetector(Detector):
         p = self.params
         return (
             ("column", "time", None),
-            ("column", "src", "uint64"),
             ("sketch_buckets", "src", p["n_sketches"], p["hash_seed"]),
             (
                 "pca_residual",
@@ -75,7 +74,6 @@ class PCADetector(Detector):
             return []
         p = self.params
         planes = self._plane_cache(trace, planes)
-        srcs = planes.get(trace, ("column", "src", "uint64"))
         hasher = self._hasher(p["n_sketches"], p["hash_seed"])
         t_start, t_end = trace.start_time, trace.end_time
         # The residual matrix depends only on the sketch/bin structure,
@@ -96,33 +94,24 @@ class PCADetector(Detector):
         bin_width = max(t_end - t_start, 1e-9) / p["n_bins"]
 
         alarms: list[Alarm] = []
-        buckets = (
-            planes.get(
-                trace,
-                ("sketch_buckets", "src", p["n_sketches"], p["hash_seed"]),
-            )
-            if anomalous_bins
-            else None
-        )
         for b in anomalous_bins:
             t0 = t_start + b * bin_width
             t1 = t0 + bin_width
             contributions = residual[b] ** 2
             order = np.argsort(contributions)[::-1]
             window = trace.time_slice(t0, t1)
-            mask = np.zeros(len(trace), dtype=bool)
-            mask[window.start : window.stop] = True
             for sketch in order[: p["max_sketches_per_bin"]]:
                 if contributions[sketch] <= 0:
                     continue
                 ips = dominant_keys(
-                    srcs,
-                    mask,
+                    trace,
+                    "src",
+                    window,
                     hasher,
                     int(sketch),
                     top=p["max_ips_per_sketch"],
                     engine=self.engine,
-                    buckets=buckets,
+                    planes=planes,
                 )
                 for ip in ips:
                     alarms.append(

@@ -49,6 +49,14 @@ Plane specs
     :func:`~repro.detectors.sketch.shared_hasher`.  The hash is
     elementwise, so the vectorized kernel hashes each distinct value
     of ``value_codes`` once and gathers by code.
+``("key_ranks", field, start, stop)``
+    ``(values, counts, first_rows)``: the distinct values of rows
+    ``start..stop-1``, count descending then first row ascending, with
+    each one's count and first row, from one ``bincount`` and one
+    first-row scatter of the ``value_codes`` codes
+    (:func:`~repro.detectors.sketch.key_ranks`).  Every sketch and
+    tuning that turns a flagged sketch back into its dominant keys
+    over those rows reads it (:func:`~repro.detectors.sketch.dominant_keys`).
 ``("pca_residual", field, n_sketches, seed, n_bins, n_components)``
     Residual-subspace projection of the sketch/time count matrix.
 ``("gamma_deviations", field, n_sketches, seed, base_window, n_scales)``
@@ -302,6 +310,12 @@ def _compute_plane(trace, spec: tuple, planes: PlaneCache, vectorized: bool):
             values, codes = planes.get(trace, ("value_codes", field))
             return hasher.buckets(values)[codes]
         return hasher.buckets(planes.get(trace, ("column", field, "uint64")))
+    if kind == "key_ranks":
+        from repro.detectors.sketch import key_ranks
+
+        _, field, start, stop = spec
+        values, codes = planes.get(trace, ("value_codes", field))
+        return key_ranks(values, codes, start, stop)
     if kind == "pca_residual":
         return _pca_residual(trace, spec, planes)
     if kind == "gamma_deviations":
@@ -418,19 +432,12 @@ def _bin_members(trace, n_bins: int, planes: PlaneCache, vectorized: bool):
 def _pca_residual(trace, spec: tuple, planes: PlaneCache) -> np.ndarray:
     _, field, n_sketches, seed, n_bins, n_components = spec
     from repro.detectors.pca import PCADetector
-    from repro.detectors.sketch import shared_hasher, sketch_time_matrix
+    from repro.detectors.sketch import sketch_time_matrix
 
     times = planes.get(trace, ("column", "time", None))
-    keys = planes.get(trace, ("column", field, "uint64"))
     buckets = planes.get(trace, ("sketch_buckets", field, n_sketches, seed))
     matrix = sketch_time_matrix(
-        times,
-        keys,
-        shared_hasher(n_sketches, seed),
-        trace.start_time,
-        trace.end_time,
-        n_bins,
-        buckets=buckets,
+        times, buckets, n_sketches, trace.start_time, trace.end_time, n_bins
     )
     return PCADetector._residual_matrix(matrix, n_components)
 
@@ -438,6 +445,7 @@ def _pca_residual(trace, spec: tuple, planes: PlaneCache) -> np.ndarray:
 def _gamma_deviations(trace, spec: tuple, planes: PlaneCache) -> np.ndarray:
     _, field, n_sketches, seed, base_window, n_scales = spec
     from repro.detectors.gamma import GammaDetector
+    from repro.detectors.sketch import cell_counts
 
     times = planes.get(trace, ("column", "time", None))
     buckets = planes.get(trace, ("sketch_buckets", field, n_sketches, seed))
@@ -446,8 +454,7 @@ def _gamma_deviations(trace, spec: tuple, planes: PlaneCache) -> np.ndarray:
     window_idx = np.clip(
         ((times - t_start) / base_window).astype(int), 0, n_windows - 1
     )
-    counts = np.zeros((n_windows, n_sketches), dtype=float)
-    np.add.at(counts, (window_idx, buckets), 1.0)
+    counts = cell_counts(window_idx, buckets, n_windows, n_sketches)
     features = GammaDetector._gamma_features(counts, n_scales)
     return GammaDetector._deviations(features)
 

@@ -54,6 +54,7 @@ class SketchHasher:
             raise DetectorError("n_sketches must be positive")
         rng = np.random.default_rng(seed)
         self.n_sketches = n_sketches
+        self.seed = seed
         self._a = int(rng.integers(1, _MERSENNE_PRIME))
         self._b = int(rng.integers(0, _MERSENNE_PRIME))
 
@@ -104,19 +105,18 @@ def shared_hasher(n_sketches: int, seed: int = 0) -> SketchHasher:
 
 def sketch_time_matrix(
     times: np.ndarray,
-    keys: np.ndarray,
-    hasher: SketchHasher,
+    buckets: np.ndarray,
+    n_sketches: int,
     t_start: float,
     t_end: float,
     n_bins: int,
-    buckets: np.ndarray | None = None,
 ) -> np.ndarray:
     """Packet-count matrix of shape (n_bins, n_sketches).
 
     Entry ``(t, s)`` counts packets whose timestamp falls in time bin
-    ``t`` and whose key hashes to sketch ``s``.  ``buckets`` optionally
-    supplies the precomputed ``hasher.buckets(keys)`` (e.g. a cached
-    feature plane) so callers sharing the hash don't pay for it twice.
+    ``t`` and whose key hashes to sketch ``s``; ``buckets`` holds each
+    packet's sketch (``hasher.buckets(keys)``, or the cached
+    ``sketch_buckets`` plane).  The counts are one ``bincount``.
     """
     if n_bins <= 0:
         raise DetectorError("n_bins must be positive")
@@ -124,102 +124,130 @@ def sketch_time_matrix(
     bins = np.clip(
         ((times - t_start) / span * n_bins).astype(int), 0, n_bins - 1
     )
-    if buckets is None:
-        buckets = hasher.buckets(keys)
-    matrix = np.zeros((n_bins, hasher.n_sketches), dtype=float)
-    np.add.at(matrix, (bins, buckets), 1.0)
-    return matrix
+    return cell_counts(bins, buckets, n_bins, n_sketches)
+
+
+def cell_counts(
+    rows: np.ndarray, columns: np.ndarray, n_rows: int, n_columns: int
+) -> np.ndarray:
+    """Float ``(n_rows, n_columns)`` matrix counting each packet's
+    ``(rows[i], columns[i])`` cell, from one ``bincount``."""
+    counts = np.bincount(
+        rows * n_columns + columns, minlength=n_rows * n_columns
+    )
+    return counts.reshape(n_rows, n_columns).astype(float)
 
 
 def dominant_keys(
-    keys: np.ndarray,
-    mask: np.ndarray,
+    trace,
+    field: str,
+    rows: range,
     hasher: SketchHasher,
     sketch: int,
     top: int = 3,
     min_fraction: float = 0.1,
     engine: EngineSpec = "auto",
-    buckets: np.ndarray | None = None,
+    planes=None,
 ) -> list[int]:
-    """Most frequent keys hashing to ``sketch`` among masked packets.
+    """Most frequent ``field`` values hashing to ``sketch`` in ``rows``.
 
     Used to invert a sketch-level detection back to concrete addresses:
-    return up to ``top`` keys, each accounting for at least
-    ``min_fraction`` of the sketch's packets.  Dispatches to the
-    engine's ``"dominant_keys"`` kernel: the vectorized kernel counts
-    with one ``np.unique`` pass, the reference kernel is Counter-based.
-    Both return identical key lists, including ``most_common``-style
-    tie-breaking by first appearance.  ``buckets`` optionally supplies
-    the precomputed full-column ``hasher.buckets(keys)`` (e.g. a cached
-    feature plane); the vectorized kernel then skips rehashing, while
-    the reference kernel stays a scalar-hashing oracle.
+    return up to ``top`` values of the ``range`` of consecutive packet
+    rows ``rows``, each accounting for at least ``min_fraction`` of the
+    sketch's packets there, ranked by count and then by first
+    appearance (``Counter.most_common`` order).  Dispatches to the
+    engine's ``"dominant_keys"`` kernel with ``planes`` (the trace's
+    attached cache when ``None``): the vectorized kernel reads the
+    ``("key_ranks", field, start, stop)`` plane, which every sketch and
+    tuning over the same rows shares, and the ``sketch_buckets`` plane
+    of ``hasher``; the reference kernel counts the rows' values in a
+    ``Counter``.
     """
-    kernel = resolve_engine(engine, what="dominant_keys").kernel(
-        "dominant_keys"
-    )
-    return kernel(
-        keys,
-        mask,
+    engine = resolve_engine(engine, what="dominant_keys")
+    if planes is None:
+        from repro.detectors.planes import plane_cache_for
+
+        planes = plane_cache_for(trace, engine)
+    return engine.kernel("dominant_keys")(
+        trace,
+        field,
+        rows,
         hasher,
         sketch,
         top=top,
         min_fraction=min_fraction,
-        buckets=buckets,
+        planes=planes,
     )
+
+
+def key_ranks(
+    values: np.ndarray, codes: np.ndarray, start: int, stop: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(values, counts, first_rows)`` of the distinct values of rows
+    ``start..stop-1`` of a column coded as ``(values, codes)``: count
+    descending, then first row ascending (the ``key_ranks`` plane).
+
+    One ``bincount`` counts every code in the rows and one
+    ``np.minimum.at`` scatter finds each code's first row.
+    """
+    in_rows = codes[start:stop]
+    counts = np.bincount(in_rows, minlength=len(values))
+    first = np.full(len(values), stop, dtype=np.int64)
+    np.minimum.at(first, in_rows, np.arange(start, start + in_rows.size))
+    present = np.flatnonzero(counts)
+    ranked = present[np.lexsort((first[present], -counts[present]))]
+    return values[ranked], counts[ranked], first[ranked]
 
 
 def _dominant_keys_numpy(
-    keys: np.ndarray,
-    mask: np.ndarray,
+    trace,
+    field: str,
+    rows: range,
     hasher: SketchHasher,
     sketch: int,
-    top: int = 3,
-    min_fraction: float = 0.1,
-    buckets: np.ndarray | None = None,
+    top: int,
+    min_fraction: float,
+    planes,
 ) -> list[int]:
-    """Vectorized kernel: one ``np.unique`` pass over the sketch."""
-    if buckets is None:
-        selected = keys[mask]
-        if selected.size == 0:
-            return []
-        in_sketch = selected[hasher.buckets(selected) == sketch]
-    else:
-        # Precomputed full-column buckets: same selection, no rehash.
-        in_sketch = keys[mask & (buckets == sketch)]
-    if in_sketch.size == 0:
-        return []
-    uniq, first_index, counts = np.unique(
-        in_sketch, return_index=True, return_counts=True
+    """Vectorized kernel: one pass over the rows' ranked values.
+
+    The ranked values keep their order when cut to one sketch, so the
+    sketch's first ``top`` are its most frequent; each value's bucket
+    is the ``sketch_buckets`` plane at its first row.
+    """
+    values, counts, first = planes.get(
+        trace, ("key_ranks", field, rows.start, rows.stop)
     )
-    # Counter.most_common order: count descending, ties by first
-    # appearance (sorted() is stable over dict insertion order).
-    order = np.lexsort((first_index, -counts))
-    total = int(in_sketch.size)
+    buckets = planes.get(
+        trace, ("sketch_buckets", field, hasher.n_sketches, hasher.seed)
+    )
+    in_sketch = np.flatnonzero(buckets[first] == sketch)
+    total = int(counts[in_sketch].sum())
     return [
-        int(uniq[i])
-        for i in order[:top]
+        int(values[i])
+        for i in in_sketch[:top].tolist()
         if int(counts[i]) / total >= min_fraction
     ]
 
 
 def _dominant_keys_python(
-    keys: np.ndarray,
-    mask: np.ndarray,
+    trace,
+    field: str,
+    rows: range,
     hasher: SketchHasher,
     sketch: int,
-    top: int = 3,
-    min_fraction: float = 0.1,
-    buckets: np.ndarray | None = None,
+    top: int,
+    min_fraction: float,
+    planes,
 ) -> list[int]:
-    """Reference kernel: scalar hashing into a ``Counter``.
+    """Reference kernel: scalar hashing of each row into a ``Counter``.
 
-    ``buckets`` is accepted for signature parity but deliberately
-    ignored — the oracle rehashes every key scalar-by-scalar.
+    ``planes`` is accepted for signature parity but deliberately
+    ignored: the oracle reads the column's rows and rehashes every
+    value scalar-by-scalar.
     """
-    selected = keys[mask]
-    if selected.size == 0:
-        return []
-    in_sketch = [int(k) for k in selected if hasher.bucket(int(k)) == sketch]
+    column = trace.table.column(field)[rows.start : rows.stop].tolist()
+    in_sketch = [key for key in column if hasher.bucket(key) == sketch]
     if not in_sketch:
         return []
     counts = Counter(in_sketch)

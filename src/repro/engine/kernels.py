@@ -21,8 +21,14 @@ Kernel signatures
     :class:`~repro.detectors.features.BinnedHistogram` of one feature
     column per time bin; the vectorized kernel reuses ``value_codes``
     (the column's ``(values, codes)``) when given.
-``dominant_keys(keys, mask, hasher, sketch, top, min_fraction)``
-    Most frequent keys hashing to ``sketch`` among masked packets.
+``dominant_keys(trace, field, rows, hasher, sketch, top, min_fraction, planes)``
+    Most frequent ``field`` values hashing to ``sketch`` in the
+    ``range`` of packet rows ``rows`` (the whole trace for Gamma, an
+    anomalous time bin's :meth:`~repro.net.trace.Trace.time_slice` for
+    PCA), ranked by count, then first appearance.  The vectorized
+    kernel reads the ``key_ranks`` plane of ``(field, rows)`` from
+    ``planes``, shared by every sketch and tuning over those rows; the
+    reference kernel counts the rows' values in a ``Counter``.
 ``similarity_graph(traffic_sets, measure_fn, batch_fn, edge_threshold)``
     The alarm similarity graph (Step 2).
 ``community_label(extractor, communities)``
@@ -70,11 +76,12 @@ Kernel signatures
     (sub-planes are fetched through it).  Both kernels return the same
     plane types.  The vectorized kernel reads the columnar table; the
     reference kernel builds the per-packet kinds (time bins, bin
-    members, value codes, binned histograms, sketch buckets and Hough's
-    ``hough_x``, ``hough_rows`` and ``hough_pixels``) from packet
-    objects, and both derive the statistics planes (KL divergence and
-    entropy series, PCA residuals, Gamma deviations, Hough line
-    sequences) from those with the same shared code.
+    members, value codes, sketch buckets and Hough's ``hough_x``,
+    ``hough_rows`` and ``hough_pixels``) from packet objects, and its
+    binned histograms from the column's values.  Both derive the
+    statistics planes (KL divergence and entropy series, PCA residuals,
+    Gamma deviations, Hough line sequences) and the ``key_ranks``
+    rankings from those with the same shared code.
 """
 
 from __future__ import annotations
@@ -131,13 +138,13 @@ def _binned_histogram_numpy(table, feature, bin_idx, n_bins, value_codes=None):
 def _binned_histogram_python(table, feature, bin_idx, n_bins, value_codes=None):
     """Counter-per-bin reference assembling the same dense struct.
 
-    One pass over the packet objects fills every bin's Counter.
+    One pass over the column's values fills every bin's Counter.
     ``value_codes`` is accepted for signature parity but deliberately
-    ignored: the oracle codes every packet object itself.
+    ignored: the oracle codes every value itself.
     """
     from repro.detectors.features import BinnedHistogram
 
-    column = [getattr(table.packet(i), feature) for i in range(len(table))]
+    column = table.column(feature).tolist()
     values = sorted(set(column))
     code_of = {value: c for c, value in enumerate(values)}
     codes = np.array([code_of[v] for v in column], dtype=np.int64)

@@ -30,7 +30,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: The exclusive upper bound of each header field: the width of its
 #: packet column (``uint32`` addresses, ``uint16`` ports, ``uint8``
 #: protocol).
-_FIELD_LIMITS = {
+FIELD_LIMITS = {
     "src": 1 << 32,
     "dst": 1 << 32,
     "sport": 1 << 16,
@@ -59,7 +59,7 @@ class FeatureFilter:
     t1: Optional[float] = None
 
     def __post_init__(self) -> None:
-        for field, limit in _FIELD_LIMITS.items():
+        for field, limit in FIELD_LIMITS.items():
             value = getattr(self, field)
             if value is not None and not 0 <= value < limit:
                 raise ValueError(

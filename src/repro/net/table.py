@@ -235,6 +235,32 @@ def _pack(src, sport, dst, dport, proto) -> tuple[np.ndarray, np.ndarray]:
     return high, low
 
 
+def _radix_order(columns) -> np.ndarray:
+    """Stable sort permutation of the rows by ``columns`` (most
+    significant first; unsigned, at most 32 bits each).
+
+    LSD radix passes, least significant digit first: a 32-bit column is
+    two 16-bit digits, and NumPy sorts ``uint16``/``uint8`` keys by
+    radix under ``kind="stable"``, so each digit is one linear pass.
+    The result is ``np.lexsort`` of the columns.
+    """
+    order = None
+    for column in reversed(columns):
+        if column.itemsize > 2:
+            digits = (
+                (column & 0xFFFF).astype(np.uint16),
+                (column >> 16).astype(np.uint16),
+            )
+        else:
+            digits = (column,)
+        for digit in digits:
+            if order is None:
+                order = np.argsort(digit, kind="stable")
+            else:
+                order = order[np.argsort(digit[order], kind="stable")]
+    return order
+
+
 def _packed_keys(high: np.ndarray, low: np.ndarray) -> np.ndarray:
     """One 16-byte value per key that compares like ``(high, low)``."""
     packed = np.empty((len(high), 2), dtype=_PACKED_KEY)
@@ -303,20 +329,23 @@ class FlowTable:
                 np.where(swap, dport, sport),
                 np.where(swap, sport, dport),
             )
-        # Group the packed keys with a stable sort: each group's rows
-        # stay in row order, so its first sorted row is the flow's
-        # first appearance.
-        high, low = _pack(src, sport, dst, dport, table.proto)
-        order = np.lexsort((low, high))
-        high, low = high[order], low[order]
-        starts = np.ones(n, dtype=bool)
-        starts[1:] = (high[1:] != high[:-1]) | (low[1:] != low[:-1])
+        # Group the keys with a stable sort in packed-key order (src,
+        # dst, sport, dport, proto): each group's rows stay in row
+        # order, so its first sorted row is the flow's first appearance.
+        key = (src, dst, sport, dport, table.proto)
+        order = _radix_order(key)
+        starts = np.zeros(n, dtype=bool)
+        starts[:1] = True
+        for column in key:
+            column = column[order]
+            starts[1:] |= column[1:] != column[:-1]
         group_start = np.flatnonzero(starts)
+        group_rows = order[group_start]
         # Number the flows by first appearance: the rank of each flow's
         # first row among all first rows.
         first = np.zeros(n, dtype=bool)
-        first[order[group_start]] = True
-        group_code = (np.cumsum(first) - 1)[order[group_start]]
+        first[group_rows] = True
+        group_code = (np.cumsum(first) - 1)[group_rows]
         codes = np.empty(n, dtype=np.int64)
         codes[order] = np.repeat(group_code, np.diff(np.append(group_start, n)))
         first_row = np.flatnonzero(first)
@@ -332,8 +361,9 @@ class FlowTable:
             np.repeat(group_start[group_of] - offsets[:-1], sizes)
             + np.arange(n, dtype=np.int64)
         ]
+        fields = (src, sport, dst, dport, table.proto)
         key_columns = np.empty((n_flows, 5), dtype=np.int64)
-        for j, column in enumerate((src, sport, dst, dport, table.proto)):
+        for j, column in enumerate(fields):
             key_columns[:, j] = column[first_row]
         self.granularity = granularity
         self.codes = codes
@@ -341,7 +371,9 @@ class FlowTable:
         self.rows = rows
         self.offsets = offsets
         self.key_columns = key_columns
-        self._sorted_keys = _packed_keys(high[group_start], low[group_start])
+        self._sorted_keys = _packed_keys(
+            *_pack(*(column[group_rows] for column in fields))
+        )
         self._sorted_codes = group_code
         self._keys: Optional[list[Optional[FlowKey]]] = None
 

@@ -14,6 +14,7 @@ The satellite properties:
 
 from __future__ import annotations
 
+import hashlib
 import pickle
 
 import numpy as np
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.alarm_table import AlarmTable
+from repro.core.alarm_table import ALL_ARRAYS, AlarmTable
 from repro.core.annotations import Annotation
 from repro.detectors.base import Alarm
 from repro.net.filters import FeatureFilter
@@ -189,6 +190,78 @@ def test_empty_table():
     assert list(table) == []
     assert AlarmTable.concatenate([]) == table
     assert list(table.take(np.empty(0, dtype=np.int64))) == []
+
+
+def _one_alarm_arrays(**filter_values) -> dict:
+    """The columns of a one-alarm table, with some filter values
+    overwritten (as a crafted segment could hold them)."""
+    table = AlarmTable.from_alarms(
+        [Alarm("pca", "pca/a", 0.0, 1.0, (FeatureFilter(sport=80),))]
+    )
+    arrays = {name: getattr(table, name) for name in ALL_ARRAYS}
+    for name, value in filter_values.items():
+        arrays[name] = np.array([value], dtype=arrays[name].dtype)
+    return arrays
+
+
+def _table_of(arrays) -> AlarmTable:
+    return AlarmTable(
+        *(arrays[name] for name in ALL_ARRAYS),
+        detectors=("pca",),
+        configs=("pca/a",),
+    )
+
+
+@pytest.mark.parametrize(
+    "column, limit",
+    [
+        ("f_src", 1 << 32),
+        ("f_dst", 1 << 32),
+        ("f_sport", 1 << 16),
+        ("f_dport", 1 << 16),
+        ("f_proto", 1 << 8),
+    ],
+)
+def test_filter_values_must_fit_their_packet_column(column, limit):
+    """A filter value is the wildcard -1 or one its packet column can
+    hold; anything else cannot come from a FeatureFilter."""
+    for value in (-1, 0, limit - 1):
+        assert len(_table_of(_one_alarm_arrays(**{column: value}))) == 1
+    for value in (-2, limit):
+        with pytest.raises(ValueError, match=column):
+            _table_of(_one_alarm_arrays(**{column: value}))
+
+
+def test_impossible_filter_value_is_a_corrupt_segment(tmp_path):
+    """A crafted one-alarm segment holding ``f_sport=70000`` decodes to
+    ``WarehouseError``, and as an alarm-cache entry (right envelope and
+    digest) it is an evicted miss: no engine ever extracts it."""
+    from repro.errors import WarehouseError
+    from repro.labeling.warehouse import (
+        Segment,
+        alarm_table_from_segment,
+        encode_segment,
+    )
+    from repro.runner import AlarmCache
+    from repro.runner.cache import _ENTRY_MAGIC
+
+    payload = encode_segment(
+        "alarms",
+        _one_alarm_arrays(f_sport=70000),
+        {"detectors": ["pca"], "configs": ["pca/a"]},
+        {},
+    )
+    with pytest.raises(WarehouseError, match="f_sport"):
+        alarm_table_from_segment(Segment(payload, kind="alarms"))
+
+    cache = AlarmCache(tmp_path)
+    key = AlarmCache.make_key("arch", "day", "ens")
+    cache.path_for(key).write_bytes(
+        _ENTRY_MAGIC + hashlib.sha256(payload).digest() + payload
+    )
+    assert cache.get(key) is None
+    assert (cache.evictions, cache.misses, cache.hits) == (1, 1, 0)
+    assert not cache.path_for(key).exists()
 
 
 def test_code_columns_group_by_name():

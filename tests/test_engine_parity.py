@@ -162,14 +162,18 @@ def binning_inputs(draw):
 
 @st.composite
 def dominant_inputs(draw):
-    keys = np.array(
-        draw(st.lists(st.integers(0, 6), min_size=1, max_size=60)),
-        dtype=np.uint64,
+    """A trace, one of its fields and a row range: empty ranges, the
+    whole trace, and sketches with no row in the range included."""
+    trace = draw(traces)
+    start = draw(st.integers(0, len(trace)))
+    stop = draw(
+        st.sampled_from([start, len(trace)]) | st.integers(start, len(trace))
     )
     n_sketches = draw(st.integers(1, 4))
     return (
-        keys,
-        np.ones(len(keys), dtype=bool),
+        trace,
+        draw(st.sampled_from(["src", "dst", "sport", "dport"])),
+        range(start, stop),
         SketchHasher(n_sketches, seed=draw(st.integers(0, 3))),
         draw(st.integers(0, n_sketches - 1)),
         draw(st.integers(1, 4)),
@@ -188,6 +192,7 @@ def _plane_specs(field, n_bins, n_sketches, seed):
         ("kl_divergence", field, n_bins, 1e-4),
         ("entropy_series", field, n_bins),
         ("sketch_buckets", field, n_sketches, seed),
+        ("key_ranks", field, seed, seed + n_bins),
         ("hough_x", n_bins),
         ("hough_rows", field, n_bins, n_sketches, seed),
         ("hough_pixels", field, n_bins, n_sketches, 2, seed),
@@ -436,8 +441,10 @@ def _run_binned_histogram(engine, payload):
 
 
 def _run_dominant_keys(engine, payload):
-    keys, mask, hasher, sketch, top = payload
-    return dominant_keys(keys, mask, hasher, sketch, top=top, engine=engine)
+    trace, field, rows, hasher, sketch, top = payload
+    return dominant_keys(
+        trace, field, rows, hasher, sketch, top=top, engine=engine
+    )
 
 
 def _run_similarity_graph(engine, payload):

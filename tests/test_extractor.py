@@ -303,18 +303,22 @@ class TestFilterValues:
 def test_column_value_no_packet_can_hold_matches_nothing(
     two_flow_trace, field, held, value
 ):
-    """A cold table (rebuilt from columns, as a segment decode does) may
-    hold a filter value its packet column cannot; it matches nothing,
-    not the packets that hold the value's low bits."""
+    """A filter value its packet column cannot hold never matches the
+    packets that hold the value's low bits: a cold table (rebuilt from
+    columns, as a segment decode does) refuses to hold it, so no
+    extraction on either engine sees it, while the value those bits
+    spell matches on both."""
     table = AlarmTable.from_alarms([alarm_for(**{field: held})] * 2)
     columns = {name: table.column(name).copy() for name in ALL_ARRAYS}
     columns[f"f_{field}"][1] = value
-    cold = AlarmTable(
-        **columns, detectors=table.detectors, configs=table.configs
-    )
-    extractor = TrafficExtractor(two_flow_trace, Granularity.PACKET, engine="numpy")
-    matched, nothing = extractor.extract_all(cold).graph_input
-    assert matched.size and nothing.size == 0
+    with pytest.raises(ValueError, match=f"f_{field}"):
+        AlarmTable(**columns, detectors=table.detectors, configs=table.configs)
+    for engine in ("numpy", "python"):
+        extractor = TrafficExtractor(
+            two_flow_trace, Granularity.PACKET, engine=engine
+        )
+        matched, again = extractor.extract_all(table).graph_input
+        assert matched.size and again.tolist() == matched.tolist()
 
 
 def test_extraction_peak_does_not_grow_with_alarms():

@@ -1,18 +1,24 @@
 """Unit tests for the columnar packet table (repro.net.table)."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.net.flow import Granularity, aggregate_flows
 from repro.net.packet import PROTO_ICMP, PROTO_UDP, SYN
 from repro.net.table import (
     COLUMNS,
+    FlowTable,
     PacketTable,
     aggregate_flows_table,
     flow_codes,
 )
 from repro.net.trace import Trace
 from tests.conftest import make_packet
+from tests.flow_table_oracle import lexsort_flow_table
 
 
 @pytest.fixture
@@ -131,6 +137,125 @@ class TestFlowCodes:
             assert aggregate_flows_table(table, granularity) == aggregate_flows(
                 ordered, granularity
             )
+
+
+# -- radix grouping against the lexsort reference ----------------------
+
+FLOW_GRANULARITIES = [Granularity.UNIFLOW, Granularity.BIFLOW]
+
+#: Key column dtypes.  ``FlowTable`` reads only these five columns, so a
+#: namespace holding them stands in for a table; that lets the extremes
+#: reach ``proto`` too (a ``PacketTable`` admits protocols 1, 6 and 17).
+KEY_DTYPES = {
+    "src": np.uint32,
+    "dst": np.uint32,
+    "sport": np.uint16,
+    "dport": np.uint16,
+    "proto": np.uint8,
+}
+
+
+class KeyColumns(SimpleNamespace):
+    def __len__(self) -> int:
+        return len(self.src)
+
+
+def _key_values(dtype):
+    """Small alphabets that collide, plus both ends of each 16-bit
+    digit of the dtype."""
+    top = int(np.iinfo(dtype).max)
+    low_digit = 0xFFFF & top
+    edges = [0, 1, top, top - 1, low_digit, (low_digit + 1) & top]
+    return st.integers(0, 3) | st.sampled_from(edges) | st.integers(0, top)
+
+
+@st.composite
+def key_tables(draw):
+    n = draw(st.sampled_from([0, 1, 2]) | st.integers(0, 60))
+    columns = {}
+    for name, dtype in KEY_DTYPES.items():
+        if draw(st.booleans()):  # one value in every row
+            value = draw(_key_values(dtype))
+            columns[name] = np.full(n, value, dtype=dtype)
+        else:
+            columns[name] = np.array(
+                draw(st.lists(_key_values(dtype), min_size=n, max_size=n)),
+                dtype=dtype,
+            )
+    return KeyColumns(**columns)
+
+
+def _assert_matches_oracle(table, granularity):
+    flows = FlowTable(table, granularity)
+    expected = lexsort_flow_table(table, granularity)
+    for name, array in expected.items():
+        got = getattr(flows, name)
+        assert got.dtype == array.dtype, name
+        np.testing.assert_array_equal(got, array, err_msg=name)
+
+
+class TestRadixGrouping:
+    @pytest.mark.parametrize("granularity", FLOW_GRANULARITIES)
+    @given(table=key_tables())
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_every_array_matches_lexsort(self, granularity, table):
+        _assert_matches_oracle(table, granularity)
+
+    @pytest.mark.parametrize("granularity", FLOW_GRANULARITIES)
+    def test_empty_one_row_and_all_equal_tables(self, granularity):
+        for n in (0, 1, 5):
+            for value in (0, 0xFF):
+                table = KeyColumns(
+                    **{
+                        name: np.full(n, value, dtype=dtype)
+                        for name, dtype in KEY_DTYPES.items()
+                    }
+                )
+                _assert_matches_oracle(table, granularity)
+                assert len(FlowTable(table, granularity)) == min(n, 1)
+
+    @pytest.mark.parametrize("granularity", FLOW_GRANULARITIES)
+    def test_extremes_of_every_column(self, granularity):
+        extremes = {
+            name: [0, int(np.iinfo(dtype).max)]
+            for name, dtype in KEY_DTYPES.items()
+        }
+        rows = np.array(
+            np.meshgrid(*extremes.values(), indexing="ij")
+        ).reshape(5, -1)
+        rows = np.concatenate([rows, rows[:, ::-1]], axis=1)
+        table = KeyColumns(
+            **{
+                name: rows[j].astype(dtype)
+                for j, (name, dtype) in enumerate(KEY_DTYPES.items())
+            }
+        )
+        _assert_matches_oracle(table, granularity)
+
+    @pytest.mark.parametrize("granularity", FLOW_GRANULARITIES)
+    def test_more_port_pairs_than_one_digit_holds(self, granularity):
+        """Every sport and more than 65,536 distinct (sport, dport)
+        pairs: the port digits carry order across passes."""
+        rng = np.random.default_rng(28)
+        n = 90_000
+        table = KeyColumns(
+            src=rng.integers(0, 4, n).astype(np.uint32) << np.uint32(30),
+            dst=rng.integers(0, 1 << 32, n).astype(np.uint32) | 0xFFFF,
+            sport=(np.arange(n) % (1 << 16)).astype(np.uint16),
+            dport=rng.integers(0, 1 << 16, n).astype(np.uint16),
+            proto=rng.choice([1, 6, 17, 255], n).astype(np.uint8),
+        )
+        assert len(np.unique(table.sport)) == 1 << 16
+        assert len(FlowTable(table, granularity)) > 1 << 16
+        _assert_matches_oracle(table, granularity)
+
+    def test_archive_day_matches(self, archive_day):
+        for granularity in FLOW_GRANULARITIES:
+            _assert_matches_oracle(archive_day.trace.table, granularity)
 
 
 class TestTraceBacking:
