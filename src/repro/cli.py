@@ -687,7 +687,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=8192,
         help="ingestion batch size in packets; also bounds the pcap "
-        "reader's memory (one batch of decoded rows plus a 64 KiB block)",
+        "reader's memory (one batch of decoded rows plus a 256 KiB block)",
     )
     stream.add_argument(
         "--workers",

@@ -33,7 +33,9 @@ elements a caller reads.
   is gathered, so the pass takes consecutive slices of alarms under
   one fixed budget (:data:`SLICE_ROWS`); a slice's codes are one sort
   and dedupe of ``alarm * width + code`` keys, and each alarm's array
-  is a read-only slice of the result.
+  is a read-only slice of the result.  An alarm over the budget is
+  taken in budget-sized runs of its candidates, merged into a running
+  sorted union.
 * :class:`ReferenceTrafficExtraction` — the original per-packet
   predicate loop, kept as the readable reference; its per-packet flow
   keys are coded with one :meth:`~repro.net.table.FlowTable.codes_of`
@@ -48,7 +50,7 @@ while a filter's window stays half-open.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from typing import Callable, FrozenSet, NamedTuple, Union
+from typing import Callable, FrozenSet, Iterable, Iterator, NamedTuple, Union
 
 import numpy as np
 
@@ -57,7 +59,7 @@ from repro.detectors.base import Alarm
 from repro.engine import Engine, EngineSpec, resolve_engine
 from repro.errors import TraceError
 from repro.net.flow import FlowKey, Granularity, biflow_key, uniflow_key
-from repro.net.table import PacketTable
+from repro.net.table import PacketTable, value_row_keys
 from repro.net.trace import Trace
 
 #: Filter fields in :class:`~repro.core.alarm_table.AlarmTable` column
@@ -66,7 +68,8 @@ _FILTER_FIELDS = ("src", "dst", "sport", "dport", "proto")
 
 #: Candidate rows one slice of alarms gathers at most: the rows that
 #: pass each filter's first test inside its window, and the rows of
-#: each flow key's flow.  An alarm over budget is a slice of its own.
+#: each flow key's flow.  An alarm over budget is taken in runs of this
+#: many candidates.
 SLICE_ROWS = 1 << 14
 
 _ROW_BITS = np.uint64(32)
@@ -76,14 +79,52 @@ _NO_ROWS.flags.writeable = False
 
 
 def _sorted_unique(values: np.ndarray) -> np.ndarray:
-    """``np.unique(values)`` by one sort and a neighbour test."""
-    values = np.sort(values)
+    """``np.unique(values)`` by one sort and a neighbour test.
+
+    Sorts ``values`` in place: callers pass arrays of their own.
+    """
+    values.sort()
     if len(values) > 1:
         keep = np.empty(len(values), dtype=bool)
         keep[0] = True
         np.not_equal(values[1:], values[:-1], out=keep[1:])
         values = values[keep]
     return values
+
+
+def _union(parts: Iterable[np.ndarray]) -> np.ndarray:
+    """The sorted union of code arrays, kept as one running union.
+
+    Parts wait until they hold as many codes as the union, then one
+    sort merges them in: the parts held stay within one part of the
+    union's size, and all merges together sort at most four times the
+    codes of all parts.
+    """
+    union, held, size = _NO_ROWS, [], 0
+    for part in parts:
+        held.append(part)
+        size += len(part)
+        if size >= len(union):
+            union = _sorted_unique(np.concatenate([union, *held]))
+            held, size = [], 0
+    return _sorted_unique(np.concatenate([union, *held])) if held else union
+
+
+def _clip(
+    cumulative: np.ndarray, starts: np.ndarray, stops: np.ndarray, lo: int, hi: int
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """Item ranges cut to the candidates ``lo..hi-1``.
+
+    Item ``k`` holds the candidates numbered ``cumulative[k]`` to
+    ``cumulative[k + 1] - 1``, the positions ``[starts[k], stops[k])``.
+    Returns the first item holding any of ``lo..hi-1``, and the ranges
+    of it and of the items after it that hold them, cut to them.
+    """
+    first = int(np.searchsorted(cumulative, lo, side="right")) - 1
+    stop = max(first, int(np.searchsorted(cumulative, hi)))
+    before = np.maximum(lo - cumulative[first:stop], 0)
+    after = np.maximum(cumulative[first + 1 : stop + 1] - hi, 0)
+    return first, starts[first:stop] + before, stops[first:stop] - after
 
 
 def _runs(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -102,17 +143,11 @@ def _value_rows(
     and where the rows holding ``value[k]`` in ``[lo[k], hi[k])`` start
     and stop in them.
 
-    The search runs over the column's value index, the sorted
-    ``value << 32 | row`` of every row; only its low words, the rows,
-    are kept.
+    The search runs over the column's value index, its
+    :func:`~repro.net.table.value_row_keys`; only their low words, the
+    rows, are kept.
     """
-    index = column.astype(np.uint64)
-    index <<= _ROW_BITS
-    # Row numbers a slice at a time: no second n-row array.
-    for first in range(0, len(column), SLICE_ROWS):
-        last = min(first + SLICE_ROWS, len(column))
-        index[first:last] |= np.arange(first, last, dtype=np.uint64)
-    index.sort()
+    index = value_row_keys(column)
     key = value.astype(np.uint64) << _ROW_BITS
     start = np.searchsorted(index, key | lo.astype(np.uint64))
     stop = np.searchsorted(index, key | hi.astype(np.uint64))
@@ -169,25 +204,29 @@ class _FilterCandidates:
         self.values = values
         self.first = first
         self.more = tested & (np.arange(len(_FILTER_FIELDS))[:, None] != first)
-        self.bounds = table.filter_bounds
         self.owner = owner
-        cumulative = np.zeros(len(owner) + 1, dtype=np.int64)
-        np.cumsum(self.stops - self.starts, out=cumulative[1:])
-        self.per_alarm = np.diff(cumulative[self.bounds])
+        #: Candidates numbered filter by filter: filter ``f`` holds
+        #: ``cumulative[f]`` to ``cumulative[f + 1] - 1``, and alarm
+        #: ``i`` those from ``at[i]`` to ``at[i + 1] - 1``.
+        self.cumulative = np.zeros(len(owner) + 1, dtype=np.int64)
+        np.cumsum(self.stops - self.starts, out=self.cumulative[1:])
+        self.at = self.cumulative[table.filter_bounds]
 
-    def take(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """The matching rows of alarms ``i..j-1``' filters, and the
+    def take(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """The matching rows among candidates ``lo..hi-1``, and the
         alarm of each (int64 both; a row repeats across filters)."""
-        first_filter, stop_filter = int(self.bounds[i]), int(self.bounds[j])
-        group = self.first[first_filter:stop_filter]
+        first_filter, starts, stops = _clip(
+            self.cumulative, self.starts, self.stops, lo, hi
+        )
+        group = self.first[first_filter : first_filter + len(starts)]
         rows, of = [], []
         for field in np.unique(group).tolist():
-            picked = np.flatnonzero(group == field) + first_filter
-            at, run = _runs(self.starts[picked], self.stops[picked])
+            picked = np.flatnonzero(group == field)
+            at, run = _runs(starts[picked], stops[picked])
             if field >= 0:
                 at = self.rows_by_value[field][at].astype(np.int64)
             rows.append(at)
-            of.append(picked[run])
+            of.append(picked[run] + first_filter)
         rows = np.concatenate(rows) if rows else _NO_ROWS
         of = np.concatenate(of) if of else _NO_ROWS
         keep = None
@@ -214,25 +253,27 @@ class _FlowKeyCandidates:
     """
 
     def __init__(self, table: AlarmTable, trace: Trace) -> None:
-        self.bounds = table.flow_bounds
-        self.per_alarm = np.zeros(len(table), dtype=np.int64)
-        if not self.bounds[-1]:
+        #: Candidates numbered key by key, as in
+        #: :class:`_FilterCandidates`.
+        self.at = np.zeros(len(table) + 1, dtype=np.int64)
+        if not table.flow_bounds[-1]:
             return
         time = trace.table.time
         self.flows = trace.flow_table(Granularity.UNIFLOW)
-        self.codes = self.flows.lookup(
+        codes = self.flows.lookup(
             np.stack([table.column(name) for name in FLOW_COLUMNS], axis=1)
         )
-        found = self.codes >= 0
+        # A key of no flow has no candidates.
+        found = codes >= 0
         offsets = self.flows.offsets
-        self.runs = np.zeros(len(self.codes), dtype=np.int64)
-        self.runs[found] = (
-            offsets[self.codes[found] + 1] - offsets[self.codes[found]]
-        )
-        cumulative = np.zeros(len(self.runs) + 1, dtype=np.int64)
-        np.cumsum(self.runs, out=cumulative[1:])
-        self.per_alarm = np.diff(cumulative[self.bounds])
-        self.owner = np.repeat(np.arange(len(table)), np.diff(self.bounds))
+        self.starts = np.zeros(len(codes), dtype=np.int64)
+        self.stops = np.zeros(len(codes), dtype=np.int64)
+        self.starts[found] = offsets[codes[found]]
+        self.stops[found] = offsets[codes[found] + 1]
+        self.cumulative = np.zeros(len(codes) + 1, dtype=np.int64)
+        np.cumsum(self.stops - self.starts, out=self.cumulative[1:])
+        self.at = self.cumulative[table.flow_bounds]
+        self.owner = np.repeat(np.arange(len(table)), np.diff(table.flow_bounds))
         self.lo = np.searchsorted(time, table.t0)
         self.hi = np.searchsorted(time, table.t1)
         if len(time):
@@ -240,16 +281,17 @@ class _FlowKeyCandidates:
             self.lo[at_end] = np.minimum(self.lo, self.hi)[at_end]
             self.hi[at_end] = len(time)
 
-    def take(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """The windowed rows of alarms ``i..j-1``' flow keys, and the
+    def take(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """The windowed rows among candidates ``lo..hi-1``, and the
         alarm of each (int64 both)."""
-        first_key, stop_key = int(self.bounds[i]), int(self.bounds[j])
-        if first_key == stop_key:
+        if lo == hi:
             return _NO_ROWS, _NO_ROWS
-        keys = slice(first_key, stop_key)
-        found = self.codes[keys] >= 0
-        rows = self.flows.rows_of(self.codes[keys][found])
-        owner = np.repeat(self.owner[keys][found], self.runs[keys][found])
+        first_key, starts, stops = _clip(
+            self.cumulative, self.starts, self.stops, lo, hi
+        )
+        at, run = _runs(starts, stops)
+        rows = self.flows.rows[at]
+        owner = self.owner[first_key:][run]
         keep = (rows >= self.lo[owner]) & (rows < self.hi[owner])
         return rows[keep], owner[keep]
 
@@ -409,27 +451,49 @@ class ColumnarTrafficExtraction(_ExtractionStrategy):
 
         Every alarm's candidate count is known before any packet row
         is gathered, so the alarms are taken in consecutive slices of
-        at most :data:`SLICE_ROWS` candidates; an alarm over that
-        budget is a slice of its own.
+        at most :data:`SLICE_ROWS` candidates.  An alarm over that
+        budget is taken in runs of :data:`SLICE_ROWS` candidates, whose
+        codes join a running sorted union, so no alarm's transient
+        memory grows with its candidate count.
         """
         packets = self.trace.table
         n_alarms = len(table)
         filters = _FilterCandidates(table, packets)
         flow_keys = _FlowKeyCandidates(table, self.trace)
-        count = np.zeros(n_alarms + 1, dtype=np.int64)
-        np.cumsum(filters.per_alarm + flow_keys.per_alarm, out=count[1:])
+        count = filters.at + flow_keys.at
         if self.granularity is Granularity.PACKET:
             traffic_codes, width = None, len(packets)
         else:
             flows = self.trace.flow_table(self.granularity)
             traffic_codes, width = flows.codes, len(flows)
+
+        def runs(i: int) -> Iterator[np.ndarray]:
+            """Alarm ``i``'s codes, :data:`SLICE_ROWS` candidates at a time."""
+            for part in (filters, flow_keys):
+                lo, hi = int(part.at[i]), int(part.at[i + 1])
+                for start in range(lo, hi, SLICE_ROWS):
+                    rows, _ = part.take(start, min(start + SLICE_ROWS, hi))
+                    yield _sorted_unique(
+                        rows if traffic_codes is None else traffic_codes[rows]
+                    )
+
         codes: list[np.ndarray] = []
         i = 0
         while i < n_alarms:
             j = int(np.searchsorted(count, count[i] + SLICE_ROWS, side="right"))
             j = max(i + 1, j - 1)
-            filter_rows, filter_owner = filters.take(i, j)
-            key_rows, key_owner = flow_keys.take(i, j)
+            if count[j] - count[i] > SLICE_ROWS:
+                union = _union(runs(i))
+                union.flags.writeable = False
+                codes.append(union)
+                i = j
+                continue
+            filter_rows, filter_owner = filters.take(
+                int(filters.at[i]), int(filters.at[j])
+            )
+            key_rows, key_owner = flow_keys.take(
+                int(flow_keys.at[i]), int(flow_keys.at[j])
+            )
             rows = np.concatenate([filter_rows, key_rows])
             keys = rows if traffic_codes is None else traffic_codes[rows]
             keys += (np.concatenate([filter_owner, key_owner]) - i) * width

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.net.table import PacketTable
+from repro.net.table import PacketTable, value_row_keys
 
 
 @dataclass(frozen=True)
@@ -58,14 +58,29 @@ def unique_codes(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     and each row's int64 index into them.
 
     A ``uint16`` column (the ports) is coded by one ``bincount`` over
-    its 65,536 possible values, several times faster than the
-    ``np.unique`` sort every other column takes; both give the same
-    values, dtype included, and the same codes.
+    its 65,536 possible values.  A ``uint32`` column (the addresses) is
+    coded by one sort of its :func:`~repro.net.table.value_row_keys`: a
+    neighbour test finds the distinct values, and one scatter of their
+    running count gives each row its code.  Every other column takes
+    ``np.unique``; all three give the same values, dtype included, and
+    the same codes.
     """
     if column.dtype == np.uint16:
         present = np.bincount(column, minlength=1 << 16) > 0
         code_of = np.cumsum(present, dtype=np.int64) - 1
         return np.flatnonzero(present).astype(np.uint16), code_of[column]
+    if column.dtype == np.uint32 and len(column) <= 1 << 32:
+        keys = value_row_keys(column)
+        value = keys >> np.uint64(32)
+        first = np.empty(len(keys), dtype=bool)
+        first[:1] = True
+        np.not_equal(value[1:], value[:-1], out=first[1:])
+        rank = np.cumsum(first, dtype=np.int64)
+        rank -= 1
+        keys &= np.uint64(0xFFFFFFFF)  # the rows, in value order
+        codes = np.empty(len(keys), dtype=np.int64)
+        codes[keys.view(np.int64)] = rank
+        return value[first].astype(np.uint32), codes
     values, codes = np.unique(column, return_inverse=True)
     return values, codes.astype(np.int64, copy=False)
 

@@ -72,11 +72,12 @@ MAX_CAPLEN = 1 << 18
 #: Timestamps :func:`write_pcap` can store (see :func:`_check_writable`).
 _MAX_TIME = float(2**32 - 1)
 
-#: Bytes the decoder reads per block: about a thousand records, enough
-#: to amortize its per-block NumPy calls, while its temporary arrays
-#: and :func:`iter_pcap`'s read-ahead stay a fraction of a default
-#: 8192-packet batch.
-_BLOCK_BYTES = 1 << 16
+#: Bytes the decoder reads per block: about four thousand records of a
+#: header-only trace, enough to amortize its per-block NumPy calls,
+#: while its temporary arrays and :func:`iter_pcap`'s read-ahead stay
+#: about half a default 8192-packet batch.  The record walk costs the
+#: same per record at any block size.
+_BLOCK_BYTES = 1 << 18
 
 
 @dataclass
@@ -146,7 +147,10 @@ def _decode(buf: bytes, starts: array, endian: str, linktype: int) -> PacketTabl
     TCP/UDP/ICMP or too short for their fields) and its rewrites (size
     ``max(total_len, 20)``, TCP flags masked to ``0x3F``).  Ports, flags
     and ICMP type are read only on the rows that carry them; the other
-    rows gather a harmless in-bounds byte and are zeroed.
+    rows gather a harmless in-bounds byte and are zeroed.  A skip rule
+    that drops no record gathers nothing, so a clean raw-IP capture
+    decodes without per-row subsets.  Every column is C-contiguous and
+    owns its memory: none keeps a block's temporary arrays alive.
     """
     raw = np.frombuffer(buf, dtype=np.uint8)
     record = np.frombuffer(starts, dtype=np.int64)
@@ -155,6 +159,7 @@ def _decode(buf: bytes, starts: array, endian: str, linktype: int) -> PacketTabl
     ts_sec, ts_usec, caplen = header.T
     ip = record + _RECORD_HEADER.size
     ip_len = caplen.astype(np.int64)
+    # ``rows``: the records still decoded, ascending.
     if linktype == _DLT_EN10MB:
         rows = np.flatnonzero(ip_len >= _ETHERNET_HEADER)
         ethertype = ip[rows] + 12
@@ -163,35 +168,40 @@ def _decode(buf: bytes, starts: array, endian: str, linktype: int) -> PacketTabl
         ip_len = ip_len[rows] - _ETHERNET_HEADER
     else:
         rows = np.arange(len(record))
-    fixed = np.flatnonzero(ip_len >= 20)
-    if not len(fixed):  # nothing to decode, and maybe under 20 bytes
+    fixed = ip_len >= 20
+    if not fixed.all():
+        fixed = np.flatnonzero(fixed)
+        rows, ip, ip_len = rows[fixed], ip[fixed], ip_len[fixed]
+    if not len(rows):  # nothing to decode, and maybe under 20 bytes
         return PacketTable.empty()
-    rows, ip, ip_len = rows[fixed], ip[fixed], ip_len[fixed]
 
-    # The fixed IPv4 header as five big-endian words: version, IHL and
-    # total length; id and fragment; TTL, protocol and checksum; src;
-    # dst.
-    words = _windows(raw, 20)[ip].view(">u4")
+    # The fixed IPv4 header as five words in native byte order: version,
+    # IHL and total length; id and fragment; TTL, protocol and checksum;
+    # src; dst.
+    words = _windows(raw, 20)[ip].view(">u4").astype(np.uint32)
     ihl = ((words[:, 0] >> 24) & 0x0F).astype(np.int64) * 4
     proto = (words[:, 2] >> 16) & 0xFF
     transport_len = ip_len - ihl
     tcp = (proto == PROTO_TCP) & (transport_len >= 14)
     udp = (proto == PROTO_UDP) & (transport_len >= 4)
     icmp = (proto == PROTO_ICMP) & (transport_len >= 1)
-    kept = np.flatnonzero(
-        ((words[:, 0] >> 28) == 4) & (ihl >= 20) & (tcp | udp | icmp)
-    )
-    rows, words, proto = rows[kept], words[kept], proto[kept]
-    tcp, udp, icmp = tcp[kept], udp[kept], icmp[kept]
-    transport = ip[kept] + ihl[kept]
+    kept = ((words[:, 0] >> 28) == 4) & (ihl >= 20) & (tcp | udp | icmp)
+    if not kept.all():
+        kept = np.flatnonzero(kept)
+        rows, words, proto = rows[kept], words[kept], proto[kept]
+        tcp, udp, icmp = tcp[kept], udp[kept], icmp[kept]
+        ip, ihl = ip[kept], ihl[kept]
+    transport = ip + ihl
+    if len(rows) < len(record):
+        ts_sec, ts_usec = ts_sec[rows], ts_usec[rows]
 
     has_ports = tcp | udp
     ports = _windows(raw, 4)[np.where(has_ports, transport, 0)].view(">u2")
     flags = raw[np.where(tcp, transport + 13, 0)] & 0x3F
     return PacketTable(
-        time=ts_sec[rows] + ts_usec[rows] / 1e6,
-        src=words[:, 3],
-        dst=words[:, 4],
+        time=ts_sec + ts_usec / 1e6,
+        src=words[:, 3].copy(),
+        dst=words[:, 4].copy(),
         sport=np.where(has_ports, ports[:, 0], 0),
         dport=np.where(has_ports, ports[:, 1], 0),
         proto=proto,
@@ -285,9 +295,11 @@ def iter_pcap(
     """Stream a classic pcap file as bounded :class:`PacketTable` batches.
 
     Every batch holds exactly ``chunk_packets`` rows except the last.
-    The file is read 64 KiB at a time and the reader holds at most one
-    batch of decoded rows beyond that block, so ``chunk_packets`` bounds
-    its memory and arbitrarily large captures stream in constant memory.
+    The file is read :data:`_BLOCK_BYTES` (256 KiB) at a time and the
+    reader holds at most one batch of decoded rows beyond that block, so
+    ``chunk_packets`` bounds its memory and arbitrarily large captures
+    stream in constant memory.  A batch may straddle blocks: its rows do
+    not depend on the block size.
     Batches preserve file order (they are *not* re-sorted by time — the
     streaming window handles ordering).  Concatenating every yielded
     table gives exactly the packets :func:`read_pcap` would return.

@@ -235,6 +235,23 @@ def _pack(src, sport, dst, dport, proto) -> tuple[np.ndarray, np.ndarray]:
     return high, low
 
 
+def value_row_keys(column: np.ndarray) -> np.ndarray:
+    """The rows of an unsigned column of at most 32 bits, sorted by
+    value, then row, as ``uint64`` keys ``value << 32 | row``.
+
+    NumPy sorts the packed keys with its SIMD sort, where an argsort of
+    the column would sort indirectly.  Rows are numbered in 32 bits.
+    """
+    keys = column.astype(np.uint64)
+    keys <<= np.uint64(32)
+    # Row numbers a slice at a time: no second n-row array.
+    for first in range(0, len(column), 1 << 14):
+        last = min(first + (1 << 14), len(column))
+        keys[first:last] |= np.arange(first, last, dtype=np.uint64)
+    keys.sort()
+    return keys
+
+
 def _radix_order(columns) -> np.ndarray:
     """Stable sort permutation of the rows by ``columns`` (most
     significant first; unsigned, at most 32 bits each).

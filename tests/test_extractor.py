@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.core import extractor as extraction
 from repro.core.alarm_table import ALL_ARRAYS, AlarmTable
 from repro.core.extractor import TrafficExtractor
 from repro.detectors.base import Alarm
@@ -361,3 +362,53 @@ def test_extraction_peak_does_not_grow_with_alarms():
         assert len(codes) == count
         assert all(np.array_equal(c, expected) for c in codes)
     assert max(peaks) < 8 << 20, peaks
+
+
+@pytest.mark.parametrize("budget", [1 << 10, 1 << 12])
+def test_over_budget_alarm_peak_follows_the_budget(monkeypatch, budget):
+    """One whole-trace ``proto=6`` alarm holds 90,000 candidate rows, many
+    budgets' worth: it is taken in budget-sized runs, so its tracemalloc
+    peak above that of a two-packet ``proto=6`` alarm (which builds the
+    same value index) stays under sixteen int64 arrays of one budget, and
+    its codes are the flows of every TCP row."""
+    monkeypatch.setattr(extraction, "SLICE_ROWS", budget)
+    n = 100_000
+    rows = np.arange(n)
+    packets = PacketTable(
+        time=rows * 1e-3,
+        src=rows % 8,
+        dst=rows // 8 % 8,
+        sport=np.full(n, 1234),
+        dport=np.full(n, 80),
+        proto=np.where(rows % 10 == 0, 17, 6),
+        size=np.full(n, 100),
+        tcp_flags=np.zeros(n),
+        icmp_type=np.zeros(n),
+    )
+    trace = Trace.from_table(packets)
+    flows = trace.flow_table(Granularity.UNIFLOW)
+
+    def alarm(t1):
+        return Alarm(
+            detector="t",
+            config="t/x",
+            t0=0.0,
+            t1=t1,
+            filters=(FeatureFilter(proto=6),),
+        )
+
+    def extract(t1):
+        table = AlarmTable.from_alarms([alarm(t1)])
+        extractor = TrafficExtractor(trace, Granularity.UNIFLOW, engine="numpy")
+        tracemalloc.start()
+        try:
+            (codes,) = extractor.extract_all(table).graph_input
+            return codes, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    extract(float(n))  # builds what the trace caches
+    _, index_peak = extract(0.0025)
+    codes, peak = extract(float(n))
+    np.testing.assert_array_equal(codes, np.unique(flows.codes[packets.proto == 6]))
+    assert peak - index_peak - codes.nbytes < 16 * 8 * budget, (peak, index_peak)

@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import PcapError
 from repro.net.packet import ACK, PROTO_ICMP, PROTO_TCP, PROTO_UDP, SYN
+from repro.net import pcap
 from repro.net.pcap import read_pcap, write_pcap
 from repro.net.table import COLUMN_DTYPES, COLUMNS
 from repro.net.trace import Trace
@@ -289,3 +290,47 @@ class TestDecoderBranches:
         assert _columns(_pcap_file(frames))["tcp_flags"] == [
             0x3F, 0x02, 0x00, 0x3F, 0x00,
         ]
+
+    @pytest.mark.parametrize(
+        "frames, linktype",
+        [
+            (
+                [
+                    (1, 0, _ipv4(PROTO_TCP, _tcp())),
+                    (2, 0, _ipv4(PROTO_UDP, _udp())),
+                    (3, 0, _ipv4(PROTO_ICMP, _icmp())),
+                ],
+                _DLT_RAW,
+            ),
+            (
+                [
+                    (1, 0, _ipv4(PROTO_TCP, _tcp(), ihl=4)),
+                    (2, 0, _ipv4(PROTO_UDP, _udp())[:19]),
+                    (3, 0, _ipv4(PROTO_UDP, _udp(1, 2))),
+                    (4, 0, _ipv4(47, _udp())),
+                    (5, 0, _ipv4(PROTO_ICMP, _icmp())),
+                ],
+                _DLT_RAW,
+            ),
+            (
+                [
+                    (1, 0, _ethernet(_ipv4(PROTO_TCP, _tcp()))),
+                    (2, 0, _ethernet(_ipv4(PROTO_UDP, _udp()), ethertype=0x0806)),
+                    (3, 0, _ethernet(_ipv4(PROTO_UDP, _udp()))),
+                ],
+                _DLT_EN10MB,
+            ),
+        ],
+        ids=["clean", "skipped", "ethernet"],
+    )
+    def test_decoded_columns_are_contiguous_and_own_their_data(
+        self, frames, linktype
+    ):
+        """No decoded column is a view that keeps a block's gathers
+        alive, whether the skip rules drop records or not."""
+        data = _pcap_file(frames, linktype=linktype)
+        (table,) = pcap._decode_blocks(io.BytesIO(data))
+        assert len(table)
+        for name in COLUMNS:
+            column = table.column(name)
+            assert column.flags.c_contiguous and column.flags.owndata, name

@@ -29,7 +29,7 @@ from tests.pcap_oracle import oracle_run
 _DLT_EN10MB = 1
 _DLT_RAW = 101
 _CHUNKS = (1, 7, 8192)
-_BLOCKS = st.sampled_from([1, 13, 100, 1 << 16, 1 << 20])
+_BLOCKS = st.sampled_from([1, 13, 100, 1 << 16, 1 << 18, 1 << 20])
 _sometimes = st.sampled_from([False, False, True])
 # Transport bytes the reader needs per protocol (TCP, UDP, ICMP).
 _TRANSPORT_MIN = {6: 14, 17: 4, 1: 1}

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.detectors.features import unique_codes
@@ -224,16 +224,28 @@ port_columns = st.one_of(
     st.integers(0, 65535).flatmap(lambda v: st.lists(st.just(v), max_size=20)),
 ).map(lambda values: np.array(values, dtype=np.uint16))
 
+_ADDRESS_EDGES = [0, 1, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFE, 0xFFFFFFFF]
 
-@given(column=port_columns)
-@settings(max_examples=200, deadline=None)
-def test_port_value_codes_match_np_unique(column):
-    """A ``uint16`` column coded by one ``bincount`` gives the values,
-    dtype included, and the codes of ``np.unique`` — empty and
-    single-value columns too."""
+address_columns = st.one_of(
+    st.lists(st.sampled_from(_ADDRESS_EDGES) | st.integers(0, 0xFFFFFFFF)),
+    st.integers(0, 0xFFFFFFFF).flatmap(lambda v: st.lists(st.just(v), max_size=20)),
+).map(lambda values: np.array(values, dtype=np.uint32))
+
+
+@given(column=port_columns | address_columns)
+@example(column=np.array([], dtype=np.uint32))
+@example(column=np.array([0xFFFFFFFF], dtype=np.uint32))
+@example(column=np.array([7] * 5, dtype=np.uint32))
+@example(column=np.array([0xFFFFFFFF, 0, 5, 0xFFFFFFFF, 0, 5, 0], dtype=np.uint32))
+@settings(max_examples=300, deadline=None)
+def test_value_codes_match_np_unique(column):
+    """A ``uint16`` column coded by one ``bincount``, and a ``uint32``
+    column by one sort of packed ``value << 32 | row`` keys, give the
+    values, dtype included, and the codes of ``np.unique``: empty,
+    one-row and all-equal columns, both ends of the range and ties."""
     values, codes = unique_codes(column)
     expected_values, expected_codes = np.unique(column, return_inverse=True)
-    assert values.dtype == expected_values.dtype == np.uint16
+    assert values.dtype == expected_values.dtype == column.dtype
     assert codes.dtype == np.int64
     np.testing.assert_array_equal(values, expected_values)
     np.testing.assert_array_equal(codes, expected_codes)
